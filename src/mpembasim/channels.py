@@ -10,7 +10,9 @@ collapses onto the auxiliary's thermal populations.
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; :func:`verify_gad_equivalence` checks that identification
-numerically rather than assuming it.
+numerically rather than assuming it.  The sweeps use it through
+:func:`heat_exchange_bloch`, the closed-form map on Bloch vectors; the Kraus
+form stays the reference it is tested against.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import liouville
 from .exceptions import TauOutOfRangeError
-from .operators import hermitize, validate_density_matrix
+from .operators import hermitize, validate_bloch_vectors, validate_density_matrix
 
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
 COMPLETENESS_TOL = 1e-12
@@ -120,6 +122,43 @@ def build_heat_exchange(
     k3 = np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex)
     k4 = np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex)
     return KrausChannel(operators=(k1, k2, k3, k4), delay=tau_ms, bias=p)
+
+
+def heat_exchange_bloch(
+    environment: ThermalEnvironment,
+    j_hz: float,
+    bloch: np.ndarray,
+    tau_grid: np.ndarray,
+) -> np.ndarray:
+    """Bloch vectors after every delay of the heat exchange, in closed form.
+
+    The channel of :func:`build_heat_exchange` is generalized amplitude
+    damping, so on the Bloch vector it is the affine map
+    ``x, y -> c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with
+    ``c = cos(pi J tau)`` and ``z_eq = 1 - 2 p`` the partner's polarization.
+    ``bloch`` has shape ``(..., 3)`` and ``tau_grid`` shape ``(n,)``; the
+    result has shape ``(..., n, 3)``.  Inputs and outputs get the positivity
+    bound :func:`apply_channel` puts on states.
+
+    Raises
+    ------
+    TauOutOfRangeError
+        If any delay leaves the physical window.
+    """
+    window = swap_window(j_hz)
+    taus = np.asarray(tau_grid, dtype=float).reshape(-1)
+    outside = taus[~((taus >= -1e-9) & (taus <= window + 1e-9))]
+    if outside.size:
+        raise TauOutOfRangeError(
+            f"tau={outside[0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
+        )
+    r = validate_bloch_vectors(bloch)[..., np.newaxis, :]
+    c = np.cos(np.pi * (j_hz / 1000.0) * taus)
+    z_eq = 1.0 - 2.0 * environment.excited_population
+    out = np.empty(r.shape[:-2] + (taus.size, 3))
+    out[..., :2] = r[..., :2] * c[:, np.newaxis]
+    out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
+    return validate_bloch_vectors(out)
 
 
 def conjugate_channel(channel: KrausChannel, basis: np.ndarray) -> KrausChannel:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -16,7 +17,9 @@ import numpy as np
 
 from .channels import (
     ThermalEnvironment,
+    apply_channel,
     build_heat_exchange,
+    heat_exchange_bloch,
     swap_window,
     verify_davies_blocks,
     verify_gad_equivalence,
@@ -25,14 +28,12 @@ from .config_io import ExperimentConfig, load_config, write_table
 from .exceptions import ConfigError, MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, \
     propagate_spectral, vectorize
-from .mpemba import build_theta_family, cooling_curves, free_energy_surface, \
-    heat_exchange_builder
+from .mpemba import build_theta_family, cooling_curves, free_energy_surface
 from .numerics import expm
-from .operators import density_from_bloch, qubit_hamiltonian
-from .otto import default_delta_grid, distance_curves, energy_balance, \
-    power_ratio, run_cycle, threshold_times
-from .thermo import detect_crossing, f_neq, gibbs_state, kl_divergence, \
-    trace_distance
+from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian
+from .otto import distance_curves, energy_balance, power_ratio, run_cycle
+from .thermo import detect_crossing, f_neq, f_neq_bloch, gibbs_state, \
+    kl_divergence, trace_distance, trace_distance_bloch
 
 LOG = logging.getLogger("mpembasim.cli")
 
@@ -127,10 +128,10 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _base_state(config), np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
     )
     h = qubit_hamiltonian(config.nu1_khz, axis="z")
-    env = _hot_environment(config)
     raw = free_energy_surface(
         family,
-        heat_exchange_builder(env, config.j_hz),
+        _hot_environment(config),
+        config.j_hz,
         _tau_grid(config),
         h,
         config.t_hot_khz,
@@ -275,94 +276,152 @@ def _random_density(rng: np.random.Generator) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def _report(name: str, passed: bool, detail: str) -> None:
+    suffix = f"  ({detail})" if detail else ""
+    print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    all_passed = True
-
-    def report(name: str, passed: bool, detail: str = "") -> None:
-        nonlocal all_passed
-        all_passed = all_passed and passed
-        suffix = f"  ({detail})" if detail else ""
-        print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
-
     try:
         config = _resolve_config(args)
-        env = _hot_environment(config)
-        window = swap_window(config.j_hz)
+    except (MpembaSimError, ValueError) as exc:
+        _report("construction", False, str(exc))
+        return 1
+    env = _hot_environment(config)
+    window = swap_window(config.j_hz)
+    h = qubit_hamiltonian(config.nu1_khz, axis="z")
+    probe_tau = 1.0 if window > 1.0 else 0.43 * window
 
+    # every random input is drawn up front, in the order the checks use them
+    rng = np.random.default_rng(20260822)
+    identity_states = [_random_density(rng) for _ in range(100)]
+    propagation_inputs = [
+        (_random_density(rng), float(rng.uniform(0.1, 5.0))) for _ in range(10)
+    ]
+    cycle_delays = [float(rng.uniform(0.0, window)) for _ in range(10)]
+
+    @functools.cache
+    def probe_channel():
+        return build_heat_exchange(env, config.j_hz, probe_tau)
+
+    @functools.cache
+    def generator():
+        return extract_generator(probe_channel(), probe_tau)
+
+    @functools.cache
+    def decomposition():
+        return decompose(generator())
+
+    @functools.cache
+    def equilibrium():
+        state = gibbs_state(h, config.t_hot_khz)
+        return state, f_neq(state, h, config.t_hot_khz)
+
+    @functools.cache
+    def cycle_runs():
+        cycle = config.cycle_config()
+        return [
+            run_cycle(dataclasses.replace(cycle, use_mpemba=bool(k % 2)), tau2)
+            for k, tau2 in enumerate(cycle_delays)
+        ]
+
+    def kraus_completeness():
         worst = 0.0
         for tau in np.linspace(0.0, window, 50):
             channel = build_heat_exchange(env, config.j_hz, float(tau))
             total = sum(k.conj().T @ k for k in channel.operators)
             worst = max(worst, float(np.abs(total - np.eye(2)).max()))
-        report("kraus-completeness", worst <= 1e-12, f"max defect {worst:.3e}")
+        return worst <= 1e-12, f"max defect {worst:.3e}"
 
-        probe_tau = 1.0 if window > 1.0 else 0.43 * window
-        channel = build_heat_exchange(env, config.j_hz, probe_tau)
-        gad = verify_gad_equivalence(channel)
-        report("damping-equivalence", gad.passed, f"deviation {gad.max_deviation:.3e}")
+    def damping_equivalence():
+        gad = verify_gad_equivalence(probe_channel())
+        return gad.passed, f"deviation {gad.max_deviation:.3e}"
 
-        generator = extract_generator(channel, probe_tau)
-        decomposition = decompose(generator)
-        residual = float(
-            np.abs(decomposition.left @ decomposition.right - np.eye(4)).max()
-        )
-        report("biorthonormality", residual <= 1e-10, f"residual {residual:.3e}")
+    def biorthonormality():
+        d = decomposition()
+        residual = float(np.abs(d.left @ d.right - np.eye(4)).max())
+        return residual <= 1e-10, f"residual {residual:.3e}"
 
-        davies = verify_davies_blocks(generator, np.eye(2))
-        report(
-            "population-coherence-decoupling",
-            davies.passed,
-            f"max coupling {davies.max_coupling:.3e}",
-        )
+    def decoupling():
+        davies = verify_davies_blocks(generator(), np.eye(2))
+        return davies.passed, f"max coupling {davies.max_coupling:.3e}"
 
-        h = qubit_hamiltonian(config.nu1_khz, axis="z")
-        equilibrium = gibbs_state(h, config.t_hot_khz)
-        f_eq = f_neq(equilibrium, h, config.t_hot_khz)
-        rng = np.random.default_rng(20260822)
+    def free_energy_identity():
+        state, f_eq = equilibrium()
         worst = 0.0
-        for _ in range(100):
-            rho = _random_density(rng)
+        for rho in identity_states:
             excess = f_neq(rho, h, config.t_hot_khz) - f_eq
-            identity = config.t_hot_khz * kl_divergence(rho, equilibrium)
+            identity = config.t_hot_khz * kl_divergence(rho, state)
             worst = max(worst, abs(excess - identity))
-        report("free-energy-identity", worst <= 1e-10, f"max defect {worst:.3e}")
+        return worst <= 1e-10, f"max defect {worst:.3e}"
 
+    def spectral_propagation():
         worst = 0.0
-        for _ in range(10):
-            rho = _random_density(rng)
-            t = float(rng.uniform(0.1, 5.0))
-            spectral = propagate_spectral(decomposition, rho, t)
-            direct = devectorize(expm(generator * t) @ vectorize(rho))
+        for rho, t in propagation_inputs:
+            spectral = propagate_spectral(decomposition(), rho, t)
+            direct = devectorize(expm(generator() * t) @ vectorize(rho))
             worst = max(worst, float(np.abs(spectral - direct).max()))
-        report("spectral-propagation", worst <= 1e-8, f"max defect {worst:.3e}")
+        return worst <= 1e-8, f"max defect {worst:.3e}"
 
-        cycle = config.cycle_config()
+    def cycle_closure():
         h_cold = qubit_hamiltonian(config.nu0_khz, axis="x")
         cold_state = gibbs_state(h_cold, config.t_cold_khz)
-        worst_state = worst_energy = 0.0
-        for k in range(10):
-            records = run_cycle(
-                dataclasses.replace(cycle, use_mpemba=bool(k % 2)),
-                float(rng.uniform(0.0, window)),
-            )
-            final = records[-1].state_after
-            worst_state = max(worst_state, float(np.abs(final - cold_state).max()))
-            worst_energy = max(worst_energy, abs(energy_balance(records)))
-        report("cycle-closure", worst_state <= 1e-10, f"max defect {worst_state:.3e}")
-        report("energy-balance", worst_energy <= 1e-8, f"max defect {worst_energy:.3e}")
+        worst = max(
+            float(np.abs(records[-1].state_after - cold_state).max())
+            for records in cycle_runs()
+        )
+        return worst <= 1e-10, f"max defect {worst:.3e}"
 
-        curves = distance_curves(cycle, _tau_grid(config))
-        ratios = []
-        for delta in default_delta_grid(curves):
-            tau2_plain, tau2_mb = threshold_times(curves, float(delta))
-            ratios.append(
-                (cycle.tau_bar + tau2_plain)
-                / (cycle.tau_bar + cycle.mpemba_duration + tau2_mb)
-            )
-        floor = min(ratios)
-        report("power-ratio-floor", floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}")
-    except (MpembaSimError, ValueError) as exc:
-        report("construction", False, str(exc))
+    def energy_balance_check():
+        worst = max(abs(energy_balance(records)) for records in cycle_runs())
+        return worst <= 1e-8, f"max defect {worst:.3e}"
+
+    def power_ratio_floor():
+        reports = power_ratio(config.cycle_config(), tau2_grid=_tau_grid(config))
+        floor = min(report.ratio for report in reports)
+        return floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}"
+
+    def sweep_kernel_agreement():
+        # the closed-form sweep kernel against the Kraus route it replaces
+        state, _ = equilibrium()
+        taus = np.linspace(0.0, window, 4)
+        starts = np.array([bloch_vector(rho) for rho in identity_states])
+        evolved = heat_exchange_bloch(env, config.j_hz, starts, taus)
+        free = f_neq_bloch(evolved, h, config.t_hot_khz)
+        dist = trace_distance_bloch(evolved, bloch_vector(state))
+        worst = 0.0
+        for k, tau in enumerate(taus):
+            channel = build_heat_exchange(env, config.j_hz, float(tau))
+            for i, rho in enumerate(identity_states):
+                out = apply_channel(channel, rho)
+                worst = max(
+                    worst,
+                    float(np.abs(density_from_bloch(evolved[i, k]) - out).max()),
+                    abs(free[i, k] - f_neq(out, h, config.t_hot_khz)),
+                    abs(dist[i, k] - trace_distance(out, state)),
+                )
+        return worst <= 1e-12, f"max deviation {worst:.3e}"
+
+    all_passed = True
+    for name, run in (
+        ("kraus-completeness", kraus_completeness),
+        ("damping-equivalence", damping_equivalence),
+        ("biorthonormality", biorthonormality),
+        ("population-coherence-decoupling", decoupling),
+        ("free-energy-identity", free_energy_identity),
+        ("spectral-propagation", spectral_propagation),
+        ("cycle-closure", cycle_closure),
+        ("energy-balance", energy_balance_check),
+        ("power-ratio-floor", power_ratio_floor),
+        ("sweep-kernel-agreement", sweep_kernel_agreement),
+    ):
+        # a check whose inputs, shared or its own, cannot be built fails alone
+        try:
+            passed, detail = run()
+        except (MpembaSimError, ValueError) as exc:
+            passed, detail = False, str(exc)
+        all_passed = all_passed and passed
+        _report(name, passed, detail)
     return 0 if all_passed else 1
 
 

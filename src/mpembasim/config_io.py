@@ -44,6 +44,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
+        for key, parse in _PARSERS.items():
+            if parse is _parse_float and not np.isfinite(getattr(self, key)):
+                raise ValidationError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not 0.0 < self.nu0_khz < self.nu1_khz:
             raise ValidationError(
                 f"nu1_khz must exceed nu0_khz > 0, got {self.nu0_khz}, {self.nu1_khz}"

@@ -58,12 +58,20 @@ class SingularReferenceError(MpembaSimError):
     """The reference state of a relative entropy is not full rank."""
 
 
+class SlowModeError(MpembaSimError):
+    """A generator lacks the single slowest decaying mode pair the accelerating unitary empties."""
+
+
 class DegenerateHamiltonianError(MpembaSimError):
     """An energy spectrum is too degenerate to define a population ordering."""
 
 
 class ThresholdUnreachableError(MpembaSimError):
     """A relaxation curve never reaches the requested threshold."""
+
+
+class NoAdvantageError(MpembaSimError, ValueError):
+    """A cycle-power ratio fell below one: the accelerated cycle is the slower one."""
 
 
 class MissingStrokeError(MpembaSimError, KeyError):

@@ -42,6 +42,7 @@ from .exceptions import (
     NegativeRateError,
     NoStationaryModeError,
     SingularInputError,
+    TauOutOfRangeError,
 )
 from .operators import hermitize, validate_density_matrix
 
@@ -270,12 +271,17 @@ def extract_generator(channel, t: float) -> np.ndarray:
     SingularInputError, BranchCutError
         From the matrix logarithm when the channel is at or beyond the delay
         where coherence eigenvalues vanish; shrink ``t`` in that case.
+    TauOutOfRangeError
+        If ``t`` is not positive, or too short for a finite generator.
     """
     if t <= 0.0:
-        raise ValueError(f"channel delay {t} must be positive")
+        raise TauOutOfRangeError(f"channel delay {t} must be positive")
     ops = getattr(channel, "operators", channel)
     matrix = transfer_matrix(ops)
-    generator = numerics.logm_principal(matrix) / t
+    with np.errstate(over="ignore", invalid="ignore"):
+        generator = numerics.logm_principal(matrix) / t
+    if not np.all(np.isfinite(generator)):
+        raise TauOutOfRangeError(f"channel delay {t} too short for a finite generator")
     roundtrip = float(np.max(np.abs(numerics.expm(t * generator) - matrix)))
     if roundtrip > 1e-8:
         raise SingularInputError(

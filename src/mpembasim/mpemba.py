@@ -12,16 +12,18 @@ and the free-energy / trace-distance curves over the exchange-delay grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import liouville
-from .channels import ThermalEnvironment, apply_channel, build_heat_exchange, \
-    conjugate_channel, swap_window
-from .exceptions import DegenerateHamiltonianError
-from .operators import qubit_hamiltonian, rotation_y, validate_density_matrix
-from .thermo import RelaxationTrajectory, f_neq, gibbs_state, trace_distance
+from .channels import ThermalEnvironment, build_heat_exchange, conjugate_channel, \
+    heat_exchange_bloch, swap_window
+from .exceptions import DegenerateHamiltonianError, SlowModeError
+from .operators import bloch_vector, qubit_hamiltonian, rotation_y, \
+    validate_density_matrix
+from .thermo import RelaxationTrajectory, f_neq, f_neq_bloch, gibbs_state, \
+    trace_distance_bloch
 
 #: unitarity / conjugation defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
@@ -157,7 +159,12 @@ def mpemba_unitary(
     if decomposition is None:
         gap_khz = float(energies[-1] - energies[0]) / (4.0 * np.pi)
         decomposition = _probe_decomposition(levels, gap_khz, temperature)
-    k2, k3 = liouville.slow_pair_indices(decomposition)
+    slow = liouville.slow_pair_indices(decomposition)
+    if len(slow) != 2:
+        raise SlowModeError(
+            f"generator has {len(slow)} slowest decaying modes, expected one pair"
+        )
+    k2, k3 = slow
     before = liouville.mode_overlap(decomposition, k2, rho)
     after = liouville.mode_overlap(decomposition, k2, target)
     after_partner = liouville.mode_overlap(decomposition, k3, target)
@@ -191,16 +198,20 @@ def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> ThetaFa
     return ThetaFamily(base_state=base, angles=angles, rotated_states=states)
 
 
-def heat_exchange_builder(
-    env: ThermalEnvironment, j_hz: float
-) -> Callable[[float], object]:
-    """Return ``tau -> channel`` for one environment and coupling."""
-    return lambda tau_ms: build_heat_exchange(env, j_hz, tau_ms)
+def _validated_bloch(states: Sequence[np.ndarray]) -> np.ndarray:
+    """Bloch vectors ``(len(states), 3)`` of states checked as the channel checks them."""
+    return np.array(
+        [
+            bloch_vector(validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10))
+            for rho in states
+        ]
+    ).reshape(-1, 3)
 
 
 def free_energy_surface(
     family: ThetaFamily,
-    channel_builder: Callable[[float], object],
+    environment: ThermalEnvironment,
+    j_hz: float,
     tau_grid: Sequence[float],
     h: np.ndarray,
     temperature: float,
@@ -208,25 +219,22 @@ def free_energy_surface(
     """Free energy of every rotated state after every exchange delay.
 
     Returns rows ``{"theta_rad", "tau_ms", "f_neq_khz"}`` in theta-major
-    order.  Each rotated state is pushed through the channel for each delay
-    independently (one collision of duration tau, not an iterated map).
+    order.  Each rotated state goes through the heat exchange with
+    ``environment`` and coupling ``j_hz`` for each delay independently (one
+    collision of duration tau, not an iterated map).
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    channels = [channel_builder(float(tau)) for tau in taus]
-    rows = []
-    for theta, state in zip(family.angles, family.rotated_states):
-        for tau, channel in zip(taus, channels):
-            evolved = apply_channel(channel, state)
-            rows.append(
-                {
-                    "theta_rad": float(theta),
-                    "tau_ms": float(tau),
-                    "f_neq_khz": f_neq(evolved, h, temperature),
-                }
-            )
-    return rows
+    evolved = heat_exchange_bloch(
+        environment, j_hz, _validated_bloch(family.rotated_states), taus
+    )
+    free = f_neq_bloch(evolved, h, temperature)
+    return [
+        {"theta_rad": theta, "tau_ms": tau, "f_neq_khz": value}
+        for theta, values in zip(family.angles.tolist(), free.tolist())
+        for tau, value in zip(taus.tolist(), values)
+    ]
 
 
 def cooling_curves(
@@ -235,33 +243,28 @@ def cooling_curves(
     j_hz: float,
     tau_grid: Sequence[float],
     with_mpemba: bool,
+    decomposition: liouville.SpectralDecomposition | None = None,
 ) -> RelaxationTrajectory:
     """Relaxation observables of ``rho0`` along the exchange protocol.
 
-    With ``with_mpemba`` the accelerating unitary is applied first.  The
-    trajectory records the free-energy excess over equilibrium (kHz) and the
-    trace distance to the thermal target for every delay in the grid.
+    With ``with_mpemba`` the accelerating unitary is applied first, its
+    slow-mode diagnostics taken against ``decomposition`` as in
+    :func:`mpemba_unitary`.  The trajectory records the free-energy excess
+    over equilibrium (kHz) and the trace distance to the thermal target for
+    every delay in the grid.
     """
     taus = np.asarray(tau_grid, dtype=float)
     h = qubit_hamiltonian(env.gap_frequency, axis="z")
     target = gibbs_state(h, env.temperature)
     f_eq = f_neq(target, h, env.temperature)
 
-    label = "mpemba" if with_mpemba else "plain"
-    state0 = validate_density_matrix(rho0, herm_tol=1e-10, trace_tol=1e-10)
+    state0 = rho0
     if with_mpemba:
-        state0 = mpemba_unitary(state0, h, env.temperature).target_state
-
-    states, excess, dist = [], [], []
-    for tau in taus:
-        evolved = apply_channel(build_heat_exchange(env, j_hz, float(tau)), state0)
-        states.append(evolved)
-        excess.append(f_neq(evolved, h, env.temperature) - f_eq)
-        dist.append(trace_distance(evolved, target))
+        state0 = mpemba_unitary(rho0, h, env.temperature, decomposition).target_state
+    evolved = heat_exchange_bloch(env, j_hz, _validated_bloch([state0])[0], taus)
     return RelaxationTrajectory(
         times=taus,
-        states=states,
-        f_neq=np.array(excess),
-        trace_dist=np.array(dist),
-        label=label,
+        f_neq=f_neq_bloch(evolved, h, env.temperature) - f_eq,
+        trace_dist=trace_distance_bloch(evolved, bloch_vector(target)),
+        label="mpemba" if with_mpemba else "plain",
     )

@@ -112,3 +112,21 @@ def validate_density_matrix(
     if smallest < -psd_tol:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return rho
+
+
+def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.ndarray:
+    """Check an array of Bloch vectors ``(..., 3)``; return it as floats.
+
+    The state of ``r`` has eigenvalues ``(1 +- |r|)/2``, so positivity is the
+    single test ``(1 - |r|)/2 >= -psd_tol`` over the whole array, the same
+    bound :func:`validate_density_matrix` puts on the smallest eigenvalue.
+    """
+    r = np.asarray(bloch, dtype=float)
+    if r.ndim == 0 or r.shape[-1] != 3:
+        raise ValueError(f"Bloch vectors need a last axis of length 3, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("Bloch vectors must be finite")
+    smallest = 0.5 * (1.0 - float(np.linalg.norm(r, axis=-1).max(initial=0.0)))
+    if smallest < -psd_tol:
+        raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
+    return r

@@ -32,14 +32,14 @@ from .channels import ThermalEnvironment, apply_channel, build_heat_exchange, \
 from .exceptions import (
     GridMismatchError,
     MissingStrokeError,
+    NoAdvantageError,
     Tau2OutOfRangeError,
     ThresholdUnreachableError,
 )
-from .mpemba import mpemba_unitary
+from .mpemba import cooling_curves, mpemba_unitary
 from .operators import IDENTITY, PAULIS, TWO_PI, X_EIGENBASIS, mean_energy, \
     qubit_hamiltonian
-from .thermo import RelaxationTrajectory, detect_crossing, f_neq, gibbs_state, \
-    trace_distance
+from .thermo import RelaxationTrajectory, detect_crossing, gibbs_state
 
 #: slack for "curve reached the threshold" comparisons
 THRESHOLD_TOL = 1e-12
@@ -90,6 +90,12 @@ class CycleConfig:
             object.__setattr__(self, "tau3", self.tau1)
         if self.tau4 is None:
             object.__setattr__(self, "tau4", swap_window(self.j_hz))
+        numbers = (
+            self.nu0, self.nu1, self.j_hz, self.t_hot, self.t_cold, self.tau1,
+            self.tau3, self.tau4, self.tau_bar, self.mpemba_duration,
+        )
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError(f"cycle parameters must be finite, got {numbers}")
         if not 0.0 < self.nu0 < self.nu1:
             raise ValueError(f"need nu1 > nu0 > 0, got {self.nu0}, {self.nu1}")
         if self.t_hot <= 0.0 or self.t_cold <= 0.0:
@@ -120,7 +126,7 @@ class PowerReport:
 
     def __post_init__(self):
         if self.ratio < 1.0 - 1e-12:
-            raise ValueError(
+            raise NoAdvantageError(
                 f"ratio {self.ratio} below 1; delta {self.delta} lies outside "
                 "the advantage window"
             )
@@ -290,39 +296,15 @@ def distance_curves(
 ) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
     """Exchange-stroke trace distance to the hot target, without and with
     the accelerating unitary, over a grid of tau2 delays."""
-    taus = np.asarray(tau2_grid, dtype=float)
-    h_cold = qubit_hamiltonian(cfg.nu0, axis="x")
-    h_exchange = qubit_hamiltonian(cfg.nu1, axis="z")
-    target = gibbs_state(h_exchange, cfg.t_hot)
-    f_eq = f_neq(target, h_exchange, cfg.t_hot)
-    env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-
     u_exp = ramp_unitary(cfg.nu0, cfg.nu1, cfg.tau1, axis="x")
-    rho_cold = gibbs_state(h_cold, cfg.t_cold)
+    rho_cold = gibbs_state(qubit_hamiltonian(cfg.nu0, axis="x"), cfg.t_cold)
     rho_plain = u_exp @ rho_cold @ u_exp.conj().T
+    env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     decomposition = exchange_decomposition(cfg)
-    rho_mb = mpemba_unitary(
-        rho_plain, h_exchange, cfg.t_hot, decomposition
-    ).target_state
-
-    def sweep(rho_in: np.ndarray, label: str) -> RelaxationTrajectory:
-        states, excess, dist = [], [], []
-        for tau in taus:
-            evolved = apply_channel(
-                build_heat_exchange(env_hot, cfg.j_hz, float(tau)), rho_in
-            )
-            states.append(evolved)
-            excess.append(f_neq(evolved, h_exchange, cfg.t_hot) - f_eq)
-            dist.append(trace_distance(evolved, target))
-        return RelaxationTrajectory(
-            times=taus,
-            states=states,
-            f_neq=np.array(excess),
-            trace_dist=np.array(dist),
-            label=label,
-        )
-
-    return sweep(rho_plain, "plain"), sweep(rho_mb, "mpemba")
+    return tuple(
+        cooling_curves(rho_plain, env_hot, cfg.j_hz, tau2_grid, flag, decomposition)
+        for flag in (False, True)
+    )
 
 
 def threshold_times(

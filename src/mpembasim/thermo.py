@@ -17,7 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import GridMismatchError, SingularReferenceError
-from .operators import TWO_PI, hermitize, mean_energy, validate_density_matrix
+from .operators import (
+    PAULIS,
+    TWO_PI,
+    hermitize,
+    mean_energy,
+    validate_bloch_vectors,
+    validate_density_matrix,
+)
 
 #: eigenvalues below this contribute zero to entropy sums
 ENTROPY_FLOOR = 1e-15
@@ -56,6 +63,27 @@ def f_neq(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float) -> float
     return mean_energy(rho, hamiltonian) - temperature * von_neumann_entropy(rho)
 
 
+def f_neq_bloch(
+    bloch: np.ndarray, hamiltonian: np.ndarray, temperature: float
+) -> np.ndarray:
+    """:func:`f_neq` of qubit states given as Bloch vectors ``(..., 3)``.
+
+    The energy comes from the Pauli components of ``hamiltonian``, the
+    entropy from the eigenvalues ``(1 +- |r|)/2`` with the same floor as
+    :func:`von_neumann_entropy`, and the positivity bound is the one
+    :func:`f_neq` applies.
+    """
+    r = validate_bloch_vectors(bloch, psd_tol=1e-8)
+    h = np.asarray(hamiltonian, dtype=complex)
+    components = np.array([np.trace(h @ PAULIS[axis]).real for axis in "xyz"])
+    energy = 0.5 * (np.trace(h).real + r @ components) / TWO_PI
+    norm = np.linalg.norm(r, axis=-1)
+    eigenvalues = np.stack([0.5 * (1.0 + norm), 0.5 * (1.0 - norm)])
+    support = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
+    entropy = -(support * np.log(support)).sum(axis=0)
+    return energy - temperature * entropy
+
+
 def kl_divergence(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Quantum relative entropy ``Tr rho (ln rho - ln sigma)`` in nats.
 
@@ -85,6 +113,11 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
 
 
+def trace_distance_bloch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`trace_distance` of qubit states given as Bloch vectors, ``|a - b|/2``."""
+    return 0.5 * np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)
+
+
 def passive_state(rho: np.ndarray, hamiltonian: np.ndarray) -> np.ndarray:
     """Passive rearrangement: largest population on the lowest energy level.
 
@@ -107,11 +140,10 @@ class RelaxationTrajectory:
     ``f_neq`` stores the free-energy observable chosen by the producer (the
     sweep functions in this package store the excess over equilibrium, which
     must stay above ``-1e-9``); ``trace_dist`` is the distance to the target
-    state; ``states`` holds the sampled density matrices.
+    state.
     """
 
     times: np.ndarray
-    states: tuple
     f_neq: np.ndarray
     trace_dist: np.ndarray
     label: str
@@ -121,9 +153,8 @@ class RelaxationTrajectory:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "f_neq", np.asarray(self.f_neq, dtype=float))
         object.__setattr__(self, "trace_dist", np.asarray(self.trace_dist, dtype=float))
-        object.__setattr__(self, "states", tuple(self.states))
         n = times.size
-        if any(len(x) != n for x in (self.states, self.f_neq, self.trace_dist)):
+        if any(len(x) != n for x in (self.f_neq, self.trace_dist)):
             raise ValueError("trajectory fields must share one grid length")
         if n > 1 and np.any(np.diff(times) <= 0.0):
             raise ValueError("trajectory times must be strictly increasing")

@@ -13,14 +13,29 @@ from mpembasim.channels import (
     build_heat_exchange,
     choi_matrix,
     conjugate_channel,
+    heat_exchange_bloch,
     swap_window,
     verify_davies_blocks,
     verify_gad_equivalence,
 )
 from mpembasim.exceptions import TauOutOfRangeError
 from mpembasim.liouville import build_lindbladian, extract_generator
-from mpembasim.operators import IDENTITY, X_EIGENBASIS, qubit_hamiltonian
-from mpembasim.thermo import gibbs_state
+from mpembasim.operators import (
+    IDENTITY,
+    SIGMA_Y,
+    SIGMA_Z,
+    X_EIGENBASIS,
+    bloch_vector,
+    density_from_bloch,
+    qubit_hamiltonian,
+)
+from mpembasim.thermo import (
+    f_neq,
+    f_neq_bloch,
+    gibbs_state,
+    trace_distance,
+    trace_distance_bloch,
+)
 
 COUPLING_HZ = 215.1
 COMPLETENESS_TOL = 1e-12
@@ -101,6 +116,42 @@ def test_delay_outside_the_window_is_rejected(hot_env):
         build_heat_exchange(hot_env, COUPLING_HZ, -0.01)
     with pytest.raises(TauOutOfRangeError):
         build_heat_exchange(hot_env, COUPLING_HZ, window + 0.01)
+
+
+def test_bloch_kernel_matches_the_kraus_route(hot_env, rng, random_density):
+    """The closed-form sweep kernel reproduces apply_channel, f_neq and
+    trace_distance on random mixed, pure and nearly pure states, for a
+    Hamiltonian off the z axis, at delays from 0 to the full window."""
+    window = swap_window(COUPLING_HZ)
+    taus = np.concatenate([[0.0, window], np.sort(rng.uniform(0.0, window, 6))])
+    pure = rng.normal(size=(3, 3))
+    pure /= np.linalg.norm(pure, axis=1, keepdims=True)
+    edges = np.concatenate([pure, (1.0 - 1e-6) * pure])
+    states = [random_density() for _ in range(12)] + [density_from_bloch(r) for r in edges]
+    h = qubit_hamiltonian(1.3, "x") + 2.1 * SIGMA_Y - 0.9 * SIGMA_Z + 0.7 * IDENTITY
+    temperature = 3.1
+    target = gibbs_state(h, temperature)
+
+    evolved = heat_exchange_bloch(
+        hot_env, COUPLING_HZ, [bloch_vector(rho) for rho in states], taus
+    )
+    assert evolved.shape == (len(states), taus.size, 3)
+    free = f_neq_bloch(evolved, h, temperature)
+    dist = trace_distance_bloch(evolved, bloch_vector(target))
+    for k, tau in enumerate(taus):
+        channel = build_heat_exchange(hot_env, COUPLING_HZ, float(tau))
+        for i, rho in enumerate(states):
+            out = apply_channel(channel, rho)
+            assert np.abs(density_from_bloch(evolved[i, k]) - out).max() <= 1e-12
+            assert abs(free[i, k] - f_neq(out, h, temperature)) <= 1e-12
+            assert abs(dist[i, k] - trace_distance(out, target)) <= 1e-12
+
+
+def test_bloch_kernel_rejects_delays_outside_the_window(hot_env):
+    window = swap_window(COUPLING_HZ)
+    for bad in ([0.0, window * 1.01], [-1e-6], [np.nan]):
+        with pytest.raises(TauOutOfRangeError):
+            heat_exchange_bloch(hot_env, COUPLING_HZ, [0.0, 0.0, 0.5], bad)
 
 
 def test_partner_gibbs_state_is_a_fixed_point(hot_env, h_hot):

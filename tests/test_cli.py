@@ -1,14 +1,35 @@
 """End-to-end command runs through main(argv), in process."""
 
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpembasim.cli import main
+from mpembasim.config_io import ExperimentConfig
 
 WINDOW_MS = 2.3245002324500232
+
+VERIFY_CHECKS = (
+    "kraus-completeness",
+    "damping-equivalence",
+    "biorthonormality",
+    "population-coherence-decoupling",
+    "free-energy-identity",
+    "spectral-propagation",
+    "cycle-closure",
+    "energy-balance",
+    "power-ratio-floor",
+    "sweep-kernel-agreement",
+)
 
 
 def run(capsys, *argv):
@@ -156,20 +177,52 @@ def test_verify_passes_on_the_default_setup(capsys):
     code, out, _ = run(capsys, "verify")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
-    assert len(lines) == 9
+    assert len(lines) == len(VERIFY_CHECKS)
     assert all(line.startswith("PASS ") for line in lines)
-    for name in (
-        "kraus-completeness",
-        "damping-equivalence",
-        "biorthonormality",
-        "population-coherence-decoupling",
-        "free-energy-identity",
-        "spectral-propagation",
-        "cycle-closure",
-        "energy-balance",
-        "power-ratio-floor",
-    ):
+    for name in VERIFY_CHECKS:
         assert any(name in line for line in lines)
+
+
+def test_verify_checks_fail_independently(capsys, tmp_path):
+    # at this temperature the Gibbs reference of the KL divergence is rank
+    # deficient; only the check that needs the divergence may fail
+    cfg = tmp_path / "cold.cfg"
+    cfg.write_text("t_hot_khz = 0.01\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    lines = [line for line in out.splitlines() if line]
+    assert [line.split()[1] for line in lines] == list(VERIFY_CHECKS)
+    failed = [line.split()[1] for line in lines if line.startswith("FAIL ")]
+    assert failed == ["free-energy-identity"]
+    assert "rank tolerance" in lines[VERIFY_CHECKS.index("free-energy-identity")]
+
+
+def test_a_pulse_slower_than_its_gain_is_reported(capsys, tmp_path, monkeypatch):
+    # the config file has no pulse-duration key; give the cycle a 1 ms pulse
+    view = ExperimentConfig.cycle_config
+    monkeypatch.setattr(
+        ExperimentConfig,
+        "cycle_config",
+        lambda self: dataclasses.replace(view(self), mpemba_duration=1.0),
+    )
+    code, _, err = run(capsys, "otto-ratio", "--out", str(tmp_path / "ratio.csv"))
+    assert code == 2
+    assert "numerical error" in err and "below 1" in err
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL power-ratio-floor")
+
+
+@pytest.mark.parametrize("line", ["j_hz = nan\n", "t_hot_khz = inf\n"])
+def test_non_finite_config_values_are_config_errors(capsys, tmp_path, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line, encoding="utf-8")
+    code, _, err = run(
+        capsys, "cooling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")
+    )
+    assert code == 3
+    assert "must be finite" in err
 
 
 def test_verify_reports_a_broken_config_as_a_failure(capsys, tmp_path):
@@ -234,3 +287,58 @@ def test_no_mpemba_flag_is_accepted(capsys, tmp_path):
         capsys, "otto-distance", "--no-mpemba", "--out", path, "--tau-steps", "8"
     )
     assert code == 0
+
+
+# ------------------------------------------------------- config-space property
+
+#: in-range values for every config key (rendered as config-file text)
+CONFIG_VALUES = {
+    "nu0_khz": st.floats(0.1, 5.0),
+    "nu1_khz": st.floats(0.1, 10.0),
+    "j_hz": st.floats(10.0, 1000.0),
+    "t_hot_khz": st.floats(0.01, 100.0),
+    "t_cold_khz": st.floats(0.01, 100.0),
+    "tau1_us": st.floats(1.0, 1000.0),
+    "tau_bar_ms": st.floats(0.1, 20.0),
+    "populations": st.floats(0.01, 0.99).map(lambda p: f"{p!r}, {1.0 - p!r}"),
+    "theta_steps": st.integers(-1, 6),
+    "tau_steps": st.integers(-1, 12),
+    "epsilon_equilibrium_khz": st.floats(1e-4, 1.0),
+    "use_mpemba": st.sampled_from(["true", "false"]),
+    "output_precision": st.integers(0, 17),
+}
+
+#: out-of-range and non-finite values, one of which may replace any float key
+SPECIAL = st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e300]
+)
+FLOAT_KEYS = [key for key in CONFIG_VALUES if key.endswith(("_khz", "_hz", "_us", "_ms"))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["spectrum", "surface", "cooling", "otto-distance", "otto-ratio", "verify"]
+    ),
+    values=st.fixed_dictionaries({}, optional=CONFIG_VALUES),
+    poison=st.none() | st.tuples(st.sampled_from(FLOAT_KEYS), SPECIAL),
+    tau=st.floats(0.0, 5.0) | SPECIAL,
+)
+def test_every_config_ends_in_a_documented_exit_code(command, values, poison, tau):
+    """Any config file gives exit 0/1/2/3 with no traceback, in every subcommand."""
+    if poison is not None:
+        values = {**values, poison[0]: poison[1]}
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg = os.path.join(workdir, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            handle.writelines(f"{key} = {value!s}\n" for key, value in values.items())
+        argv = [command, "--config", cfg]
+        if command == "spectrum":
+            argv.append(f"--tau={tau!r}")
+        elif command != "verify":
+            argv += ["--out", os.path.join(workdir, "table.csv")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()

@@ -105,6 +105,10 @@ def test_validation_messages_name_the_offending_key(tmp_path):
         load_config(write(tmp_path, "theta_steps = 1\n"))
     with pytest.raises(ValidationError, match="epsilon"):
         load_config(write(tmp_path, "epsilon_equilibrium_khz = 0\n"))
+    with pytest.raises(ValidationError, match="j_hz must be finite"):
+        load_config(write(tmp_path, "j_hz = nan\n"))
+    with pytest.raises(ValidationError, match="t_hot_khz must be finite"):
+        load_config(write(tmp_path, "t_hot_khz = inf\n"))
 
 
 def test_validation_rejects_out_of_range_weights():

@@ -14,7 +14,6 @@ from mpembasim.mpemba import (
     build_theta_family,
     cooling_curves,
     free_energy_surface,
-    heat_exchange_builder,
     mpemba_unitary,
 )
 from mpembasim.operators import (
@@ -156,7 +155,7 @@ def test_family_input_validation(rho0):
 def test_surface_rows_are_theta_major(rho0, hot_env, h_hot):
     family = build_theta_family(rho0, [0.0, 1.0])
     rows = free_energy_surface(
-        family, heat_exchange_builder(hot_env, COUPLING_HZ), [0.0, 0.5], h_hot, HOT_T
+        family, hot_env, COUPLING_HZ, [0.0, 0.5], h_hot, HOT_T
     )
     assert [(r["theta_rad"], r["tau_ms"]) for r in rows] == [
         (0.0, 0.0),
@@ -170,7 +169,7 @@ def test_surface_collapses_to_equilibrium_at_the_full_swap(rho0, hot_env, h_hot)
     family = build_theta_family(rho0, np.linspace(0.0, 2.0 * np.pi, 9))
     rows = free_energy_surface(
         family,
-        heat_exchange_builder(hot_env, COUPLING_HZ),
+        hot_env, COUPLING_HZ,
         [swap_window(COUPLING_HZ)],
         h_hot,
         HOT_T,
@@ -185,7 +184,7 @@ def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env, h_hot):
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 64)
     family = build_theta_family(rho0, [0.0, 1.5 * np.pi])
     rows = free_energy_surface(
-        family, heat_exchange_builder(hot_env, COUPLING_HZ), taus, h_hot, HOT_T
+        family, hot_env, COUPLING_HZ, taus, h_hot, HOT_T
     )
     f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
     plain = np.array([r["f_neq_khz"] for r in rows[:64]]) - f_eq
@@ -200,7 +199,7 @@ def test_surface_requires_delays(rho0, hot_env, h_hot):
     family = build_theta_family(rho0, [0.0])
     with pytest.raises(ValueError):
         free_energy_surface(
-            family, heat_exchange_builder(hot_env, COUPLING_HZ), [], h_hot, HOT_T
+            family, hot_env, COUPLING_HZ, [], h_hot, HOT_T
         )
 
 
@@ -241,9 +240,3 @@ def test_cooling_an_equilibrium_state_is_flat(hot_env, h_hot):
     curve = cooling_curves(target, hot_env, COUPLING_HZ, taus, with_mpemba=False)
     assert curve.f_neq.max() <= 1e-12
     assert curve.trace_dist.max() <= 1e-12
-
-
-def test_heat_exchange_builder_threads_the_delay(hot_env):
-    builder = heat_exchange_builder(hot_env, COUPLING_HZ)
-    assert builder(0.7).delay == pytest.approx(0.7)
-    assert builder(0.0).bias == pytest.approx(hot_env.excited_population)

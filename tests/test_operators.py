@@ -20,6 +20,7 @@ from mpembasim.operators import (
     mean_energy,
     qubit_hamiltonian,
     rotation_y,
+    validate_bloch_vectors,
     validate_density_matrix,
 )
 
@@ -120,6 +121,18 @@ def test_validate_density_matrix_rejections():
         validate_density_matrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="square"):
         validate_density_matrix(np.ones((2, 3)))
+
+
+def test_validate_bloch_vectors_bounds_the_smallest_eigenvalue():
+    edge = np.array([[0.0, 0.0, 1.0 + 1e-10], [0.6, 0.0, -0.8]])
+    assert validate_bloch_vectors(edge).shape == (2, 3)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_bloch_vectors([0.0, 0.0, 1.0 + 4e-10])
+    assert validate_bloch_vectors([[0.0, 0.0, 1.0 + 4e-10]], psd_tol=1e-8).shape == (1, 3)
+    with pytest.raises(ValueError, match="finite"):
+        validate_bloch_vectors([0.0, np.nan, 0.0])
+    with pytest.raises(ValueError, match="length 3"):
+        validate_bloch_vectors([0.0, 0.0])
 
 
 def test_x_eigenbasis_diagonalizes_sigma_x():

@@ -11,6 +11,8 @@ from mpembasim.channels import swap_window
 from mpembasim.exceptions import (
     GridMismatchError,
     MissingStrokeError,
+    MpembaSimError,
+    NoAdvantageError,
     Tau2OutOfRangeError,
     TauOutOfRangeError,
     ThresholdUnreachableError,
@@ -45,8 +47,6 @@ BALANCE_TOL = 1e-8
 R_COLD = np.tanh(1.0 / 2.38)
 R_HOT = np.tanh(2.0 / 4.77)
 
-HALF = 0.5 * np.eye(2, dtype=complex)
-
 
 def analytic_plain_distance(tau):
     c = np.cos(np.pi * 0.2151 * tau)
@@ -62,7 +62,6 @@ def make_distance_pair(times, plain_values, mb_values):
     def traj(values, label):
         return RelaxationTrajectory(
             times=np.asarray(times, float),
-            states=(HALF,) * len(times),
             f_neq=np.zeros(len(times)),
             trace_dist=np.asarray(values, float),
             label=label,
@@ -134,6 +133,10 @@ def test_cycle_config_validation():
         CycleConfig(tau1=0.0)
     with pytest.raises(ValueError, match="cannot be negative"):
         CycleConfig(mpemba_duration=-0.5)
+    with pytest.raises(ValueError, match="finite"):
+        CycleConfig(j_hz=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        CycleConfig(t_hot=float("inf"))
 
 
 def test_exchange_decomposition_has_the_expected_mode_structure():
@@ -396,8 +399,16 @@ def test_power_ratio_accounts_for_the_pulse_overhead():
 
 
 def test_power_report_rejects_ratios_below_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(NoAdvantageError):
         PowerReport(delta=0.1, tau2_plain=1.0, tau2_mb=1.5, ratio=0.9)
+    assert issubclass(NoAdvantageError, MpembaSimError)
+    assert issubclass(NoAdvantageError, ValueError)
+
+
+def test_a_slow_pulse_leaves_no_advantage():
+    # a 1 ms pulse costs more than the accelerated stroke saves anywhere
+    with pytest.raises(NoAdvantageError, match="below 1"):
+        power_ratio(CycleConfig(mpemba_duration=1.0))
 
 
 @settings(max_examples=20, deadline=None)

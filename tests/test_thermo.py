@@ -33,10 +33,8 @@ HALF = 0.5 * np.eye(2, dtype=complex)
 
 
 def make_trajectory(times, f_values, d_values=None, label="synthetic"):
-    n = len(times)
     return RelaxationTrajectory(
         times=np.asarray(times, dtype=float),
-        states=(HALF,) * n,
         f_neq=np.asarray(f_values, dtype=float),
         trace_dist=np.asarray(d_values if d_values is not None else f_values, float),
         label=label,
@@ -203,8 +201,7 @@ def test_passive_state_rejects_degenerate_spectra(rho0):
 def test_trajectory_validates_grid_consistency():
     with pytest.raises(ValueError, match="grid length"):
         RelaxationTrajectory(
-            times=[0.0, 1.0], states=(HALF,), f_neq=[0.0, 0.0],
-            trace_dist=[0.0, 0.0], label="bad",
+            times=[0.0, 1.0], f_neq=[0.0], trace_dist=[0.0, 0.0], label="bad",
         )
     with pytest.raises(ValueError, match="increasing"):
         make_trajectory([0.0, 0.0], [1.0, 1.0])
