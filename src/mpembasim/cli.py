@@ -291,6 +291,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     window = swap_window(config.j_hz)
     h = qubit_hamiltonian(config.nu1_khz, axis="z")
     probe_tau = 1.0 if window > 1.0 else 0.43 * window
+    # Free energies hold terms of size T ln 2, which carry rounding errors of
+    # a few eps * T (measured against a 50-digit evaluation up to T = 1e6 kHz),
+    # so their bounds are per kHz of temperature above 1 kHz.
+    free_energy_scale = max(1.0, config.t_hot_khz)
 
     # every random input is drawn up front, in the order the checks use them
     rng = np.random.default_rng(20260822)
@@ -353,7 +357,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             excess = f_neq(rho, h, config.t_hot_khz) - f_eq
             identity = config.t_hot_khz * kl_divergence(rho, state)
             worst = max(worst, abs(excess - identity))
-        return worst <= 1e-10, f"max defect {worst:.3e}"
+        return worst <= 1e-10 * free_energy_scale, f"max defect {worst:.3e}"
 
     def spectral_propagation():
         worst = 0.0
@@ -389,7 +393,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         evolved = heat_exchange_bloch(env, config.j_hz, starts, taus)
         free = f_neq_bloch(evolved, h, config.t_hot_khz)
         dist = trace_distance_bloch(evolved, bloch_vector(state))
-        worst = 0.0
+        worst = worst_free = 0.0
         for k, tau in enumerate(taus):
             channel = build_heat_exchange(env, config.j_hz, float(tau))
             for i, rho in enumerate(identity_states):
@@ -397,10 +401,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 worst = max(
                     worst,
                     float(np.abs(density_from_bloch(evolved[i, k]) - out).max()),
-                    abs(free[i, k] - f_neq(out, h, config.t_hot_khz)),
                     abs(dist[i, k] - trace_distance(out, state)),
                 )
-        return worst <= 1e-12, f"max deviation {worst:.3e}"
+                worst_free = max(
+                    worst_free, abs(free[i, k] - f_neq(out, h, config.t_hot_khz))
+                )
+        passed = worst <= 1e-12 and worst_free <= 1e-12 * free_energy_scale
+        return passed, f"max deviation {max(worst, worst_free):.3e}"
 
     all_passed = True
     for name, run in (

@@ -1,15 +1,19 @@
 """Dense complex linear algebra for non-Hermitian spectral work.
 
-The routines here wrap LAPACK (via scipy) behind a small contract tailored to
-Liouville-space work: eigensystems always come back with a biorthonormal
-left/right pairing, and matrix logarithms always take the principal branch or
-refuse loudly.  Matrices are plain ``numpy.ndarray`` of ``complex128`` in
-row-major order; everything is a pure function of its inputs.
+The routines here wrap LAPACK (reached through ``numpy.linalg``) behind a
+small contract tailored to Liouville-space work: eigensystems always come back
+with a biorthonormal left/right pairing, and matrix logarithms always take the
+principal branch or refuse loudly.  Matrices are plain ``numpy.ndarray`` of
+``complex128`` in row-major order; everything is a pure function of its
+inputs.
 
-The scipy ``eig(..., left=True)`` output is deliberately not used: LAPACK does
-not guarantee that the left and right vectors it returns are paired mode by
-mode when eigenvalues repeat.  Inverting the right eigenvector matrix gives a
-left system that is biorthonormal by construction.
+LAPACK's own left eigenvectors are deliberately not used: it does not
+guarantee that the left and right vectors it returns are paired mode by mode
+when eigenvalues repeat.  Inverting the right eigenvector matrix gives a left
+system that is biorthonormal by construction.
+
+The matrix exponential is the degree-13 Pade approximant with scaling and
+squaring of Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import (
     BranchCutError,
@@ -37,6 +40,31 @@ SINGULARITY_TOL = 1e-12
 
 #: relative distance from the negative real axis that trips the branch-cut guard
 BRANCH_TOL = 1e-13
+
+#: largest 1-norm for which the degree-13 Pade approximant meets unit roundoff
+PADE13_THETA = 5.371920351148152
+
+#: coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, divided
+#: by b_0 so that a nilpotent ``a`` with ``a @ a = 0`` maps to exactly ``I + a``
+_PADE13 = tuple(
+    b / 64764752532480000.0
+    for b in (
+        64764752532480000.0,
+        32382376266240000.0,
+        7771770303897600.0,
+        1187353796428800.0,
+        129060195264000.0,
+        10559470521600.0,
+        670442572800.0,
+        33522128640.0,
+        1323241920.0,
+        40840800.0,
+        960960.0,
+        16380.0,
+        182.0,
+        1.0,
+    )
+)
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -85,8 +113,8 @@ def eig_general(a: np.ndarray) -> EigenSystem:
     """
     a = _as_square(a, "a")
     try:
-        values, right = scipy.linalg.eig(a)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+        values, right = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
         raise NonConvergenceError(f"eigenvalue iteration failed: {exc}") from exc
 
     try:
@@ -116,8 +144,44 @@ def eig_general(a: np.ndarray) -> EigenSystem:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential via scaling-and-squaring with Pade approximants."""
-    return scipy.linalg.expm(_as_square(a, "a"))
+    """Matrix exponential by scaling and squaring the degree-13 Pade approximant.
+
+    ``a`` is divided by ``2**s``, the smallest power of two that brings its
+    1-norm under :data:`PADE13_THETA`.  With ``odd`` and ``even`` the odd and
+    even parts of the approximant's numerator at the scaled matrix, the
+    approximant ``(even - odd)^-1 (even + odd)`` is then squared ``s`` times.
+
+    Raises
+    ------
+    ValueError
+        If ``a`` is not a finite square matrix, or its 1-norm overflows.
+    """
+    a = _as_square(a, "a")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a, 1))
+    if not np.isfinite(norm):
+        raise ValueError("a is too large to exponentiate: its 1-norm overflows")
+    squarings = 0
+    if norm > PADE13_THETA:
+        squarings = int(np.ceil(np.log2(norm / PADE13_THETA)))
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0], dtype=complex)
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    odd = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
+    )
+    even = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6 + b[4] * a4 + b[2] * a2 + ident
+    )
+    result = np.linalg.solve(even - odd, even + odd)
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def logm_principal(a: np.ndarray) -> np.ndarray:

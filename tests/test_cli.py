@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpembasim import cli
 from mpembasim.cli import main
 from mpembasim.config_io import ExperimentConfig
 
@@ -195,6 +196,41 @@ def test_verify_checks_fail_independently(capsys, tmp_path):
     failed = [line.split()[1] for line in lines if line.startswith("FAIL ")]
     assert failed == ["free-energy-identity"]
     assert "rank tolerance" in lines[VERIFY_CHECKS.index("free-energy-identity")]
+
+
+def test_verify_passes_in_a_very_hot_environment(capsys, tmp_path):
+    # free energies of size T ln 2 carry rounding of a few eps * T here
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("t_hot_khz = 1e6\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    lines = [line for line in out.splitlines() if line]
+    assert [line.split()[1] for line in lines] == list(VERIFY_CHECKS)
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "check, name, offset",
+    [
+        # 1e-9 nats of divergence is 1e-3 kHz at 1e6 kHz, ten times the bound
+        ("free-energy-identity", "kl_divergence", 1e-9),
+        # free energies are bounded per kHz of temperature: 1e-12 * 1e6
+        ("sweep-kernel-agreement", "f_neq_bloch", 1e-5),
+        # distances and states keep the absolute 1e-12 bound at any temperature
+        ("sweep-kernel-agreement", "trace_distance_bloch", 1e-11),
+    ],
+)
+def test_hot_verify_still_catches_defects(
+    capsys, tmp_path, monkeypatch, check, name, offset
+):
+    original = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *args: original(*args) + offset)
+    cfg = tmp_path / "hot.cfg"
+    cfg.write_text("t_hot_khz = 1e6\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == [check]
 
 
 def test_a_pulse_slower_than_its_gain_is_reported(capsys, tmp_path, monkeypatch):

@@ -1,18 +1,32 @@
 """Eigensystem pairing, matrix exponential, and principal-logarithm contracts."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+import mpembasim
+from mpembasim.channels import build_heat_exchange, swap_window
 from mpembasim.exceptions import (
     BranchCutError,
     DefectiveMatrixError,
+    NonConvergenceError,
     SingularInputError,
 )
-from mpembasim.numerics import eig_general, expm, logm_principal
+from mpembasim.liouville import extract_generator
+from mpembasim.numerics import PADE13_THETA, eig_general, expm, logm_principal
+
+COUPLING_HZ = 215.1
+
+#: max |numerics.expm - scipy.linalg.expm| relative to max |scipy.linalg.expm|
+EXPM_REFERENCE_RTOL = 1e-12
 
 PAIRING_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
@@ -20,6 +34,12 @@ RECONSTRUCTION_TOL = 1e-9
 
 def random_matrix(rng, n=4, scale=1.0):
     return scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+
+
+def assert_matches_reference_expm(a):
+    reference = scipy.linalg.expm(a)
+    deviation = np.abs(expm(a) - reference).max()
+    assert deviation <= EXPM_REFERENCE_RTOL * np.abs(reference).max()
 
 
 def test_eig_identity():
@@ -81,13 +101,23 @@ def test_nonfinite_input_is_rejected():
         eig_general(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_lapack_failure_becomes_nonconvergence(monkeypatch):
+    def failing_eig(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", failing_eig)
+    with pytest.raises(NonConvergenceError, match="did not converge"):
+        eig_general(np.eye(2))
+
+
 def test_condition_estimate_is_reported():
     system = eig_general(np.diag([1.0, 2.0]))
     assert system.condition_estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expm_zero_matrix():
-    assert_allclose(expm(np.zeros((3, 3))), np.eye(3), atol=1e-14)
+    assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
+    assert_matches_reference_expm(np.zeros((4, 4), dtype=complex))
 
 
 def test_expm_diagonal():
@@ -100,6 +130,69 @@ def test_expm_pauli_rotation():
     # exp(-i pi/2 sigma_x) = -i sigma_x
     sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     assert_allclose(expm(-0.5j * np.pi * sx), -1j * sx, atol=1e-12)
+
+
+def test_expm_matches_reference_across_scaling_regimes():
+    rng = np.random.default_rng(16)
+    norms = np.geomspace(1e-3, 1e2, 60)
+    for norm in norms:
+        a = random_matrix(rng)
+        assert_matches_reference_expm(a * (norm / np.linalg.norm(a, 1)))
+    # both the unscaled approximant and the squaring branch ran
+    assert norms.min() < PADE13_THETA < norms.max()
+
+
+def test_expm_rejects_a_matrix_whose_norm_overflows():
+    with pytest.raises(ValueError, match="overflows"):
+        expm(np.full((4, 4), 1e308))
+
+
+def test_expm_of_a_subnormal_matrix():
+    # the norm underflows against the Pade threshold; no squaring is needed
+    a = np.diag([0.0, 0.0, 5e-324j])
+    assert_matches_reference_expm(a)
+
+
+@pytest.mark.parametrize("size", [1e-3, 0.5, 40.0])
+def test_expm_of_a_nilpotent_block_is_exact(size):
+    b = np.zeros((4, 4), dtype=complex)
+    b[0, 1] = size
+    b[2, 3] = -1j * size
+    assert np.array_equal(expm(b), np.eye(4) + b)
+
+
+def test_expm_of_the_default_generator_matches_reference(hot_env):
+    generator = extract_generator(build_heat_exchange(hot_env, COUPLING_HZ, 1.0), 1.0)
+    window = swap_window(COUPLING_HZ)
+    times = np.concatenate([np.linspace(0.0, window, 9), np.linspace(0.1, 5.0, 9)])
+    for t in times:
+        assert_matches_reference_expm(t * generator)
+
+
+def test_package_imports_no_scipy():
+    # a lazy import inside a command would only show after the command ran
+    script = textwrap.dedent(
+        """
+        import contextlib, io, sys
+        import mpembasim
+        from mpembasim import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["spectrum", "--tau", "1.0"])
+        assert code == 0, code
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(mpembasim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_logm_identity_is_zero():
@@ -131,14 +224,34 @@ def test_logm_rejects_negative_real_eigenvalue():
         logm_principal(-np.eye(2))
 
 
+def test_logm_refuses_the_exponential_of_a_jordan_block():
+    # expm of a single off-diagonal entry is I + b: one eigenvalue, one vector
+    b = np.zeros((3, 3), dtype=complex)
+    b[0, 1] = 0.5
+    m = expm(b)
+    assert np.array_equal(m, np.eye(3) + b)
+    with pytest.raises(DefectiveMatrixError):
+        logm_principal(m)
+
+
 finite_entries = st.floats(min_value=-0.5, max_value=0.5, allow_nan=False)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(finite_entries, min_size=18, max_size=18))
+@example([0.0, 0.5] + [0.0] * 16)
 def test_exp_log_round_trip(entries):
-    """expm and logm_principal invert each other inside the principal strip."""
+    """expm and logm_principal invert each other inside the principal strip.
+
+    The property holds for diagonalizable exponentials, the domain of the
+    eigendecomposition-based logarithm; defective draws are skipped here and
+    their refusal is pinned by the Jordan-block test above.
+    """
     flat = np.array(entries)
     b = (flat[:9] + 1j * flat[9:]).reshape(3, 3)
     m = expm(b)
+    try:
+        eig_general(m)
+    except DefectiveMatrixError:
+        assume(False)
     assert np.abs(expm(logm_principal(m)) - m).max() <= 1e-9
