@@ -178,16 +178,6 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return validate_density_matrix(out, herm_tol=1e-10, trace_tol=1e-10)
 
 
-def choi_matrix(channel: KrausChannel) -> np.ndarray:
-    """Choi matrix ``sum_j vec(K_j) vec(K_j)^dag`` (row stacking)."""
-    vecs = [liouville.vectorize(k) for k in channel.operators]
-    d2 = vecs[0].size
-    choi = np.zeros((d2, d2), dtype=complex)
-    for v in vecs:
-        choi += np.outer(v, v.conj())
-    return choi
-
-
 @dataclass(frozen=True)
 class GadEquivalenceReport:
     """Outcome of fitting a channel to the generalized amplitude damping form."""

@@ -26,11 +26,13 @@ from .channels import (
 )
 from .config_io import ExperimentConfig, load_config, write_table
 from .exceptions import ConfigError, MpembaSimError
-from .liouville import decompose, devectorize, extract_generator, \
-    propagate_spectral, vectorize
-from .mpemba import build_theta_family, cooling_curves, free_energy_surface
+from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
+    propagate_spectral, slow_pair_indices, vectorize
+from .mpemba import build_theta_family, cooling_curves, free_energy_surface, \
+    mpemba_unitary
 from .numerics import expm
-from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian
+from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
+    random_density
 from .otto import distance_curves, energy_balance, power_ratio, run_cycle
 from .thermo import detect_crossing, f_neq, f_neq_bloch, gibbs_state, \
     kl_divergence, trace_distance, trace_distance_bloch
@@ -128,22 +130,15 @@ def cmd_surface(args: argparse.Namespace) -> int:
         _base_state(config), np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
     )
     h = qubit_hamiltonian(config.nu1_khz, axis="z")
-    raw = free_energy_surface(
-        family,
-        _hot_environment(config),
-        config.j_hz,
-        _tau_grid(config),
-        h,
-        config.t_hot_khz,
+    taus = _tau_grid(config)
+    free = free_energy_surface(
+        family, _hot_environment(config), config.j_hz, taus, h, config.t_hot_khz
     )
-    f_eq = f_neq(gibbs_state(h, config.t_hot_khz), h, config.t_hot_khz)
+    excess = free - f_neq(gibbs_state(h, config.t_hot_khz), h, config.t_hot_khz)
     rows = [
-        {
-            "theta_rad": row["theta_rad"],
-            "tau_ms": row["tau_ms"],
-            "delta_f_neq_khz": row["f_neq_khz"] - f_eq,
-        }
-        for row in raw
+        {"theta_rad": theta, "tau_ms": tau, "delta_f_neq_khz": value}
+        for theta, values in zip(family.angles.tolist(), excess.tolist())
+        for tau, value in zip(taus.tolist(), values)
     ]
     write_table(
         rows,
@@ -152,12 +147,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
         args.format,
         config.output_precision,
     )
-    initial = [row for row in rows if row["tau_ms"] == rows[0]["tau_ms"]]
-    lowest = min(initial, key=lambda row: row["delta_f_neq_khz"])
+    lowest = int(np.argmin(excess[:, 0]))
     print(f"surface: {len(rows)} rows -> {args.out}")
     print(
-        f"lowest initial excess {lowest['delta_f_neq_khz']:.6f} kHz "
-        f"at theta = {lowest['theta_rad']:.6f} rad"
+        f"lowest initial excess {excess[lowest, 0]:.6f} kHz "
+        f"at theta = {family.angles[lowest]:.6f} rad"
     )
     return 0
 
@@ -270,12 +264,6 @@ def cmd_otto_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _random_density(rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
 def _report(name: str, passed: bool, detail: str) -> None:
     suffix = f"  ({detail})" if detail else ""
     print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
@@ -298,9 +286,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # every random input is drawn up front, in the order the checks use them
     rng = np.random.default_rng(20260822)
-    identity_states = [_random_density(rng) for _ in range(100)]
+    identity_states = [random_density(rng) for _ in range(100)]
     propagation_inputs = [
-        (_random_density(rng), float(rng.uniform(0.1, 5.0))) for _ in range(10)
+        (random_density(rng), float(rng.uniform(0.1, 5.0))) for _ in range(10)
     ]
     cycle_delays = [float(rng.uniform(0.0, window)) for _ in range(10)]
 
@@ -409,6 +397,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
         passed = worst <= 1e-12 and worst_free <= 1e-12 * free_energy_scale
         return passed, f"max deviation {max(worst, worst_free):.3e}"
 
+    def slow_mode_removal():
+        # mpemba_unitary builds no generator, so its purpose is checked here
+        d = decomposition()
+        pair = slow_pair_indices(d)
+        if len(pair) != 2:
+            return False, f"{len(pair)} slowest decaying modes, expected one pair"
+        targets = [
+            mpemba_unitary(rho, h, config.t_hot_khz).target_state
+            for rho in [_base_state(config), *identity_states]
+        ]
+        worst = max(abs(mode_overlap(d, k, rho)) for rho in targets for k in pair)
+        return worst <= 1e-10, f"max slow-mode weight {worst:.3e}"
+
     all_passed = True
     for name, run in (
         ("kraus-completeness", kraus_completeness),
@@ -421,6 +422,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("energy-balance", energy_balance_check),
         ("power-ratio-floor", power_ratio_floor),
         ("sweep-kernel-agreement", sweep_kernel_agreement),
+        ("slow-mode-removal", slow_mode_removal),
     ):
         # a check whose inputs, shared or its own, cannot be built fails alone
         try:

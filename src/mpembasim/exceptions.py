@@ -58,10 +58,6 @@ class SingularReferenceError(MpembaSimError):
     """The reference state of a relative entropy is not full rank."""
 
 
-class SlowModeError(MpembaSimError):
-    """A generator lacks the single slowest decaying mode pair the accelerating unitary empties."""
-
-
 class DegenerateHamiltonianError(MpembaSimError):
     """An energy spectrum is too degenerate to define a population ordering."""
 

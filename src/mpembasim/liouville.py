@@ -72,11 +72,6 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
     return vec.reshape(d, d)
 
 
-def trace_functional(dim: int) -> np.ndarray:
-    """Row vector implementing ``Tr`` on row-stacked states."""
-    return vectorize(np.eye(dim, dtype=complex))
-
-
 def transfer_matrix(kraus_operators) -> np.ndarray:
     """Row-stacking transfer matrix ``sum_j K_j kron K_j^conj`` of a Kraus map."""
     ops = [np.asarray(k, dtype=complex) for k in kraus_operators]

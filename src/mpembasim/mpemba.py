@@ -5,8 +5,12 @@ with its populations inverted (largest eigenvalue on the highest level).  The
 result carries no coherence in that basis, so its overlap with the slowly
 decaying pair of generator modes vanishes identically while its free energy
 goes up, the combination that makes the subsequent relaxation anomalously
-fast.  The sweep helpers generate the theta-rotated family of initial states
-and the free-energy / trace-distance curves over the exchange-delay grid.
+fast.  Construction is only an ``eigh`` pairing of the state with the
+Hamiltonian; the slow-mode weights it removes are measured by ``verify``
+(``slow-mode-removal``) and the tests, against a generator decomposition, with
+:func:`liouville.mode_overlap`.  The sweep helpers generate the theta-rotated
+family of initial states and the free-energy / trace-distance curves over the
+exchange-delay grid.
 """
 
 from __future__ import annotations
@@ -16,10 +20,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import liouville
-from .channels import ThermalEnvironment, build_heat_exchange, conjugate_channel, \
-    heat_exchange_bloch, swap_window
-from .exceptions import DegenerateHamiltonianError, SlowModeError
+from .channels import ThermalEnvironment, heat_exchange_bloch
+from .exceptions import DegenerateHamiltonianError
 from .operators import bloch_vector, qubit_hamiltonian, rotation_y, \
     validate_density_matrix
 from .thermo import RelaxationTrajectory, f_neq, f_neq_bloch, gibbs_state, \
@@ -28,32 +30,21 @@ from .thermo import RelaxationTrajectory, f_neq, f_neq_bloch, gibbs_state, \
 #: unitarity / conjugation defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
 
-#: residual slow-mode weight tolerated after the transformation
-OVERLAP_KILL_TOL = 1e-10
-
 #: relative spectral gap below which energy-level pairing is ill defined
 DEGENERACY_TOL = 1e-9
-
-#: exchange coupling used only to realize a probe generator for the overlap
-#: diagnostics; the mode structure the overlaps test is coupling independent
-PROBE_COUPLING_HZ = 215.1
 
 
 @dataclass(frozen=True)
 class MpembaTransform:
-    """A constructed accelerating unitary together with its diagnostics.
+    """A constructed accelerating unitary and the states it connects.
 
-    ``f_neq_gain`` is the free-energy increase (kHz) paid for the speedup;
-    the two overlaps are the bilinear weights of the slowest decaying mode
-    in the source and target states.
+    ``f_neq_gain`` is the free-energy increase (kHz) paid for the speedup.
     """
 
     unitary: np.ndarray
     source_state: np.ndarray
     target_state: np.ndarray
     f_neq_gain: float
-    slow_overlap_before: complex
-    slow_overlap_after: complex
 
     def __post_init__(self):
         u = np.asarray(self.unitary, dtype=complex)
@@ -91,24 +82,10 @@ def _phase_fixed(columns: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def _probe_decomposition(
-    basis: np.ndarray, gap_khz: float, temperature: float
-) -> liouville.SpectralDecomposition:
-    # Any exchange generator with this fixed basis has the same mode
-    # structure; delay and coupling only scale the rates.
-    env = ThermalEnvironment(temperature=temperature, gap_frequency=gap_khz)
-    probe_tau = 0.43 * swap_window(PROBE_COUPLING_HZ)
-    channel = conjugate_channel(
-        build_heat_exchange(env, PROBE_COUPLING_HZ, probe_tau), basis
-    )
-    return liouville.decompose(liouville.extract_generator(channel, probe_tau))
-
-
 def mpemba_unitary(
     rho: np.ndarray,
     h: np.ndarray,
     temperature: float,
-    decomposition: liouville.SpectralDecomposition | None = None,
 ) -> MpembaTransform:
     """Build the population-inverting unitary for ``rho`` under ``h``.
 
@@ -120,12 +97,7 @@ def mpemba_unitary(
         Hermitian Hamiltonian in angular units with a nondegenerate
         spectrum.
     temperature : float
-        Temperature (kHz) used for the free-energy bookkeeping and, when no
-        decomposition is supplied, for the probe generator.
-    decomposition : SpectralDecomposition, optional
-        Generator decomposition against which the slow-mode overlaps are
-        evaluated.  By default a heat-exchange generator with ``h``'s
-        eigenbasis and gap is constructed for the purpose.
+        Temperature (kHz) used for the free-energy bookkeeping.
 
     Returns
     -------
@@ -156,32 +128,12 @@ def mpemba_unitary(
     unitary = levels @ directions.conj().T
     target = unitary @ rho @ unitary.conj().T
 
-    if decomposition is None:
-        gap_khz = float(energies[-1] - energies[0]) / (4.0 * np.pi)
-        decomposition = _probe_decomposition(levels, gap_khz, temperature)
-    slow = liouville.slow_pair_indices(decomposition)
-    if len(slow) != 2:
-        raise SlowModeError(
-            f"generator has {len(slow)} slowest decaying modes, expected one pair"
-        )
-    k2, k3 = slow
-    before = liouville.mode_overlap(decomposition, k2, rho)
-    after = liouville.mode_overlap(decomposition, k2, target)
-    after_partner = liouville.mode_overlap(decomposition, k3, target)
-    if max(abs(after), abs(after_partner)) > OVERLAP_KILL_TOL:
-        raise ValueError(
-            "slow-mode weight survived the transformation; the supplied "
-            "decomposition does not share the Hamiltonian eigenbasis"
-        )
-
     gain = f_neq(target, h, temperature) - f_neq(rho, h, temperature)
     return MpembaTransform(
         unitary=unitary,
         source_state=rho,
         target_state=target,
         f_neq_gain=gain,
-        slow_overlap_before=before,
-        slow_overlap_after=after,
     )
 
 
@@ -215,11 +167,11 @@ def free_energy_surface(
     tau_grid: Sequence[float],
     h: np.ndarray,
     temperature: float,
-) -> list:
-    """Free energy of every rotated state after every exchange delay.
+) -> np.ndarray:
+    """Free energy (kHz) of every rotated state after every exchange delay.
 
-    Returns rows ``{"theta_rad", "tau_ms", "f_neq_khz"}`` in theta-major
-    order.  Each rotated state goes through the heat exchange with
+    Returns an array ``(len(family.angles), len(tau_grid))``, one row per
+    angle.  Each rotated state goes through the heat exchange with
     ``environment`` and coupling ``j_hz`` for each delay independently (one
     collision of duration tau, not an iterated map).
     """
@@ -229,12 +181,7 @@ def free_energy_surface(
     evolved = heat_exchange_bloch(
         environment, j_hz, _validated_bloch(family.rotated_states), taus
     )
-    free = f_neq_bloch(evolved, h, temperature)
-    return [
-        {"theta_rad": theta, "tau_ms": tau, "f_neq_khz": value}
-        for theta, values in zip(family.angles.tolist(), free.tolist())
-        for tau, value in zip(taus.tolist(), values)
-    ]
+    return f_neq_bloch(evolved, h, temperature)
 
 
 def cooling_curves(
@@ -243,15 +190,12 @@ def cooling_curves(
     j_hz: float,
     tau_grid: Sequence[float],
     with_mpemba: bool,
-    decomposition: liouville.SpectralDecomposition | None = None,
 ) -> RelaxationTrajectory:
     """Relaxation observables of ``rho0`` along the exchange protocol.
 
-    With ``with_mpemba`` the accelerating unitary is applied first, its
-    slow-mode diagnostics taken against ``decomposition`` as in
-    :func:`mpemba_unitary`.  The trajectory records the free-energy excess
-    over equilibrium (kHz) and the trace distance to the thermal target for
-    every delay in the grid.
+    With ``with_mpemba`` the accelerating unitary is applied first.  The
+    trajectory records the free-energy excess over equilibrium (kHz) and the
+    trace distance to the thermal target for every delay in the grid.
     """
     taus = np.asarray(tau_grid, dtype=float)
     h = qubit_hamiltonian(env.gap_frequency, axis="z")
@@ -260,7 +204,7 @@ def cooling_curves(
 
     state0 = rho0
     if with_mpemba:
-        state0 = mpemba_unitary(rho0, h, env.temperature, decomposition).target_state
+        state0 = mpemba_unitary(rho0, h, env.temperature).target_state
     evolved = heat_exchange_bloch(env, j_hz, _validated_bloch([state0])[0], taus)
     return RelaxationTrajectory(
         times=taus,

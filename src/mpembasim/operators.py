@@ -30,10 +30,6 @@ PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 X_EIGENBASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
-
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (a + a^dag)/2."""
     return 0.5 * (a + a.conj().T)
@@ -85,6 +81,13 @@ def density_from_bloch(r: np.ndarray) -> np.ndarray:
     if norm > 1.0 + 1e-12:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
     return 0.5 * (IDENTITY + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
+
+
+def random_density(rng: np.random.Generator) -> np.ndarray:
+    """Full-rank random state ``A A^dag / Tr(A A^dag)``, ``A`` complex Gaussian."""
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 def validate_density_matrix(

@@ -1,4 +1,4 @@
-"""Four-stroke qubit refrigerator with an optional accelerating unitary.
+"""Qubit Otto refrigerator with an optional accelerating unitary.
 
 Stroke layout and bookkeeping
 -----------------------------
@@ -12,10 +12,13 @@ excited population through the large gap), HOT_RESET the closing reset.
 
 Every cycle emits all five records, the accelerating stroke included; when
 disabled it carries the identity unitary and still bridges the bookkeeping
-frame from the drive axis (x) to the exchange axis (z).  Boundary energies
-are evaluated so consecutive records share the same Hamiltonian and state at
-each junction, which makes the closed-cycle energy balance telescope to zero
-at machine precision.  Energies are in h*kHz, times in ms.
+frame from the drive axis (x) to the exchange axis (z).  When enabled it is
+:func:`mpemba.mpemba_unitary`, an ``eigh`` pairing that builds no generator;
+that it empties the exchange generator's slow modes is checked by ``verify``
+(``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
+evaluated so consecutive records share the same Hamiltonian and state at each
+junction, which makes the closed-cycle energy balance telescope to zero at
+machine precision.  Energies are in h*kHz, times in ms.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import liouville
 from .channels import ThermalEnvironment, apply_channel, build_heat_exchange, \
     conjugate_channel, swap_window
 from .exceptions import (
@@ -44,9 +46,6 @@ from .thermo import RelaxationTrajectory, detect_crossing, gibbs_state
 #: slack for "curve reached the threshold" comparisons
 THRESHOLD_TOL = 1e-12
 
-#: probe delay for the generator decomposition, as a fraction of the window
-PROBE_FRACTION = 0.43
-
 
 class StrokeName(Enum):
     EXPANSION = "expansion"
@@ -54,12 +53,6 @@ class StrokeName(Enum):
     COOLING = "cooling"
     COMPRESSION = "compression"
     HOT_RESET = "hot_reset"
-
-
-#: strokes realized by unitaries (their energy change is work)
-UNITARY_STROKES = frozenset(
-    {StrokeName.EXPANSION, StrokeName.MPEMBA, StrokeName.COMPRESSION}
-)
 
 
 @dataclass(frozen=True)
@@ -147,25 +140,11 @@ def ramp_unitary(
     return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * PAULIS[axis]
 
 
-def exchange_decomposition(cfg: CycleConfig) -> liouville.SpectralDecomposition:
-    """Spectral decomposition of the hot-exchange generator for this cycle."""
-    env = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-    probe_tau = PROBE_FRACTION * swap_window(cfg.j_hz)
-    channel = build_heat_exchange(env, cfg.j_hz, probe_tau)
-    return liouville.decompose(liouville.extract_generator(channel, probe_tau))
-
-
-def run_cycle(
-    cfg: CycleConfig,
-    tau2: float,
-    decomposition: liouville.SpectralDecomposition | None = None,
-) -> list:
+def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     """Execute one full cycle and return its five stroke records.
 
     ``tau2`` is the exchange delay of the tunable stroke, restricted to the
-    swap window.  ``decomposition`` optionally reuses a precomputed exchange
-    generator for the accelerating stroke's overlap diagnostics (sweeps pass
-    it to avoid rebuilding per point).
+    swap window.
     """
     window = swap_window(cfg.j_hz)
     if not -1e-9 <= tau2 <= window + 1e-9:
@@ -192,8 +171,7 @@ def run_cycle(
     )
 
     if cfg.use_mpemba:
-        transform = mpemba_unitary(rho1, h_exchange, cfg.t_hot, decomposition)
-        rho2 = transform.target_state
+        rho2 = mpemba_unitary(rho1, h_exchange, cfg.t_hot).target_state
     else:
         rho2 = rho1
     # Frame bridge: in-energy on the drive axis, out-energy on the exchange
@@ -254,8 +232,7 @@ def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
 
     ``H0`` and ``H1`` are the drive-axis Hamiltonians at the two gap values
     and ``rho_tau3`` the post-compression state.  Negative values mean heat
-    is dumped into the cold bath.  The stroke-resolved alternative lives in
-    :func:`stroke_energy_ledger`.
+    is dumped into the cold bath.
     """
     by_name = {record.name: record for record in records}
     if StrokeName.COMPRESSION not in by_name:
@@ -265,25 +242,6 @@ def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
     h1 = qubit_hamiltonian(cfg.nu1, axis="x")
     rho_eq_c = gibbs_state(h0, cfg.t_cold)
     return mean_energy(rho_eq_c, h1) - mean_energy(rho_tau3, h0)
-
-
-def stroke_energy_ledger(records: Sequence[StrokeRecord]) -> dict:
-    """Per-stroke energy changes split into work and heat totals (kHz)."""
-    per_stroke = {}
-    work = heat = 0.0
-    for record in records:
-        delta = record.energy_out - record.energy_in
-        per_stroke[record.name.value] = delta
-        if record.name in UNITARY_STROKES:
-            work += delta
-        else:
-            heat += delta
-    return {
-        "work_khz": work,
-        "heat_khz": heat,
-        "net_khz": work + heat,
-        "per_stroke": per_stroke,
-    }
 
 
 def energy_balance(records: Sequence[StrokeRecord]) -> float:
@@ -300,9 +258,8 @@ def distance_curves(
     rho_cold = gibbs_state(qubit_hamiltonian(cfg.nu0, axis="x"), cfg.t_cold)
     rho_plain = u_exp @ rho_cold @ u_exp.conj().T
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-    decomposition = exchange_decomposition(cfg)
     return tuple(
-        cooling_curves(rho_plain, env_hot, cfg.j_hz, tau2_grid, flag, decomposition)
+        cooling_curves(rho_plain, env_hot, cfg.j_hz, tau2_grid, flag)
         for flag in (False, True)
     )
 

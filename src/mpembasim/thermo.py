@@ -118,21 +118,6 @@ def trace_distance_bloch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return 0.5 * np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)
 
 
-def passive_state(rho: np.ndarray, hamiltonian: np.ndarray) -> np.ndarray:
-    """Passive rearrangement: largest population on the lowest energy level.
-
-    Raises ``ValueError`` for a degenerate spectrum, where the ordering is not
-    unique.
-    """
-    energies, levels = np.linalg.eigh(np.asarray(hamiltonian, dtype=complex))
-    gaps = np.diff(energies)
-    if energies.size > 1 and gaps.min() <= 1e-9 * max(1.0, float(np.abs(energies).max())):
-        raise ValueError("energy spectrum is degenerate; passive ordering undefined")
-    populations = np.sort(np.linalg.eigvalsh(hermitize(rho)))[::-1]
-    rho_passive = (levels * populations) @ levels.conj().T
-    return hermitize(rho_passive)
-
-
 @dataclass(frozen=True)
 class RelaxationTrajectory:
     """Observables of one relaxation experiment sampled on a time grid.

@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from mpembasim import (
-    ThermalEnvironment,
-    build_heat_exchange,
-    decompose,
-    extract_generator,
-    qubit_hamiltonian,
-)
+from mpembasim import ThermalEnvironment, qubit_hamiltonian
+from mpembasim.operators import random_density as draw_density
 
-COUPLING_HZ = 215.1
 HOT_T_KHZ = 4.77
 COLD_T_KHZ = 2.38
 
@@ -38,21 +32,10 @@ def h_hot():
 
 
 @pytest.fixture
-def unit_decomposition(hot_env):
-    channel = build_heat_exchange(hot_env, COUPLING_HZ, 1.0)
-    return decompose(extract_generator(channel, 1.0))
-
-
-@pytest.fixture
 def rng():
     return np.random.default_rng(20260822)
 
 
 @pytest.fixture
 def random_density(rng):
-    def make():
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = a @ a.conj().T
-        return rho / np.trace(rho).real
-
-    return make
+    return lambda: draw_density(rng)

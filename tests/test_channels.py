@@ -11,7 +11,6 @@ from mpembasim.channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
-    choi_matrix,
     conjugate_channel,
     heat_exchange_bloch,
     swap_window,
@@ -175,14 +174,6 @@ def test_apply_channel_validates_the_input(hot_env):
     channel = build_heat_exchange(hot_env, COUPLING_HZ, 0.5)
     with pytest.raises(ValueError):
         apply_channel(channel, np.diag([1.2, 0.8]))
-
-
-def test_choi_matrix_is_positive_with_trace_dim(hot_env):
-    for tau in (0.0, 0.7, 1.9):
-        choi = choi_matrix(build_heat_exchange(hot_env, COUPLING_HZ, tau))
-        assert np.abs(choi - choi.conj().T).max() <= 1e-14
-        assert np.linalg.eigvalsh(choi).min() >= -1e-12
-        assert np.trace(choi).real == pytest.approx(2.0, abs=1e-12)
 
 
 def test_channel_matches_generalized_amplitude_damping(hot_env):

@@ -30,6 +30,7 @@ VERIFY_CHECKS = (
     "energy-balance",
     "power-ratio-floor",
     "sweep-kernel-agreement",
+    "slow-mode-removal",
 )
 
 
@@ -248,6 +249,27 @@ def test_a_pulse_slower_than_its_gain_is_reported(capsys, tmp_path, monkeypatch)
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failed) == 1 and failed[0].startswith("FAIL power-ratio-floor")
+
+
+def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
+    # a transform that keeps a 1e-6 coherence leaves weight on the slow pair
+    original = cli.mpemba_unitary
+    leak = np.array([[0.0, 1e-6], [1e-6, 0.0]], dtype=complex)
+
+    def leaky(rho, h, temperature):
+        transform = original(rho, h, temperature)
+        return dataclasses.replace(
+            transform,
+            unitary=np.eye(2),
+            source_state=transform.target_state + leak,
+            target_state=transform.target_state + leak,
+        )
+
+    monkeypatch.setattr(cli, "mpemba_unitary", leaky)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL slow-mode-removal")
 
 
 @pytest.mark.parametrize("line", ["j_hz = nan\n", "t_hot_khz = inf\n"])

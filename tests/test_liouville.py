@@ -22,7 +22,6 @@ from mpembasim.liouville import (
     mode_overlap,
     propagate_spectral,
     slow_pair_indices,
-    trace_functional,
     transfer_matrix,
     vectorize,
 )
@@ -68,14 +67,6 @@ def test_sandwich_identity():
         assert_allclose(
             np.kron(a, b.T) @ vectorize(rho), vectorize(a @ rho @ b), atol=1e-12
         )
-
-
-def test_trace_functional():
-    rng = np.random.default_rng(7)
-    rho = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    assert trace_functional(2) @ vectorize(rho) == pytest.approx(
-        complex(np.trace(rho)), abs=1e-14
-    )
 
 
 def test_transfer_matrix_of_identity_map():
@@ -256,7 +247,7 @@ matrix_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 def test_vectorize_preserves_trace_and_linearity(entries):
     flat = np.array(entries)
     a = (flat[:4] + 1j * flat[4:]).reshape(2, 2)
-    assert trace_functional(2) @ vectorize(a) == pytest.approx(
+    assert vectorize(np.eye(2)) @ vectorize(a) == pytest.approx(
         complex(np.trace(a)), abs=1e-12
     )
     assert_allclose(vectorize(2.5 * a), 2.5 * vectorize(a), atol=1e-12)

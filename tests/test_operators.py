@@ -14,7 +14,6 @@ from mpembasim.operators import (
     TWO_PI,
     X_EIGENBASIS,
     bloch_vector,
-    dagger,
     density_from_bloch,
     hermitize,
     mean_energy,
@@ -61,14 +60,14 @@ def test_rotation_y_basics():
     # spinor sign: a full turn is -identity
     assert_allclose(rotation_y(2.0 * np.pi), -IDENTITY, atol=1e-12)
     r = rotation_y(0.7)
-    assert_allclose(r @ dagger(r), IDENTITY, atol=1e-14)
+    assert_allclose(r @ r.conj().T, IDENTITY, atol=1e-14)
     assert np.abs(r.imag).max() == 0.0
 
 
 def test_rotation_y_moves_x_onto_z_axis():
     rho = density_from_bloch(np.array([-0.4, 0.0, 0.0]))
     r = rotation_y(0.5 * np.pi)
-    rotated = r @ rho @ dagger(r)
+    rotated = r @ rho @ r.conj().T
     x, y, z = bloch_vector(rotated)
     assert abs(x) <= 1e-12 and abs(y) <= 1e-12
     assert abs(z) == pytest.approx(0.4, abs=1e-12)
@@ -137,7 +136,7 @@ def test_validate_bloch_vectors_bounds_the_smallest_eigenvalue():
 
 def test_x_eigenbasis_diagonalizes_sigma_x():
     assert_allclose(
-        dagger(X_EIGENBASIS) @ SIGMA_X @ X_EIGENBASIS, SIGMA_Z, atol=1e-14
+        X_EIGENBASIS.conj().T @ SIGMA_X @ X_EIGENBASIS, SIGMA_Z, atol=1e-14
     )
     assert_allclose(X_EIGENBASIS @ X_EIGENBASIS, IDENTITY, atol=1e-14)
 
@@ -145,5 +144,5 @@ def test_x_eigenbasis_diagonalizes_sigma_x():
 def test_hermitize_projects_onto_hermitian_part():
     a = np.array([[1.0, 2.0 + 1j], [0.0, 3.0]])
     h = hermitize(a)
-    assert_allclose(h, dagger(h), atol=1e-15)
+    assert_allclose(h, h.conj().T, atol=1e-15)
     assert_allclose(h[0, 1], 1.0 + 0.5j, atol=1e-15)

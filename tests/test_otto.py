@@ -17,7 +17,6 @@ from mpembasim.exceptions import (
     TauOutOfRangeError,
     ThresholdUnreachableError,
 )
-from mpembasim.liouville import slow_pair_indices
 from mpembasim.operators import IDENTITY, SIGMA_X, qubit_hamiltonian
 from mpembasim.otto import (
     CycleConfig,
@@ -26,12 +25,10 @@ from mpembasim.otto import (
     default_delta_grid,
     distance_curves,
     energy_balance,
-    exchange_decomposition,
     heat_extracted,
     power_ratio,
     ramp_unitary,
     run_cycle,
-    stroke_energy_ledger,
     threshold_times,
 )
 from mpembasim.thermo import (
@@ -139,12 +136,6 @@ def test_cycle_config_validation():
         CycleConfig(t_hot=float("inf"))
 
 
-def test_exchange_decomposition_has_the_expected_mode_structure():
-    decomposition = exchange_decomposition(CycleConfig())
-    assert decomposition.eigenvalues.size == 4
-    assert slow_pair_indices(decomposition) == [2, 3]
-
-
 # -------------------------------------------------------------------- cycles
 
 
@@ -172,9 +163,7 @@ def test_cycle_returns_to_its_starting_state():
     start = gibbs_state(qubit_hamiltonian(cfg.nu0, "x"), cfg.t_cold)
     for tau2 in (0.0, 0.9, 2.0):
         for use_mpemba in (False, True):
-            records = run_cycle(
-                CycleConfig(use_mpemba=use_mpemba), tau2, decomposition=None
-            )
+            records = run_cycle(CycleConfig(use_mpemba=use_mpemba), tau2)
             assert np.abs(records[-1].state_after - start).max() <= CLOSURE_TOL
             assert abs(energy_balance(records)) <= BALANCE_TOL
 
@@ -217,15 +206,7 @@ def test_bridge_stroke_applies_the_population_inversion():
     assert state[1, 1].real == pytest.approx(1.0 - p_cold, abs=1e-12)
 
 
-def test_cycle_accepts_a_precomputed_decomposition():
-    cfg = CycleConfig()
-    decomposition = exchange_decomposition(cfg)
-    a = run_cycle(cfg, 1.3, decomposition)
-    b = run_cycle(cfg, 1.3)
-    assert_allclose(a[2].state_after, b[2].state_after, atol=1e-12)
-
-
-# ------------------------------------------------------------ energy ledgers
+# --------------------------------------------------------------- heat figure
 
 
 def test_heat_figure_at_zero_exchange():
@@ -249,25 +230,6 @@ def test_heat_figure_requires_the_compression_stroke():
     records = run_cycle(CycleConfig(), tau2=1.0)
     with pytest.raises(MissingStrokeError):
         heat_extracted(records[:3], CycleConfig())
-
-
-def test_stroke_ledger_splits_work_from_heat():
-    records = run_cycle(CycleConfig(), tau2=1.0)
-    ledger = stroke_energy_ledger(records)
-    assert set(ledger["per_stroke"]) == {
-        "expansion",
-        "mpemba",
-        "cooling",
-        "compression",
-        "hot_reset",
-    }
-    work = sum(
-        ledger["per_stroke"][name] for name in ("expansion", "mpemba", "compression")
-    )
-    heat = ledger["per_stroke"]["cooling"] + ledger["per_stroke"]["hot_reset"]
-    assert ledger["work_khz"] == pytest.approx(work, abs=1e-12)
-    assert ledger["heat_khz"] == pytest.approx(heat, abs=1e-12)
-    assert ledger["net_khz"] == pytest.approx(0.0, abs=BALANCE_TOL)
 
 
 # ----------------------------------------------------------- distance curves

@@ -11,7 +11,6 @@ from mpembasim.exceptions import GridMismatchError, SingularReferenceError
 from mpembasim.operators import (
     X_EIGENBASIS,
     density_from_bloch,
-    mean_energy,
     qubit_hamiltonian,
     rotation_y,
 )
@@ -22,7 +21,6 @@ from mpembasim.thermo import (
     f_neq,
     gibbs_state,
     kl_divergence,
-    passive_state,
     trace_distance,
     von_neumann_entropy,
 )
@@ -173,26 +171,6 @@ def test_kl_divergence_is_nonnegative(ax, ay, az, bx, by, bz):
     rho = density_from_bloch(np.array([ax, ay, az]))
     sigma = density_from_bloch(np.array([bx, by, bz]))
     assert kl_divergence(rho, sigma) >= -1e-12
-
-
-# -------------------------------------------------------------- passive state
-
-
-def test_passive_state_sorts_populations_against_energy(rho0, h_hot):
-    assert_allclose(passive_state(rho0, h_hot), np.diag([0.7, 0.3]), atol=1e-12)
-
-
-def test_passive_state_minimizes_energy_over_rotations(rho0, h_hot):
-    passive = passive_state(rho0, h_hot)
-    floor = mean_energy(passive, h_hot)
-    for theta in np.linspace(0.0, np.pi, 7):
-        r = rotation_y(theta)
-        assert floor <= mean_energy(r @ rho0 @ r.conj().T, h_hot) + 1e-12
-
-
-def test_passive_state_rejects_degenerate_spectra(rho0):
-    with pytest.raises(ValueError, match="degenerate"):
-        passive_state(rho0, np.zeros((2, 2)))
 
 
 # ------------------------------------------------------ trajectory containers
