@@ -10,14 +10,14 @@ collapses onto the auxiliary's thermal populations.
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; :func:`verify_gad_equivalence` checks that identification
-numerically rather than assuming it.  The sweeps use it through
-:func:`heat_exchange_bloch`, the closed-form map on Bloch vectors; the Kraus
-form stays the reference it is tested against.
+numerically rather than assuming it.  The sweeps and the refrigerator cycle
+use it through :func:`heat_exchange_bloch`, the closed-form map on Bloch
+vectors; the Kraus form stays the reference it is tested against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,22 +49,20 @@ class ThermalEnvironment:
 
     @property
     def excited_population(self) -> float:
-        """Gibbs weight of the upper level, ``1 / (1 + exp(2 nu / T))``."""
-        return 1.0 / (1.0 + np.exp(2.0 * self.gap_frequency / self.temperature))
+        """Gibbs weight of the upper level, ``1 / (1 + exp(2 nu / T))``.
 
-    def populations(self) -> np.ndarray:
-        """Ground and excited Gibbs weights ``(1 - p, p)``."""
-        p = self.excited_population
-        return np.array([1.0 - p, p])
+        At temperatures far below the gap the exponential overflows to
+        ``inf``, which gives the exact limit 0; that overflow is not reported.
+        """
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(2.0 * self.gap_frequency / self.temperature))
 
 
 @dataclass(frozen=True)
 class KrausChannel:
     """A completely positive trace-preserving map given by Kraus operators."""
 
-    operators: tuple = field()
-    delay: float = 0.0
-    bias: float = 0.0
+    operators: tuple
 
     def __post_init__(self):
         ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
@@ -121,7 +119,7 @@ def build_heat_exchange(
     k2 = np.sqrt(1.0 - p) * np.array([[0.0, s], [0.0, 0.0]], dtype=complex)
     k3 = np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex)
     k4 = np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex)
-    return KrausChannel(operators=(k1, k2, k3, k4), delay=tau_ms, bias=p)
+    return KrausChannel(operators=(k1, k2, k3, k4))
 
 
 def heat_exchange_bloch(
@@ -159,13 +157,6 @@ def heat_exchange_bloch(
     out[..., :2] = r[..., :2] * c[:, np.newaxis]
     out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
     return validate_bloch_vectors(out)
-
-
-def conjugate_channel(channel: KrausChannel, basis: np.ndarray) -> KrausChannel:
-    """The same channel acting in a rotated basis, ``K -> V K V^dag``."""
-    v = np.asarray(basis, dtype=complex)
-    ops = tuple(v @ k @ v.conj().T for k in channel.operators)
-    return KrausChannel(operators=ops, delay=channel.delay, bias=channel.bias)
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:

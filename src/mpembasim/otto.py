@@ -10,15 +10,28 @@ medium to the cold Gibbs state.  The enum labels the strokes by their role
 in the cycle: COOLING is the tunable stroke (it drains the working medium's
 excited population through the large gap), HOT_RESET the closing reset.
 
+Every stroke is an affine map of the Bloch vector r, and :func:`run_cycle`
+computes them as such.  The two gap ramps rotate r about x by the angle of
+:func:`ramp_unitary`.  The exchange is the generalized-amplitude-damping map
+of :func:`channels.heat_exchange_bloch` with the hot partner; the reset is the
+same map with the cold partner in the frame that swaps x and z (the Kraus
+reset conjugated into the x eigenbasis also flips the sign of y, which
+cancels because the map scales x and y alike).  A stroke's energy under
+``-2 pi nu sigma_a`` is ``-nu r_a``.  The expansion ramp leaves the cold
+Gibbs state unchanged, since that state lies along x; its record only
+reassigns the energy from ``nu0`` to ``nu1``, as an Otto expansion should.
+
 Every cycle emits all five records, the accelerating stroke included; when
-disabled it carries the identity unitary and still bridges the bookkeeping
-frame from the drive axis (x) to the exchange axis (z).  When enabled it is
+disabled it is the identity and still bridges the bookkeeping frame from the
+drive axis (x) to the exchange axis (z).  When enabled it is
 :func:`mpemba.mpemba_unitary`, an ``eigh`` pairing that builds no generator;
 that it empties the exchange generator's slow modes is checked by ``verify``
 (``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
-evaluated so consecutive records share the same Hamiltonian and state at each
+evaluated so consecutive records share the same axis and state at each
 junction, which makes the closed-cycle energy balance telescope to zero at
-machine precision.  Energies are in h*kHz, times in ms.
+machine precision.  The tests check every record against the stroke sequence
+on 2x2 density matrices through Kraus channels.  Energies are in h*kHz,
+times in ms.
 """
 
 from __future__ import annotations
@@ -29,8 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, apply_channel, build_heat_exchange, \
-    conjugate_channel, swap_window
+from .channels import ThermalEnvironment, heat_exchange_bloch, swap_window
 from .exceptions import (
     GridMismatchError,
     MissingStrokeError,
@@ -39,8 +51,8 @@ from .exceptions import (
     ThresholdUnreachableError,
 )
 from .mpemba import cooling_curves, mpemba_unitary
-from .operators import IDENTITY, PAULIS, TWO_PI, X_EIGENBASIS, mean_energy, \
-    qubit_hamiltonian
+from .operators import IDENTITY, PAULIS, TWO_PI, bloch_vector, density_from_bloch, \
+    mean_energy, qubit_hamiltonian
 from .thermo import RelaxationTrajectory, detect_crossing, gibbs_state
 
 #: slack for "curve reached the threshold" comparisons
@@ -125,6 +137,13 @@ class PowerReport:
             )
 
 
+def _ramp_phase(nu_start: float, nu_end: float, duration: float) -> float:
+    """Phase ``2 pi * (nu_start + nu_end)/2 * duration`` of a linear gap ramp."""
+    if duration <= 0.0:
+        raise ValueError(f"ramp duration {duration} must be positive")
+    return TWO_PI * 0.5 * (nu_start + nu_end) * duration
+
+
 def ramp_unitary(
     nu_start: float, nu_end: float, duration: float, axis: str = "x"
 ) -> np.ndarray:
@@ -134,10 +153,23 @@ def ramp_unitary(
     the time-ordered evolution collapses to a single rotation by the angle
     ``2 pi * (nu_start + nu_end)/2 * duration``.
     """
-    if duration <= 0.0:
-        raise ValueError(f"ramp duration {duration} must be positive")
-    phi = TWO_PI * 0.5 * (nu_start + nu_end) * duration
+    phi = _ramp_phase(nu_start, nu_end, duration)
     return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * PAULIS[axis]
+
+
+def _ramp_bloch(
+    r: np.ndarray, nu_start: float, nu_end: float, duration: float
+) -> np.ndarray:
+    """Bloch vector after the x-axis :func:`ramp_unitary`, a rotation about x."""
+    phi = 2.0 * _ramp_phase(nu_start, nu_end, duration)
+    c, s = np.cos(phi), np.sin(phi)
+    return np.array([r[0], c * r[1] + s * r[2], c * r[2] - s * r[1]])
+
+
+def _expanded_cold_state(cfg: CycleConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Bloch vectors of the cold Gibbs state before and after the expansion."""
+    r0 = bloch_vector(gibbs_state(qubit_hamiltonian(cfg.nu0, axis="x"), cfg.t_cold))
+    return r0, _ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1)
 
 
 def run_cycle(cfg: CycleConfig, tau2: float) -> list:
@@ -151,80 +183,39 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
         raise Tau2OutOfRangeError(
             f"tau2={tau2} ms outside [0, {window:.6f}] ms"
         )
-    h_cold = qubit_hamiltonian(cfg.nu0, axis="x")
-    h_drive = qubit_hamiltonian(cfg.nu1, axis="x")
-    h_exchange = qubit_hamiltonian(cfg.nu1, axis="z")
-
-    rho0 = gibbs_state(h_cold, cfg.t_cold)
-    records = []
-
-    u_exp = ramp_unitary(cfg.nu0, cfg.nu1, cfg.tau1, axis="x")
-    rho1 = u_exp @ rho0 @ u_exp.conj().T
-    records.append(
-        StrokeRecord(
-            StrokeName.EXPANSION,
-            cfg.tau1,
-            mean_energy(rho0, h_cold),
-            mean_energy(rho1, h_drive),
-            rho1,
-        )
-    )
-
+    r0, r1 = _expanded_cold_state(cfg)
     if cfg.use_mpemba:
-        rho2 = mpemba_unitary(rho1, h_exchange, cfg.t_hot).target_state
+        h_exchange = qubit_hamiltonian(cfg.nu1, axis="z")
+        r2 = bloch_vector(
+            mpemba_unitary(density_from_bloch(r1), h_exchange, cfg.t_hot).target_state
+        )
     else:
-        rho2 = rho1
-    # Frame bridge: in-energy on the drive axis, out-energy on the exchange
-    # axis, also when the unitary is the identity.
-    records.append(
-        StrokeRecord(
-            StrokeName.MPEMBA,
-            cfg.mpemba_duration,
-            mean_energy(rho1, h_drive),
-            mean_energy(rho2, h_exchange),
-            rho2,
-        )
-    )
-
+        r2 = r1
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-    rho3 = apply_channel(build_heat_exchange(env_hot, cfg.j_hz, tau2), rho2)
-    records.append(
-        StrokeRecord(
-            StrokeName.COOLING,
-            tau2,
-            mean_energy(rho2, h_exchange),
-            mean_energy(rho3, h_exchange),
-            rho3,
-        )
-    )
-
-    u_comp = ramp_unitary(cfg.nu1, cfg.nu0, cfg.tau3, axis="x")
-    rho4 = u_comp @ rho3 @ u_comp.conj().T
-    records.append(
-        StrokeRecord(
-            StrokeName.COMPRESSION,
-            cfg.tau3,
-            mean_energy(rho3, h_exchange),
-            mean_energy(rho4, h_cold),
-            rho4,
-        )
-    )
-
+    r3 = heat_exchange_bloch(env_hot, cfg.j_hz, r2, [tau2])[0]
+    r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau3)
     env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    reset = conjugate_channel(
-        build_heat_exchange(env_cold, cfg.j_hz, cfg.tau4), X_EIGENBASIS
-    )
-    rho5 = apply_channel(reset, rho4)
-    records.append(
-        StrokeRecord(
-            StrokeName.HOT_RESET,
-            cfg.tau4,
-            mean_energy(rho4, h_cold),
-            mean_energy(rho5, h_cold),
-            rho5,
+    # the reset exchanges along x: reversing (x, y, z) swaps x and z, and the
+    # map scales x and y alike, so y needs no sign flip
+    r5 = heat_exchange_bloch(env_cold, cfg.j_hz, r4[::-1], [cfg.tau4])[0][::-1]
+
+    # energy -nu r_axis at each junction between strokes; neighbours share
+    # it, so the MPEMBA record also bridges the frame from the drive axis (x)
+    # to the exchange axis (z)
+    junctions = [
+        float(energy)
+        for energy in (
+            -cfg.nu0 * r0[0], -cfg.nu1 * r1[0], -cfg.nu1 * r2[2],
+            -cfg.nu1 * r3[2], -cfg.nu0 * r4[0], -cfg.nu0 * r5[0],
         )
-    )
-    return records
+    ]
+    durations = (cfg.tau1, cfg.mpemba_duration, tau2, cfg.tau3, cfg.tau4)
+    return [
+        StrokeRecord(name, duration, junctions[k], junctions[k + 1], density_from_bloch(r))
+        for k, (name, duration, r) in enumerate(
+            zip(StrokeName, durations, (r1, r2, r3, r4, r5))
+        )
+    ]
 
 
 def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
@@ -254,9 +245,7 @@ def distance_curves(
 ) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
     """Exchange-stroke trace distance to the hot target, without and with
     the accelerating unitary, over a grid of tau2 delays."""
-    u_exp = ramp_unitary(cfg.nu0, cfg.nu1, cfg.tau1, axis="x")
-    rho_cold = gibbs_state(qubit_hamiltonian(cfg.nu0, axis="x"), cfg.t_cold)
-    rho_plain = u_exp @ rho_cold @ u_exp.conj().T
+    rho_plain = density_from_bloch(_expanded_cold_state(cfg)[1])
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     return tuple(
         cooling_curves(rho_plain, env_hot, cfg.j_hz, tau2_grid, flag)

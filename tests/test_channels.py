@@ -1,5 +1,7 @@
 """Heat-exchange channel construction, its damping form, and CPTP checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,6 @@ from mpembasim.channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
-    conjugate_channel,
     heat_exchange_bloch,
     swap_window,
     verify_davies_blocks,
@@ -49,7 +50,18 @@ def test_excited_population_is_the_boltzmann_weight(hot_env):
 
 
 def test_populations_sum_to_one(cold_env):
-    assert cold_env.populations().sum() == pytest.approx(1.0, abs=1e-15)
+    p = cold_env.excited_population
+    assert np.sum([1.0 - p, p]) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_excited_population_far_below_the_gap_is_zero_without_a_warning():
+    # exp(2 nu / T) overflows here; the weight is its limit, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = ThermalEnvironment(temperature=1e-3, gap_frequency=2.0).excited_population
+        near = ThermalEnvironment(temperature=4.77, gap_frequency=2.0).excited_population
+    assert p == 0.0
+    assert near == 1.0 / (1.0 + np.exp(2.0 * 2.0 / 4.77))
 
 
 def test_environment_rejects_nonpositive_parameters():
@@ -86,7 +98,8 @@ def test_zero_delay_is_the_identity_map(hot_env, rho0):
 
 def test_full_swap_lands_on_the_partner_populations(hot_env, rho0, random_density):
     channel = build_heat_exchange(hot_env, COUPLING_HZ, swap_window(COUPLING_HZ))
-    expected = np.diag(hot_env.populations()).astype(complex)
+    p = hot_env.excited_population
+    expected = np.diag([1.0 - p, p]).astype(complex)
     assert_allclose(apply_channel(channel, rho0), expected, atol=1e-12)
     for _ in range(5):
         assert_allclose(apply_channel(channel, random_density()), expected, atol=1e-12)
@@ -163,10 +176,12 @@ def test_partner_gibbs_state_is_a_fixed_point(hot_env, h_hot):
 def test_conjugated_channel_fixes_the_rotated_gibbs_state(cold_env):
     h_x = qubit_hamiltonian(cold_env.gap_frequency, axis="x")
     target = gibbs_state(h_x, cold_env.temperature)
-    channel = conjugate_channel(
-        build_heat_exchange(cold_env, COUPLING_HZ, 1.1), X_EIGENBASIS
+    channel = KrausChannel(
+        operators=tuple(
+            X_EIGENBASIS @ k @ X_EIGENBASIS.conj().T
+            for k in build_heat_exchange(cold_env, COUPLING_HZ, 1.1).operators
+        )
     )
-    assert channel.delay == pytest.approx(1.1)
     assert np.abs(apply_channel(channel, target) - target).max() <= 1e-13
 
 

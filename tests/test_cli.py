@@ -1,4 +1,5 @@
-"""End-to-end command runs through main(argv), in process."""
+"""End-to-end command runs through main(argv), in process, and as a fresh
+process where the whole stderr stream is under test."""
 
 import contextlib
 import csv
@@ -6,6 +7,8 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -13,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpembasim
 from mpembasim import cli
 from mpembasim.cli import main
 from mpembasim.config_io import ExperimentConfig
@@ -141,6 +145,26 @@ def test_cooling_with_balanced_weights_has_nothing_to_accelerate(capsys, tmp_pat
     )
     assert code == 0
     assert "cooling: no crossing on this grid" in out
+
+
+def test_a_very_cold_environment_runs_with_a_clean_stderr(tmp_path):
+    # exp(2 nu / T) in the hot partner's Gibbs weight overflows at 1e-3 kHz;
+    # numpy would report that on stderr, which must stay empty here
+    (tmp_path / "cold.cfg").write_text("t_hot_khz = 1e-3\n", encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(mpembasim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "mpembasim.cli", "cooling", "--config", "cold.cfg",
+         "--out", "cooling.csv"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert "cooling: plain curve enters" in result.stdout
 
 
 def test_otto_distance_summary(capsys, tmp_path):

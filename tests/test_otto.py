@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mpembasim.channels import swap_window
+from mpembasim.channels import (
+    KrausChannel,
+    ThermalEnvironment,
+    apply_channel,
+    build_heat_exchange,
+    swap_window,
+)
 from mpembasim.exceptions import (
     GridMismatchError,
     MissingStrokeError,
@@ -17,11 +23,19 @@ from mpembasim.exceptions import (
     TauOutOfRangeError,
     ThresholdUnreachableError,
 )
-from mpembasim.operators import IDENTITY, SIGMA_X, qubit_hamiltonian
+from mpembasim.mpemba import mpemba_unitary
+from mpembasim.operators import (
+    IDENTITY,
+    SIGMA_X,
+    X_EIGENBASIS,
+    mean_energy,
+    qubit_hamiltonian,
+)
 from mpembasim.otto import (
     CycleConfig,
     PowerReport,
     StrokeName,
+    StrokeRecord,
     default_delta_grid,
     distance_curves,
     energy_balance,
@@ -65,6 +79,67 @@ def make_distance_pair(times, plain_values, mb_values):
         )
 
     return traj(plain_values, "plain"), traj(mb_values, "mpemba")
+
+
+def kraus_cycle(cfg, tau2):
+    """The cycle evolved as 2x2 density matrices, stroke by stroke: ramps as
+    ``ramp_unitary`` conjugations, exchanges as Kraus channels, and the reset
+    as the exchange channel conjugated into the x eigenbasis.  This is the
+    matrix route that the Bloch-vector strokes of ``run_cycle`` replace."""
+    h_cold = qubit_hamiltonian(cfg.nu0, "x")
+    h_drive = qubit_hamiltonian(cfg.nu1, "x")
+    h_exchange = qubit_hamiltonian(cfg.nu1, "z")
+
+    rho0 = gibbs_state(h_cold, cfg.t_cold)
+    u_exp = ramp_unitary(cfg.nu0, cfg.nu1, cfg.tau1)
+    rho1 = u_exp @ rho0 @ u_exp.conj().T
+    rho2 = rho1
+    if cfg.use_mpemba:
+        rho2 = mpemba_unitary(rho1, h_exchange, cfg.t_hot).target_state
+    env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
+    rho3 = apply_channel(build_heat_exchange(env_hot, cfg.j_hz, tau2), rho2)
+    u_comp = ramp_unitary(cfg.nu1, cfg.nu0, cfg.tau3)
+    rho4 = u_comp @ rho3 @ u_comp.conj().T
+    env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
+    exchange = build_heat_exchange(env_cold, cfg.j_hz, cfg.tau4)
+    v = X_EIGENBASIS
+    reset = KrausChannel(operators=tuple(v @ k @ v.conj().T for k in exchange.operators))
+    rho5 = apply_channel(reset, rho4)
+
+    strokes = (
+        (StrokeName.EXPANSION, cfg.tau1, rho0, h_cold, rho1, h_drive),
+        (StrokeName.MPEMBA, cfg.mpemba_duration, rho1, h_drive, rho2, h_exchange),
+        (StrokeName.COOLING, tau2, rho2, h_exchange, rho3, h_exchange),
+        (StrokeName.COMPRESSION, cfg.tau3, rho3, h_exchange, rho4, h_cold),
+        (StrokeName.HOT_RESET, cfg.tau4, rho4, h_cold, rho5, h_cold),
+    )
+    return [
+        StrokeRecord(
+            name, duration, mean_energy(before, h_in), mean_energy(after, h_out), after
+        )
+        for name, duration, before, h_in, after, h_out in strokes
+    ]
+
+
+@st.composite
+def cycle_inputs(draw):
+    """A random cycle config and an exchange delay inside its swap window."""
+    nu0 = draw(st.floats(0.1, 10.0))
+    j_hz = draw(st.floats(20.0, 2000.0))
+    window = swap_window(j_hz)
+    in_window = st.floats(0.01, 1.0).map(lambda fraction: fraction * window)
+    cfg = CycleConfig(
+        nu0=nu0,
+        nu1=nu0 * draw(st.floats(1.05, 5.0)),
+        j_hz=j_hz,
+        t_hot=draw(st.floats(0.1, 50.0)),
+        t_cold=draw(st.floats(0.1, 50.0)),
+        tau1=draw(st.floats(1e-3, 2.0)),
+        tau3=draw(st.none() | in_window),
+        tau4=draw(st.none() | in_window),
+        use_mpemba=draw(st.booleans()),
+    )
+    return cfg, draw(st.floats(0.0, 1.0)) * window
 
 
 # --------------------------------------------------------------------- ramps
@@ -384,3 +459,15 @@ def test_cycles_close_for_arbitrary_exchange_delays(tau2, use_mpemba):
     records = run_cycle(cfg, tau2)
     assert np.abs(records[-1].state_after - start).max() <= CLOSURE_TOL
     assert abs(energy_balance(records)) <= BALANCE_TOL
+
+
+@settings(max_examples=40, deadline=None)
+@given(cycle_inputs())
+def test_cycle_matches_the_kraus_reference(inputs):
+    cfg, tau2 = inputs
+    energy_tol = 1e-12 * max(1.0, cfg.nu1)
+    for bloch, kraus in zip(run_cycle(cfg, tau2), kraus_cycle(cfg, tau2), strict=True):
+        assert (bloch.name, bloch.duration) == (kraus.name, kraus.duration)
+        assert np.abs(bloch.state_after - kraus.state_after).max() <= 1e-12
+        assert bloch.energy_in == pytest.approx(kraus.energy_in, rel=0.0, abs=energy_tol)
+        assert bloch.energy_out == pytest.approx(kraus.energy_out, rel=0.0, abs=energy_tol)

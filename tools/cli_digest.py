@@ -1,0 +1,86 @@
+"""Hash the output of every mpembasim subcommand, for byte-identity checks.
+
+Usage::
+
+    python3 tools/cli_digest.py SRC_DIR
+
+Runs the package found in ``SRC_DIR`` (the directory holding ``mpembasim/``)
+as fresh processes: all six subcommands at the default grids and at
+``--theta-steps 200 --tau-steps 4096``, each table command in csv and json,
+plus ``verify --no-mpemba``.  Every run gets its own temporary working
+directory and a fixed relative output name, so paths echoed to stdout match
+between checkouts.  One SHA-256 line is printed per stdout and per table.
+
+Two checkouts are byte-identical when the printouts of both are::
+
+    python3 tools/cli_digest.py old/src > old.txt
+    python3 tools/cli_digest.py new/src > new.txt
+    diff old.txt new.txt
+
+The large ``surface`` run writes 819,200 rows; the runs go one at a time.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+
+GRIDS = (
+    ("default", []),
+    ("large", ["--theta-steps", "200", "--tau-steps", "4096"]),
+)
+TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
+
+
+def runs():
+    """(label, argv, table name or None) for every run, in a fixed order."""
+    for grid, grid_args in GRIDS:
+        for fmt in ("csv", "json"):
+            table = f"table.{fmt}"
+            for command in TABLE_COMMANDS:
+                argv = [command, *grid_args, "--out", table, "--format", fmt]
+                yield f"{command} {grid} {fmt}", argv, table
+        yield f"verify {grid}", ["verify", *grid_args], None
+    yield "verify no-mpemba", ["verify", "--no-mpemba"], None
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv: list) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    src = os.path.abspath(argv[0])
+    if not os.path.isdir(os.path.join(src, "mpembasim")):
+        print(f"no mpembasim package under {src}", file=sys.stderr)
+        return 2
+    env = {key: value for key, value in os.environ.items() if key != "MPEMBA_CONFIG"}
+    env["PYTHONPATH"] = src
+    for label, args, table in runs():
+        with tempfile.TemporaryDirectory() as workdir:
+            done = subprocess.run(
+                [sys.executable, "-m", "mpembasim.cli", *args],
+                cwd=workdir,
+                env=env,
+                capture_output=True,
+                check=False,
+            )
+            print(f"{sha256(done.stdout)}  {label} stdout (exit {done.returncode})")
+            if table is not None:
+                path = os.path.join(workdir, table)
+                if os.path.exists(path):
+                    with open(path, "rb") as handle:
+                        print(f"{sha256(handle.read())}  {label} table")
+                else:
+                    print(f"{'-' * 64}  {label} table (missing)")
+        sys.stdout.flush()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
