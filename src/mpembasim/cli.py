@@ -58,8 +58,6 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     overrides = {}
     if getattr(args, "populations", None) is not None:
         overrides["populations"] = args.populations
-    if getattr(args, "no_mpemba", False):
-        overrides["use_mpemba"] = False
     if getattr(args, "tau_steps", None) is not None:
         overrides["tau_steps"] = args.tau_steps
     if getattr(args, "theta_steps", None) is not None:
@@ -101,14 +99,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         print(
             f"  lambda_{k} = {eigenvalue.real:+.9f} {eigenvalue.imag:+.9f}i  [{kind}]"
         )
-        rows.append(
-            {
-                "index": k,
-                "re_per_ms": eigenvalue.real,
-                "im_per_ms": eigenvalue.imag,
-                "kind": kind,
-            }
-        )
+        rows.append((k, eigenvalue.real, eigenvalue.imag, kind))
     fp = decomposition.fixed_point
     print(
         f"fixed-point populations: {fp[0, 0].real:.9f}, {fp[1, 1].real:.9f}"
@@ -135,11 +126,13 @@ def cmd_surface(args: argparse.Namespace) -> int:
         family, _hot_environment(config), config.j_hz, taus, h, config.t_hot_khz
     )
     excess = free - f_neq(gibbs_state(h, config.t_hot_khz), h, config.t_hot_khz)
-    rows = [
-        {"theta_rad": theta, "tau_ms": tau, "delta_f_neq_khz": value}
-        for theta, values in zip(family.angles.tolist(), excess.tolist())
-        for tau, value in zip(taus.tolist(), values)
-    ]
+    rows = np.column_stack(
+        [
+            np.repeat(family.angles, taus.size),
+            np.tile(taus, family.angles.size),
+            excess.ravel(),
+        ]
+    )
     write_table(
         rows,
         ["theta_rad", "tau_ms", "delta_f_neq_khz"],
@@ -164,24 +157,16 @@ def cmd_cooling(args: argparse.Namespace) -> int:
     plain = cooling_curves(base, env, config.j_hz, grid, with_mpemba=False)
     accelerated = cooling_curves(base, env, config.j_hz, grid, with_mpemba=True)
 
-    rows = [
-        {
-            "tau_ms": float(t),
-            "delta_f_plain_khz": float(fp),
-            "delta_f_mb_khz": float(fm),
-            "dist_plain": float(dp),
-            "dist_mb": float(dm),
-        }
-        for t, fp, fm, dp, dm in zip(
-            grid,
-            plain.f_neq,
-            accelerated.f_neq,
-            plain.trace_dist,
-            accelerated.trace_dist,
-        )
-    ]
     write_table(
-        rows,
+        np.column_stack(
+            [
+                grid,
+                plain.f_neq,
+                accelerated.f_neq,
+                plain.trace_dist,
+                accelerated.trace_dist,
+            ]
+        ),
         ["tau_ms", "delta_f_plain_khz", "delta_f_mb_khz", "dist_plain", "dist_mb"],
         args.out,
         args.format,
@@ -211,12 +196,8 @@ def cmd_otto_distance(args: argparse.Namespace) -> int:
     cycle = config.cycle_config()
     grid = _tau_grid(config)
     plain, accelerated = distance_curves(cycle, grid)
-    rows = [
-        {"tau2_ms": float(t), "dist_plain": float(dp), "dist_mb": float(dm)}
-        for t, dp, dm in zip(grid, plain.trace_dist, accelerated.trace_dist)
-    ]
     write_table(
-        rows,
+        np.column_stack([grid, plain.trace_dist, accelerated.trace_dist]),
         ["tau2_ms", "dist_plain", "dist_mb"],
         args.out,
         args.format,
@@ -240,17 +221,11 @@ def cmd_otto_ratio(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     cycle = config.cycle_config()
     reports = power_ratio(cycle, tau2_grid=_tau_grid(config))
-    rows = [
-        {
-            "delta": report.delta,
-            "tau2_plain_ms": report.tau2_plain,
-            "tau2_mb_ms": report.tau2_mb,
-            "ratio": report.ratio,
-        }
-        for report in reports
-    ]
     write_table(
-        rows,
+        [
+            (report.delta, report.tau2_plain, report.tau2_mb, report.ratio)
+            for report in reports
+        ],
         ["delta", "tau2_plain_ms", "tau2_mb_ms", "ratio"],
         args.out,
         args.format,
@@ -445,11 +420,6 @@ def _add_common(parser: argparse.ArgumentParser, table: bool) -> None:
         type=_populations_arg,
         metavar="A,B",
         help="weights of the two x eigenstates in the base state",
-    )
-    parser.add_argument(
-        "--no-mpemba",
-        action="store_true",
-        help="disable the accelerating stroke in cycle checks",
     )
     parser.add_argument("--tau-steps", type=int, metavar="N", help="delay-grid size")
     parser.add_argument(

@@ -18,6 +18,9 @@ import numpy as np
 from .exceptions import ParseError, UnknownKeyError, ValidationError
 from .otto import CycleConfig
 
+#: largest angle x delay grid a config may ask for; 5x the 200 x 4096 surface
+MAX_GRID_POINTS = 2**22
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -39,7 +42,6 @@ class ExperimentConfig:
     theta_steps: int = 73
     tau_steps: int = 64
     epsilon_equilibrium_khz: float = 0.01
-    use_mpemba: bool = True
     output_precision: int = 12
 
     def __post_init__(self):
@@ -65,6 +67,11 @@ class ExperimentConfig:
             )
         if self.theta_steps < 2 or self.tau_steps < 2:
             raise ValidationError("theta_steps and tau_steps must be at least 2")
+        if self.theta_steps * self.tau_steps > MAX_GRID_POINTS:
+            raise ValidationError(
+                f"theta_steps * tau_steps must be at most {MAX_GRID_POINTS}, "
+                f"got {self.theta_steps} * {self.tau_steps}"
+            )
         if self.epsilon_equilibrium_khz <= 0.0:
             raise ValidationError("epsilon_equilibrium_khz must be positive")
         if self.output_precision < 1:
@@ -80,7 +87,6 @@ class ExperimentConfig:
             t_cold=self.t_cold_khz,
             tau1=self.tau1_us / 1000.0,
             tau_bar=self.tau_bar_ms,
-            use_mpemba=self.use_mpemba,
         )
 
 
@@ -100,15 +106,6 @@ def _parse_int(key: str, text: str, lineno: int) -> int:
         raise ParseError(
             f"line {lineno}: value {text!r} for {key} is not an integer"
         ) from None
-
-
-def _parse_bool(key: str, text: str, lineno: int) -> bool:
-    lowered = text.lower()
-    if lowered not in ("true", "false"):
-        raise ParseError(
-            f"line {lineno}: value {text!r} for {key} is not true/false"
-        )
-    return lowered == "true"
 
 
 def _parse_pair(key: str, text: str, lineno: int) -> tuple:
@@ -132,7 +129,6 @@ _PARSERS = {
     "theta_steps": _parse_int,
     "tau_steps": _parse_int,
     "epsilon_equilibrium_khz": _parse_float,
-    "use_mpemba": _parse_bool,
     "output_precision": _parse_int,
 }
 
@@ -168,16 +164,6 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _format_value(value, precision: int) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), f".{precision}g")
-    return str(value)
-
-
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-")
@@ -198,8 +184,6 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         value = getattr(config, field.name)
         if field.name == "populations":
             rendered = ", ".join(repr(float(p)) for p in value)
-        elif isinstance(value, bool):
-            rendered = "true" if value else "false"
         elif isinstance(value, float):
             # repr is the shortest decimal that parses back to the same float
             rendered = repr(value)
@@ -210,42 +194,60 @@ def save_config(config: ExperimentConfig, path: str) -> None:
 
 
 def write_table(
-    rows: list, schema: list, path: str, fmt: str = "csv", precision: int = 12
+    rows, schema: list, path: str, fmt: str = "csv", precision: int = 12
 ) -> None:
-    """Serialize homogeneous records as CSV or a JSON array of objects.
+    """Serialize a table as CSV or a JSON array of objects.
 
-    Numeric cells are printed with ``precision`` significant digits, '.'
-    decimal separator and LF line endings; the write is atomic (temp file
-    plus rename in the target directory).
+    ``rows`` holds the cells in ``schema`` order, as a 2-D ``(n_rows,
+    n_cols)`` array or a sequence of row tuples.  Each column is rendered by
+    the type of its cell in the first row: floats with ``precision``
+    significant digits, ints and strings as they are.  '.' decimal separator
+    and LF line endings; the write is atomic (temp file plus rename in the
+    target directory).
     """
     schema = list(schema)
-    for row in rows:
-        if set(row.keys()) != set(schema):
-            raise ValueError(
-                f"row keys {sorted(row)} do not match schema {sorted(schema)}"
-            )
+    if isinstance(rows, np.ndarray):
+        aligned = rows.ndim == 2 and rows.shape[1] == len(schema)
+        columns = rows.T.tolist() if len(rows) else []
+    else:
+        aligned = all(len(row) == len(schema) for row in rows)
+        columns = list(zip(*rows))
+    if not aligned:
+        raise ValueError(f"rows do not have one cell per schema column {schema}")
+    number = f"%.{precision}g"
 
     fmt = fmt.lower()
     if fmt == "csv":
-        lines = [",".join(schema)]
-        for row in rows:
-            lines.append(
-                ",".join(_format_value(row[name], precision) for name in schema)
-            )
-        text = "\n".join(lines) + "\n"
+        template = ",".join(
+            number if isinstance(column[0], float) else "%s" for column in columns
+        )
+        lines = (template % row for row in zip(*columns))
+        text = "\n".join([",".join(schema), *lines, ""])
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            rendered = {}
-            for name in schema:
-                value = row[name]
-                if isinstance(value, (float, np.floating)):
-                    value = float(format(float(value), f".{precision}g"))
-                elif isinstance(value, (int, np.integer)):
-                    value = int(value)
-                rendered[name] = value
-            payload.append(rendered)
-        text = json.dumps(payload, indent=2) + "\n"
+        # the layout json.dumps(payload, indent=2) writes, filled per row
+        members = (json.dumps(name).replace("%", "%%") for name in schema)
+        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
+        cells = [_json_cells(column, number) for column in columns]
+        # drop each stage once the next is built, so a large table never
+        # holds its floats, their text and the rendered rows all at once
+        del columns
+        objects = [template % row for row in zip(*cells)]
+        del cells
+        text = "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     _atomic_write(path, text)
+
+
+#: json.dumps spellings of the non-finite floats
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_cells(column, number: str) -> list:
+    """One column as JSON text: floats rounded by ``number``, strings quoted."""
+    if isinstance(column[0], float):
+        texts = map(repr, map(float, map(number.__mod__, column)))
+        return [_JSON_NON_FINITE.get(text, text) for text in texts]
+    if isinstance(column[0], str):
+        return list(map(json.dumps, column))
+    return column

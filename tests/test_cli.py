@@ -317,10 +317,19 @@ def test_verify_reports_a_broken_config_as_a_failure(capsys, tmp_path):
 
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
-    bad.write_text("coupling_hz = 215.1\n", encoding="utf-8")
-    code, _, err = run(capsys, "spectrum", "--config", str(bad))
+    for key in ("coupling_hz = 215.1", "use_mpemba = false"):
+        bad.write_text(f"{key}\n", encoding="utf-8")
+        code, _, err = run(capsys, "spectrum", "--config", str(bad))
+        assert code == 3
+        assert f"config error: line 1: unknown key {key.split()[0]!r}" in err
+
+
+def test_oversized_grid_is_refused_before_any_numerics(capsys):
+    # spectrum builds no delay grid, so a broken cap cannot exhaust memory here
+    code, out, err = run(capsys, "spectrum", "--tau-steps", "1000000000")
     assert code == 3
-    assert "config error" in err
+    assert out == ""
+    assert "theta_steps * tau_steps must be at most 4194304" in err
 
 
 def test_missing_output_directory_is_an_io_error(capsys, tmp_path):
@@ -363,14 +372,6 @@ def test_malformed_populations_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
-def test_no_mpemba_flag_is_accepted(capsys, tmp_path):
-    path = str(tmp_path / "distance.csv")
-    code, _, _ = run(
-        capsys, "otto-distance", "--no-mpemba", "--out", path, "--tau-steps", "8"
-    )
-    assert code == 0
-
-
 # ------------------------------------------------------- config-space property
 
 #: in-range values for every config key (rendered as config-file text)
@@ -386,7 +387,6 @@ CONFIG_VALUES = {
     "theta_steps": st.integers(-1, 6),
     "tau_steps": st.integers(-1, 12),
     "epsilon_equilibrium_khz": st.floats(1e-4, 1.0),
-    "use_mpemba": st.sampled_from(["true", "false"]),
     "output_precision": st.integers(0, 17),
 }
 

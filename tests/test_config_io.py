@@ -3,11 +3,15 @@
 import csv
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpembasim.config_io import (
+    MAX_GRID_POINTS,
     ExperimentConfig,
     load_config,
     save_config,
@@ -35,7 +39,6 @@ def test_defaults():
     assert cfg.theta_steps == 73
     assert cfg.tau_steps == 64
     assert cfg.epsilon_equilibrium_khz == 0.01
-    assert cfg.use_mpemba is True
     assert cfg.output_precision == 12
 
 
@@ -61,14 +64,12 @@ def test_populations_parse_as_a_pair(tmp_path):
     assert cfg.populations == (0.4, 0.6)
 
 
-def test_boolean_values(tmp_path):
-    assert load_config(write(tmp_path, "use_mpemba = false\n")).use_mpemba is False
-    assert load_config(write(tmp_path, "use_mpemba = TRUE\n")).use_mpemba is True
-
-
 def test_unknown_key_is_rejected_with_its_line(tmp_path):
     with pytest.raises(UnknownKeyError, match="line 2"):
         load_config(write(tmp_path, "nu1_khz = 2.0\ncoupling = 3\n"))
+    # the retired pulse switch is refused, not silently ignored
+    with pytest.raises(UnknownKeyError, match="line 1: unknown key 'use_mpemba'"):
+        load_config(write(tmp_path, "use_mpemba = false\n"))
 
 
 def test_duplicate_key_is_rejected(tmp_path):
@@ -81,12 +82,9 @@ def test_malformed_lines_are_rejected():
         "just words\n": "expected 'key = value'",
         "nu1_khz = fast\n": "not a number",
         "tau_steps = 3.5\n": "not an integer",
-        "use_mpemba = yes\n": "not true/false",
         "populations = 0.5\n": "two comma-separated",
         "[experiment\n": "unterminated section",
     }
-    import tempfile
-
     for text, message in cases.items():
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "bad.cfg")
@@ -109,6 +107,20 @@ def test_validation_messages_name_the_offending_key(tmp_path):
         load_config(write(tmp_path, "j_hz = nan\n"))
     with pytest.raises(ValidationError, match="t_hot_khz must be finite"):
         load_config(write(tmp_path, "t_hot_khz = inf\n"))
+    with pytest.raises(ValidationError, match="tau_steps must be at most"):
+        load_config(write(tmp_path, "tau_steps = 1000000000\n"))
+
+
+def test_grid_sizes_are_capped():
+    # validation only: no grid of this size is ever built
+    ExperimentConfig(theta_steps=2, tau_steps=MAX_GRID_POINTS // 2)
+    for theta_steps, tau_steps in (
+        (MAX_GRID_POINTS + 1, 2),
+        (2, MAX_GRID_POINTS + 1),
+        (2**11, 2**11 + 1),
+    ):
+        with pytest.raises(ValidationError, match="theta_steps \\* tau_steps"):
+            ExperimentConfig(theta_steps=theta_steps, tau_steps=tau_steps)
 
 
 def test_validation_rejects_out_of_range_weights():
@@ -121,7 +133,7 @@ def test_validation_rejects_out_of_range_weights():
 def test_save_load_round_trip(tmp_path):
     cfg = ExperimentConfig(
         nu1_khz=2.125, j_hz=190.7, populations=(0.25, 0.75), tau_steps=48,
-        use_mpemba=False, epsilon_equilibrium_khz=1.0 / 3.0,
+        epsilon_equilibrium_khz=1.0 / 3.0,
     )
     path = str(tmp_path / "round.cfg")
     save_config(cfg, path)
@@ -143,17 +155,16 @@ def test_save_leaves_no_partial_files(tmp_path):
 
 
 def test_cycle_config_view_converts_units():
-    cycle = ExperimentConfig(tau1_us=250.0, use_mpemba=False).cycle_config()
+    cycle = ExperimentConfig(tau1_us=250.0).cycle_config()
     assert cycle.tau1 == pytest.approx(0.25)
     assert cycle.nu0 == 1.0 and cycle.nu1 == 2.0
-    assert not cycle.use_mpemba
 
 
 # --------------------------------------------------------------------- tables
 
 ROWS = [
-    {"tau_ms": 0.0, "value": 1.0 / 3.0},
-    {"tau_ms": 1.5, "value": np.float64(0.25)},
+    (0.0, 1.0 / 3.0),
+    (1.5, np.float64(0.25)),
 ]
 
 
@@ -194,14 +205,16 @@ def test_empty_tables_still_write_a_csv_header(tmp_path):
 
 def test_table_precision_is_significant_digits(tmp_path):
     path = str(tmp_path / "prec.csv")
-    write_table([{"x": 0.123456789}], ["x"], path, precision=3)
+    write_table([(0.123456789,)], ["x"], path, precision=3)
     with open(path, encoding="utf-8") as handle:
         assert handle.read().splitlines()[1] == "0.123"
 
 
 def test_table_rejects_schema_mismatches(tmp_path):
     with pytest.raises(ValueError, match="schema"):
-        write_table([{"a": 1.0}], ["a", "b"], str(tmp_path / "x.csv"))
+        write_table([(1.0,)], ["a", "b"], str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match="schema"):
+        write_table(np.zeros((2, 3)), ["a", "b"], str(tmp_path / "x.csv"))
 
 
 def test_table_rejects_unknown_formats(tmp_path):
@@ -212,3 +225,61 @@ def test_table_rejects_unknown_formats(tmp_path):
 def test_table_write_into_a_missing_directory_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         write_table(ROWS, ["tau_ms", "value"], str(tmp_path / "no" / "dir.csv"))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_array_and_row_tuples_write_the_same_bytes(tmp_path, fmt):
+    table = np.array([[0.0, 1.0 / 3.0, -2.5e-7], [1.5, float("nan"), 1e300]])
+    rows = [tuple(row) for row in table.tolist()]
+    array_path, rows_path = tmp_path / f"array.{fmt}", tmp_path / f"rows.{fmt}"
+    write_table(table, ["a", "b", "c"], str(array_path), fmt=fmt)
+    write_table(rows, ["a", "b", "c"], str(rows_path), fmt=fmt)
+    assert array_path.read_bytes() == rows_path.read_bytes()
+
+
+def test_mixed_columns_take_their_types_from_the_first_row(tmp_path):
+    # the shape of a spectrum row: int index, two floats, a string kind
+    row = (1, -0.5, 0.0, "population")
+    schema = ["index", "re_per_ms", "im_per_ms", "kind"]
+    path = tmp_path / "spectrum.csv"
+    write_table([row], schema, str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[1] == "1,-0.5,0,population"
+    path = tmp_path / "spectrum.json"
+    write_table([row], schema, str(path), fmt="json")
+    text = path.read_text(encoding="utf-8")
+    assert '"index": 1,' in text and '"kind": "population"' in text
+    assert json.loads(text) == [dict(zip(schema, row))]
+
+
+FLOAT_CELLS = st.floats(allow_subnormal=True) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.2250738585072e-308]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    cells=st.lists(FLOAT_CELLS, max_size=24),
+    precision=st.integers(1, 17),
+)
+def test_float_tables_match_format_and_json_dumps(width, cells, precision):
+    """Every float renders as format(v, '.pg'), and JSON as json.dumps would."""
+    rows = [tuple(cells[i:i + width]) for i in range(0, len(cells) - width + 1, width)]
+    schema = [f"c{k}" for k in range(width)]
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+
+    def rounded(value):
+        return float(format(value, f".{precision}g"))
+
+    csv_text = ",".join(schema) + "\n" + "".join(
+        ",".join(format(v, f".{precision}g") for v in row) + "\n" for row in rows
+    )
+    json_text = json.dumps(
+        [dict(zip(schema, map(rounded, row))) for row in rows], indent=2
+    ) + "\n"
+    with tempfile.TemporaryDirectory() as workdir:
+        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+            path = os.path.join(workdir, f"table.{fmt}")
+            write_table(table, schema, path, fmt=fmt, precision=precision)
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == expected
