@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -165,8 +164,18 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".partial-")
+    directory = os.path.dirname(os.path.abspath(path))
+    # os.open with mode 0o666 lets the umask set the file's permissions, as
+    # open() would; tempfile.mkstemp always creates its files 0600
+    for _ in range(100):
+        tmp_path = os.path.join(directory, f".partial-{os.urandom(6).hex()}")
+        try:
+            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
+    else:
+        raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -201,53 +210,114 @@ def write_table(
     ``rows`` holds the cells in ``schema`` order, as a 2-D ``(n_rows,
     n_cols)`` array or a sequence of row tuples.  Each column is rendered by
     the type of its cell in the first row: floats with ``precision``
-    significant digits, ints and strings as they are.  '.' decimal separator
-    and LF line endings; the write is atomic (temp file plus rename in the
-    target directory).
+    significant digits (``%.{precision}g``), ints and strings as they are.
+    JSON floats are spelled as ``json.dumps`` spells the rounded value.
+    '.' decimal separator and LF line endings; the write is atomic (temp file
+    plus rename in the target directory) and the file's mode follows the
+    umask.
+
+    A float column at most half of whose cells are distinct, such as a grid
+    axis repeated or tiled over the rows of a surface, is rendered once per
+    distinct value, told apart by bit pattern so that ``0.0`` and ``-0.0``
+    keep their own text.  The output is the same either way.
     """
     schema = list(schema)
     if isinstance(rows, np.ndarray):
         aligned = rows.ndim == 2 and rows.shape[1] == len(schema)
-        columns = rows.T.tolist() if len(rows) else []
+        columns = list(rows.T) if len(rows) else []
     else:
         aligned = all(len(row) == len(schema) for row in rows)
         columns = list(zip(*rows))
     if not aligned:
         raise ValueError(f"rows do not have one cell per schema column {schema}")
-    number = f"%.{precision}g"
 
     fmt = fmt.lower()
     if fmt == "csv":
-        template = ",".join(
-            number if isinstance(column[0], float) else "%s" for column in columns
-        )
-        lines = (template % row for row in zip(*columns))
+        slots, cells = _columns(columns, precision, as_json=False)
+        template = ",".join(slots)
+        lines = (template % row for row in zip(*cells))
         text = "\n".join([",".join(schema), *lines, ""])
     elif fmt == "json":
         # the layout json.dumps(payload, indent=2) writes, filled per row
         members = (json.dumps(name).replace("%", "%%") for name in schema)
         template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
-        cells = [_json_cells(column, number) for column in columns]
+        _, cells = _columns(columns, precision, as_json=True)
         # drop each stage once the next is built, so a large table never
         # holds its floats, their text and the rendered rows all at once
         del columns
         objects = [template % row for row in zip(*cells)]
         del cells
         text = "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
+        del objects
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     _atomic_write(path, text)
 
 
+def _columns(columns: list, precision: int, as_json: bool) -> tuple:
+    """Each column's ``%``-template slot and cells, in column order.
+
+    Strings are JSON-quoted for ``as_json`` and ints are left as they are.
+    Float cells stay numbers under the ``%.{precision}g`` slot, except in
+    JSON and in a column at most half of whose cells are distinct, where
+    they become text under a ``%s`` slot.
+    """
+    number = f"%.{precision}g"
+    slots, cells = [], []
+    for column in columns:
+        slot = "%s"
+        if isinstance(column[0], float):
+            values = np.asarray(column, dtype=float)
+            distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+            if 2 * distinct.size <= values.size:
+                texts = _float_texts(distinct.view(float), precision, as_json)
+                column = np.array(texts, dtype=object)[inverse].tolist()
+            elif as_json:
+                column = _float_texts(values, precision, as_json)
+            else:
+                slot, column = number, values.tolist()
+        elif as_json and isinstance(column[0], str):
+            column = list(map(json.dumps, column))
+        elif isinstance(column, np.ndarray):
+            column = column.tolist()
+        slots.append(slot)
+        cells.append(column)
+    return slots, cells
+
+
 #: json.dumps spellings of the non-finite floats
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
+#: decimal exponents that repr writes positionally and %g may not
+_POSITIONAL_EXPONENTS = {f"e+{k:02d}" for k in range(16)}
 
-def _json_cells(column, number: str) -> list:
-    """One column as JSON text: floats rounded by ``number``, strings quoted."""
-    if isinstance(column[0], float):
-        texts = map(repr, map(float, map(number.__mod__, column)))
-        return [_JSON_NON_FINITE.get(text, text) for text in texts]
-    if isinstance(column[0], str):
-        return list(map(json.dumps, column))
-    return column
+
+def _float_texts(values: np.ndarray, precision: int, as_json: bool) -> list:
+    """Floats as ``%.{precision}g`` text, or as ``json.dumps`` spells the rounded value.
+
+    The JSON spelling is ``repr(float(text))``.  For ``precision <= 15``,
+    when every rounded value is zero or a normal double, ``text`` already
+    has the digits of that repr: two decimals of at most 15 significant
+    digits never round to the same normal double, so the shortest decimal
+    that reads back as ``float(text)`` is ``text`` itself.  Only the layout
+    can differ, and only the cells that need it are parsed: an integer
+    needs ``.0`` and an exponent ``e+00`` to ``e+15`` is written out.  A
+    column reaching below ``1e-307`` or up to ``1e308``, whose rounding may
+    land among the subnormals or on infinity, parses every cell.
+    """
+    texts = list(map(f"%.{precision}g".__mod__, values.tolist()))
+    if not as_json:
+        return texts
+    magnitude = np.abs(values[np.isfinite(values)])
+    if precision > 15 or np.any((magnitude >= 1e308) | ((magnitude < 1e-307) & (magnitude > 0))):
+        texts = [repr(float(text)) for text in texts]
+    return [text if "." in text and "e" not in text else _json_float(text) for text in texts]
+
+
+def _json_float(text: str) -> str:
+    """JSON spelling of a float text that has the shortest repr's digits."""
+    if text[-4:] in _POSITIONAL_EXPONENTS:
+        return repr(float(text))
+    if "." in text or "e" in text:
+        return text
+    return _JSON_NON_FINITE.get(text, text + ".0")

@@ -22,8 +22,8 @@ import numpy as np
 
 from .channels import ThermalEnvironment, heat_exchange_bloch
 from .exceptions import DegenerateHamiltonianError
-from .operators import bloch_vector, mean_energy, qubit_hamiltonian, rotation_y, \
-    validate_density_matrix
+from .operators import bloch_vector, mean_energy, qubit_hamiltonian, \
+    validate_bloch_vectors, validate_density_matrix
 from .thermo import RelaxationTrajectory, f_neq, f_neq_bloch, gibbs_state, \
     trace_distance_bloch
 
@@ -61,17 +61,21 @@ class MpembaTransform:
 
 @dataclass(frozen=True)
 class ThetaFamily:
-    """Base state and its y-axis rotations ``R_y(theta) rho R_y(-theta)``."""
+    """Base state and its y-axis rotations ``R_y(theta) rho R_y(-theta)``.
+
+    ``bloch_vectors`` is an ``(len(angles), 3)`` array: row ``k`` is the
+    Bloch vector of the base state rotated by ``angles[k]``.
+    """
 
     base_state: np.ndarray
     angles: np.ndarray
-    rotated_states: tuple
+    bloch_vectors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        object.__setattr__(self, "rotated_states", tuple(self.rotated_states))
-        if len(self.rotated_states) != self.angles.size:
-            raise ValueError("one rotated state required per angle")
+        object.__setattr__(self, "bloch_vectors", validate_bloch_vectors(self.bloch_vectors))
+        if self.bloch_vectors.shape != (self.angles.size, 3):
+            raise ValueError("one rotated Bloch vector required per angle")
 
 
 def _phase_fixed(columns: np.ndarray) -> np.ndarray:
@@ -140,26 +144,24 @@ def mpemba_unitary(
 
 
 def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> ThetaFamily:
-    """Rotate ``base`` about the y axis by every angle in the grid."""
+    """Rotate ``base`` about the y axis by every angle in the grid.
+
+    The rotations act on the Bloch vector ``(x, y, z)`` of the validated base
+    state: ``R_y(theta)`` takes it to ``(x cos theta + z sin theta, y,
+    z cos theta - x sin theta)``, the Bloch vector of
+    ``R_y(theta) rho R_y(-theta)``.  A rotation keeps the length, so the
+    family is as valid as its base state.
+    """
     base = validate_density_matrix(base, herm_tol=1e-10, trace_tol=1e-10)
     angles = np.asarray(theta_grid, dtype=float)
     if angles.size == 0 or not np.all(np.isfinite(angles)):
         raise ValueError("theta grid must be nonempty and finite")
-    states = []
-    for theta in angles:
-        r = rotation_y(theta)
-        states.append(validate_density_matrix(r @ base @ r.conj().T))
-    return ThetaFamily(base_state=base, angles=angles, rotated_states=states)
-
-
-def _validated_bloch(states: Sequence[np.ndarray]) -> np.ndarray:
-    """Bloch vectors ``(len(states), 3)`` of states checked as the channel checks them."""
-    return np.array(
-        [
-            bloch_vector(validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10))
-            for rho in states
-        ]
-    ).reshape(-1, 3)
+    x, y, z = bloch_vector(base)
+    cos, sin = np.cos(angles), np.sin(angles)
+    rotated = np.column_stack(
+        [x * cos + z * sin, np.full(angles.size, y), z * cos - x * sin]
+    )
+    return ThetaFamily(base_state=base, angles=angles, bloch_vectors=rotated)
 
 
 def free_energy_surface(
@@ -180,9 +182,7 @@ def free_energy_surface(
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    evolved = heat_exchange_bloch(
-        environment, j_hz, _validated_bloch(family.rotated_states), taus
-    )
+    evolved = heat_exchange_bloch(environment, j_hz, family.bloch_vectors, taus)
     return f_neq_bloch(evolved, h, temperature)
 
 
@@ -207,7 +207,8 @@ def cooling_curves(
     state0 = rho0
     if with_mpemba:
         state0 = mpemba_unitary(rho0, h, env.temperature).target_state
-    evolved = heat_exchange_bloch(env, j_hz, _validated_bloch([state0])[0], taus)
+    start = bloch_vector(validate_density_matrix(state0, herm_tol=1e-10, trace_tol=1e-10))
+    evolved = heat_exchange_bloch(env, j_hz, start, taus)
     return RelaxationTrajectory(
         times=taus,
         f_neq=f_neq_bloch(evolved, h, env.temperature) - f_eq,

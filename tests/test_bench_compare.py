@@ -1,0 +1,72 @@
+"""tools/bench_compare.py on synthetic benchmark reports."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_compare.py")
+spec = importlib.util.spec_from_file_location("bench_compare", TOOL)
+bench_compare = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_compare)
+
+BASE = {"setup_s": 0.40, "op_p50_ms": 100.0, "work_per_s": 5000.0, "peak_rss_mb": 80.0}
+
+
+def report(workload="sweep-large", failed=0, trace=0, **changes):
+    values = {**BASE, **changes}
+    return {
+        "workload": workload,
+        "trace": trace,
+        "result": {
+            "attempted": 10,
+            "failed": failed,
+            "metrics": {name: {"value": value, "unit": "x"} for name, value in values.items()},
+        },
+    }
+
+
+def run(tmp_path, capsys, old, new):
+    paths = []
+    for name, data in (("old.json", old), ("new.json", new)):
+        paths.append(str(tmp_path / name))
+        with open(paths[-1], "w", encoding="utf-8") as handle:
+            json.dump(data, handle)
+    code = bench_compare.main(paths)
+    return code, capsys.readouterr().out
+
+
+def test_changes_within_every_bound_pass(tmp_path, capsys):
+    # 20% lower latency, 19% less throughput, 9% more memory: all inside bounds
+    new = report(op_p50_ms=80.0, work_per_s=4050.0, peak_rss_mb=87.2)
+    code, out = run(tmp_path, capsys, report(), new)
+    assert code == 0
+    assert "BEYOND" not in out
+    assert "-20.0%" in out and "+9.0%" in out
+    assert len(out.splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "changes, metric",
+    [
+        ({"op_p50_ms": 121.0}, "op_p50_ms"),
+        ({"work_per_s": 3900.0}, "work_per_s"),
+        ({"peak_rss_mb": 88.5}, "peak_rss_mb"),
+        ({"failed": 1}, "failed"),
+    ],
+)
+def test_a_change_beyond_a_bound_is_flagged(tmp_path, capsys, changes, metric):
+    code, out = run(tmp_path, capsys, [report(), report(trace=1)], report(**changes))
+    assert code == 1
+    flagged = [line for line in out.splitlines() if "BEYOND BOUND" in line]
+    assert len(flagged) == 1 and flagged[0].split()[1] == metric
+
+
+def test_a_bench_file_alone_compares_its_parent_and_change(tmp_path, capsys):
+    path = tmp_path / "BENCH_1.json"
+    sides = {"parent": [report(), report(op_p50_ms=110.0)], "change": [report(op_p50_ms=70.0)]}
+    path.write_text(json.dumps(sides), encoding="utf-8")
+    assert bench_compare.main([str(path)]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "op_p50_ms" in line)
+    assert "(n=2/1)" in line and "-33.3%" in line

@@ -256,18 +256,8 @@ FLOAT_CELLS = st.floats(allow_subnormal=True) | st.sampled_from(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    width=st.integers(1, 4),
-    cells=st.lists(FLOAT_CELLS, max_size=24),
-    precision=st.integers(1, 17),
-)
-def test_float_tables_match_format_and_json_dumps(width, cells, precision):
-    """Every float renders as format(v, '.pg'), and JSON as json.dumps would."""
-    rows = [tuple(cells[i:i + width]) for i in range(0, len(cells) - width + 1, width)]
-    schema = [f"c{k}" for k in range(width)]
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
-
+def reference_tables(rows, schema, precision):
+    """CSV and JSON text built cell by cell with format and json.dumps."""
     def rounded(value):
         return float(format(value, f".{precision}g"))
 
@@ -277,9 +267,96 @@ def test_float_tables_match_format_and_json_dumps(width, cells, precision):
     json_text = json.dumps(
         [dict(zip(schema, map(rounded, row))) for row in rows], indent=2
     ) + "\n"
+    return {"csv": csv_text, "json": json_text}
+
+
+def assert_tables_match_reference(rows, schema, precision):
+    table = np.array(rows, dtype=float).reshape(len(rows), len(schema))
     with tempfile.TemporaryDirectory() as workdir:
-        for fmt, expected in (("csv", csv_text), ("json", json_text)):
+        for fmt, expected in reference_tables(rows, schema, precision).items():
             path = os.path.join(workdir, f"table.{fmt}")
             write_table(table, schema, path, fmt=fmt, precision=precision)
             with open(path, encoding="utf-8") as handle:
                 assert handle.read() == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(1, 4),
+    cells=st.lists(FLOAT_CELLS, max_size=24),
+    precision=st.integers(1, 17),
+)
+def test_float_tables_match_format_and_json_dumps(width, cells, precision):
+    """Every float renders as format(v, '.pg'), and JSON as json.dumps would."""
+    rows = [tuple(cells[i:i + width]) for i in range(0, len(cells) - width + 1, width)]
+    assert_tables_match_reference(rows, [f"c{k}" for k in range(width)], precision)
+
+
+EDGE_VALUES = [
+    1e12, 123456789012345.0, 1e15, 1e16, 3.0, 0.0, -0.0,
+    2.2250738585072014e-308, 5e-324, 1e-310, 1.7976931348623157e308,
+    float("nan"), float("inf"), -float("inf"),
+]
+
+
+@pytest.mark.parametrize("precision", [12, 15, 16])
+@pytest.mark.parametrize("value", EDGE_VALUES)
+def test_edge_floats_match_format_and_json_dumps(value, precision):
+    # column a repeats the value (rendered once), column b holds it among
+    # distinct cells; negated, it also lands in its own column
+    rows = [(value, value, -value), (value, 1.0, 2.0), (value, 0.5, 0.25)]
+    assert_tables_match_reference(rows, ["a", "b", "c"], precision)
+
+
+def test_signed_zeros_keep_their_own_text(tmp_path):
+    rows = [(0.0, 1.0), (-0.0, 1.0), (0.0, float("nan")), (-0.0, float("nan"))]
+    path = tmp_path / "zeros.csv"
+    write_table(rows, ["z", "w"], str(path))
+    assert path.read_text(encoding="utf-8").splitlines()[1:] == [
+        "0,1", "-0,1", "0,nan", "-0,nan"
+    ]
+    path = tmp_path / "zeros.json"
+    write_table(rows, ["z", "w"], str(path), fmt="json")
+    text = path.read_text(encoding="utf-8")
+    assert [line.strip() for line in text.splitlines() if '"z"' in line] == [
+        '"z": 0.0,', '"z": -0.0,', '"z": 0.0,', '"z": -0.0,'
+    ]
+    assert text.count("NaN") == 2
+
+
+POOL_CELLS = st.sampled_from(
+    [0.0, -0.0, float("nan"), float("inf"), 3.0, 1e12, 0.1, -2.5e-7, 5e-324, 1e300]
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n_rows=st.integers(1, 24),
+    pooled=st.lists(st.booleans(), min_size=1, max_size=4),
+    precision=st.integers(1, 17),
+)
+def test_tables_with_repeated_cells_match_format_and_json_dumps(
+    data, n_rows, pooled, precision
+):
+    """Columns drawn from a small pool repeat their cells; the others rarely do."""
+    columns = [
+        data.draw(st.lists(POOL_CELLS if small else FLOAT_CELLS, min_size=n_rows,
+                           max_size=n_rows))
+        for small in pooled
+    ]
+    rows = list(zip(*columns))
+    assert_tables_match_reference(rows, [f"c{k}" for k in range(len(columns))], precision)
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_take_their_mode_from_the_umask(tmp_path, mask, mode):
+    previous = os.umask(mask)
+    try:
+        write_table(ROWS, ["tau_ms", "value"], str(tmp_path / "table.csv"))
+        save_config(ExperimentConfig(), str(tmp_path / "run.cfg"))
+    finally:
+        os.umask(previous)
+    for name in ("table.csv", "run.cfg"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "table.csv"]

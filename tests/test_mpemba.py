@@ -12,12 +12,14 @@ from mpembasim.liouville import decompose, extract_generator, mode_overlap, \
     slow_pair_indices
 from mpembasim.mpemba import (
     MpembaTransform,
+    ThetaFamily,
     build_theta_family,
     cooling_curves,
     free_energy_surface,
     mpemba_unitary,
 )
-from mpembasim.operators import density_from_bloch, qubit_hamiltonian
+from mpembasim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, \
+    density_from_bloch, qubit_hamiltonian, random_density, rotation_y
 from mpembasim.thermo import detect_crossing, f_neq, gibbs_state
 
 COUPLING_HZ = 215.1
@@ -116,23 +118,34 @@ def test_transform_properties_hold_on_generic_states(x, y, z):
 
 def test_family_endpoints_reproduce_the_base_state(rho0):
     family = build_theta_family(rho0, [0.0, 2.0 * np.pi])
-    assert_allclose(family.rotated_states[0], rho0, atol=1e-14)
-    assert_allclose(family.rotated_states[1], rho0, atol=1e-12)
+    assert_allclose(family.bloch_vectors[0], bloch_vector(rho0), atol=1e-14)
+    assert_allclose(family.bloch_vectors[1], bloch_vector(rho0), atol=1e-12)
 
 
 def test_family_quarter_turn_diagonalizes_an_x_aligned_state(rho0):
     family = build_theta_family(rho0, [0.5 * np.pi])
-    rotated = family.rotated_states[0]
-    assert abs(rotated[0, 1]) <= 1e-12
-    assert rotated[0, 0].real == pytest.approx(0.7, abs=1e-12)
+    x, y, z = family.bloch_vectors[0]
+    assert abs(x) <= 1e-12 and abs(y) <= 1e-12
+    assert 0.5 * (1.0 + z) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_family_extremes_sit_at_the_passive_and_inverted_angles(rho0, h_hot):
     angles = np.linspace(0.0, 2.0 * np.pi, 73)
     family = build_theta_family(rho0, angles)
-    values = np.array([f_neq(s, h_hot, HOT_T) for s in family.rotated_states])
+    values = np.array(
+        [f_neq(density_from_bloch(r), h_hot, HOT_T) for r in family.bloch_vectors]
+    )
     assert int(values.argmin()) == 18  # theta = pi/2
     assert int(values.argmax()) == 54  # theta = 3 pi/2
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-10.0, 10.0))
+def test_family_rotates_bloch_vectors_as_the_matrices_rotate(seed, theta):
+    rho = random_density(np.random.default_rng(seed))
+    r = rotation_y(theta)
+    family = build_theta_family(rho, [0.0, theta])
+    assert_allclose(family.bloch_vectors[1], bloch_vector(r @ rho @ r.conj().T), atol=1e-15)
 
 
 def test_family_input_validation(rho0):
@@ -140,6 +153,15 @@ def test_family_input_validation(rho0):
         build_theta_family(rho0, [])
     with pytest.raises(ValueError):
         build_theta_family(np.diag([1.2, -0.2]), [0.0])
+
+
+def test_family_refuses_a_base_state_outside_the_bloch_ball(rho0):
+    # |r| = 1 + 1e-6 off every axis: eigenvalue -5e-7, beyond the 1e-10 bound
+    outside = 0.5 * (np.eye(2) + (1.0 + 1e-6) / np.sqrt(3.0) * (SIGMA_X + SIGMA_Y + SIGMA_Z))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        build_theta_family(outside, [0.0, 1.0])
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        ThetaFamily(rho0, [0.0], [[0.0, 0.0, 1.0 + 1e-6]])
 
 
 # ------------------------------------------------------------------- surfaces
@@ -151,8 +173,9 @@ def test_surface_rows_are_theta_major(rho0, hot_env, h_hot):
         family, hot_env, COUPLING_HZ, [0.0, 0.5], h_hot, HOT_T
     )
     assert surface.shape == (3, 2)
-    for i, rho in enumerate(family.rotated_states):
-        assert surface[i, 0] == pytest.approx(f_neq(rho, h_hot, HOT_T), abs=1e-12)
+    for i, r in enumerate(family.bloch_vectors):
+        expected = f_neq(density_from_bloch(r), h_hot, HOT_T)
+        assert surface[i, 0] == pytest.approx(expected, abs=1e-12)
 
 
 def test_surface_collapses_to_equilibrium_at_the_full_swap(rho0, hot_env, h_hot):

@@ -1,0 +1,103 @@
+"""Compare benchmark reports metric by metric against the bounds of BENCHMARK.json.
+
+Usage::
+
+    python3 tools/bench_compare.py OLD.json NEW.json
+    python3 tools/bench_compare.py BENCH_<n>.json
+
+``OLD.json`` and ``NEW.json`` are reports written by ``python3
+benchmarks/run.py --out REPORT.json``, or JSON lists of such reports.  A
+``BENCH_<n>.json`` file at the repository root holds ``{"parent": [...],
+"change": [...]}``, the reports of one change and of its parent commit.
+Given alone, its parent side is compared with its change side; given as
+``OLD`` or ``NEW``, it stands for its change side, so consecutive files read
+as the performance trajectory.
+
+Only untraced reports (``--trace 0``) carry the end-to-end metrics; traced
+ones are skipped.  For every workload present on both sides and every
+end-to-end metric of ``BENCHMARK.json``, one line gives the median of each
+side over its reports, the number of reports and the relative change.  A
+change worse than the metric's bound is flagged ``BEYOND BOUND``, and so is
+a rise in the fraction of failed operations.  The exit code is 1 when
+anything is flagged and 0 otherwise.  Nothing is written.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load(path: str, side: str = "change") -> dict:
+    """Untraced reports of a file, grouped by workload."""
+    with open(path, encoding="utf-8") as handle:
+        data = json.load(handle)
+    if isinstance(data, dict) and side in data:
+        data = data[side]
+    reports = data if isinstance(data, list) else [data]
+    grouped = {}
+    for report in reports:
+        if report.get("trace", 0) == 0:
+            grouped.setdefault(report["workload"], []).append(report)
+    return grouped
+
+
+def _median(reports: list, name: str) -> float:
+    return statistics.median(report["result"]["metrics"][name]["value"] for report in reports)
+
+
+def _failed_fraction(reports: list) -> float:
+    attempted = sum(report["result"]["attempted"] for report in reports)
+    return sum(report["result"]["failed"] for report in reports) / attempted
+
+
+def compare(old: dict, new: dict, end_to_end: list) -> tuple:
+    """Report lines for every shared workload, and the number of flags among them."""
+    lines, flags = [], 0
+    for workload in sorted(set(old) & set(new)):
+        before, after = old[workload], new[workload]
+        for metric in end_to_end:
+            name, bound = metric["name"], metric["bound"]
+            a, b = _median(before, name), _median(after, name)
+            change = (b - a) / a
+            worse = change if metric["better"] == "lower" else -change
+            flag = worse > bound
+            flags += flag
+            lines.append(
+                f"{workload:13s} {name:12s} {a:12.6g} -> {b:12.6g} {metric['unit']:4s} "
+                f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%"
+                + (f"  BEYOND BOUND ({100.0 * bound:.0f}%)" if flag else "")
+            )
+        a, b = _failed_fraction(before), _failed_fraction(after)
+        flags += b > a
+        lines.append(
+            f"{workload:13s} {'failed':12s} {a:12.6g} -> {b:12.6g} fraction"
+            + ("  BEYOND BOUND (0)" if b > a else "")
+        )
+    return lines, flags
+
+
+def main(argv: list) -> int:
+    if len(argv) == 1:
+        old, new = load(argv[0], "parent"), load(argv[0], "change")
+    elif len(argv) == 2:
+        old, new = load(argv[0]), load(argv[1])
+    else:
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        end_to_end = json.load(handle)["end_to_end"]
+    lines, flags = compare(old, new, end_to_end)
+    if not lines:
+        print("no workload has untraced reports on both sides", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
+    return 1 if flags else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
