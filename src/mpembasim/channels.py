@@ -28,6 +28,12 @@ from .operators import hermitize, validate_bloch_vectors, validate_density_matri
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
 COMPLETENESS_TOL = 1e-12
 
+#: max transfer-matrix deviation from the fitted damping form that passes
+GAD_TOL = 1e-10
+
+#: max population-coherence coupling of a generator that passes
+DAVIES_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class ThermalEnvironment:
@@ -56,6 +62,11 @@ class ThermalEnvironment:
         """
         with np.errstate(over="ignore"):
             return 1.0 / (1.0 + np.exp(2.0 * self.gap_frequency / self.temperature))
+
+    @property
+    def polarization(self) -> float:
+        """Gibbs-state Bloch component ``1 - 2 p`` along the partner's axis."""
+        return 1.0 - 2.0 * self.excited_population
 
 
 @dataclass(frozen=True)
@@ -87,6 +98,19 @@ def swap_window(j_hz: float) -> float:
     return 500.0 / j_hz
 
 
+def _check_delays(j_hz: float, taus) -> np.ndarray:
+    """The delays as a flat float array; TauOutOfRangeError unless each lies
+    in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding."""
+    window = swap_window(j_hz)
+    taus = np.asarray(taus, dtype=float).reshape(-1)
+    outside = taus[~((taus >= -1e-9) & (taus <= window + 1e-9))]
+    if outside.size:
+        raise TauOutOfRangeError(
+            f"tau={outside[0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
+        )
+    return taus
+
+
 def build_heat_exchange(
     environment: ThermalEnvironment, j_hz: float, tau_ms: float
 ) -> KrausChannel:
@@ -107,11 +131,7 @@ def build_heat_exchange(
     TauOutOfRangeError
         If ``tau`` leaves the physical window.
     """
-    window = swap_window(j_hz)
-    if not -1e-9 <= tau_ms <= window + 1e-9:
-        raise TauOutOfRangeError(
-            f"tau={tau_ms} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
-        )
+    _check_delays(j_hz, tau_ms)
     angle = np.pi * (j_hz / 1000.0) * tau_ms
     c, s = np.cos(angle), np.sin(angle)
     p = environment.excited_population
@@ -133,7 +153,8 @@ def heat_exchange_bloch(
     The channel of :func:`build_heat_exchange` is generalized amplitude
     damping, so on the Bloch vector it is the affine map
     ``x, y -> c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with
-    ``c = cos(pi J tau)`` and ``z_eq = 1 - 2 p`` the partner's polarization.
+    ``c = cos(pi J tau)`` and ``z_eq`` the partner's
+    :attr:`~ThermalEnvironment.polarization`.
     ``bloch`` has shape ``(..., 3)`` and ``tau_grid`` shape ``(n,)``; the
     result has shape ``(..., n, 3)``.  Inputs and outputs get the positivity
     bound :func:`apply_channel` puts on states.
@@ -143,16 +164,10 @@ def heat_exchange_bloch(
     TauOutOfRangeError
         If any delay leaves the physical window.
     """
-    window = swap_window(j_hz)
-    taus = np.asarray(tau_grid, dtype=float).reshape(-1)
-    outside = taus[~((taus >= -1e-9) & (taus <= window + 1e-9))]
-    if outside.size:
-        raise TauOutOfRangeError(
-            f"tau={outside[0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
-        )
+    taus = _check_delays(j_hz, tau_grid)
     r = validate_bloch_vectors(bloch)[..., np.newaxis, :]
     c = np.cos(np.pi * (j_hz / 1000.0) * taus)
-    z_eq = 1.0 - 2.0 * environment.excited_population
+    z_eq = environment.polarization
     out = np.empty(r.shape[:-2] + (taus.size, 3))
     out[..., :2] = r[..., :2] * c[:, np.newaxis]
     out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
@@ -179,9 +194,7 @@ class GadEquivalenceReport:
     passed: bool
 
 
-def verify_gad_equivalence(
-    channel: KrausChannel, tolerance: float = 1e-10
-) -> GadEquivalenceReport:
+def verify_gad_equivalence(channel: KrausChannel) -> GadEquivalenceReport:
     """Fit the channel's action to a two-parameter damping form and compare.
 
     The decay parameter ``eta`` is read off the population transfer out of
@@ -209,7 +222,7 @@ def verify_gad_equivalence(
         ideal = np.eye(4, dtype=complex)
     actual = liouville.transfer_matrix(channel.operators)
     deviation = float(np.max(np.abs(actual - ideal)))
-    return GadEquivalenceReport(eta, bias, deviation, deviation < tolerance)
+    return GadEquivalenceReport(eta, bias, deviation, deviation < GAD_TOL)
 
 
 @dataclass(frozen=True)
@@ -220,23 +233,19 @@ class DaviesBlockReport:
     passed: bool
 
 
-def verify_davies_blocks(
-    generator: np.ndarray, energy_basis: np.ndarray, tolerance: float = 1e-9
-) -> DaviesBlockReport:
+def verify_davies_blocks(generator: np.ndarray) -> DaviesBlockReport:
     """Check that a qubit generator decouples populations from coherences.
 
-    The generator is rewritten in the given energy eigenbasis (columns of
-    ``energy_basis``); the population sector lives on the diagonal row-stacked
-    indices ``{0, 3}``, the coherence sector on ``{1, 2}``.
+    The generator is read in the computational basis, which is the energy
+    eigenbasis of the exchange; the population sector lives on the diagonal
+    row-stacked indices ``{0, 3}``, the coherence sector on ``{1, 2}``.
     """
     gen = np.asarray(generator, dtype=complex)
     if gen.shape != (4, 4):
         raise ValueError("block check is defined for qubit generators (4 x 4)")
-    w = liouville.basis_change_superoperator(energy_basis)
-    rotated = w @ gen @ np.linalg.inv(w)
     pop, coh = [0, 3], [1, 2]
     coupling = max(
-        float(np.max(np.abs(rotated[np.ix_(pop, coh)]))),
-        float(np.max(np.abs(rotated[np.ix_(coh, pop)]))),
+        float(np.max(np.abs(gen[np.ix_(pop, coh)]))),
+        float(np.max(np.abs(gen[np.ix_(coh, pop)]))),
     )
-    return DaviesBlockReport(coupling, coupling < tolerance)
+    return DaviesBlockReport(coupling, coupling < DAVIES_TOL)

@@ -37,8 +37,6 @@ from .otto import distance_curves, energy_balance, power_ratio, run_cycle
 from .thermo import detect_crossing, f_neq, f_neq_bloch, gibbs_state, \
     kl_divergence, trace_distance, trace_distance_bloch
 
-LOG = logging.getLogger("mpembasim.cli")
-
 
 def _populations_arg(text: str) -> tuple:
     parts = text.split(",")
@@ -120,12 +118,11 @@ def cmd_surface(args: argparse.Namespace) -> int:
     family = build_theta_family(
         _base_state(config), np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
     )
-    h = qubit_hamiltonian(config.nu1_khz, axis="z")
+    env = _hot_environment(config)
     taus = _tau_grid(config)
-    free = free_energy_surface(
-        family, _hot_environment(config), config.j_hz, taus, h, config.t_hot_khz
-    )
-    excess = free - f_neq(gibbs_state(h, config.t_hot_khz), h, config.t_hot_khz)
+    free = free_energy_surface(family, env, config.j_hz, taus)
+    h = qubit_hamiltonian(env.gap_frequency, axis="z")
+    excess = free - f_neq_bloch((0.0, 0.0, env.polarization), h, env.temperature)
     rows = np.column_stack(
         [
             np.repeat(family.angles, taus.size),
@@ -310,7 +307,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return residual <= 1e-10, f"residual {residual:.3e}"
 
     def decoupling():
-        davies = verify_davies_blocks(generator(), np.eye(2))
+        davies = verify_davies_blocks(generator())
         return davies.passed, f"max coupling {davies.max_coupling:.3e}"
 
     def free_energy_identity():
@@ -379,7 +376,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if len(pair) != 2:
             return False, f"{len(pair)} slowest decaying modes, expected one pair"
         targets = [
-            mpemba_unitary(rho, h, config.t_hot_khz).target_state
+            mpemba_unitary(rho, h).target_state
             for rho in [_base_state(config), *identity_states]
         ]
         worst = max(abs(mode_overlap(d, k, rho)) for rho in targets for k in pair)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 
 import numpy as np
 
@@ -19,6 +20,9 @@ from .otto import CycleConfig
 
 #: largest angle x delay grid a config may ask for; 5x the 200 x 4096 surface
 MAX_GRID_POINTS = 2**22
+
+#: table rows rendered and written per block, so no table is held as one text
+BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -116,19 +120,12 @@ def _parse_pair(key: str, text: str, lineno: int) -> tuple:
     return tuple(_parse_float(key, piece, lineno) for piece in parts)
 
 
+#: each config key's parser, chosen by the type of its default
 _PARSERS = {
-    "nu0_khz": _parse_float,
-    "nu1_khz": _parse_float,
-    "j_hz": _parse_float,
-    "t_hot_khz": _parse_float,
-    "t_cold_khz": _parse_float,
-    "tau1_us": _parse_float,
-    "tau_bar_ms": _parse_float,
-    "populations": _parse_pair,
-    "theta_steps": _parse_int,
-    "tau_steps": _parse_int,
-    "epsilon_equilibrium_khz": _parse_float,
-    "output_precision": _parse_int,
+    field.name: {float: _parse_float, int: _parse_int, tuple: _parse_pair}[
+        type(field.default)
+    ]
+    for field in fields(ExperimentConfig)
 }
 
 
@@ -163,7 +160,8 @@ def load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, pieces) -> None:
+    """Write the strings of ``pieces`` one after another to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     # os.open with mode 0o666 lets the umask set the file's permissions, as
     # open() would; tempfile.mkstemp always creates its files 0600
@@ -178,7 +176,7 @@ def _atomic_write(path: str, text: str) -> None:
         raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):
@@ -199,7 +197,7 @@ def save_config(config: ExperimentConfig, path: str) -> None:
         else:
             rendered = str(value)
         lines.append(f"{field.name} = {rendered}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 def write_table(
@@ -212,9 +210,9 @@ def write_table(
     the type of its cell in the first row: floats with ``precision``
     significant digits (``%.{precision}g``), ints and strings as they are.
     JSON floats are spelled as ``json.dumps`` spells the rounded value.
-    '.' decimal separator and LF line endings; the write is atomic (temp file
-    plus rename in the target directory) and the file's mode follows the
-    umask.
+    '.' decimal separator and LF line endings; the rows go to the file in
+    blocks of :data:`BLOCK_ROWS`, the write is atomic (temp file plus rename
+    in the target directory) and the file's mode follows the umask.
 
     A float column at most half of whose cells are distinct, such as a grid
     axis repeated or tiled over the rows of a surface, is rendered once per
@@ -234,24 +232,30 @@ def write_table(
     fmt = fmt.lower()
     if fmt == "csv":
         slots, cells = _columns(columns, precision, as_json=False)
-        template = ",".join(slots)
-        lines = (template % row for row in zip(*cells))
-        text = "\n".join([",".join(schema), *lines, ""])
+        blocks = _filled(",".join(slots) + "\n", "", zip(*cells))
+        pieces = chain([",".join(schema) + "\n"], blocks)
     elif fmt == "json":
         # the layout json.dumps(payload, indent=2) writes, filled per row
         members = (json.dumps(name).replace("%", "%%") for name in schema)
         template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
         _, cells = _columns(columns, precision, as_json=True)
-        # drop each stage once the next is built, so a large table never
-        # holds its floats, their text and the rendered rows all at once
-        del columns
-        objects = [template % row for row in zip(*cells)]
-        del cells
-        text = "[\n" + ",\n".join(objects) + "\n]\n" if objects else "[]\n"
-        del objects
+        blocks = _filled(template, ",\n", zip(*cells))
+        first = next(blocks, None)
+        pieces = ["[]\n"] if first is None else chain(["[\n", first], blocks, ["\n]\n"])
     else:
         raise ValueError(f"unknown table format {fmt!r}")
-    _atomic_write(path, text)
+    _atomic_write(path, pieces)
+
+
+def _filled(template: str, separator: str, rows):
+    """The rows filled into ``template`` and joined by ``separator``, as text
+    blocks of at most :data:`BLOCK_ROWS` rows; each block after the first
+    starts with ``separator``."""
+    lead = ""
+    # a filled row is never empty, so an empty block means the rows ran out
+    while block := separator.join(map(template.__mod__, islice(rows, BLOCK_ROWS))):
+        yield lead + block
+        lead = separator
 
 
 def _columns(columns: list, precision: int, as_json: bool) -> tuple:

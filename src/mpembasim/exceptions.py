@@ -46,10 +46,6 @@ class TauOutOfRangeError(MpembaSimError, ValueError):
     """A channel delay outside the physical window was requested."""
 
 
-class Tau2OutOfRangeError(TauOutOfRangeError):
-    """A cycle's exchange-stroke duration lies outside the physical window."""
-
-
 class GridMismatchError(MpembaSimError, ValueError):
     """Two trajectories sampled on different time grids were compared pointwise."""
 

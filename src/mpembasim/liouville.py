@@ -74,14 +74,11 @@ def devectorize(vec: np.ndarray) -> np.ndarray:
 
 def transfer_matrix(kraus_operators) -> np.ndarray:
     """Row-stacking transfer matrix ``sum_j K_j kron K_j^conj`` of a Kraus map."""
-    ops = [np.asarray(k, dtype=complex) for k in kraus_operators]
-    if not ops:
-        raise ValueError("at least one Kraus operator is required")
-    d = ops[0].shape[0]
-    out = np.zeros((d * d, d * d), dtype=complex)
-    for k in ops:
-        out += np.kron(k, k.conj())
-    return out
+    ops = np.asarray(kraus_operators, dtype=complex)
+    if ops.ndim != 3 or not ops.shape[0]:
+        raise ValueError("at least one square Kraus operator is required")
+    d = ops.shape[1]
+    return np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(d * d, d * d)
 
 
 def build_lindbladian(hamiltonian: np.ndarray, jumps) -> np.ndarray:
@@ -256,9 +253,8 @@ def propagate_spectral(
 def extract_generator(channel, t: float) -> np.ndarray:
     """Effective generator ``(1/t) log M`` of a channel's transfer matrix.
 
-    ``channel`` may be anything with an ``operators`` attribute (a Kraus
-    channel) or a bare iterable of Kraus matrices.  The principal logarithm is
-    verified by re-exponentiating: ``expm(t L)`` must reproduce the transfer
+    ``channel`` is anything with an ``operators`` attribute, such as a
+    :class:`channels.KrausChannel`.  The principal logarithm is verified by re-exponentiating: ``expm(t L)`` must reproduce the transfer
     matrix to 1e-8 or the extraction is rejected.
 
     Raises
@@ -271,8 +267,7 @@ def extract_generator(channel, t: float) -> np.ndarray:
     """
     if t <= 0.0:
         raise TauOutOfRangeError(f"channel delay {t} must be positive")
-    ops = getattr(channel, "operators", channel)
-    matrix = transfer_matrix(ops)
+    matrix = transfer_matrix(channel.operators)
     with np.errstate(over="ignore", invalid="ignore"):
         generator = numerics.logm_principal(matrix) / t
     if not np.all(np.isfinite(generator)):
@@ -284,12 +279,3 @@ def extract_generator(channel, t: float) -> np.ndarray:
         )
     return generator
 
-
-def basis_change_superoperator(basis: np.ndarray) -> np.ndarray:
-    """Superoperator rewriting row-stacked states in the eigenbasis ``basis``.
-
-    ``basis`` holds the new basis vectors as columns; the returned ``W``
-    satisfies ``W vec(rho) = vec(V^dag rho V)``.
-    """
-    v = np.asarray(basis, dtype=complex)
-    return np.kron(v.conj().T, v.T)

@@ -24,8 +24,7 @@ from .channels import ThermalEnvironment, heat_exchange_bloch
 from .exceptions import DegenerateHamiltonianError
 from .operators import bloch_vector, mean_energy, qubit_hamiltonian, \
     validate_bloch_vectors, validate_density_matrix
-from .thermo import RelaxationTrajectory, f_neq, f_neq_bloch, gibbs_state, \
-    trace_distance_bloch
+from .thermo import RelaxationTrajectory, f_neq_bloch, trace_distance_bloch
 
 #: unitarity / conjugation defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
@@ -61,13 +60,12 @@ class MpembaTransform:
 
 @dataclass(frozen=True)
 class ThetaFamily:
-    """Base state and its y-axis rotations ``R_y(theta) rho R_y(-theta)``.
+    """Y-axis rotations ``R_y(theta) rho R_y(-theta)`` of a base state.
 
     ``bloch_vectors`` is an ``(len(angles), 3)`` array: row ``k`` is the
     Bloch vector of the base state rotated by ``angles[k]``.
     """
 
-    base_state: np.ndarray
     angles: np.ndarray
     bloch_vectors: np.ndarray
 
@@ -88,11 +86,7 @@ def _phase_fixed(columns: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def mpemba_unitary(
-    rho: np.ndarray,
-    h: np.ndarray,
-    temperature: float,
-) -> MpembaTransform:
+def mpemba_unitary(rho: np.ndarray, h: np.ndarray) -> MpembaTransform:
     """Build the population-inverting unitary for ``rho`` under ``h``.
 
     Parameters
@@ -102,9 +96,6 @@ def mpemba_unitary(
     h : ndarray
         Hermitian Hamiltonian in angular units with a nondegenerate
         spectrum.
-    temperature : float
-        Temperature (kHz) of the free-energy bookkeeping.  The gain does not
-        depend on it, because the entropy terms cancel.
 
     Returns
     -------
@@ -161,7 +152,7 @@ def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> ThetaFa
     rotated = np.column_stack(
         [x * cos + z * sin, np.full(angles.size, y), z * cos - x * sin]
     )
-    return ThetaFamily(base_state=base, angles=angles, bloch_vectors=rotated)
+    return ThetaFamily(angles=angles, bloch_vectors=rotated)
 
 
 def free_energy_surface(
@@ -169,21 +160,22 @@ def free_energy_surface(
     environment: ThermalEnvironment,
     j_hz: float,
     tau_grid: Sequence[float],
-    h: np.ndarray,
-    temperature: float,
 ) -> np.ndarray:
     """Free energy (kHz) of every rotated state after every exchange delay.
 
     Returns an array ``(len(family.angles), len(tau_grid))``, one row per
     angle.  Each rotated state goes through the heat exchange with
     ``environment`` and coupling ``j_hz`` for each delay independently (one
-    collision of duration tau, not an iterated map).
+    collision of duration tau, not an iterated map).  The free energy is
+    taken at the environment's temperature under its Hamiltonian
+    ``-2 pi nu sigma_z``, as in :func:`cooling_curves`.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
     evolved = heat_exchange_bloch(environment, j_hz, family.bloch_vectors, taus)
-    return f_neq_bloch(evolved, h, temperature)
+    h = qubit_hamiltonian(environment.gap_frequency, axis="z")
+    return f_neq_bloch(evolved, h, environment.temperature)
 
 
 def cooling_curves(
@@ -201,17 +193,17 @@ def cooling_curves(
     """
     taus = np.asarray(tau_grid, dtype=float)
     h = qubit_hamiltonian(env.gap_frequency, axis="z")
-    target = gibbs_state(h, env.temperature)
-    f_eq = f_neq(target, h, env.temperature)
+    target = np.array([0.0, 0.0, env.polarization])
+    f_eq = f_neq_bloch(target, h, env.temperature)
 
     state0 = rho0
     if with_mpemba:
-        state0 = mpemba_unitary(rho0, h, env.temperature).target_state
+        state0 = mpemba_unitary(rho0, h).target_state
     start = bloch_vector(validate_density_matrix(state0, herm_tol=1e-10, trace_tol=1e-10))
     evolved = heat_exchange_bloch(env, j_hz, start, taus)
     return RelaxationTrajectory(
         times=taus,
         f_neq=f_neq_bloch(evolved, h, env.temperature) - f_eq,
-        trace_dist=trace_distance_bloch(evolved, bloch_vector(target)),
+        trace_dist=trace_distance_bloch(evolved, target),
         label="mpemba" if with_mpemba else "plain",
     )

@@ -47,13 +47,12 @@ from .exceptions import (
     GridMismatchError,
     MissingStrokeError,
     NoAdvantageError,
-    Tau2OutOfRangeError,
     ThresholdUnreachableError,
 )
 from .mpemba import cooling_curves, mpemba_unitary
-from .operators import IDENTITY, PAULIS, TWO_PI, bloch_vector, density_from_bloch, \
+from .operators import IDENTITY, SIGMA_X, TWO_PI, bloch_vector, density_from_bloch, \
     mean_energy, qubit_hamiltonian
-from .thermo import RelaxationTrajectory, detect_crossing, gibbs_state
+from .thermo import RelaxationTrajectory, detect_crossing
 
 #: slack for "curve reached the threshold" comparisons
 THRESHOLD_TOL = 1e-12
@@ -144,23 +143,21 @@ def _ramp_phase(nu_start: float, nu_end: float, duration: float) -> float:
     return TWO_PI * 0.5 * (nu_start + nu_end) * duration
 
 
-def ramp_unitary(
-    nu_start: float, nu_end: float, duration: float, axis: str = "x"
-) -> np.ndarray:
-    """Exact propagator of a linear gap ramp along one fixed axis.
+def ramp_unitary(nu_start: float, nu_end: float, duration: float) -> np.ndarray:
+    """Exact propagator of a linear gap ramp along the drive axis x.
 
-    The Hamiltonian stays proportional to one Pauli operator throughout, so
-    the time-ordered evolution collapses to a single rotation by the angle
+    The Hamiltonian stays proportional to ``sigma_x`` throughout, so the
+    time-ordered evolution collapses to a single rotation by the angle
     ``2 pi * (nu_start + nu_end)/2 * duration``.
     """
     phi = _ramp_phase(nu_start, nu_end, duration)
-    return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * PAULIS[axis]
+    return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * SIGMA_X
 
 
 def _ramp_bloch(
     r: np.ndarray, nu_start: float, nu_end: float, duration: float
 ) -> np.ndarray:
-    """Bloch vector after the x-axis :func:`ramp_unitary`, a rotation about x."""
+    """Bloch vector after :func:`ramp_unitary`, a rotation about x."""
     phi = 2.0 * _ramp_phase(nu_start, nu_end, duration)
     c, s = np.cos(phi), np.sin(phi)
     return np.array([r[0], c * r[1] + s * r[2], c * r[2] - s * r[1]])
@@ -168,7 +165,8 @@ def _ramp_bloch(
 
 def _expanded_cold_state(cfg: CycleConfig) -> tuple[np.ndarray, np.ndarray]:
     """Bloch vectors of the cold Gibbs state before and after the expansion."""
-    r0 = bloch_vector(gibbs_state(qubit_hamiltonian(cfg.nu0, axis="x"), cfg.t_cold))
+    env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
+    r0 = np.array([env_cold.polarization, 0.0, 0.0])
     return r0, _ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1)
 
 
@@ -176,18 +174,14 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     """Execute one full cycle and return its five stroke records.
 
     ``tau2`` is the exchange delay of the tunable stroke, restricted to the
-    swap window.
+    swap window; :func:`channels.heat_exchange_bloch` raises
+    ``TauOutOfRangeError`` for one outside it.
     """
-    window = swap_window(cfg.j_hz)
-    if not -1e-9 <= tau2 <= window + 1e-9:
-        raise Tau2OutOfRangeError(
-            f"tau2={tau2} ms outside [0, {window:.6f}] ms"
-        )
     r0, r1 = _expanded_cold_state(cfg)
     if cfg.use_mpemba:
         h_exchange = qubit_hamiltonian(cfg.nu1, axis="z")
         r2 = bloch_vector(
-            mpemba_unitary(density_from_bloch(r1), h_exchange, cfg.t_hot).target_state
+            mpemba_unitary(density_from_bloch(r1), h_exchange).target_state
         )
     else:
         r2 = r1
@@ -231,7 +225,7 @@ def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
     rho_tau3 = by_name[StrokeName.COMPRESSION].state_after
     h0 = qubit_hamiltonian(cfg.nu0, axis="x")
     h1 = qubit_hamiltonian(cfg.nu1, axis="x")
-    rho_eq_c = gibbs_state(h0, cfg.t_cold)
+    rho_eq_c = density_from_bloch(_expanded_cold_state(cfg)[0])
     return mean_energy(rho_eq_c, h1) - mean_energy(rho_tau3, h0)
 
 
@@ -289,9 +283,9 @@ def threshold_times(
 
 
 def default_delta_grid(
-    curves: tuple[RelaxationTrajectory, RelaxationTrajectory], count: int = 40
+    curves: tuple[RelaxationTrajectory, RelaxationTrajectory]
 ) -> np.ndarray:
-    """Thresholds spanning the advantage window, crossing point to full swap.
+    """40 thresholds spanning the advantage window, crossing point to full swap.
 
     The values are the plain curve's own heights on that window, so every
     delta is reached by both curves and the accelerated branch is never the
@@ -303,7 +297,7 @@ def default_delta_grid(
         raise ThresholdUnreachableError(
             "distance curves do not cross; no advantage window to sample"
         )
-    sample_times = np.linspace(crossing.t_cross, plain.times[-1], count)
+    sample_times = np.linspace(crossing.t_cross, plain.times[-1], 40)
     return np.interp(sample_times, plain.times, plain.trace_dist)
 
 

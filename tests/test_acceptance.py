@@ -83,7 +83,7 @@ def test_transform_empties_the_slow_modes():
     start = time.perf_counter()
     channel = build_heat_exchange(HOT_ENV, J_HZ, 1.0)
     decomposition = decompose(extract_generator(channel, 1.0))
-    transform = mpemba_unitary(BASE, H_HOT, T_HOT)
+    transform = mpemba_unitary(BASE, H_HOT)
     pair = slow_pair_indices(decomposition)
     before = max(abs(mode_overlap(decomposition, k, BASE)) for k in pair)
     after = max(

@@ -20,6 +20,7 @@ from mpembasim.channels import (
 )
 from mpembasim.exceptions import TauOutOfRangeError
 from mpembasim.liouville import build_lindbladian, extract_generator
+from mpembasim.otto import CycleConfig, run_cycle
 from mpembasim.operators import (
     IDENTITY,
     SIGMA_Y,
@@ -62,6 +63,15 @@ def test_excited_population_far_below_the_gap_is_zero_without_a_warning():
         near = ThermalEnvironment(temperature=4.77, gap_frequency=2.0).excited_population
     assert p == 0.0
     assert near == 1.0 / (1.0 + np.exp(2.0 * 2.0 / 4.77))
+
+
+@pytest.mark.parametrize("nu", [0.5, 2.0, 7.0])
+@pytest.mark.parametrize("temperature", [1e-3, 0.3, 4.77, 1e3])
+def test_polarization_is_the_gibbs_state_bloch_component(nu, temperature):
+    # T = 1e-3 puts exp(2 nu / T) past overflow, where the weight is exactly 0
+    env = ThermalEnvironment(temperature=temperature, gap_frequency=nu)
+    gibbs = bloch_vector(gibbs_state(qubit_hamiltonian(nu, "z"), temperature))
+    assert env.polarization == pytest.approx(gibbs[2], abs=1e-15)
 
 
 def test_environment_rejects_nonpositive_parameters():
@@ -166,6 +176,25 @@ def test_bloch_kernel_rejects_delays_outside_the_window(hot_env):
             heat_exchange_bloch(hot_env, COUPLING_HZ, [0.0, 0.0, 0.5], bad)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda env, tau: build_heat_exchange(env, COUPLING_HZ, tau),
+        lambda env, tau: heat_exchange_bloch(env, COUPLING_HZ, [0.0, 0.0, 0.5], [tau]),
+        lambda env, tau: run_cycle(CycleConfig(j_hz=COUPLING_HZ), tau),
+    ],
+    ids=["build_heat_exchange", "heat_exchange_bloch", "run_cycle"],
+)
+def test_every_delay_meets_one_window_check(hot_env, call):
+    """Rounding of 1e-9 ms past either edge is accepted, and no more."""
+    window = swap_window(COUPLING_HZ)
+    for tau in (-1e-9, window + 1e-9):
+        call(hot_env, tau)
+    for tau in (-2e-9, window + 2e-9):
+        with pytest.raises(TauOutOfRangeError):
+            call(hot_env, tau)
+
+
 def test_partner_gibbs_state_is_a_fixed_point(hot_env, h_hot):
     target = gibbs_state(h_hot, hot_env.temperature)
     for tau in (0.3, 1.0, 2.0):
@@ -214,7 +243,7 @@ def test_gad_check_requires_a_qubit():
 
 def test_generator_decouples_populations_from_coherences(hot_env):
     generator = extract_generator(build_heat_exchange(hot_env, COUPLING_HZ, 1.0), 1.0)
-    report = verify_davies_blocks(generator, IDENTITY)
+    report = verify_davies_blocks(generator)
     assert report.passed
     assert report.max_coupling <= 1e-9
 
@@ -222,14 +251,14 @@ def test_generator_decouples_populations_from_coherences(hot_env):
 def test_block_check_flags_a_coupling_generator():
     # a transverse drive mixes the sectors in the z eigenbasis
     generator = build_lindbladian(qubit_hamiltonian(1.0, "x"), [(SIGMA_MINUS, 0.5)])
-    report = verify_davies_blocks(generator, IDENTITY)
+    report = verify_davies_blocks(generator)
     assert not report.passed
     assert report.max_coupling > 1.0
 
 
 def test_block_check_requires_a_qubit_generator():
     with pytest.raises(ValueError):
-        verify_davies_blocks(np.eye(9), np.eye(3))
+        verify_davies_blocks(np.eye(9))
 
 
 @settings(max_examples=60, deadline=None)

@@ -280,8 +280,8 @@ def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
     original = cli.mpemba_unitary
     leak = np.array([[0.0, 1e-6], [1e-6, 0.0]], dtype=complex)
 
-    def leaky(rho, h, temperature):
-        transform = original(rho, h, temperature)
+    def leaky(rho, h):
+        transform = original(rho, h)
         return dataclasses.replace(
             transform,
             unitary=np.eye(2),

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpembasim.config_io import (
+    BLOCK_ROWS,
     MAX_GRID_POINTS,
     ExperimentConfig,
     load_config,
@@ -306,6 +307,14 @@ def test_edge_floats_match_format_and_json_dumps(value, precision):
     # distinct cells; negated, it also lands in its own column
     rows = [(value, value, -value), (value, 1.0, 2.0), (value, 0.5, 0.25)]
     assert_tables_match_reference(rows, ["a", "b", "c"], precision)
+
+
+def test_tables_longer_than_two_write_blocks_match_format_and_json_dumps():
+    # a repeated axis column (rendered once per value) beside distinct cells
+    n = 2 * BLOCK_ROWS + 3
+    values = np.random.default_rng(7).normal(size=n)
+    rows = [(0.1 * (k % 7), v) for k, v in enumerate(values.tolist())]
+    assert_tables_match_reference(rows, ["axis", "value"], 12)
 
 
 def test_signed_zeros_keep_their_own_text(tmp_path):

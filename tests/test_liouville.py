@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mpembasim.channels import KrausChannel
 from mpembasim.exceptions import (
     BranchCutError,
     NegativeRateError,
@@ -14,7 +15,6 @@ from mpembasim.exceptions import (
     SingularInputError,
 )
 from mpembasim.liouville import (
-    basis_change_superoperator,
     build_lindbladian,
     decompose,
     devectorize,
@@ -25,7 +25,7 @@ from mpembasim.liouville import (
     transfer_matrix,
     vectorize,
 )
-from mpembasim.operators import SIGMA_X, X_EIGENBASIS, qubit_hamiltonian, rotation_y
+from mpembasim.operators import SIGMA_X, qubit_hamiltonian
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T
@@ -200,15 +200,6 @@ def test_extract_generator_round_trips(hot_env):
     assert np.abs(roundtrip - transfer_matrix(channel.operators)).max() <= 1e-10
 
 
-def test_extract_generator_accepts_bare_operator_lists(hot_env):
-    from mpembasim.channels import build_heat_exchange
-
-    channel = build_heat_exchange(hot_env, 215.1, 0.8)
-    via_channel = extract_generator(channel, 0.8)
-    via_list = extract_generator(list(channel.operators), 0.8)
-    assert_allclose(via_channel, via_list, atol=1e-14)
-
-
 def test_extract_generator_fails_at_full_swap(hot_env):
     from mpembasim.channels import build_heat_exchange, swap_window
 
@@ -221,7 +212,7 @@ def test_extract_generator_fails_at_full_swap(hot_env):
 def test_extract_generator_refuses_branch_ambiguity():
     # a pi rotation has transfer-matrix eigenvalues on the negative real axis
     with pytest.raises(BranchCutError):
-        extract_generator([1j * SIGMA_X], 1.0)
+        extract_generator(KrausChannel(operators=(1j * SIGMA_X,)), 1.0)
 
 
 def test_extract_generator_needs_positive_delay(hot_env):
@@ -230,13 +221,6 @@ def test_extract_generator_needs_positive_delay(hot_env):
     channel = build_heat_exchange(hot_env, 215.1, 0.5)
     with pytest.raises(ValueError):
         extract_generator(channel, 0.0)
-
-
-@pytest.mark.parametrize("basis", [X_EIGENBASIS, rotation_y(0.7)])
-def test_basis_change_superoperator(basis, random_density):
-    rho = random_density()
-    rotated = devectorize(basis_change_superoperator(basis) @ vectorize(rho))
-    assert_allclose(rotated, basis.conj().T @ rho @ basis, atol=1e-13)
 
 
 matrix_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

@@ -43,14 +43,14 @@ def slow_weights(rho):
 
 
 def test_transform_inverts_populations_in_the_energy_basis(rho0, h_hot):
-    transform = mpemba_unitary(rho0, h_hot, HOT_T)
+    transform = mpemba_unitary(rho0, h_hot)
     assert isinstance(transform, MpembaTransform)
     # largest eigenvalue of rho lands on the upper level
     assert_allclose(transform.target_state, np.diag([0.3, 0.7]), atol=1e-12)
 
 
 def test_transform_is_unitary_and_spectrum_preserving(rho0, h_hot):
-    transform = mpemba_unitary(rho0, h_hot, HOT_T)
+    transform = mpemba_unitary(rho0, h_hot)
     u = transform.unitary
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
     assert_allclose(
@@ -63,35 +63,35 @@ def test_transform_is_unitary_and_spectrum_preserving(rho0, h_hot):
 def test_transform_gain_is_the_energy_flip(rho0, h_hot):
     # the source carries no z polarization, the target carries the full 0.4,
     # and entropy is untouched, so the price is exactly 2 nu (p1 - p0)
-    transform = mpemba_unitary(rho0, h_hot, HOT_T)
+    transform = mpemba_unitary(rho0, h_hot)
     assert transform.f_neq_gain == pytest.approx(0.8, abs=1e-12)
 
 
 def test_transform_of_the_gibbs_state_costs_twice_its_energy(h_hot):
     equilibrium = gibbs_state(h_hot, HOT_T)
-    transform = mpemba_unitary(equilibrium, h_hot, HOT_T)
+    transform = mpemba_unitary(equilibrium, h_hot)
     expected = 2.0 * 2.0 * np.tanh(2.0 / HOT_T)
     assert transform.f_neq_gain == pytest.approx(expected, abs=1e-10)
 
 
 def test_transform_kills_both_slow_modes(rho0, h_hot):
-    transform = mpemba_unitary(rho0, h_hot, HOT_T)
+    transform = mpemba_unitary(rho0, h_hot)
     assert slow_pair_indices(DECOMPOSITION) == [2, 3]
     assert slow_weights(rho0) == pytest.approx([0.2, 0.2], abs=1e-9)
     assert max(slow_weights(transform.target_state)) <= KILL_TOL
 
 
 def test_transform_of_the_maximally_mixed_state_is_free(h_hot):
-    transform = mpemba_unitary(HALF, h_hot, HOT_T)
+    transform = mpemba_unitary(HALF, h_hot)
     assert_allclose(transform.target_state, HALF, atol=1e-12)
     assert transform.f_neq_gain == pytest.approx(0.0, abs=1e-12)
 
 
 def test_transform_rejects_degenerate_spectra(rho0):
     with pytest.raises(DegenerateHamiltonianError):
-        mpemba_unitary(rho0, np.zeros((2, 2)), HOT_T)
+        mpemba_unitary(rho0, np.zeros((2, 2)))
     with pytest.raises(DegenerateHamiltonianError):
-        mpemba_unitary(rho0, 5.0 * np.eye(2), HOT_T)
+        mpemba_unitary(rho0, 5.0 * np.eye(2))
 
 
 @settings(max_examples=50, deadline=None)
@@ -103,7 +103,7 @@ def test_transform_rejects_degenerate_spectra(rho0):
 def test_transform_properties_hold_on_generic_states(x, y, z):
     h = qubit_hamiltonian(2.0, "z")
     rho = density_from_bloch(np.array([x, y, z]))
-    transform = mpemba_unitary(rho, h, HOT_T)
+    transform = mpemba_unitary(rho, h)
     u = transform.unitary
     assert np.abs(u.conj().T @ u - np.eye(2)).max() <= 1e-12
     assert_allclose(
@@ -161,7 +161,7 @@ def test_family_refuses_a_base_state_outside_the_bloch_ball(rho0):
     with pytest.raises(ValueError, match="negative eigenvalue"):
         build_theta_family(outside, [0.0, 1.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        ThetaFamily(rho0, [0.0], [[0.0, 0.0, 1.0 + 1e-6]])
+        ThetaFamily([0.0], [[0.0, 0.0, 1.0 + 1e-6]])
 
 
 # ------------------------------------------------------------------- surfaces
@@ -169,9 +169,7 @@ def test_family_refuses_a_base_state_outside_the_bloch_ball(rho0):
 
 def test_surface_rows_are_theta_major(rho0, hot_env, h_hot):
     family = build_theta_family(rho0, [0.0, 1.0, 2.0])
-    surface = free_energy_surface(
-        family, hot_env, COUPLING_HZ, [0.0, 0.5], h_hot, HOT_T
-    )
+    surface = free_energy_surface(family, hot_env, COUPLING_HZ, [0.0, 0.5])
     assert surface.shape == (3, 2)
     for i, r in enumerate(family.bloch_vectors):
         expected = f_neq(density_from_bloch(r), h_hot, HOT_T)
@@ -181,7 +179,7 @@ def test_surface_rows_are_theta_major(rho0, hot_env, h_hot):
 def test_surface_collapses_to_equilibrium_at_the_full_swap(rho0, hot_env, h_hot):
     family = build_theta_family(rho0, np.linspace(0.0, 2.0 * np.pi, 9))
     surface = free_energy_surface(
-        family, hot_env, COUPLING_HZ, [swap_window(COUPLING_HZ)], h_hot, HOT_T
+        family, hot_env, COUPLING_HZ, [swap_window(COUPLING_HZ)]
     )
     f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
     assert surface.shape == (9, 1)
@@ -193,7 +191,7 @@ def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env, h_hot):
     at a shorter delay than the unrotated one."""
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 64)
     family = build_theta_family(rho0, [0.0, 1.5 * np.pi])
-    surface = free_energy_surface(family, hot_env, COUPLING_HZ, taus, h_hot, HOT_T)
+    surface = free_energy_surface(family, hot_env, COUPLING_HZ, taus)
     f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
     plain, inverted = surface - f_eq
     assert inverted[0] > plain[0]
@@ -205,9 +203,7 @@ def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env, h_hot):
 def test_surface_requires_delays(rho0, hot_env, h_hot):
     family = build_theta_family(rho0, [0.0])
     with pytest.raises(ValueError):
-        free_energy_surface(
-            family, hot_env, COUPLING_HZ, [], h_hot, HOT_T
-        )
+        free_energy_surface(family, hot_env, COUPLING_HZ, [])
 
 
 # ------------------------------------------------------------- cooling sweeps

@@ -19,7 +19,6 @@ from mpembasim.exceptions import (
     MissingStrokeError,
     MpembaSimError,
     NoAdvantageError,
-    Tau2OutOfRangeError,
     TauOutOfRangeError,
     ThresholdUnreachableError,
 )
@@ -95,7 +94,7 @@ def kraus_cycle(cfg, tau2):
     rho1 = u_exp @ rho0 @ u_exp.conj().T
     rho2 = rho1
     if cfg.use_mpemba:
-        rho2 = mpemba_unitary(rho1, h_exchange, cfg.t_hot).target_state
+        rho2 = mpemba_unitary(rho1, h_exchange).target_state
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     rho3 = apply_channel(build_heat_exchange(env_hot, cfg.j_hz, tau2), rho2)
     u_comp = ramp_unitary(cfg.nu1, cfg.nu0, cfg.tau3)
@@ -257,7 +256,7 @@ def test_zero_exchange_leaves_the_medium_alone():
 
 def test_cycle_rejects_delays_outside_the_window():
     cfg = CycleConfig()
-    with pytest.raises(Tau2OutOfRangeError):
+    with pytest.raises(TauOutOfRangeError):
         run_cycle(cfg, tau2=-0.05)
     with pytest.raises(TauOutOfRangeError):
         run_cycle(cfg, tau2=swap_window(cfg.j_hz) + 0.05)
@@ -380,7 +379,7 @@ def test_accelerated_branch_reaches_every_sampled_threshold_first():
     cfg = CycleConfig()
     taus = np.linspace(0.0, swap_window(cfg.j_hz), 64)
     curves = distance_curves(cfg, taus)
-    for delta in default_delta_grid(curves, count=12):
+    for delta in default_delta_grid(curves):
         tp, tm = threshold_times(curves, float(delta))
         assert tm <= tp + 1e-12
 

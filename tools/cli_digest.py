@@ -6,7 +6,10 @@ Usage::
 
 Runs the package found in ``SRC_DIR`` (the directory holding ``mpembasim/``)
 as fresh processes: all six subcommands at the default grids and at
-``--theta-steps 200 --tau-steps 4096``, each table command in csv and json.
+``--theta-steps 200 --tau-steps 4096``, each table command in csv and json,
+and then every subcommand once more with a config file (:data:`CONFIG`) that
+sets each key to a value other than its default, so that config parsing and
+validation are covered as well.
 Every run gets its own temporary working directory and a fixed relative
 output name, so paths echoed to stdout match between checkouts.  One SHA-256
 line is printed per stdout and per table.
@@ -34,6 +37,24 @@ GRIDS = (
 )
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
 
+#: every config key, none at its default
+CONFIG = """\
+[experiment]
+nu0_khz = 1.1
+nu1_khz = 2.3
+j_hz = 230.0
+t_hot_khz = 5.2
+t_cold_khz = 2.5
+tau1_us = 120.0
+tau_bar_ms = 4.2
+populations = 0.25, 0.75
+theta_steps = 37
+tau_steps = 97
+epsilon_equilibrium_khz = 0.02
+output_precision = 10
+"""
+CONFIG_NAME = "run.cfg"
+
 
 def runs():
     """(label, argv, table name or None) for every run, in a fixed order."""
@@ -44,6 +65,10 @@ def runs():
                 argv = [command, *grid_args, "--out", table, "--format", fmt]
                 yield f"{command} {grid} {fmt}", argv, table
         yield f"verify {grid}", ["verify", *grid_args], None
+    for command in TABLE_COMMANDS:
+        argv = [command, "--config", CONFIG_NAME, "--out", "table.csv"]
+        yield f"{command} config csv", argv, "table.csv"
+    yield "verify config", ["verify", "--config", CONFIG_NAME], None
 
 
 def sha256(data: bytes) -> str:
@@ -62,6 +87,8 @@ def main(argv: list) -> int:
     env["PYTHONPATH"] = src
     for label, args, table in runs():
         with tempfile.TemporaryDirectory() as workdir:
+            with open(os.path.join(workdir, CONFIG_NAME), "w", encoding="utf-8") as handle:
+                handle.write(CONFIG)
             done = subprocess.run(
                 [sys.executable, "-m", "mpembasim.cli", *args],
                 cwd=workdir,
