@@ -29,7 +29,7 @@ from .exceptions import ConfigError, MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
     propagate_spectral, slow_pair_indices, vectorize
 from .mpemba import build_theta_family, cooling_curves, free_energy_surface, \
-    mpemba_unitary
+    mpemba_bloch
 from .numerics import expm
 from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
     random_density
@@ -68,7 +68,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _base_state(config: ExperimentConfig) -> np.ndarray:
     # weights on the two x eigenstates: Bloch vector (p0 - p1) along x
     p0, p1 = config.populations
-    return density_from_bloch((p0 - p1, 0.0, 0.0))
+    return np.array([p0 - p1, 0.0, 0.0])
 
 
 def _tau_grid(config: ExperimentConfig) -> np.ndarray:
@@ -115,20 +115,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_surface(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
-    family = build_theta_family(
-        _base_state(config), np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
-    )
-    env = _hot_environment(config)
+    angles = np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
+    family = build_theta_family(_base_state(config), angles)
     taus = _tau_grid(config)
-    free = free_energy_surface(family, env, config.j_hz, taus)
-    h = qubit_hamiltonian(env.gap_frequency, axis="z")
-    excess = free - f_neq_bloch((0.0, 0.0, env.polarization), h, env.temperature)
+    excess = free_energy_surface(family, _hot_environment(config), config.j_hz, taus)
     rows = np.column_stack(
-        [
-            np.repeat(family.angles, taus.size),
-            np.tile(taus, family.angles.size),
-            excess.ravel(),
-        ]
+        [np.repeat(angles, taus.size), np.tile(taus, angles.size), excess.ravel()]
     )
     write_table(
         rows,
@@ -141,7 +133,7 @@ def cmd_surface(args: argparse.Namespace) -> int:
     print(f"surface: {len(rows)} rows -> {args.out}")
     print(
         f"lowest initial excess {excess[lowest, 0]:.6f} kHz "
-        f"at theta = {family.angles[lowest]:.6f} rad"
+        f"at theta = {angles[lowest]:.6f} rad"
     )
     return 0
 
@@ -244,7 +236,7 @@ def _report(name: str, passed: bool, detail: str) -> None:
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         config = _resolve_config(args)
-    except (MpembaSimError, ValueError) as exc:
+    except (MpembaSimError, ValueError, OSError) as exc:
         _report("construction", False, str(exc))
         return 1
     env = _hot_environment(config)
@@ -370,16 +362,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return passed, f"max deviation {max(worst, worst_free):.3e}"
 
     def slow_mode_removal():
-        # mpemba_unitary builds no generator, so its purpose is checked here
+        # the pulse builds no generator, so its purpose is checked here
         d = decomposition()
         pair = slow_pair_indices(d)
         if len(pair) != 2:
             return False, f"{len(pair)} slowest decaying modes, expected one pair"
-        targets = [
-            mpemba_unitary(rho, h).target_state
-            for rho in [_base_state(config), *identity_states]
-        ]
-        worst = max(abs(mode_overlap(d, k, rho)) for rho in targets for k in pair)
+        starts = [_base_state(config), *map(bloch_vector, identity_states)]
+        worst = max(
+            abs(mode_overlap(d, k, density_from_bloch(r)))
+            for r in mpemba_bloch(starts)
+            for k in pair
+        )
         return worst <= 1e-10, f"max slow-mode weight {worst:.3e}"
 
     all_passed = True

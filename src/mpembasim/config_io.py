@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -210,9 +210,10 @@ def write_table(
     the type of its cell in the first row: floats with ``precision``
     significant digits (``%.{precision}g``), ints and strings as they are.
     JSON floats are spelled as ``json.dumps`` spells the rounded value.
-    '.' decimal separator and LF line endings; the rows go to the file in
-    blocks of :data:`BLOCK_ROWS`, the write is atomic (temp file plus rename
-    in the target directory) and the file's mode follows the umask.
+    '.' decimal separator and LF line endings; the cells are rendered and
+    written in blocks of :data:`BLOCK_ROWS` rows, the write is atomic (temp
+    file plus rename in the target directory) and the file's mode follows
+    the umask.
 
     A float column at most half of whose cells are distinct, such as a grid
     axis repeated or tiled over the rows of a surface, is rendered once per
@@ -232,14 +233,14 @@ def write_table(
     fmt = fmt.lower()
     if fmt == "csv":
         slots, cells = _columns(columns, precision, as_json=False)
-        blocks = _filled(",".join(slots) + "\n", "", zip(*cells))
+        blocks = _filled(",".join(slots) + "\n", "", cells)
         pieces = chain([",".join(schema) + "\n"], blocks)
     elif fmt == "json":
         # the layout json.dumps(payload, indent=2) writes, filled per row
         members = (json.dumps(name).replace("%", "%%") for name in schema)
         template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
         _, cells = _columns(columns, precision, as_json=True)
-        blocks = _filled(template, ",\n", zip(*cells))
+        blocks = _filled(template, ",\n", cells)
         first = next(blocks, None)
         pieces = ["[]\n"] if first is None else chain(["[\n", first], blocks, ["\n]\n"])
     else:
@@ -247,45 +248,49 @@ def write_table(
     _atomic_write(path, pieces)
 
 
-def _filled(template: str, separator: str, rows):
-    """The rows filled into ``template`` and joined by ``separator``, as text
-    blocks of at most :data:`BLOCK_ROWS` rows; each block after the first
-    starts with ``separator``."""
-    lead = ""
-    # a filled row is never empty, so an empty block means the rows ran out
-    while block := separator.join(map(template.__mod__, islice(rows, BLOCK_ROWS))):
-        yield lead + block
-        lead = separator
+def _filled(template: str, separator: str, cells: list):
+    """The rows of ``cells`` (see :func:`_columns`) filled into ``template``
+    and joined by ``separator``, as text blocks of at most
+    :data:`BLOCK_ROWS` rows; each block after the first starts with
+    ``separator``.  Only one block's cells exist at a time."""
+    n_rows = len(cells[0][1]) if cells else 0
+    for start in range(0, n_rows, BLOCK_ROWS):
+        part = slice(start, start + BLOCK_ROWS)
+        rows = zip(*(render(data[part]) for render, data in cells))
+        yield (separator if start else "") + separator.join(map(template.__mod__, rows))
 
 
 def _columns(columns: list, precision: int, as_json: bool) -> tuple:
-    """Each column's ``%``-template slot and cells, in column order.
+    """Each column's ``%``-template slot and ``(render, data)`` pair, in
+    column order; the cells of the rows in a slice are ``render(data[slice])``.
 
     Strings are JSON-quoted for ``as_json`` and ints are left as they are.
     Float cells stay numbers under the ``%.{precision}g`` slot, except in
     JSON and in a column at most half of whose cells are distinct, where
-    they become text under a ``%s`` slot.
+    they become text under a ``%s`` slot.  That choice is made on the whole
+    column, and such a column's distinct values are rendered once.
     """
-    number = f"%.{precision}g"
     slots, cells = [], []
     for column in columns:
-        slot = "%s"
+        slot, render = "%s", list
         if isinstance(column[0], float):
-            values = np.asarray(column, dtype=float)
-            distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-            if 2 * distinct.size <= values.size:
-                texts = _float_texts(distinct.view(float), precision, as_json)
-                column = np.array(texts, dtype=object)[inverse].tolist()
+            column = np.asarray(column, dtype=float)
+            distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
+            if 2 * distinct.size <= column.size:
+                texts = np.array(
+                    _float_texts(distinct.view(float), precision, as_json), dtype=object
+                )
+                column, render = inverse, lambda part, texts=texts: texts[part].tolist()
             elif as_json:
-                column = _float_texts(values, precision, as_json)
+                render = lambda part: _float_texts(part, precision, as_json=True)
             else:
-                slot, column = number, values.tolist()
+                slot, render = f"%.{precision}g", np.ndarray.tolist
         elif as_json and isinstance(column[0], str):
-            column = list(map(json.dumps, column))
+            render = lambda part: list(map(json.dumps, part))
         elif isinstance(column, np.ndarray):
             column = column.tolist()
         slots.append(slot)
-        cells.append(column)
+        cells.append((render, column))
     return slots, cells
 
 

@@ -1,16 +1,16 @@
-"""Anomalous-relaxation toolkit: the slow-mode-killing unitary and sweeps.
+"""Anomalous-relaxation toolkit: the slow-mode-killing pulse and sweeps.
 
 The accelerating transformation diagonalizes a state in the energy eigenbasis
 with its populations inverted (largest eigenvalue on the highest level).  The
 result carries no coherence in that basis, so its overlap with the slowly
 decaying pair of generator modes vanishes identically while its free energy
 goes up, the combination that makes the subsequent relaxation anomalously
-fast.  Construction is only an ``eigh`` pairing of the state with the
-Hamiltonian; the slow-mode weights it removes are measured by ``verify``
-(``slow-mode-removal``) and the tests, against a generator decomposition, with
-:func:`liouville.mode_overlap`.  The sweep helpers generate the theta-rotated
-family of initial states and the free-energy / trace-distance curves over the
-exchange-delay grid.
+fast.  On the Bloch vector it is the closed form :func:`mpemba_bloch`; the
+``eigh`` pairing :func:`mpemba_unitary` is its matrix reference.  The
+slow-mode weights it removes are measured by ``verify`` (``slow-mode-removal``)
+and the tests with :func:`liouville.mode_overlap`.  The sweep helpers generate
+the theta-rotated family of initial states and the free-energy /
+trace-distance curves over the exchange-delay grid.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 
 from .channels import ThermalEnvironment, heat_exchange_bloch
 from .exceptions import DegenerateHamiltonianError
-from .operators import bloch_vector, mean_energy, qubit_hamiltonian, \
-    validate_bloch_vectors, validate_density_matrix
+from .operators import mean_energy, qubit_hamiltonian, validate_bloch_vectors, \
+    validate_density_matrix
 from .thermo import RelaxationTrajectory, f_neq_bloch, trace_distance_bloch
 
 #: unitarity / conjugation defect tolerated in a constructed transform
@@ -56,24 +56,6 @@ class MpembaTransform:
         rotated = u @ self.source_state @ u.conj().T
         if np.abs(rotated - self.target_state).max() > TRANSFORM_TOL:
             raise ValueError("target state does not match U rho U^dag")
-
-
-@dataclass(frozen=True)
-class ThetaFamily:
-    """Y-axis rotations ``R_y(theta) rho R_y(-theta)`` of a base state.
-
-    ``bloch_vectors`` is an ``(len(angles), 3)`` array: row ``k`` is the
-    Bloch vector of the base state rotated by ``angles[k]``.
-    """
-
-    angles: np.ndarray
-    bloch_vectors: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
-        object.__setattr__(self, "bloch_vectors", validate_bloch_vectors(self.bloch_vectors))
-        if self.bloch_vectors.shape != (self.angles.size, 3):
-            raise ValueError("one rotated Bloch vector required per angle")
 
 
 def _phase_fixed(columns: np.ndarray) -> np.ndarray:
@@ -134,76 +116,93 @@ def mpemba_unitary(rho: np.ndarray, h: np.ndarray) -> MpembaTransform:
     )
 
 
-def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> ThetaFamily:
-    """Rotate ``base`` about the y axis by every angle in the grid.
+def mpemba_bloch(bloch: np.ndarray) -> np.ndarray:
+    """Bloch vectors ``(..., 3)`` after the accelerating pulse, in closed form.
 
-    The rotations act on the Bloch vector ``(x, y, z)`` of the validated base
-    state: ``R_y(theta)`` takes it to ``(x cos theta + z sin theta, y,
-    z cos theta - x sin theta)``, the Bloch vector of
-    ``R_y(theta) rho R_y(-theta)``.  A rotation keeps the length, so the
-    family is as valid as its base state.
+    The pulse keeps the length ``|r|`` (a unitary keeps the spectrum), removes
+    the coherence in the exchange energy basis and puts the larger population
+    on the upper level, ``sigma_z = -1`` for every gap ``nu > 0``: ``r -> (0,
+    0, -|r|)``.  This is :func:`mpemba_unitary` under ``-2 pi nu sigma_z``.
     """
-    base = validate_density_matrix(base, herm_tol=1e-10, trace_tol=1e-10)
+    r = validate_bloch_vectors(bloch)
+    out = np.zeros_like(r)
+    out[..., 2] = -np.linalg.norm(r, axis=-1)
+    return out
+
+
+def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> np.ndarray:
+    """Bloch vectors of ``base`` rotated about the y axis by every angle.
+
+    ``R_y(theta)`` takes the Bloch vector ``(x, y, z)`` to ``(x cos theta +
+    z sin theta, y, z cos theta - x sin theta)``, the Bloch vector of
+    ``R_y(theta) rho R_y(-theta)``; row ``k`` of the ``(len(theta_grid), 3)``
+    result is the base rotated by ``theta_grid[k]``.  A rotation keeps the
+    length, so the family is as valid as its base.
+    """
+    base = validate_bloch_vectors(base)
+    if base.shape != (3,):
+        raise ValueError(f"base must be one Bloch vector, got shape {base.shape}")
     angles = np.asarray(theta_grid, dtype=float)
     if angles.size == 0 or not np.all(np.isfinite(angles)):
         raise ValueError("theta grid must be nonempty and finite")
-    x, y, z = bloch_vector(base)
+    x, y, z = base
     cos, sin = np.cos(angles), np.sin(angles)
-    rotated = np.column_stack(
+    return np.column_stack(
         [x * cos + z * sin, np.full(angles.size, y), z * cos - x * sin]
     )
-    return ThetaFamily(angles=angles, bloch_vectors=rotated)
+
+
+def _excess_free_energy(bloch: np.ndarray, env: ThermalEnvironment) -> np.ndarray:
+    """Free energy (kHz) over the equilibrium of ``env``, under its
+    Hamiltonian ``-2 pi nu sigma_z`` and at its temperature."""
+    h = qubit_hamiltonian(env.gap_frequency, axis="z")
+    f_eq = f_neq_bloch((0.0, 0.0, env.polarization), h, env.temperature)
+    return f_neq_bloch(bloch, h, env.temperature) - f_eq
 
 
 def free_energy_surface(
-    family: ThetaFamily,
+    bloch: np.ndarray,
     environment: ThermalEnvironment,
     j_hz: float,
     tau_grid: Sequence[float],
 ) -> np.ndarray:
-    """Free energy (kHz) of every rotated state after every exchange delay.
+    """Free-energy excess (kHz) of every state after every exchange delay.
 
-    Returns an array ``(len(family.angles), len(tau_grid))``, one row per
-    angle.  Each rotated state goes through the heat exchange with
-    ``environment`` and coupling ``j_hz`` for each delay independently (one
-    collision of duration tau, not an iterated map).  The free energy is
-    taken at the environment's temperature under its Hamiltonian
-    ``-2 pi nu sigma_z``, as in :func:`cooling_curves`.
+    ``bloch`` holds the states as Bloch vectors ``(n, 3)``, such as the
+    family of :func:`build_theta_family`; the result is ``(n,
+    len(tau_grid))``, one row per state.  Each state goes through the heat
+    exchange with ``environment`` and coupling ``j_hz`` for each delay
+    independently (one collision of duration tau, not an iterated map).  The
+    excess is over the environment's equilibrium, at its temperature and
+    under its Hamiltonian ``-2 pi nu sigma_z``, as in :func:`cooling_curves`.
     """
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    evolved = heat_exchange_bloch(environment, j_hz, family.bloch_vectors, taus)
-    h = qubit_hamiltonian(environment.gap_frequency, axis="z")
-    return f_neq_bloch(evolved, h, environment.temperature)
+    evolved = heat_exchange_bloch(environment, j_hz, bloch, taus)
+    return _excess_free_energy(evolved, environment)
 
 
 def cooling_curves(
-    rho0: np.ndarray,
+    r0: np.ndarray,
     env: ThermalEnvironment,
     j_hz: float,
     tau_grid: Sequence[float],
     with_mpemba: bool,
 ) -> RelaxationTrajectory:
-    """Relaxation observables of ``rho0`` along the exchange protocol.
+    """Relaxation observables of the Bloch vector ``r0`` along the exchange.
 
-    With ``with_mpemba`` the accelerating unitary is applied first.  The
-    trajectory records the free-energy excess over equilibrium (kHz) and the
-    trace distance to the thermal target for every delay in the grid.
+    With ``with_mpemba`` the accelerating pulse :func:`mpemba_bloch` is
+    applied first.  The trajectory records the free-energy excess over
+    equilibrium (kHz) and the trace distance to the thermal target for every
+    delay in the grid.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    h = qubit_hamiltonian(env.gap_frequency, axis="z")
-    target = np.array([0.0, 0.0, env.polarization])
-    f_eq = f_neq_bloch(target, h, env.temperature)
-
-    state0 = rho0
-    if with_mpemba:
-        state0 = mpemba_unitary(rho0, h).target_state
-    start = bloch_vector(validate_density_matrix(state0, herm_tol=1e-10, trace_tol=1e-10))
+    start = mpemba_bloch(r0) if with_mpemba else r0
     evolved = heat_exchange_bloch(env, j_hz, start, taus)
     return RelaxationTrajectory(
         times=taus,
-        f_neq=f_neq_bloch(evolved, h, env.temperature) - f_eq,
-        trace_dist=trace_distance_bloch(evolved, target),
+        f_neq=_excess_free_energy(evolved, env),
+        trace_dist=trace_distance_bloch(evolved, (0.0, 0.0, env.polarization)),
         label="mpemba" if with_mpemba else "plain",
     )

@@ -24,7 +24,7 @@ reassigns the energy from ``nu0`` to ``nu1``, as an Otto expansion should.
 Every cycle emits all five records, the accelerating stroke included; when
 disabled it is the identity and still bridges the bookkeeping frame from the
 drive axis (x) to the exchange axis (z).  When enabled it is
-:func:`mpemba.mpemba_unitary`, an ``eigh`` pairing that builds no generator;
+:func:`mpemba.mpemba_bloch`, ``r -> (0, 0, -|r|)``, which builds no generator;
 that it empties the exchange generator's slow modes is checked by ``verify``
 (``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
 evaluated so consecutive records share the same axis and state at each
@@ -49,9 +49,9 @@ from .exceptions import (
     NoAdvantageError,
     ThresholdUnreachableError,
 )
-from .mpemba import cooling_curves, mpemba_unitary
-from .operators import IDENTITY, SIGMA_X, TWO_PI, bloch_vector, density_from_bloch, \
-    mean_energy, qubit_hamiltonian
+from .mpemba import cooling_curves, mpemba_bloch
+from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, mean_energy, \
+    qubit_hamiltonian
 from .thermo import RelaxationTrajectory, detect_crossing
 
 #: slack for "curve reached the threshold" comparisons
@@ -178,13 +178,7 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     ``TauOutOfRangeError`` for one outside it.
     """
     r0, r1 = _expanded_cold_state(cfg)
-    if cfg.use_mpemba:
-        h_exchange = qubit_hamiltonian(cfg.nu1, axis="z")
-        r2 = bloch_vector(
-            mpemba_unitary(density_from_bloch(r1), h_exchange).target_state
-        )
-    else:
-        r2 = r1
+    r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     r3 = heat_exchange_bloch(env_hot, cfg.j_hz, r2, [tau2])[0]
     r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau3)
@@ -239,10 +233,10 @@ def distance_curves(
 ) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
     """Exchange-stroke trace distance to the hot target, without and with
     the accelerating unitary, over a grid of tau2 delays."""
-    rho_plain = density_from_bloch(_expanded_cold_state(cfg)[1])
+    r_plain = _expanded_cold_state(cfg)[1]
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     return tuple(
-        cooling_curves(rho_plain, env_hot, cfg.j_hz, tau2_grid, flag)
+        cooling_curves(r_plain, env_hot, cfg.j_hz, tau2_grid, flag)
         for flag in (False, True)
     )
 

@@ -27,7 +27,8 @@ from mpembasim.liouville import (
     vectorize,
 )
 from mpembasim.mpemba import cooling_curves, mpemba_unitary
-from mpembasim.operators import density_from_bloch, qubit_hamiltonian, random_density
+from mpembasim.operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
+    random_density
 from mpembasim.otto import (
     CycleConfig,
     distance_curves,
@@ -56,8 +57,8 @@ def _report(name, ok, detail):
 def test_accelerated_cooling_overtakes_plain():
     start = time.perf_counter()
     grid = np.linspace(0.0, WINDOW, 64)
-    plain = cooling_curves(BASE, HOT_ENV, J_HZ, grid, with_mpemba=False)
-    boosted = cooling_curves(BASE, HOT_ENV, J_HZ, grid, with_mpemba=True)
+    plain = cooling_curves(bloch_vector(BASE), HOT_ENV, J_HZ, grid, with_mpemba=False)
+    boosted = cooling_curves(bloch_vector(BASE), HOT_ENV, J_HZ, grid, with_mpemba=True)
     crossing = detect_crossing(boosted, plain, observable="f_neq")
     elapsed = time.perf_counter() - start
 

@@ -276,20 +276,15 @@ def test_a_pulse_slower_than_its_gain_is_reported(capsys, tmp_path, monkeypatch)
 
 
 def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
-    # a transform that keeps a 1e-6 coherence leaves weight on the slow pair
-    original = cli.mpemba_unitary
-    leak = np.array([[0.0, 1e-6], [1e-6, 0.0]], dtype=complex)
+    # a pulse that leaves x = 1e-6 of coherence leaves weight on the slow pair
+    original = cli.mpemba_bloch
 
-    def leaky(rho, h):
-        transform = original(rho, h)
-        return dataclasses.replace(
-            transform,
-            unitary=np.eye(2),
-            source_state=transform.target_state + leak,
-            target_state=transform.target_state + leak,
-        )
+    def leaky(bloch):
+        out = original(bloch)
+        out[..., 0] = 1e-6
+        return out
 
-    monkeypatch.setattr(cli, "mpemba_unitary", leaky)
+    monkeypatch.setattr(cli, "mpemba_bloch", leaky)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
@@ -313,6 +308,21 @@ def test_verify_reports_a_broken_config_as_a_failure(capsys, tmp_path):
     code, out, _ = run(capsys, "verify", "--config", str(bad))
     assert code == 1
     assert "FAIL construction" in out
+
+
+@pytest.mark.parametrize("via_environment", [False, True])
+def test_verify_reports_a_missing_config_as_a_failure(
+    capsys, tmp_path, monkeypatch, via_environment
+):
+    missing = str(tmp_path / "missing.cfg")
+    if via_environment:
+        monkeypatch.setenv("MPEMBA_CONFIG", missing)
+        code, out, err = run(capsys, "verify")
+    else:
+        code, out, err = run(capsys, "verify", "--config", missing)
+    assert code == 1
+    assert out.startswith("FAIL construction") and len(out.splitlines()) == 1
+    assert err == ""
 
 
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path):

@@ -1,4 +1,4 @@
-"""The accelerating unitary, angle families, and the relaxation sweeps."""
+"""The accelerating pulse and unitary, angle families, and the relaxation sweeps."""
 
 import numpy as np
 import pytest
@@ -12,14 +12,14 @@ from mpembasim.liouville import decompose, extract_generator, mode_overlap, \
     slow_pair_indices
 from mpembasim.mpemba import (
     MpembaTransform,
-    ThetaFamily,
     build_theta_family,
     cooling_curves,
     free_energy_surface,
+    mpemba_bloch,
     mpemba_unitary,
 )
-from mpembasim.operators import SIGMA_X, SIGMA_Y, SIGMA_Z, bloch_vector, \
-    density_from_bloch, qubit_hamiltonian, random_density, rotation_y
+from mpembasim.operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
+    random_density, rotation_y
 from mpembasim.thermo import detect_crossing, f_neq, gibbs_state
 
 COUPLING_HZ = 215.1
@@ -113,28 +113,59 @@ def test_transform_properties_hold_on_generic_states(x, y, z):
     assert transform.f_neq_gain >= -1e-10
 
 
+def _pure_state(angles):
+    polar, azimuth = angles
+    s = np.sin(polar)
+    return density_from_bloch(np.array([s * np.cos(azimuth), s * np.sin(azimuth), np.cos(polar)]))
+
+
+def _full_rank_state(seed):
+    return random_density(np.random.default_rng(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rho=st.one_of(
+        st.integers(0, 2**32 - 1).map(_full_rank_state),
+        st.tuples(st.floats(0.0, np.pi), st.floats(0.0, 2.0 * np.pi)).map(_pure_state),
+        st.just(HALF),
+    ),
+    log_nu=st.floats(-3.0, 3.0),
+)
+def test_closed_form_pulse_matches_the_unitary(rho, log_nu):
+    h = qubit_hamiltonian(10.0**log_nu, "z")
+    reference = bloch_vector(mpemba_unitary(rho, h).target_state)
+    assert_allclose(mpemba_bloch(bloch_vector(rho)), reference, rtol=0.0, atol=1e-12)
+
+
+def test_closed_form_pulse_maps_arrays_of_bloch_vectors():
+    r = np.array([[[0.6, 0.0, 0.8], [0.0, -0.3, 0.4]]])
+    assert_allclose(mpemba_bloch(r), [[[0.0, 0.0, -1.0], [0.0, 0.0, -0.5]]], atol=1e-15)
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        mpemba_bloch([0.0, 0.0, 1.0 + 1e-6])
+
+
 # -------------------------------------------------------------- angle family
 
 
 def test_family_endpoints_reproduce_the_base_state(rho0):
-    family = build_theta_family(rho0, [0.0, 2.0 * np.pi])
-    assert_allclose(family.bloch_vectors[0], bloch_vector(rho0), atol=1e-14)
-    assert_allclose(family.bloch_vectors[1], bloch_vector(rho0), atol=1e-12)
+    family = build_theta_family(bloch_vector(rho0), [0.0, 2.0 * np.pi])
+    assert family.shape == (2, 3)
+    assert_allclose(family[0], bloch_vector(rho0), atol=1e-14)
+    assert_allclose(family[1], bloch_vector(rho0), atol=1e-12)
 
 
 def test_family_quarter_turn_diagonalizes_an_x_aligned_state(rho0):
-    family = build_theta_family(rho0, [0.5 * np.pi])
-    x, y, z = family.bloch_vectors[0]
+    family = build_theta_family(bloch_vector(rho0), [0.5 * np.pi])
+    x, y, z = family[0]
     assert abs(x) <= 1e-12 and abs(y) <= 1e-12
     assert 0.5 * (1.0 + z) == pytest.approx(0.7, abs=1e-12)
 
 
 def test_family_extremes_sit_at_the_passive_and_inverted_angles(rho0, h_hot):
     angles = np.linspace(0.0, 2.0 * np.pi, 73)
-    family = build_theta_family(rho0, angles)
-    values = np.array(
-        [f_neq(density_from_bloch(r), h_hot, HOT_T) for r in family.bloch_vectors]
-    )
+    family = build_theta_family(bloch_vector(rho0), angles)
+    values = np.array([f_neq(density_from_bloch(r), h_hot, HOT_T) for r in family])
     assert int(values.argmin()) == 18  # theta = pi/2
     assert int(values.argmax()) == 54  # theta = 3 pi/2
 
@@ -144,56 +175,56 @@ def test_family_extremes_sit_at_the_passive_and_inverted_angles(rho0, h_hot):
 def test_family_rotates_bloch_vectors_as_the_matrices_rotate(seed, theta):
     rho = random_density(np.random.default_rng(seed))
     r = rotation_y(theta)
-    family = build_theta_family(rho, [0.0, theta])
-    assert_allclose(family.bloch_vectors[1], bloch_vector(r @ rho @ r.conj().T), atol=1e-15)
+    family = build_theta_family(bloch_vector(rho), [0.0, theta])
+    assert_allclose(family[1], bloch_vector(r @ rho @ r.conj().T), atol=1e-15)
 
 
 def test_family_input_validation(rho0):
     with pytest.raises(ValueError):
-        build_theta_family(rho0, [])
+        build_theta_family(bloch_vector(rho0), [])
     with pytest.raises(ValueError):
-        build_theta_family(np.diag([1.2, -0.2]), [0.0])
+        build_theta_family([0.0, 0.0, 1.4], [0.0])
+    with pytest.raises(ValueError, match="one Bloch vector"):
+        build_theta_family(np.zeros((2, 3)), [0.0])
 
 
-def test_family_refuses_a_base_state_outside_the_bloch_ball(rho0):
+def test_family_refuses_a_base_state_outside_the_bloch_ball():
     # |r| = 1 + 1e-6 off every axis: eigenvalue -5e-7, beyond the 1e-10 bound
-    outside = 0.5 * (np.eye(2) + (1.0 + 1e-6) / np.sqrt(3.0) * (SIGMA_X + SIGMA_Y + SIGMA_Z))
+    outside = np.full(3, (1.0 + 1e-6) / np.sqrt(3.0))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         build_theta_family(outside, [0.0, 1.0])
     with pytest.raises(ValueError, match="negative eigenvalue"):
-        ThetaFamily([0.0], [[0.0, 0.0, 1.0 + 1e-6]])
+        build_theta_family([0.0, 0.0, 1.0 + 1e-6], [0.0])
 
 
 # ------------------------------------------------------------------- surfaces
 
 
 def test_surface_rows_are_theta_major(rho0, hot_env, h_hot):
-    family = build_theta_family(rho0, [0.0, 1.0, 2.0])
+    family = build_theta_family(bloch_vector(rho0), [0.0, 1.0, 2.0])
     surface = free_energy_surface(family, hot_env, COUPLING_HZ, [0.0, 0.5])
+    f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
     assert surface.shape == (3, 2)
-    for i, r in enumerate(family.bloch_vectors):
-        expected = f_neq(density_from_bloch(r), h_hot, HOT_T)
+    for i, r in enumerate(family):
+        expected = f_neq(density_from_bloch(r), h_hot, HOT_T) - f_eq
         assert surface[i, 0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_surface_collapses_to_equilibrium_at_the_full_swap(rho0, hot_env, h_hot):
-    family = build_theta_family(rho0, np.linspace(0.0, 2.0 * np.pi, 9))
+def test_surface_collapses_to_equilibrium_at_the_full_swap(rho0, hot_env):
+    family = build_theta_family(bloch_vector(rho0), np.linspace(0.0, 2.0 * np.pi, 9))
     surface = free_energy_surface(
         family, hot_env, COUPLING_HZ, [swap_window(COUPLING_HZ)]
     )
-    f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
     assert surface.shape == (9, 1)
-    assert np.abs(surface - f_eq).max() <= 1e-6
+    assert np.abs(surface).max() <= 1e-6
 
 
-def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env, h_hot):
+def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env):
     """The farther-from-equilibrium branch enters the 0.01 kHz neighborhood
     at a shorter delay than the unrotated one."""
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 64)
-    family = build_theta_family(rho0, [0.0, 1.5 * np.pi])
-    surface = free_energy_surface(family, hot_env, COUPLING_HZ, taus)
-    f_eq = f_neq(gibbs_state(h_hot, HOT_T), h_hot, HOT_T)
-    plain, inverted = surface - f_eq
+    family = build_theta_family(bloch_vector(rho0), [0.0, 1.5 * np.pi])
+    plain, inverted = free_energy_surface(family, hot_env, COUPLING_HZ, taus)
     assert inverted[0] > plain[0]
     first_plain = np.flatnonzero(plain <= 0.01)[0]
     first_inverted = np.flatnonzero(inverted <= 0.01)[0]
@@ -201,7 +232,7 @@ def test_inverted_angle_reaches_equilibrium_first(rho0, hot_env, h_hot):
 
 
 def test_surface_requires_delays(rho0, hot_env, h_hot):
-    family = build_theta_family(rho0, [0.0])
+    family = build_theta_family(bloch_vector(rho0), [0.0])
     with pytest.raises(ValueError):
         free_energy_surface(family, hot_env, COUPLING_HZ, [])
 
@@ -211,8 +242,9 @@ def test_surface_requires_delays(rho0, hot_env, h_hot):
 
 def test_cooling_curves_record_the_excess_over_equilibrium(rho0, hot_env):
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 16)
-    plain = cooling_curves(rho0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
-    boosted = cooling_curves(rho0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
+    r0 = bloch_vector(rho0)
+    plain = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
+    boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
     assert plain.label == "plain" and boosted.label == "mpemba"
 
     # scalar bookkeeping for the starting excess: zero mean energy, binary
@@ -230,15 +262,16 @@ def test_cooling_curves_record_the_excess_over_equilibrium(rho0, hot_env):
 
 def test_cooling_curves_cross_persistently(rho0, hot_env):
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 64)
-    plain = cooling_curves(rho0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
-    boosted = cooling_curves(rho0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
+    r0 = bloch_vector(rho0)
+    plain = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
+    boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
     report = detect_crossing(boosted, plain, observable="f_neq")
     assert report.exists and report.persistent
     assert 0.0 < report.t_cross < swap_window(COUPLING_HZ)
 
 
 def test_cooling_an_equilibrium_state_is_flat(hot_env, h_hot):
-    target = gibbs_state(h_hot, hot_env.temperature)
+    target = bloch_vector(gibbs_state(h_hot, hot_env.temperature))
     taus = np.linspace(0.0, 2.0, 8)
     curve = cooling_curves(target, hot_env, COUPLING_HZ, taus, with_mpemba=False)
     assert curve.f_neq.max() <= 1e-12
