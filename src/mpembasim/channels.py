@@ -165,13 +165,21 @@ def heat_exchange_bloch(
         If any delay leaves the physical window.
     """
     taus = _check_delays(j_hz, tau_grid)
-    r = validate_bloch_vectors(bloch)[..., np.newaxis, :]
+    r = validate_bloch_vectors(bloch)
+    return validate_bloch_vectors(_exchange_bloch(environment.polarization, j_hz, r, taus))
+
+
+def _exchange_bloch(
+    z_eq: float, j_hz: float, r: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """The map of :func:`heat_exchange_bloch` without its checks: ``r``
+    ``(..., 3)`` floats, ``taus`` a flat array of delays already in the window."""
+    r = r[..., np.newaxis, :]
     c = np.cos(np.pi * (j_hz / 1000.0) * taus)
-    z_eq = environment.polarization
     out = np.empty(r.shape[:-2] + (taus.size, 3))
     out[..., :2] = r[..., :2] * c[:, np.newaxis]
     out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
-    return validate_bloch_vectors(out)
+    return out
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:

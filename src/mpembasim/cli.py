@@ -84,6 +84,12 @@ def _hot_environment(config: ExperimentConfig) -> ThermalEnvironment:
 def cmd_spectrum(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     tau = args.tau
+    window = swap_window(config.j_hz)
+    # the chained comparison is false for nan and +-inf as well
+    if not 0.0 < tau <= window:
+        raise ConfigError(
+            f"--tau {tau!r} ms outside the exchange window (0, {window:.6f}] ms"
+        )
     channel = build_heat_exchange(_hot_environment(config), config.j_hz, tau)
     decomposition = decompose(extract_generator(channel, tau))
 

@@ -32,7 +32,7 @@ ties broken by ascending ``|Im lambda|`` and then ascending ``Im lambda``.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,18 +127,25 @@ class SpectralDecomposition:
     ``eigenvalues[0]`` is the stationary eigenvalue (zero to numerical
     precision); ``right[:, k]`` and ``left[k, :]`` are the biorthonormal mode
     pair for ``eigenvalues[k]``; ``fixed_point`` is the trace-one stationary
-    state.  Overlaps against left modes are bilinear dot products.
+    state; ``system`` is the unsorted, unscaled eigensystem they come from.
+    Overlaps against left modes are bilinear dot products.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
     fixed_point: np.ndarray
-    condition_estimate: float
+    system: numerics.EigenSystem = field(repr=False)
 
     @property
     def dim(self) -> int:
         return self.fixed_point.shape[0]
+
+    @property
+    def condition_estimate(self) -> float:
+        """Condition number of the unsorted, unscaled right eigenvector matrix,
+        computed on first read."""
+        return self.system.condition_estimate
 
 
 def decompose(generator: np.ndarray) -> SpectralDecomposition:
@@ -196,7 +203,7 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     except ValueError as exc:
         raise NoStationaryModeError(f"stationary mode is not a valid state: {exc}") from exc
 
-    return SpectralDecomposition(values, right, left, fixed, system.condition_estimate)
+    return SpectralDecomposition(values, right, left, fixed, system)
 
 
 def mode_overlap(decomposition: SpectralDecomposition, k: int, rho: np.ndarray) -> complex:

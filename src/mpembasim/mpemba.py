@@ -124,7 +124,12 @@ def mpemba_bloch(bloch: np.ndarray) -> np.ndarray:
     on the upper level, ``sigma_z = -1`` for every gap ``nu > 0``: ``r -> (0,
     0, -|r|)``.  This is :func:`mpemba_unitary` under ``-2 pi nu sigma_z``.
     """
-    r = validate_bloch_vectors(bloch)
+    return _pulse_bloch(validate_bloch_vectors(bloch))
+
+
+def _pulse_bloch(r: np.ndarray) -> np.ndarray:
+    """The map of :func:`mpemba_bloch` without its check: ``r`` ``(..., 3)``
+    floats."""
     out = np.zeros_like(r)
     out[..., 2] = -np.linalg.norm(r, axis=-1)
     return out

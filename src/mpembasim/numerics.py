@@ -19,6 +19,7 @@ squaring of Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,14 +91,19 @@ class EigenSystem:
     left:
         Shape ``(n, n)``; row ``k`` is the matching left eigenvector, scaled so
         ``left @ right == I``.
-    condition_estimate:
-        2-norm condition number of the right eigenvector matrix.
+
+    :attr:`condition_estimate`, the 2-norm condition number of the right
+    eigenvector matrix, costs an SVD and is computed on first read.
     """
 
     eigenvalues: np.ndarray
     right: np.ndarray
     left: np.ndarray
-    condition_estimate: float
+
+    @cached_property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of :attr:`right`, computed on first read."""
+        return float(np.linalg.cond(self.right))
 
 
 def eig_general(a: np.ndarray) -> EigenSystem:
@@ -139,8 +145,7 @@ def eig_general(a: np.ndarray) -> EigenSystem:
             f"eigensystem rebuilds the input only to {rebuilt:.3e}; "
             "matrix appears defective"
         )
-    condition = float(np.linalg.cond(right))
-    return EigenSystem(values, right, left, condition)
+    return EigenSystem(values, right, left)
 
 
 def expm(a: np.ndarray) -> np.ndarray:

@@ -29,9 +29,12 @@ that it empties the exchange generator's slow modes is checked by ``verify``
 (``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
 evaluated so consecutive records share the same axis and state at each
 junction, which makes the closed-cycle energy balance telescope to zero at
-machine precision.  The tests check every record against the stroke sequence
-on 2x2 density matrices through Kraus channels.  Energies are in h*kHz,
-times in ms.
+machine precision.  A cycle checks its two exchange delays together and its
+five resulting Bloch vectors together, once each.  Records hold those Bloch
+vectors; :attr:`StrokeRecord.state_after` builds the 2x2 density matrix each
+time it is read, so a cycle whose matrices nobody reads builds none.  The
+tests check every record against the stroke sequence on 2x2 density matrices
+through Kraus channels.  Energies are in h*kHz, times in ms.
 """
 
 from __future__ import annotations
@@ -42,16 +45,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, heat_exchange_bloch, swap_window
+from .channels import ThermalEnvironment, _check_delays, _exchange_bloch, swap_window
 from .exceptions import (
     GridMismatchError,
     MissingStrokeError,
     NoAdvantageError,
     ThresholdUnreachableError,
 )
-from .mpemba import cooling_curves, mpemba_bloch
-from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, mean_energy, \
-    qubit_hamiltonian
+from .mpemba import _pulse_bloch, cooling_curves
+from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, \
+    validate_bloch_vectors
 from .thermo import RelaxationTrajectory, detect_crossing
 
 #: slack for "curve reached the threshold" comparisons
@@ -112,11 +115,19 @@ class CycleConfig:
 
 @dataclass(frozen=True)
 class StrokeRecord:
+    """One stroke: its boundary energies (h*kHz) and the Bloch vector of the
+    medium after it."""
+
     name: StrokeName
     duration: float
     energy_in: float
     energy_out: float
-    state_after: np.ndarray
+    bloch_after: np.ndarray
+
+    @property
+    def state_after(self) -> np.ndarray:
+        """Density matrix of :attr:`bloch_after`, built on each read."""
+        return density_from_bloch(self.bloch_after)
 
 
 @dataclass(frozen=True)
@@ -174,18 +185,22 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     """Execute one full cycle and return its five stroke records.
 
     ``tau2`` is the exchange delay of the tunable stroke, restricted to the
-    swap window; :func:`channels.heat_exchange_bloch` raises
-    ``TauOutOfRangeError`` for one outside it.
+    swap window; ``TauOutOfRangeError`` is raised for one outside it, as for
+    a ``tau4`` outside it.  The strokes run through the unchecked kernels of
+    :func:`channels.heat_exchange_bloch` and :func:`mpemba.mpemba_bloch`, and
+    their five results are then validated together.
     """
+    taus = _check_delays(cfg.j_hz, (tau2, cfg.tau4))
     r0, r1 = _expanded_cold_state(cfg)
-    r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
+    r2 = _pulse_bloch(r1) if cfg.use_mpemba else r1
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-    r3 = heat_exchange_bloch(env_hot, cfg.j_hz, r2, [tau2])[0]
+    r3 = _exchange_bloch(env_hot.polarization, cfg.j_hz, r2, taus[:1])[0]
     r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau3)
-    env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    # the reset exchanges along x: reversing (x, y, z) swaps x and z, and the
-    # map scales x and y alike, so y needs no sign flip
-    r5 = heat_exchange_bloch(env_cold, cfg.j_hz, r4[::-1], [cfg.tau4])[0][::-1]
+    # the reset exchanges along x with the cold partner, whose polarization
+    # r0[0] already holds: reversing (x, y, z) swaps x and z, and the map
+    # scales x and y alike, so y needs no sign flip
+    r5 = _exchange_bloch(r0[0], cfg.j_hz, r4[::-1], taus[1:])[0][::-1]
+    states = validate_bloch_vectors(np.array([r1, r2, r3, r4, r5]))
 
     # energy -nu r_axis at each junction between strokes; neighbours share
     # it, so the MPEMBA record also bridges the frame from the drive axis (x)
@@ -199,10 +214,8 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     ]
     durations = (cfg.tau1, cfg.mpemba_duration, tau2, cfg.tau3, cfg.tau4)
     return [
-        StrokeRecord(name, duration, junctions[k], junctions[k + 1], density_from_bloch(r))
-        for k, (name, duration, r) in enumerate(
-            zip(StrokeName, durations, (r1, r2, r3, r4, r5))
-        )
+        StrokeRecord(name, duration, junctions[k], junctions[k + 1], states[k])
+        for k, (name, duration) in enumerate(zip(StrokeName, durations))
     ]
 
 
@@ -211,16 +224,16 @@ def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
 
     ``H0`` and ``H1`` are the drive-axis Hamiltonians at the two gap values
     and ``rho_tau3`` the post-compression state.  Negative values mean heat
-    is dumped into the cold bath.
+    is dumped into the cold bath.  Under ``-2 pi nu sigma_x`` an energy is
+    ``-nu r_x``, so the figure is ``nu0 r4_x - nu1 r0_x`` with ``r4`` the
+    compression record's Bloch vector and ``r0`` the cold Gibbs state's.
     """
     by_name = {record.name: record for record in records}
     if StrokeName.COMPRESSION not in by_name:
         raise MissingStrokeError("records carry no compression stroke")
-    rho_tau3 = by_name[StrokeName.COMPRESSION].state_after
-    h0 = qubit_hamiltonian(cfg.nu0, axis="x")
-    h1 = qubit_hamiltonian(cfg.nu1, axis="x")
-    rho_eq_c = density_from_bloch(_expanded_cold_state(cfg)[0])
-    return mean_energy(rho_eq_c, h1) - mean_energy(rho_tau3, h0)
+    r4 = by_name[StrokeName.COMPRESSION].bloch_after
+    r0 = _expanded_cold_state(cfg)[0]
+    return float(cfg.nu0 * r4[0] - cfg.nu1 * r0[0])
 
 
 def energy_balance(records: Sequence[StrokeRecord]) -> float:

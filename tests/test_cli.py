@@ -83,10 +83,31 @@ def test_spectrum_at_the_full_swap_fails_numerically(capsys):
     assert "numerical error" in err
 
 
-def test_spectrum_past_the_window_fails_numerically(capsys):
-    code, _, err = run(capsys, "spectrum", "--tau", "3.0")
+def test_spectrum_just_inside_the_window_fails_numerically(capsys):
+    # c^2 = 2.47e-14 leaves no finite generator: a numerical failure, not bad input
+    code, _, err = run(capsys, "spectrum", "--tau", "2.3245")
     assert code == 2
-    assert "numerical error" in err
+    assert "numerical error" in err and "2.470e-14" in err
+
+
+def test_spectrum_past_the_window_is_an_input_error(capsys):
+    code, _, err = run(capsys, "spectrum", "--tau", "3.0")
+    assert code == 3
+    assert "--tau 3.0 ms outside the exchange window (0, 2.324500] ms" in err
+
+
+@pytest.mark.parametrize("tau", ["0", "-1", "2.4", "nan", "inf", "-inf"])
+def test_spectrum_rejects_a_delay_outside_the_window_before_any_numerics(
+    capsys, monkeypatch, tau
+):
+    def no_numerics(*_):
+        raise AssertionError("numerics ran for a rejected delay")
+
+    monkeypatch.setattr(cli, "build_heat_exchange", no_numerics)
+    code, out, err = run(capsys, "spectrum", f"--tau={tau}")
+    assert code == 3
+    assert out == ""
+    assert f"--tau {float(tau)!r} ms outside the exchange window (0, 2.324500] ms" in err
 
 
 def test_surface_row_count_and_passive_minimum(capsys, tmp_path):

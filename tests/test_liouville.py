@@ -1,5 +1,7 @@
 """Row-stacking conventions, generator assembly, and the spectral solver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,11 +12,13 @@ from numpy.testing import assert_allclose
 from mpembasim.channels import KrausChannel
 from mpembasim.exceptions import (
     BranchCutError,
+    HermiticityError,
     NegativeRateError,
     NoStationaryModeError,
     SingularInputError,
 )
 from mpembasim.liouville import (
+    HERMITICITY_TOL,
     build_lindbladian,
     decompose,
     devectorize,
@@ -25,6 +29,7 @@ from mpembasim.liouville import (
     transfer_matrix,
     vectorize,
 )
+from mpembasim.numerics import eig_general
 from mpembasim.operators import SIGMA_X, qubit_hamiltonian
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -183,6 +188,28 @@ def test_spectral_propagation_matches_matrix_exponential(random_density):
         assert_allclose(
             propagate_spectral(decomposition, rho, t), expected, atol=1e-10
         )
+
+
+def test_propagation_refuses_a_state_drifted_off_hermitian():
+    # a kick to the rho_01 entry of the stationary mode reaches every
+    # unit-trace state with weight 1, and its rho_10 partner stays put
+    decomposition = decompose(reference_generator())
+    for kick, drifts in ((1e3 * HERMITICITY_TOL, True), (1e-2 * HERMITICITY_TOL, False)):
+        right = decomposition.right.copy()
+        right[1, 0] += kick
+        kicked = dataclasses.replace(decomposition, right=right)
+        if drifts:
+            with pytest.raises(HermiticityError, match="drifted"):
+                propagate_spectral(kicked, np.eye(2) / 2, 0.3)
+        else:
+            rho = propagate_spectral(kicked, np.eye(2) / 2, 0.3)
+            assert np.array_equal(rho, rho.conj().T)
+
+
+def test_condition_estimate_is_the_unsorted_eigenvector_condition():
+    generator = reference_generator()
+    expected = float(np.linalg.cond(eig_general(generator).right))
+    assert decompose(generator).condition_estimate == expected
 
 
 def test_propagation_rejects_negative_times():

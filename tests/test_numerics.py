@@ -115,6 +115,17 @@ def test_condition_estimate_is_reported():
     assert system.condition_estimate == pytest.approx(1.0, abs=1e-12)
 
 
+def test_condition_estimate_is_computed_on_first_read(monkeypatch):
+    calls = []
+    real = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda m: calls.append(m) or real(m))
+    system = eig_general(np.array([[1.0, 1.0], [0.0, 2.0]]))
+    assert calls == []
+    first = system.condition_estimate
+    assert first == system.condition_estimate == real(system.right)
+    assert len(calls) == 1
+
+
 def test_expm_zero_matrix():
     assert np.array_equal(expm(np.zeros((3, 3))), np.eye(3))
     assert_matches_reference_expm(np.zeros((4, 4), dtype=complex))

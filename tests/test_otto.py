@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mpembasim import otto
 from mpembasim.channels import (
     KrausChannel,
     ThermalEnvironment,
@@ -27,6 +28,7 @@ from mpembasim.operators import (
     IDENTITY,
     SIGMA_X,
     X_EIGENBASIS,
+    bloch_vector,
     mean_energy,
     qubit_hamiltonian,
 )
@@ -114,7 +116,11 @@ def kraus_cycle(cfg, tau2):
     )
     return [
         StrokeRecord(
-            name, duration, mean_energy(before, h_in), mean_energy(after, h_out), after
+            name,
+            duration,
+            mean_energy(before, h_in),
+            mean_energy(after, h_out),
+            bloch_vector(after),
         )
         for name, duration, before, h_in, after, h_out in strokes
     ]
@@ -260,6 +266,47 @@ def test_cycle_rejects_delays_outside_the_window():
         run_cycle(cfg, tau2=-0.05)
     with pytest.raises(TauOutOfRangeError):
         run_cycle(cfg, tau2=swap_window(cfg.j_hz) + 0.05)
+    with pytest.raises(TauOutOfRangeError):
+        run_cycle(cfg, tau2=float("nan"))
+    with pytest.raises(TauOutOfRangeError):
+        run_cycle(CycleConfig(tau4=swap_window(cfg.j_hz) + 0.05), tau2=1.0)
+
+
+def test_cycle_builds_density_matrices_only_when_read(monkeypatch):
+    built = []
+    real = otto.density_from_bloch
+
+    def counting(r):
+        built.append(r)
+        return real(r)
+
+    monkeypatch.setattr(otto, "density_from_bloch", counting)
+    records = run_cycle(CycleConfig(), tau2=1.0)
+    assert built == []
+    for count, record in enumerate(records + records, start=1):
+        assert np.array_equal(record.state_after, real(record.bloch_after))
+        assert len(built) == count
+
+
+def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
+    seen = []
+    real = otto.validate_bloch_vectors
+
+    def recording(bloch):
+        seen.append(np.shape(bloch))
+        return real(bloch)
+
+    monkeypatch.setattr(otto, "validate_bloch_vectors", recording)
+    for use_mpemba in (False, True):
+        run_cycle(CycleConfig(use_mpemba=use_mpemba), tau2=1.0)
+    assert seen == [(5, 3), (5, 3)]
+
+
+def test_cycle_rejects_a_vector_outside_the_bloch_ball(monkeypatch):
+    # a kernel that overshoots the ball is caught by the cycle's one check
+    monkeypatch.setattr(otto, "_ramp_bloch", lambda r, *_: np.array([1.5, 0.0, 0.0]))
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        run_cycle(CycleConfig(), tau2=1.0)
 
 
 def test_bridge_stroke_changes_frame_even_when_disabled():
