@@ -12,7 +12,8 @@ parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; :func:`verify_gad_equivalence` checks that identification
 numerically rather than assuming it.  The sweeps and the refrigerator cycle
 use it through :func:`heat_exchange_bloch`, the closed-form map on Bloch
-vectors; the Kraus form stays the reference it is tested against.
+vectors, and the generator spectrum comes from :func:`exchange_spectrum`;
+the Kraus form stays the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville
-from .exceptions import TauOutOfRangeError
+from .exceptions import SingularInputError, TauOutOfRangeError
+from .numerics import SINGULARITY_TOL
 from .operators import hermitize, validate_bloch_vectors, validate_density_matrix
 
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
@@ -98,6 +100,11 @@ def swap_window(j_hz: float) -> float:
     return 500.0 / j_hz
 
 
+def _swap_angle(j_hz: float, taus):
+    """Swap angle ``pi J tau`` in rad for delays in ms and a coupling in Hz."""
+    return np.pi * (j_hz / 1000.0) * taus
+
+
 def _check_delays(j_hz: float, taus) -> np.ndarray:
     """The delays as a flat float array; TauOutOfRangeError unless each lies
     in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding."""
@@ -132,7 +139,7 @@ def build_heat_exchange(
         If ``tau`` leaves the physical window.
     """
     _check_delays(j_hz, tau_ms)
-    angle = np.pi * (j_hz / 1000.0) * tau_ms
+    angle = _swap_angle(j_hz, tau_ms)
     c, s = np.cos(angle), np.sin(angle)
     p = environment.excited_population
     k1 = np.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, c]], dtype=complex)
@@ -175,11 +182,56 @@ def _exchange_bloch(
     """The map of :func:`heat_exchange_bloch` without its checks: ``r``
     ``(..., 3)`` floats, ``taus`` a flat array of delays already in the window."""
     r = r[..., np.newaxis, :]
-    c = np.cos(np.pi * (j_hz / 1000.0) * taus)
+    c = np.cos(_swap_angle(j_hz, taus))
     out = np.empty(r.shape[:-2] + (taus.size, 3))
     out[..., :2] = r[..., :2] * c[:, np.newaxis]
     out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
     return out
+
+
+def exchange_spectrum(
+    environment: ThermalEnvironment, j_hz: float, tau_ms: float
+) -> tuple:
+    """Generator spectrum and fixed point of the heat exchange, in closed form.
+
+    The exchange at delay ``tau`` scales coherences by ``c = cos(pi J tau)``
+    and population offsets by ``c^2`` (see :func:`heat_exchange_bloch`), so
+    its generator has the eigenvalues ``0``, ``ln(c)/tau`` twice (the
+    coherences) and ``2 ln(c)/tau`` (the population offset), in 1/ms.  They
+    are returned as a float array in the sort order of
+    :func:`liouville.decompose`, together with the fixed-point populations
+    ``(1 + z_eq)/2, (1 - z_eq)/2`` of the partner's
+    :attr:`~ThermalEnvironment.polarization`.
+
+    ``ln c`` is taken as ``log1p(-t^2) - log1p(t^2)`` with ``t = tan(x/2)``,
+    which keeps full relative precision at short delays, where ``log(cos x)``
+    rounds ``cos x`` to 1.
+
+    Raises
+    ------
+    TauOutOfRangeError
+        If ``tau`` is not positive or leaves the physical window.
+    SingularInputError
+        If ``c^2`` falls below the threshold at which the matrix logarithm of
+        :func:`liouville.extract_generator` refuses the channel.
+    """
+    _check_delays(j_hz, tau_ms)
+    if not tau_ms > 0.0:
+        raise TauOutOfRangeError(f"channel delay {tau_ms} must be positive")
+    angle = _swap_angle(j_hz, tau_ms)
+    c2 = np.cos(angle) ** 2
+    if c2 < SINGULARITY_TOL:
+        raise SingularInputError(
+            f"c^2 = {c2:.3e} below {SINGULARITY_TOL} at tau = {tau_ms:g} ms; "
+            "the exchange generator is singular"
+        )
+    t2 = np.tan(0.5 * angle) ** 2
+    rate = (np.log1p(-t2) - np.log1p(t2)) / tau_ms
+    z_eq = environment.polarization
+    return (
+        np.array([0.0, rate, rate, 2.0 * rate]),
+        np.array([0.5 * (1.0 + z_eq), 0.5 * (1.0 - z_eq)]),
+    )
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:

@@ -19,6 +19,7 @@ from .channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
+    exchange_spectrum,
     heat_exchange_bloch,
     swap_window,
     verify_davies_blocks,
@@ -90,24 +91,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"--tau {tau!r} ms outside the exchange window (0, {window:.6f}] ms"
         )
-    channel = build_heat_exchange(_hot_environment(config), config.j_hz, tau)
-    decomposition = decompose(extract_generator(channel, tau))
-
-    rows = []
-    print(f"exchange-generator spectrum at tau = {tau:g} ms (rates in 1/ms):")
-    for k, eigenvalue in enumerate(decomposition.eigenvalues, start=1):
-        mode = devectorize(decomposition.right[:, k - 1])
-        off_weight = abs(mode[0, 1]) + abs(mode[1, 0])
-        on_weight = abs(mode[0, 0]) + abs(mode[1, 1])
-        kind = "population" if off_weight <= 1e-8 * max(on_weight, 1.0) else "coherence"
-        print(
-            f"  lambda_{k} = {eigenvalue.real:+.9f} {eigenvalue.imag:+.9f}i  [{kind}]"
-        )
-        rows.append((k, eigenvalue.real, eigenvalue.imag, kind))
-    fp = decomposition.fixed_point
-    print(
-        f"fixed-point populations: {fp[0, 0].real:.9f}, {fp[1, 1].real:.9f}"
+    eigenvalues, populations = exchange_spectrum(
+        _hot_environment(config), config.j_hz, tau
     )
+
+    print(f"exchange-generator spectrum at tau = {tau:g} ms (rates in 1/ms):")
+    kinds = ("population", "coherence", "coherence", "population")
+    rows = []
+    for k, (eigenvalue, kind) in enumerate(zip(eigenvalues, kinds), start=1):
+        print(f"  lambda_{k} = {eigenvalue:+.9f} +0.000000000i  [{kind}]")
+        rows.append((k, eigenvalue, 0.0, kind))
+    print(f"fixed-point populations: {populations[0]:.9f}, {populations[1]:.9f}")
     if args.out:
         write_table(
             rows,
@@ -381,6 +375,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return worst <= 1e-10, f"max slow-mode weight {worst:.3e}"
 
+    def spectrum_agreement():
+        # the closed form that spectrum prints against the Liouville route
+        eigenvalues, populations = exchange_spectrum(env, config.j_hz, probe_tau)
+        d = decomposition()
+        scale = max(1.0, float(np.abs(eigenvalues).max()))
+        rates = float(np.abs(d.eigenvalues - eigenvalues).max()) / scale
+        fixed = float(np.abs(np.diag(d.fixed_point).real - populations).max())
+        passed = rates <= 1e-10 and fixed <= 1e-10
+        return passed, f"max deviation {max(rates, fixed):.3e}"
+
     all_passed = True
     for name, run in (
         ("kraus-completeness", kraus_completeness),
@@ -394,6 +398,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ("power-ratio-floor", power_ratio_floor),
         ("sweep-kernel-agreement", sweep_kernel_agreement),
         ("slow-mode-removal", slow_mode_removal),
+        ("spectrum-agreement", spectrum_agreement),
     ):
         # a check whose inputs, shared or its own, cannot be built fails alone
         try:

@@ -39,7 +39,6 @@ import numpy as np
 from . import numerics
 from .exceptions import (
     HermiticityError,
-    NegativeRateError,
     NoStationaryModeError,
     SingularInputError,
     TauOutOfRangeError,
@@ -79,45 +78,6 @@ def transfer_matrix(kraus_operators) -> np.ndarray:
         raise ValueError("at least one square Kraus operator is required")
     d = ops.shape[1]
     return np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(d * d, d * d)
-
-
-def build_lindbladian(hamiltonian: np.ndarray, jumps) -> np.ndarray:
-    """Vectorized generator from a Hamiltonian and ``(operator, rate)`` pairs.
-
-    Parameters
-    ----------
-    hamiltonian:
-        Hermitian ``d x d`` matrix in angular units (rad/ms).
-    jumps:
-        Iterable of ``(A, gamma)`` with ``gamma >= 0`` in 1/ms.
-
-    Raises
-    ------
-    NegativeRateError
-        If any rate is negative.
-    ValueError
-        If the Hamiltonian is not Hermitian to 1e-12.
-    """
-    h = np.asarray(hamiltonian, dtype=complex)
-    herm_dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
-    if herm_dev > 1e-12:
-        raise ValueError(f"Hamiltonian deviates from Hermitian by {herm_dev:.3e}")
-    d = h.shape[0]
-    eye = np.eye(d, dtype=complex)
-    lind = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for op, rate in jumps:
-        rate = float(rate)
-        if rate < 0.0:
-            raise NegativeRateError(f"jump rate {rate} is negative")
-        a = np.asarray(op, dtype=complex)
-        if a.shape != (d, d):
-            raise ValueError(f"jump operator shape {a.shape} does not match {h.shape}")
-        ada = a.conj().T @ a
-        lind += rate * (
-            np.kron(a, a.conj())
-            - 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
-        )
-    return lind
 
 
 @dataclass(frozen=True)

@@ -25,10 +25,6 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 PAULIS = {"x": SIGMA_X, "y": SIGMA_Y, "z": SIGMA_Z}
 
-# Columns are the sigma_x eigenstates |x+>, |x->; maps z-basis coordinates to
-# the x eigenbasis and back (the matrix is its own inverse).
-X_EIGENBASIS = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-
 
 def hermitize(a: np.ndarray) -> np.ndarray:
     """Project onto the Hermitian part, (a + a^dag)/2."""
@@ -50,14 +46,6 @@ def qubit_hamiltonian(nu_khz: float, axis: str = "z") -> np.ndarray:
     except KeyError:
         raise ValueError(f"unknown axis {axis!r}, expected one of 'x', 'y', 'z'") from None
     return -TWO_PI * float(nu_khz) * pauli
-
-
-def rotation_y(theta: float) -> np.ndarray:
-    """``exp(-i theta sigma_y / 2)``, a real rotation of the Bloch sphere about y."""
-    half = 0.5 * float(theta)
-    return np.array(
-        [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex
-    )
 
 
 def mean_energy(rho: np.ndarray, hamiltonian: np.ndarray) -> float:

@@ -13,19 +13,19 @@ from mpembasim.channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
+    exchange_spectrum,
     heat_exchange_bloch,
     swap_window,
     verify_davies_blocks,
     verify_gad_equivalence,
 )
-from mpembasim.exceptions import TauOutOfRangeError
-from mpembasim.liouville import build_lindbladian, extract_generator
+from mpembasim.exceptions import SingularInputError, TauOutOfRangeError
+from mpembasim.liouville import decompose, extract_generator
 from mpembasim.otto import CycleConfig, run_cycle
 from mpembasim.operators import (
     IDENTITY,
     SIGMA_Y,
     SIGMA_Z,
-    X_EIGENBASIS,
     bloch_vector,
     density_from_bloch,
     qubit_hamiltonian,
@@ -37,6 +37,8 @@ from mpembasim.thermo import (
     trace_distance,
     trace_distance_bloch,
 )
+
+from conftest import X_EIGENBASIS, build_lindbladian
 
 COUPLING_HZ = 215.1
 COMPLETENESS_TOL = 1e-12
@@ -246,6 +248,49 @@ def test_generator_decouples_populations_from_coherences(hot_env):
     report = verify_davies_blocks(generator)
     assert report.passed
     assert report.max_coupling <= 1e-9
+
+
+@pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3, 1.0, 2.3])
+def test_closed_form_spectrum_matches_a_50_digit_evaluation(hot_env, tau):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.pi * mpmath.mpf(COUPLING_HZ) / 1000 * mpmath.mpf(tau)
+        rate = mpmath.log(mpmath.cos(x)) / mpmath.mpf(tau)
+        p = 1 / (1 + mpmath.exp(2 * mpmath.mpf(hot_env.gap_frequency) / hot_env.temperature))
+        want = [float(v) for v in (0, rate, rate, 2 * rate)]
+        populations = [float(1 - p), float(p)]
+    eigenvalues, fixed = exchange_spectrum(hot_env, COUPLING_HZ, tau)
+    assert_allclose(eigenvalues, want, rtol=1e-12, atol=0.0)
+    assert_allclose(fixed, populations, rtol=0.0, atol=1e-15)
+
+
+def test_closed_form_spectrum_refuses_what_the_generator_refuses(hot_env):
+    window = swap_window(COUPLING_HZ)
+    for tau in (0.0, -1e-9, window + 2e-9, np.nan):
+        with pytest.raises(TauOutOfRangeError):
+            exchange_spectrum(hot_env, COUPLING_HZ, tau)
+    # c^2 = 2.467e-14, below the logarithm's 1e-12 singularity threshold
+    for tau in (2.3245, window):
+        with pytest.raises(SingularInputError):
+            exchange_spectrum(hot_env, COUPLING_HZ, tau)
+        with pytest.raises(SingularInputError):
+            extract_generator(build_heat_exchange(hot_env, COUPLING_HZ, tau), tau)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    temperature=st.floats(0.1, 50.0),
+    gap=st.floats(0.1, 20.0),
+    j_hz=st.floats(20.0, 2000.0),
+    fraction=st.floats(0.01, 0.9),
+)
+def test_closed_form_spectrum_matches_the_liouville_route(temperature, gap, j_hz, fraction):
+    env = ThermalEnvironment(temperature=temperature, gap_frequency=gap)
+    tau = fraction * swap_window(j_hz)
+    eigenvalues, populations = exchange_spectrum(env, j_hz, tau)
+    d = decompose(extract_generator(build_heat_exchange(env, j_hz, tau), tau))
+    assert np.abs(d.eigenvalues - eigenvalues).max() <= 1e-9 * np.abs(eigenvalues).max()
+    assert np.abs(np.diag(d.fixed_point).real - populations).max() <= 1e-9
 
 
 def test_block_check_flags_a_coupling_generator():

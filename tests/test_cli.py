@@ -35,6 +35,7 @@ VERIFY_CHECKS = (
     "power-ratio-floor",
     "sweep-kernel-agreement",
     "slow-mode-removal",
+    "spectrum-agreement",
 )
 
 
@@ -63,6 +64,30 @@ def test_spectrum_prints_rates_and_the_fixed_point(capsys):
     assert "fixed-point populations: 0.698164888, 0.301835112" in out
 
 
+def test_spectrum_runs_none_of_the_liouville_route(capsys, monkeypatch):
+    def no_numerics(*_):
+        raise AssertionError("spectrum ran the Kraus/Liouville route")
+
+    for module, names in (
+        (cli, ("build_heat_exchange", "extract_generator", "decompose", "expm")),
+        (mpembasim.channels, ("build_heat_exchange",)),
+        (mpembasim.liouville, ("transfer_matrix", "extract_generator", "decompose")),
+        (mpembasim.numerics, ("eig_general", "logm_principal", "expm")),
+    ):
+        for name in names:
+            monkeypatch.setattr(module, name, no_numerics)
+    code, out, _ = run(capsys, "spectrum", "--tau", "1.0")
+    assert code == 0
+    assert "-0.248161477" in out
+
+
+def test_spectrum_at_a_very_short_delay_keeps_the_fixed_point(capsys):
+    # every rate is below 1e-9 here, inside the stationary tolerance of decompose
+    code, out, _ = run(capsys, "spectrum", "--tau", "1e-9")
+    assert code == 0
+    assert "fixed-point populations: 0.698164888, 0.301835112" in out
+
+
 def test_spectrum_writes_an_optional_table(capsys, tmp_path):
     path = str(tmp_path / "modes.csv")
     code, _, _ = run(capsys, "spectrum", "--tau", "0.7", "--out", path)
@@ -84,10 +109,10 @@ def test_spectrum_at_the_full_swap_fails_numerically(capsys):
 
 
 def test_spectrum_just_inside_the_window_fails_numerically(capsys):
-    # c^2 = 2.47e-14 leaves no finite generator: a numerical failure, not bad input
+    # c^2 = 2.467e-14 leaves no finite generator: a numerical failure, not bad input
     code, _, err = run(capsys, "spectrum", "--tau", "2.3245")
     assert code == 2
-    assert "numerical error" in err and "2.470e-14" in err
+    assert "numerical error" in err and "2.467e-14" in err
 
 
 def test_spectrum_past_the_window_is_an_input_error(capsys):
@@ -103,7 +128,7 @@ def test_spectrum_rejects_a_delay_outside_the_window_before_any_numerics(
     def no_numerics(*_):
         raise AssertionError("numerics ran for a rejected delay")
 
-    monkeypatch.setattr(cli, "build_heat_exchange", no_numerics)
+    monkeypatch.setattr(cli, "exchange_spectrum", no_numerics)
     code, out, err = run(capsys, "spectrum", f"--tau={tau}")
     assert code == 3
     assert out == ""
@@ -310,6 +335,21 @@ def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
     assert len(failed) == 1 and failed[0].startswith("FAIL slow-mode-removal")
+
+
+def test_verify_catches_a_shifted_closed_form_rate(capsys, monkeypatch):
+    original = cli.exchange_spectrum
+
+    def shifted(*args):
+        eigenvalues, populations = original(*args)
+        eigenvalues[1] += 1e-8
+        return eigenvalues, populations
+
+    monkeypatch.setattr(cli, "exchange_spectrum", shifted)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
+    assert len(failed) == 1 and failed[0].startswith("FAIL spectrum-agreement")
 
 
 @pytest.mark.parametrize("line", ["j_hz = nan\n", "t_hot_khz = inf\n"])

@@ -19,7 +19,6 @@ from mpembasim.exceptions import (
 )
 from mpembasim.liouville import (
     HERMITICITY_TOL,
-    build_lindbladian,
     decompose,
     devectorize,
     extract_generator,
@@ -31,6 +30,8 @@ from mpembasim.liouville import (
 )
 from mpembasim.numerics import eig_general
 from mpembasim.operators import SIGMA_X, qubit_hamiltonian
+
+from conftest import build_lindbladian
 
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_PLUS = SIGMA_MINUS.conj().T

@@ -19,8 +19,10 @@ from mpembasim.mpemba import (
     mpemba_unitary,
 )
 from mpembasim.operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
-    random_density, rotation_y
+    random_density
 from mpembasim.thermo import detect_crossing, f_neq, gibbs_state
+
+from conftest import rotation_y
 
 COUPLING_HZ = 215.1
 HOT_T = 4.77

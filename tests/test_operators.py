@@ -12,16 +12,16 @@ from mpembasim.operators import (
     SIGMA_Y,
     SIGMA_Z,
     TWO_PI,
-    X_EIGENBASIS,
     bloch_vector,
     density_from_bloch,
     hermitize,
     mean_energy,
     qubit_hamiltonian,
-    rotation_y,
     validate_bloch_vectors,
     validate_density_matrix,
 )
+
+from conftest import X_EIGENBASIS, rotation_y
 
 
 def test_paulis_square_to_identity():

@@ -27,7 +27,6 @@ from mpembasim.mpemba import mpemba_unitary
 from mpembasim.operators import (
     IDENTITY,
     SIGMA_X,
-    X_EIGENBASIS,
     bloch_vector,
     mean_energy,
     qubit_hamiltonian,
@@ -52,6 +51,8 @@ from mpembasim.thermo import (
     gibbs_state,
     trace_distance,
 )
+
+from conftest import X_EIGENBASIS
 
 CLOSURE_TOL = 1e-10
 BALANCE_TOL = 1e-8

@@ -8,12 +8,7 @@ from numpy.testing import assert_allclose
 
 from mpembasim.channels import apply_channel, build_heat_exchange
 from mpembasim.exceptions import GridMismatchError, SingularReferenceError
-from mpembasim.operators import (
-    X_EIGENBASIS,
-    density_from_bloch,
-    qubit_hamiltonian,
-    rotation_y,
-)
+from mpembasim.operators import density_from_bloch, qubit_hamiltonian
 from mpembasim.thermo import (
     CrossingReport,
     RelaxationTrajectory,
@@ -24,6 +19,8 @@ from mpembasim.thermo import (
     trace_distance,
     von_neumann_entropy,
 )
+
+from conftest import X_EIGENBASIS, rotation_y
 
 IDENTITY_TOL = 1e-10
 

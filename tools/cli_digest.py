@@ -9,7 +9,8 @@ as fresh processes: all six subcommands at the default grids and at
 ``--theta-steps 200 --tau-steps 4096``, each table command in csv and json,
 and then every subcommand once more with a config file (:data:`CONFIG`) that
 sets each key to a value other than its default, so that config parsing and
-validation are covered as well.
+validation are covered as well.  Last, ``spectrum`` runs at the delays of
+:data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.
 Every run gets its own temporary working directory and a fixed relative
 output name, so paths echoed to stdout match between checkouts.  One SHA-256
 line is printed per stdout and per table.
@@ -55,6 +56,9 @@ output_precision = 10
 """
 CONFIG_NAME = "run.cfg"
 
+#: ``spectrum`` delays besides its default of 1 ms
+SPECTRUM_DELAYS = ("0.3", "1e-9")
+
 
 def runs():
     """(label, argv, table name or None) for every run, in a fixed order."""
@@ -69,6 +73,11 @@ def runs():
         argv = [command, "--config", CONFIG_NAME, "--out", "table.csv"]
         yield f"{command} config csv", argv, "table.csv"
     yield "verify config", ["verify", "--config", CONFIG_NAME], None
+    for tau in SPECTRUM_DELAYS:
+        for fmt in ("csv", "json"):
+            table = f"table.{fmt}"
+            argv = ["spectrum", "--tau", tau, "--out", table, "--format", fmt]
+            yield f"spectrum --tau {tau} default {fmt}", argv, table
 
 
 def sha256(data: bytes) -> str:
