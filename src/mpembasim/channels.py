@@ -78,11 +78,10 @@ class KrausChannel:
     operators: tuple
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.operators)
-        object.__setattr__(self, "operators", ops)
-        d = ops[0].shape[0]
-        completeness = sum(k.conj().T @ k for k in ops)
-        deviation = float(np.max(np.abs(completeness - np.eye(d))))
+        ops = np.asarray(self.operators, dtype=complex)
+        object.__setattr__(self, "operators", tuple(ops))
+        completeness = np.einsum("kji,kjl->il", ops.conj(), ops)
+        deviation = float(np.max(np.abs(completeness - np.eye(ops.shape[1]))))
         if deviation > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness violated by {deviation:.3e} (tol {COMPLETENESS_TOL})"
@@ -235,12 +234,11 @@ def exchange_spectrum(
 
 
 def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Apply the Kraus map and re-validate the output state."""
+    """Apply the Kraus map to a state, or to each state in a stack ``(..., d,
+    d)``, and re-validate the output."""
     rho = validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10)
-    out = np.zeros_like(np.asarray(rho, dtype=complex))
-    for k in channel.operators:
-        out += k @ rho @ k.conj().T
-    out = hermitize(out)
+    ops = np.asarray(channel.operators)
+    out = hermitize(np.einsum("kij,...jl,kml->...im", ops, rho, ops.conj()))
     return validate_density_matrix(out, herm_tol=1e-10, trace_tol=1e-10)
 
 

@@ -161,7 +161,10 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _atomic_write(path: str, pieces) -> None:
-    """Write the strings of ``pieces`` one after another to ``path``, atomically."""
+    """Write the strings of ``pieces`` one after another to ``path``, atomically.
+
+    An ``OSError`` names ``path``, not the temporary file it was written to.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     # os.open with mode 0o666 lets the umask set the file's permissions, as
     # open() would; tempfile.mkstemp always creates its files 0600
@@ -172,15 +175,19 @@ def _atomic_write(path: str, pieces) -> None:
             break
         except FileExistsError:
             continue
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from exc
     else:
         raise FileExistsError(f"no free temporary file name in {directory}")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(pieces)
         os.replace(tmp_path, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -30,10 +30,6 @@ class BranchCutError(NumericsError):
     """An eigenvalue lies on the negative real axis; the principal branch is ambiguous."""
 
 
-class NegativeRateError(MpembaSimError, ValueError):
-    """A dissipator was requested with a negative rate."""
-
-
 class NoStationaryModeError(MpembaSimError):
     """A generator has no eigenvalue close enough to zero to define a fixed point."""
 

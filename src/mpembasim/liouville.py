@@ -43,7 +43,7 @@ from .exceptions import (
     SingularInputError,
     TauOutOfRangeError,
 )
-from .operators import hermitize, validate_density_matrix
+from .operators import _scalar, hermitize, validate_density_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -55,11 +55,12 @@ HERMITICITY_TOL = 1e-8
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Row-stacked column vector of a ``d x d`` matrix."""
+    """Row-stacked column vector of a ``d x d`` matrix, or of each matrix in a
+    stack ``(..., d, d)`` as ``(..., d*d)``."""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
-    return rho.reshape(-1)
+    return rho.reshape(rho.shape[:-2] + (-1,))
 
 
 def devectorize(vec: np.ndarray) -> np.ndarray:
@@ -166,8 +167,9 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(values, right, left, fixed, system)
 
 
-def mode_overlap(decomposition: SpectralDecomposition, k: int, rho: np.ndarray) -> complex:
-    """Bilinear overlap of left mode ``k`` (1-based) with a state.
+def mode_overlap(decomposition: SpectralDecomposition, k: int, rho: np.ndarray):
+    """Bilinear overlap of left mode ``k`` (1-based) with a state (a complex),
+    or with each state in a stack ``(..., d, d)`` (an array).
 
     ``k = 1`` addresses the stationary mode, whose left vector is the trace
     functional, so the overlap of any unit-trace state is 1.
@@ -175,7 +177,7 @@ def mode_overlap(decomposition: SpectralDecomposition, k: int, rho: np.ndarray) 
     n = decomposition.eigenvalues.size
     if not 1 <= k <= n:
         raise IndexError(f"mode index {k} outside 1..{n}")
-    return complex(decomposition.left[k - 1, :] @ vectorize(rho))
+    return _scalar(vectorize(rho) @ decomposition.left[k - 1, :])
 
 
 def slow_pair_indices(decomposition: SpectralDecomposition) -> list[int]:

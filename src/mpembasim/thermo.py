@@ -20,6 +20,7 @@ from .exceptions import GridMismatchError, SingularReferenceError
 from .operators import (
     PAULIS,
     TWO_PI,
+    _scalar,
     hermitize,
     mean_energy,
     validate_bloch_vectors,
@@ -50,15 +51,22 @@ def gibbs_state(hamiltonian: np.ndarray, temperature: float) -> np.ndarray:
     return hermitize(rho)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """Entropy in nats; eigenvalues at or below the floor contribute zero."""
+def von_neumann_entropy(rho: np.ndarray):
+    """Entropy in nats of a state, or of each state in a stack ``(..., d, d)``;
+    eigenvalues at or below the floor contribute zero."""
     eigenvalues = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
-    support = eigenvalues[eigenvalues > ENTROPY_FLOOR]
-    return float(-(support * np.log(support)).sum())
+    return _scalar(-_eigen_entropy_terms(eigenvalues))
 
 
-def f_neq(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float) -> float:
-    """Non-equilibrium free energy ``Tr(H rho)/(2 pi) - T S_vN(rho)`` in kHz."""
+def _eigen_entropy_terms(eigenvalues: np.ndarray) -> np.ndarray:
+    """``sum p ln p`` over the last axis, for the eigenvalues above the floor."""
+    support = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
+    return (support * np.log(support)).sum(axis=-1)
+
+
+def f_neq(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float):
+    """Non-equilibrium free energy ``Tr(H rho)/(2 pi) - T S_vN(rho)`` in kHz,
+    of a state (a float) or of each state in a stack ``(..., d, d)``."""
     rho = validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10, psd_tol=1e-8)
     return mean_energy(rho, hamiltonian) - temperature * von_neumann_entropy(rho)
 
@@ -84,8 +92,11 @@ def f_neq_bloch(
     return energy - temperature * entropy
 
 
-def kl_divergence(rho: np.ndarray, sigma: np.ndarray) -> float:
+def kl_divergence(rho: np.ndarray, sigma: np.ndarray):
     """Quantum relative entropy ``Tr rho (ln rho - ln sigma)`` in nats.
+
+    ``rho`` is one state (a float comes back) or a stack ``(..., d, d)`` of
+    states, each measured against the one reference state ``sigma``.
 
     Raises
     ------
@@ -99,18 +110,17 @@ def kl_divergence(rho: np.ndarray, sigma: np.ndarray) -> float:
         raise SingularReferenceError(
             f"reference state eigenvalue {s_eigs.min():.3e} at or below rank tolerance"
         )
-    r_eigs = np.linalg.eigvalsh(hermitize(rho))
-    support = r_eigs[r_eigs > ENTROPY_FLOOR]
-    tr_r_ln_r = float((support * np.log(support)).sum())
+    tr_r_ln_r = _eigen_entropy_terms(np.linalg.eigvalsh(hermitize(rho)))
     log_sigma = (s_vecs * np.log(s_eigs)) @ s_vecs.conj().T
-    tr_r_ln_s = float(np.trace(rho @ log_sigma).real)
-    return tr_r_ln_r - tr_r_ln_s
+    tr_r_ln_s = (rho @ log_sigma).trace(axis1=-2, axis2=-1).real
+    return _scalar(tr_r_ln_r - tr_r_ln_s)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """``Tr |rho - sigma| / 2``."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """``Tr |rho - sigma| / 2``, a float for two states or an array over the
+    leading axes when either is a stack ``(..., d, d)``."""
     delta = hermitize(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
-    return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+    return _scalar(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
 
 
 def trace_distance_bloch(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from mpembasim import ThermalEnvironment, qubit_hamiltonian
-from mpembasim.exceptions import NegativeRateError
 from mpembasim.operators import random_density as draw_density
 
 # Columns are the sigma_x eigenstates |x+>, |x->; maps z-basis coordinates to
@@ -69,10 +68,8 @@ def build_lindbladian(hamiltonian: np.ndarray, jumps) -> np.ndarray:
 
     Raises
     ------
-    NegativeRateError
-        If any rate is negative.
     ValueError
-        If the Hamiltonian is not Hermitian to 1e-12.
+        If any rate is negative, or the Hamiltonian is not Hermitian to 1e-12.
     """
     h = np.asarray(hamiltonian, dtype=complex)
     herm_dev = float(np.max(np.abs(h - h.conj().T))) if h.size else 0.0
@@ -84,7 +81,7 @@ def build_lindbladian(hamiltonian: np.ndarray, jumps) -> np.ndarray:
     for op, rate in jumps:
         rate = float(rate)
         if rate < 0.0:
-            raise NegativeRateError(f"jump rate {rate} is negative")
+            raise ValueError(f"jump rate {rate} is negative")
         a = np.asarray(op, dtype=complex)
         if a.shape != (d, d):
             raise ValueError(f"jump operator shape {a.shape} does not match {h.shape}")

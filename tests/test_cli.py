@@ -255,6 +255,36 @@ def test_verify_passes_on_the_default_setup(capsys):
         assert any(name in line for line in lines)
 
 
+def test_verify_calls_each_reference_once_per_delay(capsys, monkeypatch):
+    # the reference checks take their 100 states as one stack per delay; a
+    # return to per-state loops makes hundreds of calls of each
+    counts = {}
+    for module_name, name in (
+        ("channels", "apply_channel"),
+        ("thermo", "f_neq"),
+        ("thermo", "trace_distance"),
+        ("operators", "validate_density_matrix"),
+    ):
+        original = getattr(getattr(mpembasim, module_name), name)
+        counts[name] = 0
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for key, module in list(sys.modules.items()):
+            if key == "mpembasim" or key.startswith("mpembasim."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, "verify")
+    assert code == 0
+    assert counts["apply_channel"] <= 6
+    assert counts["f_neq"] <= 6
+    assert counts["trace_distance"] <= 4
+    assert counts["validate_density_matrix"] <= 30
+
+
 def test_verify_checks_fail_independently(capsys, tmp_path):
     # at this temperature the Gibbs reference of the KL divergence is rank
     # deficient; only the check that needs the divergence may fail
@@ -404,12 +434,23 @@ def test_oversized_grid_is_refused_before_any_numerics(capsys):
 
 
 def test_missing_output_directory_is_an_io_error(capsys, tmp_path):
-    code, _, err = run(
-        capsys, "cooling", "--out", str(tmp_path / "absent" / "t.csv"),
-        "--tau-steps", "8",
-    )
+    requested = str(tmp_path / "absent" / "t.csv")
+    code, _, err = run(capsys, "cooling", "--out", requested, "--tau-steps", "8")
     assert code == 3
     assert "io error" in err
+    assert requested in err
+    assert ".partial-" not in err
+
+
+def test_an_output_path_that_is_a_directory_is_an_io_error(capsys, tmp_path):
+    requested = tmp_path / "taken"
+    requested.mkdir()
+    code, _, err = run(capsys, "cooling", "--out", str(requested), "--tau-steps", "8")
+    assert code == 3
+    assert "io error" in err
+    assert str(requested) in err
+    assert ".partial-" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 def test_environment_variable_supplies_the_config(capsys, tmp_path, monkeypatch):
