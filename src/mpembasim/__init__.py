@@ -3,171 +3,9 @@
 The package models a driven qubit exchanging heat with thermal auxiliaries:
 channel construction and generator extraction, spectral relaxation analysis,
 the population-inverting unitary that accelerates equilibration, and the
-four-stroke refrigerator that cashes the speedup in as cooling power.
+five-stroke refrigerator that cashes the speedup in as cooling power.  Names
+are imported from their modules, e.g. ``from mpembasim.otto import
+run_cycle``; the command-line front end is :mod:`mpembasim.cli`.
 """
 
-from .channels import (
-    DaviesBlockReport,
-    GadEquivalenceReport,
-    KrausChannel,
-    ThermalEnvironment,
-    apply_channel,
-    build_heat_exchange,
-    swap_window,
-    verify_davies_blocks,
-    verify_gad_equivalence,
-)
-from .config_io import ExperimentConfig, load_config, save_config, write_table
-from .exceptions import (
-    BranchCutError,
-    ConfigError,
-    DefectiveMatrixError,
-    DegenerateHamiltonianError,
-    GridMismatchError,
-    HermiticityError,
-    MissingStrokeError,
-    MpembaSimError,
-    NoAdvantageError,
-    NonConvergenceError,
-    NoStationaryModeError,
-    NumericsError,
-    ParseError,
-    SingularInputError,
-    SingularReferenceError,
-    TauOutOfRangeError,
-    ThresholdUnreachableError,
-    UnknownKeyError,
-    ValidationError,
-)
-from .liouville import (
-    SpectralDecomposition,
-    decompose,
-    devectorize,
-    extract_generator,
-    mode_overlap,
-    propagate_spectral,
-    slow_pair_indices,
-    transfer_matrix,
-    vectorize,
-)
-from .mpemba import (
-    MpembaTransform,
-    build_theta_family,
-    cooling_curves,
-    free_energy_surface,
-    mpemba_bloch,
-    mpemba_unitary,
-)
-from .numerics import EigenSystem, eig_general, expm, logm_principal
-from .operators import (
-    bloch_vector,
-    density_from_bloch,
-    mean_energy,
-    qubit_hamiltonian,
-    validate_density_matrix,
-)
-from .otto import (
-    CycleConfig,
-    PowerReport,
-    StrokeName,
-    StrokeRecord,
-    default_delta_grid,
-    distance_curves,
-    energy_balance,
-    heat_extracted,
-    power_ratio,
-    ramp_unitary,
-    run_cycle,
-    threshold_times,
-)
-from .thermo import (
-    CrossingReport,
-    RelaxationTrajectory,
-    detect_crossing,
-    f_neq,
-    gibbs_state,
-    kl_divergence,
-    trace_distance,
-    von_neumann_entropy,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BranchCutError",
-    "ConfigError",
-    "CrossingReport",
-    "CycleConfig",
-    "DaviesBlockReport",
-    "DefectiveMatrixError",
-    "DegenerateHamiltonianError",
-    "EigenSystem",
-    "ExperimentConfig",
-    "GadEquivalenceReport",
-    "GridMismatchError",
-    "HermiticityError",
-    "KrausChannel",
-    "MissingStrokeError",
-    "MpembaSimError",
-    "MpembaTransform",
-    "NoAdvantageError",
-    "NoStationaryModeError",
-    "NonConvergenceError",
-    "NumericsError",
-    "ParseError",
-    "PowerReport",
-    "RelaxationTrajectory",
-    "SingularInputError",
-    "SingularReferenceError",
-    "SpectralDecomposition",
-    "StrokeName",
-    "StrokeRecord",
-    "TauOutOfRangeError",
-    "ThermalEnvironment",
-    "ThresholdUnreachableError",
-    "UnknownKeyError",
-    "ValidationError",
-    "apply_channel",
-    "bloch_vector",
-    "build_heat_exchange",
-    "build_theta_family",
-    "cooling_curves",
-    "decompose",
-    "default_delta_grid",
-    "density_from_bloch",
-    "detect_crossing",
-    "devectorize",
-    "distance_curves",
-    "eig_general",
-    "energy_balance",
-    "expm",
-    "extract_generator",
-    "f_neq",
-    "free_energy_surface",
-    "gibbs_state",
-    "heat_extracted",
-    "kl_divergence",
-    "load_config",
-    "logm_principal",
-    "mean_energy",
-    "mode_overlap",
-    "mpemba_bloch",
-    "mpemba_unitary",
-    "power_ratio",
-    "propagate_spectral",
-    "qubit_hamiltonian",
-    "ramp_unitary",
-    "run_cycle",
-    "save_config",
-    "slow_pair_indices",
-    "swap_window",
-    "threshold_times",
-    "trace_distance",
-    "transfer_matrix",
-    "validate_density_matrix",
-    "vectorize",
-    "verify_davies_blocks",
-    "verify_gad_equivalence",
-    "von_neumann_entropy",
-    "write_table",
-]

@@ -55,11 +55,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config or os.environ.get("MPEMBA_CONFIG")
     config = load_config(path) if path else ExperimentConfig()
     overrides = {}
-    if getattr(args, "populations", None) is not None:
+    if args.populations is not None:
         overrides["populations"] = args.populations
-    if getattr(args, "tau_steps", None) is not None:
+    if args.tau_steps is not None:
         overrides["tau_steps"] = args.tau_steps
-    if getattr(args, "theta_steps", None) is not None:
+    if args.theta_steps is not None:
         overrides["theta_steps"] = args.theta_steps
     if overrides:
         config = dataclasses.replace(config, **overrides)
@@ -448,29 +448,18 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
     spectrum.set_defaults(handler=cmd_spectrum)
 
-    surface = sub.add_parser(
-        "surface", help="free-energy excess over the angle/delay grid"
-    )
-    _add_common(surface, table=True)
-    surface.set_defaults(handler=cmd_surface)
-
-    cooling = sub.add_parser(
-        "cooling", help="relaxation curves with and without the acceleration"
-    )
-    _add_common(cooling, table=True)
-    cooling.set_defaults(handler=cmd_cooling)
-
-    otto_distance = sub.add_parser(
-        "otto-distance", help="exchange-stroke distance curves of the cycle"
-    )
-    _add_common(otto_distance, table=True)
-    otto_distance.set_defaults(handler=cmd_otto_distance)
-
-    otto_ratio = sub.add_parser(
-        "otto-ratio", help="cycle-power ratio across distance thresholds"
-    )
-    _add_common(otto_ratio, table=True)
-    otto_ratio.set_defaults(handler=cmd_otto_ratio)
+    for name, handler, help_text in (
+        ("surface", cmd_surface, "free-energy excess over the angle/delay grid"),
+        ("cooling", cmd_cooling,
+         "relaxation curves with and without the acceleration"),
+        ("otto-distance", cmd_otto_distance,
+         "exchange-stroke distance curves of the cycle"),
+        ("otto-ratio", cmd_otto_ratio,
+         "cycle-power ratio across distance thresholds"),
+    ):
+        command = sub.add_parser(name, help=help_text)
+        _add_common(command, table=True)
+        command.set_defaults(handler=handler)
 
     verify = sub.add_parser("verify", help="run the full invariant battery")
     _add_common(verify, table=False)

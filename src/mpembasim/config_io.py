@@ -191,22 +191,6 @@ def _atomic_write(path: str, pieces) -> None:
         raise
 
 
-def save_config(config: ExperimentConfig, path: str) -> None:
-    """Write the config in the same format load_config reads (round trips)."""
-    lines = ["[experiment]"]
-    for field in fields(config):
-        value = getattr(config, field.name)
-        if field.name == "populations":
-            rendered = ", ".join(repr(float(p)) for p in value)
-        elif isinstance(value, float):
-            # repr is the shortest decimal that parses back to the same float
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{field.name} = {rendered}")
-    _atomic_write(path, ["\n".join(lines) + "\n"])
-
-
 def write_table(
     rows, schema: list, path: str, fmt: str = "csv", precision: int = 12
 ) -> None:

@@ -62,10 +62,6 @@ class NoAdvantageError(MpembaSimError, ValueError):
     """A cycle-power ratio fell below one: the accelerated cycle is the slower one."""
 
 
-class MissingStrokeError(MpembaSimError, KeyError):
-    """A cycle record list lacks a stroke required for the requested bookkeeping."""
-
-
 class ConfigError(MpembaSimError):
     """Base class for configuration-file problems."""
 

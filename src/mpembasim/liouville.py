@@ -99,10 +99,6 @@ class SpectralDecomposition:
     system: numerics.EigenSystem = field(repr=False)
 
     @property
-    def dim(self) -> int:
-        return self.fixed_point.shape[0]
-
-    @property
     def condition_estimate(self) -> float:
         """Condition number of the unsorted, unscaled right eigenvector matrix,
         computed on first read."""
@@ -223,8 +219,9 @@ def extract_generator(channel, t: float) -> np.ndarray:
     """Effective generator ``(1/t) log M`` of a channel's transfer matrix.
 
     ``channel`` is anything with an ``operators`` attribute, such as a
-    :class:`channels.KrausChannel`.  The principal logarithm is verified by re-exponentiating: ``expm(t L)`` must reproduce the transfer
-    matrix to 1e-8 or the extraction is rejected.
+    :class:`channels.KrausChannel`.  The principal logarithm is verified by
+    re-exponentiating: ``expm(t L)`` must reproduce the transfer matrix to
+    1e-8 or the extraction is rejected.
 
     Raises
     ------

@@ -46,12 +46,8 @@ from typing import Sequence
 import numpy as np
 
 from .channels import ThermalEnvironment, _check_delays, _exchange_bloch, swap_window
-from .exceptions import (
-    GridMismatchError,
-    MissingStrokeError,
-    NoAdvantageError,
-    ThresholdUnreachableError,
-)
+from .exceptions import GridMismatchError, NoAdvantageError, \
+    ThresholdUnreachableError
 from .mpemba import _pulse_bloch, cooling_curves
 from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, \
     validate_bloch_vectors
@@ -73,11 +69,10 @@ class StrokeName(Enum):
 class CycleConfig:
     """Cycle parameters; frequencies in kHz, coupling in Hz, times in ms.
 
-    ``tau3`` and ``tau4`` default to the compression-mirrors-expansion and
-    full-exchange-window choices when left unset.  ``tau_bar`` is the fixed
-    per-cycle overhead used in the power ratio; it is deliberately a free
-    knob rather than being derived from the stroke times.  ``mpemba_duration``
-    is the cost of the accelerating pulse, 0 for an instantaneous pulse.
+    The compression ramp takes ``tau1``, as the expansion does, and the reset
+    takes the full exchange window; the accelerating pulse is instantaneous.
+    ``tau_bar`` is the fixed per-cycle overhead used in the power ratio; it is
+    deliberately a free knob rather than being derived from the stroke times.
     """
 
     nu0: float = 1.0
@@ -86,20 +81,13 @@ class CycleConfig:
     t_hot: float = 4.77
     t_cold: float = 2.38
     tau1: float = 0.1
-    tau3: float | None = None
-    tau4: float | None = None
     tau_bar: float = 4.65
     use_mpemba: bool = True
-    mpemba_duration: float = 0.0
 
     def __post_init__(self):
-        if self.tau3 is None:
-            object.__setattr__(self, "tau3", self.tau1)
-        if self.tau4 is None:
-            object.__setattr__(self, "tau4", swap_window(self.j_hz))
         numbers = (
             self.nu0, self.nu1, self.j_hz, self.t_hot, self.t_cold, self.tau1,
-            self.tau3, self.tau4, self.tau_bar, self.mpemba_duration,
+            self.tau_bar,
         )
         if not np.all(np.isfinite(numbers)):
             raise ValueError(f"cycle parameters must be finite, got {numbers}")
@@ -107,10 +95,8 @@ class CycleConfig:
             raise ValueError(f"need nu1 > nu0 > 0, got {self.nu0}, {self.nu1}")
         if self.t_hot <= 0.0 or self.t_cold <= 0.0:
             raise ValueError("temperatures must be positive")
-        if min(self.j_hz, self.tau1, self.tau3, self.tau4, self.tau_bar) <= 0.0:
+        if min(self.j_hz, self.tau1, self.tau_bar) <= 0.0:
             raise ValueError("coupling and stroke times must be positive")
-        if self.mpemba_duration < 0.0:
-            raise ValueError("accelerating-pulse duration cannot be negative")
 
 
 @dataclass(frozen=True)
@@ -185,17 +171,19 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     """Execute one full cycle and return its five stroke records.
 
     ``tau2`` is the exchange delay of the tunable stroke, restricted to the
-    swap window; ``TauOutOfRangeError`` is raised for one outside it, as for
-    a ``tau4`` outside it.  The strokes run through the unchecked kernels of
-    :func:`channels.heat_exchange_bloch` and :func:`mpemba.mpemba_bloch`, and
-    their five results are then validated together.
+    swap window; ``TauOutOfRangeError`` is raised for one outside it.  The
+    reset exchanges for the full window.  The strokes run through the
+    unchecked kernels of :func:`channels.heat_exchange_bloch` and
+    :func:`mpemba.mpemba_bloch`, and their five results are then validated
+    together.
     """
-    taus = _check_delays(cfg.j_hz, (tau2, cfg.tau4))
+    reset = swap_window(cfg.j_hz)
+    taus = _check_delays(cfg.j_hz, (tau2, reset))
     r0, r1 = _expanded_cold_state(cfg)
     r2 = _pulse_bloch(r1) if cfg.use_mpemba else r1
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     r3 = _exchange_bloch(env_hot.polarization, cfg.j_hz, r2, taus[:1])[0]
-    r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau3)
+    r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1)
     # the reset exchanges along x with the cold partner, whose polarization
     # r0[0] already holds: reversing (x, y, z) swaps x and z, and the map
     # scales x and y alike, so y needs no sign flip
@@ -212,28 +200,11 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
             -cfg.nu1 * r3[2], -cfg.nu0 * r4[0], -cfg.nu0 * r5[0],
         )
     ]
-    durations = (cfg.tau1, cfg.mpemba_duration, tau2, cfg.tau3, cfg.tau4)
+    durations = (cfg.tau1, 0.0, tau2, cfg.tau1, reset)
     return [
         StrokeRecord(name, duration, junctions[k], junctions[k + 1], states[k])
         for k, (name, duration) in enumerate(zip(StrokeName, durations))
     ]
-
-
-def heat_extracted(records: Sequence[StrokeRecord], cfg: CycleConfig) -> float:
-    """Cold-side heat figure ``Tr[H1 rho_eq_c] - Tr[H0 rho_tau3]`` in kHz.
-
-    ``H0`` and ``H1`` are the drive-axis Hamiltonians at the two gap values
-    and ``rho_tau3`` the post-compression state.  Negative values mean heat
-    is dumped into the cold bath.  Under ``-2 pi nu sigma_x`` an energy is
-    ``-nu r_x``, so the figure is ``nu0 r4_x - nu1 r0_x`` with ``r4`` the
-    compression record's Bloch vector and ``r0`` the cold Gibbs state's.
-    """
-    by_name = {record.name: record for record in records}
-    if StrokeName.COMPRESSION not in by_name:
-        raise MissingStrokeError("records carry no compression stroke")
-    r4 = by_name[StrokeName.COMPRESSION].bloch_after
-    r0 = _expanded_cold_state(cfg)[0]
-    return float(cfg.nu0 * r4[0] - cfg.nu1 * r0[0])
 
 
 def energy_balance(records: Sequence[StrokeRecord]) -> float:
@@ -308,29 +279,18 @@ def default_delta_grid(
     return np.interp(sample_times, plain.times, plain.trace_dist)
 
 
-def power_ratio(
-    cfg: CycleConfig,
-    delta_grid: Sequence[float] | None = None,
-    tau2_grid: Sequence[float] | None = None,
-) -> list:
+def power_ratio(cfg: CycleConfig, tau2_grid: Sequence[float]) -> list:
     """Cycle-power ratio with/without the accelerating stroke per threshold.
 
-    The ratio is ``(tau_bar + tau2_plain) / (tau_bar + overhead + tau2_mb)``
-    with ``overhead`` the accelerating pulse's duration.  The default grids
-    are 64 delays across the swap window and 40 thresholds across the
-    advantage window.
+    The ratio is ``(tau_bar + tau2_plain) / (tau_bar + tau2_mb)``, at the 40
+    thresholds of :func:`default_delta_grid` on the distance curves over
+    ``tau2_grid``.
     """
-    if tau2_grid is None:
-        tau2_grid = np.linspace(0.0, swap_window(cfg.j_hz), 64)
     curves = distance_curves(cfg, tau2_grid)
-    if delta_grid is None:
-        delta_grid = default_delta_grid(curves)
     reports = []
-    for delta in np.asarray(delta_grid, dtype=float):
+    for delta in default_delta_grid(curves):
         tau2_plain, tau2_mb = threshold_times(curves, float(delta))
-        ratio = (cfg.tau_bar + tau2_plain) / (
-            cfg.tau_bar + cfg.mpemba_duration + tau2_mb
-        )
+        ratio = (cfg.tau_bar + tau2_plain) / (cfg.tau_bar + tau2_mb)
         reports.append(
             PowerReport(
                 delta=float(delta),

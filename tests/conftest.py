@@ -5,8 +5,8 @@ import from here."""
 import numpy as np
 import pytest
 
-from mpembasim import ThermalEnvironment, qubit_hamiltonian
-from mpembasim.operators import random_density as draw_density
+from mpembasim.channels import ThermalEnvironment
+from mpembasim.operators import qubit_hamiltonian, random_density as draw_density
 
 # Columns are the sigma_x eigenstates |x+>, |x->; maps z-basis coordinates to
 # the x eigenbasis and back (the matrix is its own inverse).

@@ -3,7 +3,6 @@ process where the whole stderr stream is under test."""
 
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -17,9 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpembasim
-from mpembasim import cli
+from mpembasim import cli, otto
 from mpembasim.cli import main
-from mpembasim.config_io import ExperimentConfig
 
 WINDOW_MS = 2.3245002324500232
 
@@ -334,14 +332,18 @@ def test_hot_verify_still_catches_defects(
     assert failed == [check]
 
 
-def test_a_pulse_slower_than_its_gain_is_reported(capsys, tmp_path, monkeypatch):
-    # the config file has no pulse-duration key; give the cycle a 1 ms pulse
-    view = ExperimentConfig.cycle_config
-    monkeypatch.setattr(
-        ExperimentConfig,
-        "cycle_config",
-        lambda self: dataclasses.replace(view(self), mpemba_duration=1.0),
-    )
+def test_an_accelerated_branch_slower_than_the_plain_one_is_reported(
+    capsys, tmp_path, monkeypatch
+):
+    # the model has no input that slows the accelerated branch; move its
+    # threshold delay 1 ms past the plain one, so every ratio falls below 1
+    original = otto.threshold_times
+
+    def late(curves, delta):
+        tau2_plain, _ = original(curves, delta)
+        return tau2_plain, tau2_plain + 1.0
+
+    monkeypatch.setattr(otto, "threshold_times", late)
     code, _, err = run(capsys, "otto-ratio", "--out", str(tmp_path / "ratio.csv"))
     assert code == 2
     assert "numerical error" in err and "below 1" in err

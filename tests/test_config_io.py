@@ -1,4 +1,4 @@
-"""Config parsing, round-trip persistence, and table serialization."""
+"""Config parsing, the cycle view of a config, and table serialization."""
 
 import csv
 import json
@@ -15,7 +15,6 @@ from mpembasim.config_io import (
     MAX_GRID_POINTS,
     ExperimentConfig,
     load_config,
-    save_config,
     write_table,
 )
 from mpembasim.exceptions import ParseError, UnknownKeyError, ValidationError
@@ -129,30 +128,6 @@ def test_validation_rejects_out_of_range_weights():
         ExperimentConfig(populations=(0.0, 1.0))
     with pytest.raises(ValidationError):
         ExperimentConfig(populations=(0.3, 0.7, 0.0))
-
-
-def test_save_load_round_trip(tmp_path):
-    cfg = ExperimentConfig(
-        nu1_khz=2.125, j_hz=190.7, populations=(0.25, 0.75), tau_steps=48,
-        epsilon_equilibrium_khz=1.0 / 3.0,
-    )
-    path = str(tmp_path / "round.cfg")
-    save_config(cfg, path)
-    assert load_config(path) == cfg
-
-
-def test_save_is_deterministic(tmp_path):
-    cfg = ExperimentConfig()
-    a, b = str(tmp_path / "a.cfg"), str(tmp_path / "b.cfg")
-    save_config(cfg, a)
-    save_config(cfg, b)
-    with open(a, "rb") as fa, open(b, "rb") as fb:
-        assert fa.read() == fb.read()
-
-
-def test_save_leaves_no_partial_files(tmp_path):
-    save_config(ExperimentConfig(), str(tmp_path / "clean.cfg"))
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["clean.cfg"]
 
 
 def test_cycle_config_view_converts_units():
@@ -363,9 +338,7 @@ def test_written_files_take_their_mode_from_the_umask(tmp_path, mask, mode):
     previous = os.umask(mask)
     try:
         write_table(ROWS, ["tau_ms", "value"], str(tmp_path / "table.csv"))
-        save_config(ExperimentConfig(), str(tmp_path / "run.cfg"))
     finally:
         os.umask(previous)
-    for name in ("table.csv", "run.cfg"):
-        assert (tmp_path / name).stat().st_mode & 0o777 == mode
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "table.csv"]
+    assert (tmp_path / "table.csv").stat().st_mode & 0o777 == mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]

@@ -17,7 +17,6 @@ from mpembasim.channels import (
 )
 from mpembasim.exceptions import (
     GridMismatchError,
-    MissingStrokeError,
     MpembaSimError,
     NoAdvantageError,
     TauOutOfRangeError,
@@ -39,7 +38,6 @@ from mpembasim.otto import (
     default_delta_grid,
     distance_curves,
     energy_balance,
-    heat_extracted,
     power_ratio,
     ramp_unitary,
     run_cycle,
@@ -100,20 +98,21 @@ def kraus_cycle(cfg, tau2):
         rho2 = mpemba_unitary(rho1, h_exchange).target_state
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     rho3 = apply_channel(build_heat_exchange(env_hot, cfg.j_hz, tau2), rho2)
-    u_comp = ramp_unitary(cfg.nu1, cfg.nu0, cfg.tau3)
+    u_comp = ramp_unitary(cfg.nu1, cfg.nu0, cfg.tau1)
     rho4 = u_comp @ rho3 @ u_comp.conj().T
     env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    exchange = build_heat_exchange(env_cold, cfg.j_hz, cfg.tau4)
+    reset_delay = swap_window(cfg.j_hz)
+    exchange = build_heat_exchange(env_cold, cfg.j_hz, reset_delay)
     v = X_EIGENBASIS
     reset = KrausChannel(operators=tuple(v @ k @ v.conj().T for k in exchange.operators))
     rho5 = apply_channel(reset, rho4)
 
     strokes = (
         (StrokeName.EXPANSION, cfg.tau1, rho0, h_cold, rho1, h_drive),
-        (StrokeName.MPEMBA, cfg.mpemba_duration, rho1, h_drive, rho2, h_exchange),
+        (StrokeName.MPEMBA, 0.0, rho1, h_drive, rho2, h_exchange),
         (StrokeName.COOLING, tau2, rho2, h_exchange, rho3, h_exchange),
-        (StrokeName.COMPRESSION, cfg.tau3, rho3, h_exchange, rho4, h_cold),
-        (StrokeName.HOT_RESET, cfg.tau4, rho4, h_cold, rho5, h_cold),
+        (StrokeName.COMPRESSION, cfg.tau1, rho3, h_exchange, rho4, h_cold),
+        (StrokeName.HOT_RESET, reset_delay, rho4, h_cold, rho5, h_cold),
     )
     return [
         StrokeRecord(
@@ -132,8 +131,6 @@ def cycle_inputs(draw):
     """A random cycle config and an exchange delay inside its swap window."""
     nu0 = draw(st.floats(0.1, 10.0))
     j_hz = draw(st.floats(20.0, 2000.0))
-    window = swap_window(j_hz)
-    in_window = st.floats(0.01, 1.0).map(lambda fraction: fraction * window)
     cfg = CycleConfig(
         nu0=nu0,
         nu1=nu0 * draw(st.floats(1.05, 5.0)),
@@ -141,11 +138,9 @@ def cycle_inputs(draw):
         t_hot=draw(st.floats(0.1, 50.0)),
         t_cold=draw(st.floats(0.1, 50.0)),
         tau1=draw(st.floats(1e-3, 2.0)),
-        tau3=draw(st.none() | in_window),
-        tau4=draw(st.none() | in_window),
         use_mpemba=draw(st.booleans()),
     )
-    return cfg, draw(st.floats(0.0, 1.0)) * window
+    return cfg, draw(st.floats(0.0, 1.0)) * swap_window(j_hz)
 
 
 # --------------------------------------------------------------------- ramps
@@ -196,8 +191,6 @@ def test_ramp_requires_positive_duration():
 
 def test_cycle_config_defaults():
     cfg = CycleConfig()
-    assert cfg.tau3 == cfg.tau1
-    assert cfg.tau4 == pytest.approx(swap_window(cfg.j_hz))
     assert cfg.tau_bar == pytest.approx(4.65)
     assert cfg.use_mpemba
 
@@ -209,8 +202,6 @@ def test_cycle_config_validation():
         CycleConfig(t_hot=-1.0)
     with pytest.raises(ValueError, match="stroke times"):
         CycleConfig(tau1=0.0)
-    with pytest.raises(ValueError, match="cannot be negative"):
-        CycleConfig(mpemba_duration=-0.5)
     with pytest.raises(ValueError, match="finite"):
         CycleConfig(j_hz=float("nan"))
     with pytest.raises(ValueError, match="finite"):
@@ -221,7 +212,8 @@ def test_cycle_config_validation():
 
 
 def test_cycle_produces_five_ordered_strokes():
-    records = run_cycle(CycleConfig(), tau2=1.0)
+    cfg = CycleConfig()
+    records = run_cycle(cfg, tau2=1.0)
     assert [r.name for r in records] == [
         StrokeName.EXPANSION,
         StrokeName.MPEMBA,
@@ -229,8 +221,9 @@ def test_cycle_produces_five_ordered_strokes():
         StrokeName.COMPRESSION,
         StrokeName.HOT_RESET,
     ]
-    assert records[2].duration == pytest.approx(1.0)
-    assert records[1].duration == pytest.approx(0.0)
+    assert [r.duration for r in records] == pytest.approx(
+        [cfg.tau1, 0.0, 1.0, cfg.tau1, swap_window(cfg.j_hz)]
+    )
 
 
 def test_stroke_boundaries_share_their_energies():
@@ -269,8 +262,6 @@ def test_cycle_rejects_delays_outside_the_window():
         run_cycle(cfg, tau2=swap_window(cfg.j_hz) + 0.05)
     with pytest.raises(TauOutOfRangeError):
         run_cycle(cfg, tau2=float("nan"))
-    with pytest.raises(TauOutOfRangeError):
-        run_cycle(CycleConfig(tau4=swap_window(cfg.j_hz) + 0.05), tau2=1.0)
 
 
 def test_cycle_builds_density_matrices_only_when_read(monkeypatch):
@@ -326,32 +317,6 @@ def test_bridge_stroke_applies_the_population_inversion():
     assert abs(state[0, 1]) <= 1e-12
     p_cold = 1.0 / (1.0 + np.exp(2.0 / 2.38))
     assert state[1, 1].real == pytest.approx(1.0 - p_cold, abs=1e-12)
-
-
-# --------------------------------------------------------------- heat figure
-
-
-def test_heat_figure_at_zero_exchange():
-    # without exchange or inversion the medium returns cold, and the figure
-    # reduces to -(nu1 - nu0) tanh(nu0 / t_cold)
-    records = run_cycle(CycleConfig(use_mpemba=False), tau2=0.0)
-    value = heat_extracted(records, CycleConfig(use_mpemba=False))
-    assert value == pytest.approx(-(2.0 - 1.0) * R_COLD, abs=1e-10)
-    assert value < 0.0
-
-
-def test_heat_figure_after_a_full_exchange():
-    # the hot-thermalized medium carries no drive-axis energy, leaving only
-    # the cold-equilibrium term -nu1 tanh(nu0 / t_cold)
-    cfg = CycleConfig()
-    records = run_cycle(cfg, tau2=swap_window(cfg.j_hz))
-    assert heat_extracted(records, cfg) == pytest.approx(-2.0 * R_COLD, abs=1e-10)
-
-
-def test_heat_figure_requires_the_compression_stroke():
-    records = run_cycle(CycleConfig(), tau2=1.0)
-    with pytest.raises(MissingStrokeError):
-        heat_extracted(records[:3], CycleConfig())
 
 
 # ----------------------------------------------------------- distance curves
@@ -453,33 +418,27 @@ def test_delta_grid_requires_a_crossing():
 # -------------------------------------------------------------- power ratios
 
 
+def default_power_ratio():
+    cfg = CycleConfig()
+    return power_ratio(cfg, np.linspace(0.0, swap_window(cfg.j_hz), 64))
+
+
 def test_power_ratio_never_reports_a_slowdown():
-    reports = power_ratio(CycleConfig())
+    reports = default_power_ratio()
     assert len(reports) == 40
     assert all(r.ratio >= 1.0 - 1e-12 for r in reports)
 
 
 def test_power_ratio_returns_to_one_at_the_window_edges():
-    reports = power_ratio(CycleConfig())
+    reports = default_power_ratio()
     assert reports[0].ratio == pytest.approx(1.0, abs=1e-6)
     assert reports[-1].ratio == pytest.approx(1.0, abs=1e-3)
 
 
 def test_power_ratio_peak_shows_a_real_advantage():
-    reports = power_ratio(CycleConfig())
+    reports = default_power_ratio()
     peak = max(r.ratio for r in reports)
     assert 1.0 + 1e-3 < peak < 1.2
-
-
-def test_power_ratio_accounts_for_the_pulse_overhead():
-    slow = CycleConfig(mpemba_duration=0.1)
-    fast = CycleConfig()
-    taus = np.linspace(0.0, swap_window(slow.j_hz), 64)
-    delta = [0.05]
-    r_slow = power_ratio(slow, delta_grid=delta, tau2_grid=taus)[0]
-    r_fast = power_ratio(fast, delta_grid=delta, tau2_grid=taus)[0]
-    assert r_slow.tau2_mb == pytest.approx(r_fast.tau2_mb, abs=1e-12)
-    assert r_slow.ratio < r_fast.ratio
 
 
 def test_power_report_rejects_ratios_below_one():
@@ -487,12 +446,6 @@ def test_power_report_rejects_ratios_below_one():
         PowerReport(delta=0.1, tau2_plain=1.0, tau2_mb=1.5, ratio=0.9)
     assert issubclass(NoAdvantageError, MpembaSimError)
     assert issubclass(NoAdvantageError, ValueError)
-
-
-def test_a_slow_pulse_leaves_no_advantage():
-    # a 1 ms pulse costs more than the accelerated stroke saves anywhere
-    with pytest.raises(NoAdvantageError, match="below 1"):
-        power_ratio(CycleConfig(mpemba_duration=1.0))
 
 
 @settings(max_examples=20, deadline=None)

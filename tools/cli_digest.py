@@ -9,11 +9,14 @@ as fresh processes: all six subcommands at the default grids and at
 ``--theta-steps 200 --tau-steps 4096``, each table command in csv and json,
 and then every subcommand once more with a config file (:data:`CONFIG`) that
 sets each key to a value other than its default, so that config parsing and
-validation are covered as well.  Last, ``spectrum`` runs at the delays of
-:data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.
-Every run gets its own temporary working directory and a fixed relative
-output name, so paths echoed to stdout match between checkouts.  One SHA-256
-line is printed per stdout and per table.
+validation are covered as well.  Then ``spectrum`` runs at the delays of
+:data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
+``--help`` for the program and each subcommand, and the failing runs of
+:data:`ERROR_RUNS`.  Every run gets its own temporary working directory and a
+fixed relative output name, so paths echoed to stdout match between
+checkouts, and ``COLUMNS=80``, so argparse wraps help and usage text the same
+way in any terminal.  One SHA-256 line is printed per stdout, per table, and
+per stderr that is not empty.
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -59,6 +62,13 @@ CONFIG_NAME = "run.cfg"
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
 
+#: runs that fail: a numerical error (exit 2), then two config or IO errors
+ERROR_RUNS = (
+    ("otto-ratio", "--tau-steps", "2", "--out", "table.csv"),
+    ("spectrum", "--tau", "0"),
+    ("cooling", "--out", "missing/a.csv"),
+)
+
 
 def runs():
     """(label, argv, table name or None) for every run, in a fixed order."""
@@ -78,6 +88,11 @@ def runs():
             table = f"table.{fmt}"
             argv = ["spectrum", "--tau", tau, "--out", table, "--format", fmt]
             yield f"spectrum --tau {tau} default {fmt}", argv, table
+    yield "--help", ["--help"], None
+    for command in (*TABLE_COMMANDS, "verify"):
+        yield f"{command} --help", [command, "--help"], None
+    for argv in ERROR_RUNS:
+        yield " ".join(argv), list(argv), None
 
 
 def sha256(data: bytes) -> str:
@@ -94,6 +109,7 @@ def main(argv: list) -> int:
         return 2
     env = {key: value for key, value in os.environ.items() if key != "MPEMBA_CONFIG"}
     env["PYTHONPATH"] = src
+    env["COLUMNS"] = "80"
     for label, args, table in runs():
         with tempfile.TemporaryDirectory() as workdir:
             with open(os.path.join(workdir, CONFIG_NAME), "w", encoding="utf-8") as handle:
@@ -106,6 +122,8 @@ def main(argv: list) -> int:
                 check=False,
             )
             print(f"{sha256(done.stdout)}  {label} stdout (exit {done.returncode})")
+            if done.stderr:
+                print(f"{sha256(done.stderr)}  {label} stderr")
             if table is not None:
                 path = os.path.join(workdir, table)
                 if os.path.exists(path):
