@@ -429,7 +429,10 @@ def _add_common(parser: argparse.ArgumentParser, table: bool) -> None:
         parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh Namespace per call
     parser = argparse.ArgumentParser(
         prog="mpembasim",
         description="Spectral simulator for anomalous thermal relaxation and "

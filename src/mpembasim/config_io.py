@@ -243,12 +243,21 @@ def _filled(template: str, separator: str, cells: list):
     """The rows of ``cells`` (see :func:`_columns`) filled into ``template``
     and joined by ``separator``, as text blocks of at most
     :data:`BLOCK_ROWS` rows; each block after the first starts with
-    ``separator``.  Only one block's cells exist at a time."""
+    ``separator``.  Only one block's cells exist at a time.
+
+    A block is filled by one ``%`` on ``template`` repeated once per row,
+    with the columns' cells interleaved into one row-major list.
+    """
     n_rows = len(cells[0][1]) if cells else 0
+    width = len(cells)
     for start in range(0, n_rows, BLOCK_ROWS):
         part = slice(start, start + BLOCK_ROWS)
-        rows = zip(*(render(data[part]) for render, data in cells))
-        yield (separator if start else "") + separator.join(map(template.__mod__, rows))
+        size = min(BLOCK_ROWS, n_rows - start)
+        flat = [None] * (size * width)
+        for k, (render, data) in enumerate(cells):
+            flat[k::width] = render(data[part])
+        text = separator.join([template] * size) % tuple(flat)
+        yield (separator if start else "") + text
 
 
 def _columns(columns: list, precision: int, as_json: bool) -> tuple:

@@ -226,38 +226,49 @@ def distance_curves(
 
 
 def threshold_times(
-    curves: tuple[RelaxationTrajectory, RelaxationTrajectory], delta: float
-) -> tuple[float, float]:
+    curves: tuple[RelaxationTrajectory, RelaxationTrajectory],
+    delta: float | np.ndarray,
+) -> tuple:
     """Earliest delays at which each curve first comes down to ``delta``.
 
-    Times are linearly interpolated between grid points.  A threshold the
-    curve never reaches raises ThresholdUnreachableError; one already met at
-    the first grid point reports that point's time.
+    ``delta`` is one threshold or an array of them.  One threshold gives two
+    floats; an array gives two arrays of its shape, from one grid check and
+    one pass over each curve.  Times are linearly interpolated between grid
+    points.  A threshold the curve never reaches raises
+    ThresholdUnreachableError naming the first such threshold; one already
+    met at the first grid point reports that point's time.
     """
     plain, mb = curves
     if plain.times.size != mb.times.size or not np.allclose(
         plain.times, mb.times, rtol=0.0, atol=1e-12
     ):
         raise GridMismatchError("threshold curves use different tau2 grids")
+    levels = np.asarray(delta, dtype=float)
+    flat = levels.reshape(-1)
 
-    def first_reach(trajectory: RelaxationTrajectory) -> float:
+    def first_reach(trajectory: RelaxationTrajectory) -> np.ndarray:
         values = trajectory.trace_dist
         times = trajectory.times
-        hit = np.flatnonzero(values <= delta + THRESHOLD_TOL)
-        if hit.size == 0:
+        reached = values <= flat[:, None] + THRESHOLD_TOL
+        i = np.argmax(reached, axis=1)
+        missing = ~reached[np.arange(flat.size), i]
+        if missing.any():
             raise ThresholdUnreachableError(
-                f"delta={delta:.6g} below the curve minimum {values.min():.6g}"
+                f"delta={flat[missing][0]:.6g} below the curve minimum {values.min():.6g}"
             )
-        i = int(hit[0])
-        if i == 0:
-            return float(times[0])
-        v0, v1 = values[i - 1], values[i]
-        if v0 - v1 <= THRESHOLD_TOL:
-            return float(times[i])
-        t = times[i - 1] + (times[i] - times[i - 1]) * (v0 - delta) / (v0 - v1)
-        return float(min(t, times[i]))
+        # at i == 0 the step from i - 1 (clipped to 0) is flat, so a threshold
+        # met at the first point or on a flat step reports that grid point
+        before = np.maximum(i - 1, 0)
+        v0, v1 = values[before], values[i]
+        t0, t1 = times[before], times[i]
+        steep = v0 - v1 > THRESHOLD_TOL
+        t = t0 + (t1 - t0) * (v0 - flat) / np.where(steep, v0 - v1, 1.0)
+        return np.where(steep, np.minimum(t, t1), t1).reshape(levels.shape)
 
-    return first_reach(plain), first_reach(mb)
+    tau_plain, tau_mb = first_reach(plain), first_reach(mb)
+    if levels.ndim == 0:
+        return float(tau_plain), float(tau_mb)
+    return tau_plain, tau_mb
 
 
 def default_delta_grid(
@@ -284,19 +295,17 @@ def power_ratio(cfg: CycleConfig, tau2_grid: Sequence[float]) -> list:
 
     The ratio is ``(tau_bar + tau2_plain) / (tau_bar + tau2_mb)``, at the 40
     thresholds of :func:`default_delta_grid` on the distance curves over
-    ``tau2_grid``.
+    ``tau2_grid``.  All 40 threshold delays come from one
+    :func:`threshold_times` call, and the ratios are formed element by
+    element.
     """
     curves = distance_curves(cfg, tau2_grid)
-    reports = []
-    for delta in default_delta_grid(curves):
-        tau2_plain, tau2_mb = threshold_times(curves, float(delta))
-        ratio = (cfg.tau_bar + tau2_plain) / (cfg.tau_bar + tau2_mb)
-        reports.append(
-            PowerReport(
-                delta=float(delta),
-                tau2_plain=tau2_plain,
-                tau2_mb=tau2_mb,
-                ratio=float(ratio),
-            )
+    deltas = default_delta_grid(curves)
+    tau2_plain, tau2_mb = threshold_times(curves, deltas)
+    ratios = (cfg.tau_bar + tau2_plain) / (cfg.tau_bar + tau2_mb)
+    return [
+        PowerReport(delta=delta, tau2_plain=plain, tau2_mb=mb, ratio=ratio)
+        for delta, plain, mb, ratio in zip(
+            deltas.tolist(), tau2_plain.tolist(), tau2_mb.tolist(), ratios.tolist()
         )
-    return reports
+    ]

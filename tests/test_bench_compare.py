@@ -14,13 +14,13 @@ spec.loader.exec_module(bench_compare)
 BASE = {"setup_s": 0.40, "op_p50_ms": 100.0, "work_per_s": 5000.0, "peak_rss_mb": 80.0}
 
 
-def report(workload="sweep-large", failed=0, trace=0, **changes):
+def report(workload="sweep-large", failed=0, trace=0, attempted=10, **changes):
     values = {**BASE, **changes}
     return {
         "workload": workload,
         "trace": trace,
         "result": {
-            "attempted": 10,
+            "attempted": attempted,
             "failed": failed,
             "metrics": {name: {"value": value, "unit": "x"} for name, value in values.items()},
         },
@@ -70,3 +70,23 @@ def test_a_bench_file_alone_compares_its_parent_and_change(tmp_path, capsys):
     assert bench_compare.main([str(path)]) == 0
     line = next(line for line in capsys.readouterr().out.splitlines() if "op_p50_ms" in line)
     assert "(n=2/1)" in line and "-33.3%" in line
+
+
+def test_the_memory_line_gives_each_sides_median_operation_count(tmp_path, capsys):
+    # a side that completes more operations keeps more timing records, so
+    # its memory is read beside its operation count
+    old = [report(attempted=40), report(attempted=44), report(trace=1, attempted=7)]
+    new = [report(attempted=52, peak_rss_mb=81.0), report(attempted=56, peak_rss_mb=81.0)]
+    code, out = run(tmp_path, capsys, old, new)
+    assert code == 0
+    lines = out.splitlines()
+    memory = [line for line in lines if "peak_rss_mb" in line]
+    assert len(memory) == 1 and memory[0].endswith("+1.2%  ops 42 -> 54")
+    assert all("ops" not in line for line in lines if "peak_rss_mb" not in line)
+
+
+def test_a_flagged_memory_line_keeps_its_operation_count(tmp_path, capsys):
+    code, out = run(tmp_path, capsys, report(), report(peak_rss_mb=90.0, attempted=13))
+    assert code == 1
+    line = next(line for line in out.splitlines() if "peak_rss_mb" in line)
+    assert "ops 10 -> 13  BEYOND BOUND (10%)" in line

@@ -486,6 +486,52 @@ def test_malformed_populations_flag_is_a_usage_error(capsys):
     capsys.readouterr()
 
 
+def outcome(capsys, argv, path=None):
+    """Exit code, stdout, stderr and the bytes written to ``path`` by one call."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    written = None
+    if path is not None and os.path.exists(path):
+        with open(path, "rb") as handle:
+            written = handle.read()
+        os.remove(path)
+    return code, captured.out, captured.err, written
+
+
+def test_calls_in_one_process_share_the_parser_but_no_state(capsys, tmp_path):
+    # the parser is built once per process; a call after another must give
+    # what it gives as the first call of the process
+    grid = ["--theta-steps", "3", "--tau-steps", "4"]
+    surface = str(tmp_path / "surface.out")
+    table = str(tmp_path / "spectrum.csv")
+    pairs = [
+        (["surface", "--out", surface, "--format", "json", *grid],
+         ["surface", "--out", surface, *grid], surface),
+        (["spectrum", "--out", table], ["cooling"], table),
+    ]
+    later_outcomes = []
+    for earlier, later, path in pairs:
+        cli._build_parser.cache_clear()
+        first_earlier = outcome(capsys, earlier, path)
+        cli._build_parser.cache_clear()
+        first_later = outcome(capsys, later, path)
+        cli._build_parser.cache_clear()
+        assert outcome(capsys, earlier, path) == first_earlier
+        later_outcomes.append(outcome(capsys, later, path))
+        assert later_outcomes[-1] == first_later
+    assert cli._build_parser() is cli._build_parser()
+    # surface without --format still writes csv after a json call
+    code, _, _, written = later_outcomes[0]
+    assert code == 0 and written.startswith(b"theta_rad,tau_ms,delta_f_neq_khz\n")
+    # cooling without --out still fails after a spectrum call that set one
+    code, out, err, _ = later_outcomes[1]
+    assert code == 2 and out == ""
+    assert "the following arguments are required: --out" in err
+
+
 # ------------------------------------------------------- config-space property
 
 #: in-range values for every config key (rendered as config-file text)

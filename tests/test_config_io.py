@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpembasim import config_io
 from mpembasim.config_io import (
     BLOCK_ROWS,
     MAX_GRID_POINTS,
@@ -290,6 +291,43 @@ def test_tables_longer_than_two_write_blocks_match_format_and_json_dumps():
     values = np.random.default_rng(7).normal(size=n)
     rows = [(0.1 * (k % 7), v) for k, v in enumerate(values.tolist())]
     assert_tables_match_reference(rows, ["axis", "value"], 12)
+
+
+def per_row_table(rows, schema, fmt, precision):
+    """The table with one ``%`` per row, on the cells that write_table picks."""
+    as_json = fmt == "json"
+    slots, cells = config_io._columns(list(zip(*rows)), precision, as_json)
+    rendered = zip(*(render(data) for render, data in cells))
+    if not as_json:
+        template = ",".join(slots) + "\n"
+        return ",".join(schema) + "\n" + "".join(map(template.__mod__, rendered))
+    members = (json.dumps(name).replace("%", "%%") for name in schema)
+    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
+    return "[\n" + ",\n".join(map(template.__mod__, rendered)) + "\n]\n" if rows else "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+)
+def test_block_filled_tables_match_one_row_at_a_time(tmp_path, fmt, n_rows):
+    # a repeated float axis, distinct floats, ints and strings holding the
+    # characters %, comma and quote; one schema name holds a % as well
+    values = np.random.default_rng(n_rows).normal(size=n_rows).tolist()
+    words = ["100%", "%s", "%(x)d", "a,b", 'say "hi"', "plain"]
+    rows = [
+        (0.25 * (k % 5), v, k - 7, words[k % len(words)])
+        for k, v in enumerate(values)
+    ]
+    schema = ["axis", "load_%", "index", "%s label"]
+    path = tmp_path / f"table.{fmt}"
+    write_table(rows, schema, str(path), fmt=fmt, precision=12)
+    text = path.read_text(encoding="utf-8")
+    assert text == per_row_table(rows, schema, fmt, 12)
+    if fmt == "json":
+        payload = json.loads(text)
+        assert len(payload) == n_rows
+        assert [row["%s label"] for row in payload] == [row[3] for row in rows]
 
 
 def test_signed_zeros_keep_their_own_text(tmp_path):

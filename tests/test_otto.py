@@ -397,6 +397,63 @@ def test_accelerated_branch_reaches_every_sampled_threshold_first():
         assert tm <= tp + 1e-12
 
 
+
+def reference_threshold_time(trajectory, delta):
+    """One threshold's delay, found one grid point at a time."""
+    values, times = trajectory.trace_dist, trajectory.times
+    i = int(np.flatnonzero(values <= delta + otto.THRESHOLD_TOL)[0])
+    if i == 0:
+        return float(times[0])
+    v0, v1 = values[i - 1], values[i]
+    if v0 - v1 <= otto.THRESHOLD_TOL:
+        return float(times[i])
+    t = times[i - 1] + (times[i] - times[i - 1]) * (v0 - delta) / (v0 - v1)
+    return float(min(t, times[i]))
+
+
+def test_array_thresholds_match_one_threshold_at_a_time_bit_for_bit():
+    cfg = CycleConfig()
+    taus = np.linspace(0.0, swap_window(cfg.j_hz), 64)
+    curves = distance_curves(cfg, taus)
+    deltas = default_delta_grid(curves)
+    assert deltas.size == 40
+    tp, tm = threshold_times(curves, deltas)
+    assert tp.shape == tm.shape == (40,)
+    for k, delta in enumerate(deltas.tolist()):
+        scalar = threshold_times(curves, delta)
+        reference = tuple(reference_threshold_time(c, delta) for c in curves)
+        assert (tp[k], tm[k]) == scalar == reference
+
+
+def test_array_thresholds_cover_the_first_point_and_flat_steps():
+    # 0.9 is met at the first point, 0.2 on a flat step, the rest interpolate
+    curves = make_distance_pair(
+        [0.0, 1.0, 2.0, 3.0], [0.4, 0.2, 0.2, 0.0], [0.3, 0.1, 0.1, 0.0]
+    )
+    deltas = np.array([[0.9, 0.3], [0.2, 0.05]])
+    tp, tm = threshold_times(curves, deltas)
+    assert tp.shape == tm.shape == (2, 2)
+    for index in np.ndindex(deltas.shape):
+        delta = float(deltas[index])
+        assert (tp[index], tm[index]) == threshold_times(curves, delta)
+        assert tp[index] == reference_threshold_time(curves[0], delta)
+        assert tm[index] == reference_threshold_time(curves[1], delta)
+
+
+def test_an_unreachable_threshold_in_an_array_is_named():
+    curves = make_distance_pair([0.0, 1.0], [0.4, 0.2], [0.3, 0.1])
+    with pytest.raises(ThresholdUnreachableError, match=r"delta=0\.0123 below"):
+        threshold_times(curves, np.array([0.3, 0.25, 0.0123, 0.001]))
+
+
+def test_a_zero_dimensional_threshold_gives_python_floats():
+    curves = make_distance_pair([0.0, 1.0, 2.0], [0.4, 0.2, 0.0], [0.3, 0.1, 0.0])
+    for delta in (0.3, np.float64(0.3), np.array(0.3)):
+        tp, tm = threshold_times(curves, delta)
+        assert type(tp) is float and type(tm) is float
+        assert (tp, tm) == tuple(reference_threshold_time(c, 0.3) for c in curves)
+
+
 def test_default_delta_grid_spans_the_advantage_window():
     cfg = CycleConfig()
     taus = np.linspace(0.0, swap_window(cfg.j_hz), 64)

@@ -18,7 +18,10 @@ ones are skipped.  For every workload present on both sides and every
 end-to-end metric of ``BENCHMARK.json``, one line gives the median of each
 side over its reports, the number of reports and the relative change.  A
 change worse than the metric's bound is flagged ``BEYOND BOUND``, and so is
-a rise in the fraction of failed operations.  The exit code is 1 when
+a rise in the fraction of failed operations.  The ``peak_rss_mb`` line also
+gives each side's median number of operations per run (``ops``), since the
+harness keeps a timing record per operation and a faster side that completes
+more operations reads a little higher for that alone.  The exit code is 1 when
 anything is flagged and 0 otherwise.  Nothing is written.
 """
 
@@ -50,6 +53,10 @@ def _median(reports: list, name: str) -> float:
     return statistics.median(report["result"]["metrics"][name]["value"] for report in reports)
 
 
+def _median_attempted(reports: list) -> float:
+    return statistics.median(report["result"]["attempted"] for report in reports)
+
+
 def _failed_fraction(reports: list) -> float:
     attempted = sum(report["result"]["attempted"] for report in reports)
     return sum(report["result"]["failed"] for report in reports) / attempted
@@ -67,9 +74,13 @@ def compare(old: dict, new: dict, end_to_end: list) -> tuple:
             worse = change if metric["better"] == "lower" else -change
             flag = worse > bound
             flags += flag
+            ops = (
+                f"  ops {_median_attempted(before):g} -> {_median_attempted(after):g}"
+                if name == "peak_rss_mb" else ""
+            )
             lines.append(
                 f"{workload:13s} {name:12s} {a:12.6g} -> {b:12.6g} {metric['unit']:4s} "
-                f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%"
+                f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%{ops}"
                 + (f"  BEYOND BOUND ({100.0 * bound:.0f}%)" if flag else "")
             )
         a, b = _failed_fraction(before), _failed_fraction(after)
