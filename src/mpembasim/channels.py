@@ -19,6 +19,7 @@ the Kraus form stays the reference both are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -242,8 +243,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     return validate_density_matrix(out, herm_tol=1e-10, trace_tol=1e-10)
 
 
-@dataclass(frozen=True)
-class GadEquivalenceReport:
+class GadEquivalenceReport(NamedTuple):
     """Outcome of fitting a channel to the generalized amplitude damping form."""
 
     eta: float
@@ -283,8 +283,7 @@ def verify_gad_equivalence(channel: KrausChannel) -> GadEquivalenceReport:
     return GadEquivalenceReport(eta, bias, deviation, deviation < GAD_TOL)
 
 
-@dataclass(frozen=True)
-class DaviesBlockReport:
+class DaviesBlockReport(NamedTuple):
     """Cross-coupling between population and coherence sectors of a generator."""
 
     max_coupling: float

@@ -8,7 +8,6 @@ Unknown keys are a hard error so typos cannot silently revert a parameter.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -227,6 +226,8 @@ def write_table(
         blocks = _filled(",".join(slots) + "\n", "", cells)
         pieces = chain([",".join(schema) + "\n"], blocks)
     elif fmt == "json":
+        import json  # loaded only for JSON tables
+
         # the layout json.dumps(payload, indent=2) writes, filled per row
         members = (json.dumps(name).replace("%", "%%") for name in schema)
         template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
@@ -286,6 +287,8 @@ def _columns(columns: list, precision: int, as_json: bool) -> tuple:
             else:
                 slot, render = f"%.{precision}g", np.ndarray.tolist
         elif as_json and isinstance(column[0], str):
+            import json
+
             render = lambda part: list(map(json.dumps, part))
         elif isinstance(column, np.ndarray):
             column = column.tolist()

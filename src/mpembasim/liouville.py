@@ -31,8 +31,7 @@ ties broken by ascending ``|Im lambda|`` and then ascending ``Im lambda``.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +43,6 @@ from .exceptions import (
     TauOutOfRangeError,
 )
 from .operators import _scalar, hermitize, validate_density_matrix
-
-logger = logging.getLogger(__name__)
 
 #: |Re lambda| below which a mode counts as stationary
 STATIONARY_TOL = 1e-8
@@ -81,8 +78,7 @@ def transfer_matrix(kraus_operators) -> np.ndarray:
     return np.einsum("kij,kab->iajb", ops, ops.conj()).reshape(d * d, d * d)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Sorted eigensystem of a relaxation generator.
 
     ``eigenvalues[0]`` is the stationary eigenvalue (zero to numerical
@@ -96,7 +92,7 @@ class SpectralDecomposition:
     right: np.ndarray
     left: np.ndarray
     fixed_point: np.ndarray
-    system: numerics.EigenSystem = field(repr=False)
+    system: numerics.EigenSystem
 
     @property
     def condition_estimate(self) -> float:
@@ -210,8 +206,6 @@ def propagate_spectral(
         raise HermiticityError(
             f"propagated state drifted {drift:.3e} from Hermitian at t={t}"
         )
-    if drift > 0.0:
-        logger.debug("hermiticity drift %.3e at t=%s symmetrized away", drift, t)
     return hermitize(rho_t)
 
 

@@ -15,8 +15,7 @@ trace-distance curves over the exchange-delay grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,29 +32,19 @@ TRANSFORM_TOL = 1e-12
 DEGENERACY_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class MpembaTransform:
+class MpembaTransform(NamedTuple):
     """A constructed accelerating unitary and the states it connects.
 
     ``f_neq_gain`` is the free-energy increase (kHz) paid for the speedup.
     A unitary keeps the spectrum and with it the entropy, so the gain is the
-    mean-energy increase alone.
+    mean-energy increase alone.  :func:`mpemba_unitary`, its constructor,
+    checks unitarity and ``target_state == U source_state U^dag``.
     """
 
     unitary: np.ndarray
     source_state: np.ndarray
     target_state: np.ndarray
     f_neq_gain: float
-
-    def __post_init__(self):
-        u = np.asarray(self.unitary, dtype=complex)
-        object.__setattr__(self, "unitary", u)
-        eye = np.eye(u.shape[0])
-        if np.abs(u.conj().T @ u - eye).max() > TRANSFORM_TOL:
-            raise ValueError("transform matrix is not unitary")
-        rotated = u @ self.source_state @ u.conj().T
-        if np.abs(rotated - self.target_state).max() > TRANSFORM_TOL:
-            raise ValueError("target state does not match U rho U^dag")
 
 
 def _phase_fixed(columns: np.ndarray) -> np.ndarray:
@@ -107,6 +96,13 @@ def mpemba_unitary(rho: np.ndarray, h: np.ndarray) -> MpembaTransform:
     directions = _phase_fixed(directions)
     unitary = levels @ directions.conj().T
     target = unitary @ rho @ unitary.conj().T
+
+    eye = np.eye(unitary.shape[0])
+    if np.abs(unitary.conj().T @ unitary - eye).max() > TRANSFORM_TOL:
+        raise ValueError("transform matrix is not unitary")
+    rotated = unitary @ rho @ unitary.conj().T
+    if np.abs(rotated - target).max() > TRANSFORM_TOL:
+        raise ValueError("target state does not match U rho U^dag")
 
     return MpembaTransform(
         unitary=unitary,

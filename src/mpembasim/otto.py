@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -99,8 +99,7 @@ class CycleConfig:
             raise ValueError("coupling and stroke times must be positive")
 
 
-@dataclass(frozen=True)
-class StrokeRecord:
+class StrokeRecord(NamedTuple):
     """One stroke: its boundary energies (h*kHz) and the Bloch vector of the
     medium after it."""
 

@@ -13,6 +13,7 @@ exactly, which the tests enforce at 1e-10.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,8 +160,7 @@ class RelaxationTrajectory:
             )
 
 
-@dataclass(frozen=True)
-class CrossingReport:
+class CrossingReport(NamedTuple):
     """Result of comparing two trajectories for an order reversal."""
 
     exists: bool

@@ -1,0 +1,215 @@
+"""The invariant battery that ``mpembasim verify`` runs.
+
+Each check compares a production result with an independent route (the
+Kraus channel, the Liouville spectral stack, the Gibbs reference or an
+identity of the model) and prints one ``PASS``/``FAIL`` line.  The module is
+imported by :func:`mpembasim.cli.cmd_verify` when ``verify`` runs, so the
+other subcommands do not load it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import functools
+
+import numpy as np
+
+from .channels import (
+    apply_channel,
+    build_heat_exchange,
+    exchange_spectrum,
+    heat_exchange_bloch,
+    swap_window,
+    verify_davies_blocks,
+    verify_gad_equivalence,
+)
+from .cli import _base_state, _hot_environment, _resolve_config, _tau_grid
+from .exceptions import MpembaSimError
+from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
+    propagate_spectral, slow_pair_indices, vectorize
+from .mpemba import mpemba_bloch
+from .numerics import expm
+from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
+    random_density
+from .otto import energy_balance, power_ratio, run_cycle
+from .thermo import f_neq, f_neq_bloch, gibbs_state, kl_divergence, \
+    trace_distance, trace_distance_bloch
+
+
+def _report(name: str, passed: bool, detail: str) -> None:
+    suffix = f"  ({detail})" if detail else ""
+    print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    try:
+        config = _resolve_config(args)
+    except (MpembaSimError, ValueError, OSError) as exc:
+        _report("construction", False, str(exc))
+        return 1
+    env = _hot_environment(config)
+    window = swap_window(config.j_hz)
+    h = qubit_hamiltonian(config.nu1_khz, axis="z")
+    probe_tau = 1.0 if window > 1.0 else 0.43 * window
+    # Free energies hold terms of size T ln 2, which carry rounding errors of
+    # a few eps * T (measured against a 50-digit evaluation up to T = 1e6 kHz),
+    # so their bounds are per kHz of temperature above 1 kHz.
+    free_energy_scale = max(1.0, config.t_hot_khz)
+
+    # every random input is drawn up front, in the order the checks use them
+    rng = np.random.default_rng(20260822)
+    identity_states = np.array([random_density(rng) for _ in range(100)])
+    propagation_inputs = [
+        (random_density(rng), float(rng.uniform(0.1, 5.0))) for _ in range(10)
+    ]
+    cycle_delays = [float(rng.uniform(0.0, window)) for _ in range(10)]
+
+    @functools.cache
+    def probe_channel():
+        return build_heat_exchange(env, config.j_hz, probe_tau)
+
+    @functools.cache
+    def generator():
+        return extract_generator(probe_channel(), probe_tau)
+
+    @functools.cache
+    def decomposition():
+        return decompose(generator())
+
+    @functools.cache
+    def equilibrium():
+        state = gibbs_state(h, config.t_hot_khz)
+        return state, f_neq(state, h, config.t_hot_khz)
+
+    @functools.cache
+    def cycle_runs():
+        cycle = config.cycle_config()
+        return [
+            run_cycle(dataclasses.replace(cycle, use_mpemba=bool(k % 2)), tau2)
+            for k, tau2 in enumerate(cycle_delays)
+        ]
+
+    def kraus_completeness():
+        ops = np.array([
+            build_heat_exchange(env, config.j_hz, float(tau)).operators
+            for tau in np.linspace(0.0, window, 50)
+        ])
+        total = np.einsum("nkji,nkjl->nil", ops.conj(), ops)
+        worst = float(np.abs(total - np.eye(2)).max())
+        return worst <= 1e-12, f"max defect {worst:.3e}"
+
+    def damping_equivalence():
+        gad = verify_gad_equivalence(probe_channel())
+        return gad.passed, f"deviation {gad.max_deviation:.3e}"
+
+    def biorthonormality():
+        d = decomposition()
+        residual = float(np.abs(d.left @ d.right - np.eye(4)).max())
+        return residual <= 1e-10, f"residual {residual:.3e}"
+
+    def decoupling():
+        davies = verify_davies_blocks(generator())
+        return davies.passed, f"max coupling {davies.max_coupling:.3e}"
+
+    def free_energy_identity():
+        state, f_eq = equilibrium()
+        excess = f_neq(identity_states, h, config.t_hot_khz) - f_eq
+        identity = config.t_hot_khz * kl_divergence(identity_states, state)
+        worst = float(np.abs(excess - identity).max())
+        return worst <= 1e-10 * free_energy_scale, f"max defect {worst:.3e}"
+
+    def spectral_propagation():
+        worst = 0.0
+        for rho, t in propagation_inputs:
+            spectral = propagate_spectral(decomposition(), rho, t)
+            direct = devectorize(expm(generator() * t) @ vectorize(rho))
+            worst = max(worst, float(np.abs(spectral - direct).max()))
+        return worst <= 1e-8, f"max defect {worst:.3e}"
+
+    def cycle_closure():
+        h_cold = qubit_hamiltonian(config.nu0_khz, axis="x")
+        cold_state = gibbs_state(h_cold, config.t_cold_khz)
+        worst = max(
+            float(np.abs(records[-1].state_after - cold_state).max())
+            for records in cycle_runs()
+        )
+        return worst <= 1e-10, f"max defect {worst:.3e}"
+
+    def energy_balance_check():
+        worst = max(abs(energy_balance(records)) for records in cycle_runs())
+        return worst <= 1e-8, f"max defect {worst:.3e}"
+
+    def power_ratio_floor():
+        reports = power_ratio(config.cycle_config(), tau2_grid=_tau_grid(config))
+        floor = min(report.ratio for report in reports)
+        return floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}"
+
+    def sweep_kernel_agreement():
+        # the closed-form sweep kernel against the Kraus route it replaces
+        state, _ = equilibrium()
+        taus = np.linspace(0.0, window, 4)
+        starts = bloch_vector(identity_states)
+        evolved = heat_exchange_bloch(env, config.j_hz, starts, taus)
+        free = f_neq_bloch(evolved, h, config.t_hot_khz)
+        dist = trace_distance_bloch(evolved, bloch_vector(state))
+        worst = worst_free = 0.0
+        for k, tau in enumerate(taus):
+            channel = build_heat_exchange(env, config.j_hz, float(tau))
+            out = apply_channel(channel, identity_states)
+            worst = max(
+                worst,
+                float(np.abs(density_from_bloch(evolved[:, k]) - out).max()),
+                float(np.abs(dist[:, k] - trace_distance(out, state)).max()),
+            )
+            worst_free = max(
+                worst_free,
+                float(np.abs(free[:, k] - f_neq(out, h, config.t_hot_khz)).max()),
+            )
+        passed = worst <= 1e-12 and worst_free <= 1e-12 * free_energy_scale
+        return passed, f"max deviation {max(worst, worst_free):.3e}"
+
+    def slow_mode_removal():
+        # the pulse builds no generator, so its purpose is checked here
+        d = decomposition()
+        pair = slow_pair_indices(d)
+        if len(pair) != 2:
+            return False, f"{len(pair)} slowest decaying modes, expected one pair"
+        starts = np.vstack([_base_state(config), bloch_vector(identity_states)])
+        pulsed = density_from_bloch(mpemba_bloch(starts))
+        worst = max(float(np.abs(mode_overlap(d, k, pulsed)).max()) for k in pair)
+        return worst <= 1e-10, f"max slow-mode weight {worst:.3e}"
+
+    def spectrum_agreement():
+        # the closed form that spectrum prints against the Liouville route
+        eigenvalues, populations = exchange_spectrum(env, config.j_hz, probe_tau)
+        d = decomposition()
+        scale = max(1.0, float(np.abs(eigenvalues).max()))
+        rates = float(np.abs(d.eigenvalues - eigenvalues).max()) / scale
+        fixed = float(np.abs(np.diag(d.fixed_point).real - populations).max())
+        passed = rates <= 1e-10 and fixed <= 1e-10
+        return passed, f"max deviation {max(rates, fixed):.3e}"
+
+    all_passed = True
+    for name, run in (
+        ("kraus-completeness", kraus_completeness),
+        ("damping-equivalence", damping_equivalence),
+        ("biorthonormality", biorthonormality),
+        ("population-coherence-decoupling", decoupling),
+        ("free-energy-identity", free_energy_identity),
+        ("spectral-propagation", spectral_propagation),
+        ("cycle-closure", cycle_closure),
+        ("energy-balance", energy_balance_check),
+        ("power-ratio-floor", power_ratio_floor),
+        ("sweep-kernel-agreement", sweep_kernel_agreement),
+        ("slow-mode-removal", slow_mode_removal),
+        ("spectrum-agreement", spectrum_agreement),
+    ):
+        # a check whose inputs, shared or its own, cannot be built fails alone
+        try:
+            passed, detail = run()
+        except (MpembaSimError, ValueError) as exc:
+            passed, detail = False, str(exc)
+        all_passed = all_passed and passed
+        _report(name, passed, detail)
+    return 0 if all_passed else 1

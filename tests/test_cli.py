@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mpembasim
-from mpembasim import cli, otto
+from mpembasim import cli, otto, verify
 from mpembasim.cli import main
 
 WINDOW_MS = 2.3245002324500232
@@ -67,7 +67,7 @@ def test_spectrum_runs_none_of_the_liouville_route(capsys, monkeypatch):
         raise AssertionError("spectrum ran the Kraus/Liouville route")
 
     for module, names in (
-        (cli, ("build_heat_exchange", "extract_generator", "decompose", "expm")),
+        (verify, ("build_heat_exchange", "extract_generator", "decompose", "expm")),
         (mpembasim.channels, ("build_heat_exchange",)),
         (mpembasim.liouville, ("transfer_matrix", "extract_generator", "decompose")),
         (mpembasim.numerics, ("eig_general", "logm_principal", "expm")),
@@ -322,8 +322,8 @@ def test_verify_passes_in_a_very_hot_environment(capsys, tmp_path):
 def test_hot_verify_still_catches_defects(
     capsys, tmp_path, monkeypatch, check, name, offset
 ):
-    original = getattr(cli, name)
-    monkeypatch.setattr(cli, name, lambda *args: original(*args) + offset)
+    original = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *args: original(*args) + offset)
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("t_hot_khz = 1e6\n", encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--config", str(cfg))
@@ -355,14 +355,14 @@ def test_an_accelerated_branch_slower_than_the_plain_one_is_reported(
 
 def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
     # a pulse that leaves x = 1e-6 of coherence leaves weight on the slow pair
-    original = cli.mpemba_bloch
+    original = verify.mpemba_bloch
 
     def leaky(bloch):
         out = original(bloch)
         out[..., 0] = 1e-6
         return out
 
-    monkeypatch.setattr(cli, "mpemba_bloch", leaky)
+    monkeypatch.setattr(verify, "mpemba_bloch", leaky)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
@@ -370,14 +370,14 @@ def test_verify_catches_coherence_left_in_the_target(capsys, monkeypatch):
 
 
 def test_verify_catches_a_shifted_closed_form_rate(capsys, monkeypatch):
-    original = cli.exchange_spectrum
+    original = verify.exchange_spectrum
 
     def shifted(*args):
         eigenvalues, populations = original(*args)
         eigenvalues[1] += 1e-8
         return eigenvalues, populations
 
-    monkeypatch.setattr(cli, "exchange_spectrum", shifted)
+    monkeypatch.setattr(verify, "exchange_spectrum", shifted)
     code, out, _ = run(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL ")]

@@ -1,7 +1,5 @@
 """Row-stacking conventions, generator assembly, and the spectral solver."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -197,7 +195,7 @@ def test_propagation_refuses_a_state_drifted_off_hermitian():
     for kick, drifts in ((1e3 * HERMITICITY_TOL, True), (1e-2 * HERMITICITY_TOL, False)):
         right = decomposition.right.copy()
         right[1, 0] += kick
-        kicked = dataclasses.replace(decomposition, right=right)
+        kicked = decomposition._replace(right=right)
         if drifts:
             with pytest.raises(HermiticityError, match="drifted"):
                 propagate_spectral(kicked, np.eye(2) / 2, 0.3)

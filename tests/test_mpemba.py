@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mpembasim import mpemba
 from mpembasim.channels import ThermalEnvironment, build_heat_exchange, swap_window
 from mpembasim.exceptions import DegenerateHamiltonianError
 from mpembasim.liouville import decompose, extract_generator, mode_overlap, \
@@ -49,6 +50,14 @@ def test_transform_inverts_populations_in_the_energy_basis(rho0, h_hot):
     assert isinstance(transform, MpembaTransform)
     # largest eigenvalue of rho lands on the upper level
     assert_allclose(transform.target_state, np.diag([0.3, 0.7]), atol=1e-12)
+
+
+def test_a_transform_that_is_not_unitary_is_refused(rho0, h_hot, monkeypatch):
+    # the record holds no checks; its one constructor checks what it built
+    original = mpemba._phase_fixed
+    monkeypatch.setattr(mpemba, "_phase_fixed", lambda columns: 1.001 * original(columns))
+    with pytest.raises(ValueError, match="not unitary"):
+        mpemba_unitary(rho0, h_hot)
 
 
 def test_transform_is_unitary_and_spectrum_preserving(rho0, h_hot):

@@ -1,27 +1,40 @@
-"""Names that code outside the package looks up in it still resolve."""
+"""Names looked up across the package's edges still resolve: the ones the
+benchmark looks up in the package, and the ones the package looks up in the
+oldest numpy it declares."""
 
 import ast
 import dataclasses
+import glob
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
 
+import pytest
+
+import mpembasim
 from mpembasim import otto
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
+PACKAGE = os.path.dirname(mpembasim.__file__)
 
 
-def test_traced_functions_and_public_names_resolve():
-    # the benchmark's tracer wraps each (module, function) of TARGETS by name,
-    # so a deleted or renamed one would only fail a traced benchmark run
+def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "tracer", os.path.join(BENCHMARKS, "tracer.py")
     )
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_and_public_names_resolve():
+    # the benchmark's tracer wraps each (module, function) of TARGETS by name,
+    # so a deleted or renamed one would only fail a traced benchmark run
     missing = [
         f"{module}.{function}"
-        for module, function in tracer.TARGETS
+        for module, function in load_tracer().TARGETS
         if not callable(
             getattr(importlib.import_module(f"mpembasim.{module}"), function, None)
         )
@@ -46,3 +59,103 @@ def test_cycle_config_keeps_every_field_the_benchmark_sets():
     passed.update(keyword.arg for call in calls for keyword in call.keywords)
     fields = {field.name for field in dataclasses.fields(otto.CycleConfig)}
     assert sorted(passed - fields) == []
+
+
+def test_importing_the_cli_loads_every_traced_module_and_nothing_it_does_not_run():
+    # the tracer imports only mpembasim.cli and then reads sys.modules for each
+    # target module, so a target left to a lazy import fails every traced run;
+    # importing each module here, as the test above does, cannot see that
+    src = os.path.dirname(PACKAGE)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, mpembasim.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    loaded = set(done.stdout.split())
+    targets = {f"mpembasim.{module}" for module, _ in load_tracer().TARGETS}
+    assert sorted(targets - loaded) == []
+    unused = {"logging", "json", "numpy.random", "mpembasim.verify"}
+    assert sorted(unused & loaded) == []
+
+
+#: numpy names, relative to the numpy namespace, that numpy 1.24 lacks
+NUMPY2_ONLY = frozenset(
+    {
+        "matrix_transpose", "unique_values", "unique_counts", "unique_inverse",
+        "unique_all", "vecdot", "permute_dims", "concat", "astype", "pow", "acos",
+        "acosh", "asin", "asinh", "atan", "atan2", "atanh", "bitwise_left_shift",
+        "bitwise_right_shift", "bitwise_invert", "isdtype", "trapezoid", "bool",
+        "long", "ulong", "cumulative_sum", "cumulative_prod", "unstack", "matvec",
+        "vecmat", "exceptions", "dtypes", "linalg.matrix_transpose", "linalg.vecdot",
+        "linalg.matrix_norm", "linalg.vector_norm", "linalg.svdvals", "linalg.cross",
+        "linalg.outer", "linalg.diagonal", "linalg.trace", "linalg.matmul",
+        "linalg.tensordot",
+    }
+)
+
+#: array attributes that numpy 1.24 arrays lack
+NUMPY2_ARRAY_ATTRIBUTES = frozenset({"mT", "device", "to_device"})
+
+
+def _numpy_path(node):
+    """``linalg.vecdot`` for ``np.linalg.vecdot`` (or ``numpy.``), else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name) and node.id in ("np", "numpy"):
+        return ".".join(reversed(parts))
+    return None
+
+
+def numpy2_only_uses(source: str) -> list:
+    """``(line, name)`` of each numpy-2-only name that ``source`` uses."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            if node.attr in NUMPY2_ARRAY_ATTRIBUTES:
+                found.append((node.lineno, f".{node.attr}"))
+            elif _numpy_path(node) in NUMPY2_ONLY:
+                found.append((node.lineno, f"np.{_numpy_path(node)}"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            prefix = node.module.partition(".")[2]
+            for alias in node.names:
+                name = f"{prefix}.{alias.name}" if prefix else alias.name
+                if name in NUMPY2_ONLY:
+                    found.append((node.lineno, f"np.{name}"))
+    return found
+
+
+def test_the_package_uses_no_numpy2_only_name():
+    # pyproject declares numpy>=1.24, and only numpy 2 is installed here, so a
+    # numpy-2-only name would break every command on 1.24-1.26 unseen
+    found = {}
+    for path in sorted(glob.glob(os.path.join(PACKAGE, "*.py"))):
+        with open(path, encoding="utf-8") as handle:
+            uses = numpy2_only_uses(handle.read())
+        if uses:
+            found[os.path.basename(path)] = uses
+    assert found == {}
+
+
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        ("out = rho.mT @ rho", ".mT"),
+        ("pair = np.concat([a, b])", "np.concat"),
+        ("dots = numpy.linalg.vecdot(a, b)", "np.linalg.vecdot"),
+        ("from numpy import unique_values", "np.unique_values"),
+        ("from numpy.linalg import matrix_norm", "np.linalg.matrix_norm"),
+    ],
+)
+def test_the_numpy_scan_finds_a_planted_name(source, name):
+    assert numpy2_only_uses(source) == [(1, name)]
+
+
+def test_the_numpy_scan_passes_names_numpy_1_24_has():
+    source = "a = rho.swapaxes(-1, -2)\nb = np.cross(a, a)\nc = np.trace(np.linalg.inv(a))\n"
+    assert numpy2_only_uses(source) == []
