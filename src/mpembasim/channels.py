@@ -9,7 +9,7 @@ collapses onto the auxiliary's thermal populations.
 
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
-population; :func:`verify_gad_equivalence` checks that identification
+population; ``verify`` (``damping-equivalence``) checks that identification
 numerically rather than assuming it.  The sweeps and the refrigerator cycle
 use it through :func:`heat_exchange_bloch`, the closed-form map on Bloch
 vectors, and the generator spectrum comes from :func:`exchange_spectrum`;
@@ -19,23 +19,15 @@ the Kraus form stays the reference both are tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from . import liouville
 from .exceptions import SingularInputError, TauOutOfRangeError
 from .numerics import SINGULARITY_TOL
 from .operators import hermitize, validate_bloch_vectors, validate_density_matrix
 
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
 COMPLETENESS_TOL = 1e-12
-
-#: max transfer-matrix deviation from the fitted damping form that passes
-GAD_TOL = 1e-10
-
-#: max population-coherence coupling of a generator that passes
-DAVIES_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -87,10 +79,6 @@ class KrausChannel:
             raise ValueError(
                 f"Kraus completeness violated by {deviation:.3e} (tol {COMPLETENESS_TOL})"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.operators[0].shape[0]
 
 
 def swap_window(j_hz: float) -> float:
@@ -242,67 +230,3 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     out = hermitize(np.einsum("kij,...jl,kml->...im", ops, rho, ops.conj()))
     return validate_density_matrix(out, herm_tol=1e-10, trace_tol=1e-10)
 
-
-class GadEquivalenceReport(NamedTuple):
-    """Outcome of fitting a channel to the generalized amplitude damping form."""
-
-    eta: float
-    bias: float
-    max_deviation: float
-    passed: bool
-
-
-def verify_gad_equivalence(channel: KrausChannel) -> GadEquivalenceReport:
-    """Fit the channel's action to a two-parameter damping form and compare.
-
-    The decay parameter ``eta`` is read off the population transfer out of
-    each computational basis state and the bias from the branching ratio; an
-    ideal generalized-amplitude-damping transfer matrix with those parameters
-    is then compared entrywise against the channel's.
-    """
-    if channel.dim != 2:
-        raise ValueError("equivalence check is defined for qubit channels")
-    ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    excited = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    up = float(apply_channel(channel, ground)[1, 1].real)      # eta * p
-    down = float(apply_channel(channel, excited)[0, 0].real)   # eta * (1 - p)
-    eta = up + down
-    bias = up / eta if eta > 1e-14 else float("nan")
-
-    if eta > 1e-14:
-        ce, se = np.sqrt(max(0.0, 1.0 - eta)), np.sqrt(min(1.0, eta))
-        e1 = np.sqrt(1.0 - bias) * np.array([[1.0, 0.0], [0.0, ce]], dtype=complex)
-        e2 = np.sqrt(1.0 - bias) * np.array([[0.0, se], [0.0, 0.0]], dtype=complex)
-        e3 = np.sqrt(bias) * np.array([[ce, 0.0], [0.0, 1.0]], dtype=complex)
-        e4 = np.sqrt(bias) * np.array([[0.0, 0.0], [se, 0.0]], dtype=complex)
-        ideal = liouville.transfer_matrix([e1, e2, e3, e4])
-    else:
-        ideal = np.eye(4, dtype=complex)
-    actual = liouville.transfer_matrix(channel.operators)
-    deviation = float(np.max(np.abs(actual - ideal)))
-    return GadEquivalenceReport(eta, bias, deviation, deviation < GAD_TOL)
-
-
-class DaviesBlockReport(NamedTuple):
-    """Cross-coupling between population and coherence sectors of a generator."""
-
-    max_coupling: float
-    passed: bool
-
-
-def verify_davies_blocks(generator: np.ndarray) -> DaviesBlockReport:
-    """Check that a qubit generator decouples populations from coherences.
-
-    The generator is read in the computational basis, which is the energy
-    eigenbasis of the exchange; the population sector lives on the diagonal
-    row-stacked indices ``{0, 3}``, the coherence sector on ``{1, 2}``.
-    """
-    gen = np.asarray(generator, dtype=complex)
-    if gen.shape != (4, 4):
-        raise ValueError("block check is defined for qubit generators (4 x 4)")
-    pop, coh = [0, 3], [1, 2]
-    coupling = max(
-        float(np.max(np.abs(gen[np.ix_(pop, coh)]))),
-        float(np.max(np.abs(gen[np.ix_(coh, pop)]))),
-    )
-    return DaviesBlockReport(coupling, coupling < DAVIES_TOL)

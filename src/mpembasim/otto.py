@@ -46,12 +46,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ThermalEnvironment, _check_delays, _exchange_bloch, swap_window
-from .exceptions import GridMismatchError, NoAdvantageError, \
-    ThresholdUnreachableError
+from .exceptions import NoAdvantageError, ThresholdUnreachableError
 from .mpemba import _pulse_bloch, cooling_curves
 from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, \
     validate_bloch_vectors
-from .thermo import RelaxationTrajectory, detect_crossing
+from .thermo import RelaxationTrajectory, _check_same_grid, detect_crossing
 
 #: slack for "curve reached the threshold" comparisons
 THRESHOLD_TOL = 1e-12
@@ -238,10 +237,7 @@ def threshold_times(
     met at the first grid point reports that point's time.
     """
     plain, mb = curves
-    if plain.times.size != mb.times.size or not np.allclose(
-        plain.times, mb.times, rtol=0.0, atol=1e-12
-    ):
-        raise GridMismatchError("threshold curves use different tau2 grids")
+    _check_same_grid(plain, mb)
     levels = np.asarray(delta, dtype=float)
     flat = levels.reshape(-1)
 

@@ -83,14 +83,20 @@ def f_neq_bloch(
     :func:`f_neq` applies.
     """
     r = validate_bloch_vectors(bloch, psd_tol=1e-8)
+    return _f_neq_bloch(r, hamiltonian, temperature)
+
+
+def _f_neq_bloch(
+    r: np.ndarray, hamiltonian: np.ndarray, temperature: float
+) -> np.ndarray:
+    """:func:`f_neq_bloch` without its check: ``r`` ``(..., 3)`` floats
+    already within the positivity bound."""
     h = np.asarray(hamiltonian, dtype=complex)
     components = np.array([np.trace(h @ PAULIS[axis]).real for axis in "xyz"])
     energy = 0.5 * (np.trace(h).real + r @ components) / TWO_PI
     norm = np.linalg.norm(r, axis=-1)
-    eigenvalues = np.stack([0.5 * (1.0 + norm), 0.5 * (1.0 - norm)])
-    support = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
-    entropy = -(support * np.log(support)).sum(axis=0)
-    return energy - temperature * entropy
+    eigenvalues = np.stack([0.5 * (1.0 + norm), 0.5 * (1.0 - norm)], axis=-1)
+    return energy + temperature * _eigen_entropy_terms(eigenvalues)
 
 
 def kl_divergence(rho: np.ndarray, sigma: np.ndarray):
@@ -160,6 +166,15 @@ class RelaxationTrajectory:
             )
 
 
+def _check_same_grid(a: RelaxationTrajectory, b: RelaxationTrajectory) -> None:
+    """GridMismatchError unless both trajectories share one time grid, up to
+    1e-12 ms."""
+    if a.times.size != b.times.size or not np.allclose(
+        a.times, b.times, rtol=0.0, atol=1e-12
+    ):
+        raise GridMismatchError("trajectories are sampled on different time grids")
+
+
 class CrossingReport(NamedTuple):
     """Result of comparing two trajectories for an order reversal."""
 
@@ -187,10 +202,7 @@ def detect_crossing(
     """
     if observable not in ("f_neq", "trace_dist"):
         raise ValueError(f"unknown observable {observable!r}")
-    if a.times.size != b.times.size or not np.allclose(
-        a.times, b.times, rtol=0.0, atol=1e-12
-    ):
-        raise GridMismatchError("trajectories are sampled on different time grids")
+    _check_same_grid(a, b)
 
     diff = getattr(a, observable) - getattr(b, observable)
     signs = np.where(diff > CROSSING_TOL, 1, np.where(diff < -CROSSING_TOL, -1, 0))

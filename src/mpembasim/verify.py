@@ -2,9 +2,12 @@
 
 Each check compares a production result with an independent route (the
 Kraus channel, the Liouville spectral stack, the Gibbs reference or an
-identity of the model) and prints one ``PASS``/``FAIL`` line.  The module is
-imported by :func:`mpembasim.cli.cmd_verify` when ``verify`` runs, so the
-other subcommands do not load it.
+identity of the model) and prints one ``PASS``/``FAIL`` line.  The two
+diagnostics of the exchange model, :func:`damping_fit` (the channel is
+generalized amplitude damping) and :func:`block_coupling` (its generator
+keeps populations apart from coherences), return numbers that their checks
+bound.  The module is imported by :func:`mpembasim.cli.cmd_verify` when
+``verify`` runs, so the other subcommands do not load it.
 """
 
 from __future__ import annotations
@@ -16,18 +19,17 @@ import functools
 import numpy as np
 
 from .channels import (
+    KrausChannel,
     apply_channel,
     build_heat_exchange,
     exchange_spectrum,
     heat_exchange_bloch,
     swap_window,
-    verify_davies_blocks,
-    verify_gad_equivalence,
 )
 from .cli import _base_state, _hot_environment, _resolve_config, _tau_grid
 from .exceptions import MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
-    propagate_spectral, slow_pair_indices, vectorize
+    propagate_spectral, slow_pair_indices, transfer_matrix, vectorize
 from .mpemba import mpemba_bloch
 from .numerics import expm
 from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
@@ -35,6 +37,55 @@ from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
 from .otto import energy_balance, power_ratio, run_cycle
 from .thermo import f_neq, f_neq_bloch, gibbs_state, kl_divergence, \
     trace_distance, trace_distance_bloch
+
+
+def damping_fit(channel: KrausChannel) -> tuple:
+    """Fit a qubit channel to the generalized amplitude damping form.
+
+    The decay parameter ``eta`` is read off the population transfer out of
+    each computational basis state and the bias from the branching ratio; an
+    ideal generalized-amplitude-damping transfer matrix with those parameters
+    is then compared entrywise against the channel's.  Returns ``(eta, bias,
+    deviation)``, the largest entrywise deviation last.
+    """
+    if np.shape(channel.operators)[1:] != (2, 2):
+        raise ValueError("equivalence check is defined for qubit channels")
+    ground = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    excited = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    up = float(apply_channel(channel, ground)[1, 1].real)      # eta * p
+    down = float(apply_channel(channel, excited)[0, 0].real)   # eta * (1 - p)
+    eta = up + down
+    bias = up / eta if eta > 1e-14 else float("nan")
+
+    if eta > 1e-14:
+        ce, se = np.sqrt(max(0.0, 1.0 - eta)), np.sqrt(min(1.0, eta))
+        e1 = np.sqrt(1.0 - bias) * np.array([[1.0, 0.0], [0.0, ce]], dtype=complex)
+        e2 = np.sqrt(1.0 - bias) * np.array([[0.0, se], [0.0, 0.0]], dtype=complex)
+        e3 = np.sqrt(bias) * np.array([[ce, 0.0], [0.0, 1.0]], dtype=complex)
+        e4 = np.sqrt(bias) * np.array([[0.0, 0.0], [se, 0.0]], dtype=complex)
+        ideal = transfer_matrix([e1, e2, e3, e4])
+    else:
+        ideal = np.eye(4, dtype=complex)
+    actual = transfer_matrix(channel.operators)
+    return eta, bias, float(np.max(np.abs(actual - ideal)))
+
+
+def block_coupling(generator: np.ndarray) -> float:
+    """Largest coupling between the population and coherence sectors of a
+    qubit generator.
+
+    The generator is read in the computational basis, which is the energy
+    eigenbasis of the exchange; the population sector lives on the diagonal
+    row-stacked indices ``{0, 3}``, the coherence sector on ``{1, 2}``.
+    """
+    gen = np.asarray(generator, dtype=complex)
+    if gen.shape != (4, 4):
+        raise ValueError("block check is defined for qubit generators (4 x 4)")
+    pop, coh = [0, 3], [1, 2]
+    return max(
+        float(np.max(np.abs(gen[np.ix_(pop, coh)]))),
+        float(np.max(np.abs(gen[np.ix_(coh, pop)]))),
+    )
 
 
 def _report(name: str, passed: bool, detail: str) -> None:
@@ -100,8 +151,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return worst <= 1e-12, f"max defect {worst:.3e}"
 
     def damping_equivalence():
-        gad = verify_gad_equivalence(probe_channel())
-        return gad.passed, f"deviation {gad.max_deviation:.3e}"
+        deviation = damping_fit(probe_channel())[2]
+        return deviation < 1e-10, f"deviation {deviation:.3e}"
 
     def biorthonormality():
         d = decomposition()
@@ -109,8 +160,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return residual <= 1e-10, f"residual {residual:.3e}"
 
     def decoupling():
-        davies = verify_davies_blocks(generator())
-        return davies.passed, f"max coupling {davies.max_coupling:.3e}"
+        coupling = block_coupling(generator())
+        return coupling < 1e-9, f"max coupling {coupling:.3e}"
 
     def free_energy_identity():
         state, f_eq = equilibrium()

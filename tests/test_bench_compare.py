@@ -14,11 +14,14 @@ spec.loader.exec_module(bench_compare)
 BASE = {"setup_s": 0.40, "op_p50_ms": 100.0, "work_per_s": 5000.0, "peak_rss_mb": 80.0}
 
 
-def report(workload="sweep-large", failed=0, trace=0, attempted=10, **changes):
+def report(
+    workload="sweep-large", failed=0, trace=0, attempted=10, setup_runs=(0.5,), **changes
+):
     values = {**BASE, **changes}
     return {
         "workload": workload,
         "trace": trace,
+        "speed": {"setup_runs_s": list(setup_runs)},
         "result": {
             "attempted": attempted,
             "failed": failed,
@@ -90,3 +93,19 @@ def test_a_flagged_memory_line_keeps_its_operation_count(tmp_path, capsys):
     assert code == 1
     line = next(line for line in out.splitlines() if "peak_rss_mb" in line)
     assert "ops 10 -> 13  BEYOND BOUND (10%)" in line
+
+
+def test_the_setup_line_gives_each_sides_median_raw_setup_time(tmp_path, capsys):
+    # setup_s is scaled by a per-run speed factor; the raw medians beside it
+    # show whether the import itself moved
+    old = [report(setup_runs=(0.30, 0.27, 0.90)), report(setup_runs=(0.28, 0.29, 0.26))]
+    new = [
+        report(setup_s=0.44, setup_runs=(0.24, 0.26, 0.25)),
+        report(trace=1, setup_runs=(9.0,)),
+    ]
+    code, out = run(tmp_path, capsys, old, new)
+    assert code == 0
+    lines = out.splitlines()
+    setup = [line for line in lines if "setup_s" in line]
+    assert len(setup) == 1 and setup[0].endswith("+10.0%  raw 0.29 -> 0.25 s")
+    assert all("raw" not in line for line in lines if "setup_s" not in line)

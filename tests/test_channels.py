@@ -16,8 +16,6 @@ from mpembasim.channels import (
     exchange_spectrum,
     heat_exchange_bloch,
     swap_window,
-    verify_davies_blocks,
-    verify_gad_equivalence,
 )
 from mpembasim.exceptions import SingularInputError, TauOutOfRangeError
 from mpembasim.liouville import decompose, extract_generator
@@ -37,6 +35,7 @@ from mpembasim.thermo import (
     trace_distance,
     trace_distance_bloch,
 )
+from mpembasim.verify import block_coupling, damping_fit
 
 from conftest import X_EIGENBASIS, build_lindbladian
 
@@ -225,29 +224,27 @@ def test_apply_channel_validates_the_input(hot_env):
 def test_channel_matches_generalized_amplitude_damping(hot_env):
     for tau in (0.2, 0.9, 1.7):
         channel = build_heat_exchange(hot_env, COUPLING_HZ, tau)
-        report = verify_gad_equivalence(channel)
-        assert report.passed
-        eta = np.sin(np.pi * (COUPLING_HZ / 1000.0) * tau) ** 2
-        assert report.eta == pytest.approx(eta, abs=1e-12)
-        assert report.bias == pytest.approx(hot_env.excited_population, abs=1e-12)
+        eta, bias, deviation = damping_fit(channel)
+        assert deviation < 1e-10
+        want = np.sin(np.pi * (COUPLING_HZ / 1000.0) * tau) ** 2
+        assert eta == pytest.approx(want, abs=1e-12)
+        assert bias == pytest.approx(hot_env.excited_population, abs=1e-12)
 
 
 def test_identity_channel_equivalence_report(hot_env):
-    report = verify_gad_equivalence(build_heat_exchange(hot_env, COUPLING_HZ, 0.0))
-    assert report.passed
-    assert report.eta == pytest.approx(0.0, abs=1e-14)
+    eta, _, deviation = damping_fit(build_heat_exchange(hot_env, COUPLING_HZ, 0.0))
+    assert deviation < 1e-10
+    assert eta == pytest.approx(0.0, abs=1e-14)
 
 
 def test_gad_check_requires_a_qubit():
     with pytest.raises(ValueError):
-        verify_gad_equivalence(KrausChannel(operators=(np.eye(3),)))
+        damping_fit(KrausChannel(operators=(np.eye(3),)))
 
 
 def test_generator_decouples_populations_from_coherences(hot_env):
     generator = extract_generator(build_heat_exchange(hot_env, COUPLING_HZ, 1.0), 1.0)
-    report = verify_davies_blocks(generator)
-    assert report.passed
-    assert report.max_coupling <= 1e-9
+    assert block_coupling(generator) < 1e-9
 
 
 @pytest.mark.parametrize("tau", [1e-9, 1e-6, 1e-3, 1.0, 2.3])
@@ -296,14 +293,12 @@ def test_closed_form_spectrum_matches_the_liouville_route(temperature, gap, j_hz
 def test_block_check_flags_a_coupling_generator():
     # a transverse drive mixes the sectors in the z eigenbasis
     generator = build_lindbladian(qubit_hamiltonian(1.0, "x"), [(SIGMA_MINUS, 0.5)])
-    report = verify_davies_blocks(generator)
-    assert not report.passed
-    assert report.max_coupling > 1.0
+    assert block_coupling(generator) > 1.0
 
 
 def test_block_check_requires_a_qubit_generator():
     with pytest.raises(ValueError):
-        verify_davies_blocks(np.eye(9))
+        block_coupling(np.eye(9))
 
 
 @settings(max_examples=60, deadline=None)

@@ -384,6 +384,53 @@ def test_verify_catches_a_shifted_closed_form_rate(capsys, monkeypatch):
     assert len(failed) == 1 and failed[0].startswith("FAIL spectrum-agreement")
 
 
+@pytest.mark.parametrize(
+    "check, name, bound, measured",
+    [
+        ("damping-equivalence", "damping_fit", 1e-10, lambda v: (0.5, 0.3, v)),
+        ("population-coherence-decoupling", "block_coupling", 1e-9, lambda v: v),
+    ],
+    ids=("damping-equivalence", "population-coherence-decoupling"),
+)
+def test_a_diagnostic_fails_its_check_at_its_bound_and_passes_below(
+    capsys, monkeypatch, check, name, bound, measured
+):
+    # both bounds are strict: the bound itself fails, the next float below passes
+    for value, code_wanted, failed_wanted in (
+        (bound, 1, [check]),
+        (np.nextafter(bound, 0.0), 0, []),
+    ):
+        monkeypatch.setattr(verify, name, lambda *_, v=value: measured(v))
+        code, out, _ = run(capsys, "verify")
+        assert code == code_wanted
+        failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+        assert failed == failed_wanted
+
+
+@pytest.mark.parametrize(
+    "command, calls",
+    [("surface", 3), ("cooling", 5), ("otto-distance", 5), ("otto-ratio", 5)],
+)
+def test_each_swept_array_is_checked_once(capsys, monkeypatch, tmp_path, command, calls):
+    # a sweep checks its start and the exchange's output; the free energy of
+    # that output is not checked again, nor is the equilibrium it is measured from
+    original = mpembasim.operators.validate_bloch_vectors
+    count = [0]
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    for key, module in list(sys.modules.items()):
+        if key == "mpembasim" or key.startswith("mpembasim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _, _ = run(capsys, command, "--out", str(tmp_path / "table.csv"))
+    assert code == 0
+    assert count[0] == calls
+
+
 @pytest.mark.parametrize("line", ["j_hz = nan\n", "t_hot_khz = inf\n"])
 def test_non_finite_config_values_are_config_errors(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"

@@ -61,26 +61,39 @@ def test_cycle_config_keeps_every_field_the_benchmark_sets():
     assert sorted(passed - fields) == []
 
 
-def test_importing_the_cli_loads_every_traced_module_and_nothing_it_does_not_run():
-    # the tracer imports only mpembasim.cli and then reads sys.modules for each
-    # target module, so a target left to a lazy import fails every traced run;
-    # importing each module here, as the test above does, cannot see that
+def modules_loaded_by(module: str) -> set:
+    """Names in ``sys.modules`` after a fresh interpreter imports ``module``."""
     src = os.path.dirname(PACKAGE)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, mpembasim.cli; print(*sorted(sys.modules))"],
+        [sys.executable, "-c", f"import sys, {module}; print(*sorted(sys.modules))"],
         capture_output=True,
         text=True,
         timeout=120,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     )
-    loaded = set(done.stdout.split())
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_every_traced_module_and_nothing_it_does_not_run():
+    # the tracer imports only mpembasim.cli and then reads sys.modules for each
+    # target module, so a target left to a lazy import fails every traced run;
+    # importing each module here, as the test above does, cannot see that
+    loaded = modules_loaded_by("mpembasim.cli")
     targets = {f"mpembasim.{module}" for module, _ in load_tracer().TARGETS}
     assert sorted(targets - loaded) == []
     unused = {"logging", "json", "numpy.random", "mpembasim.verify"}
     assert sorted(unused & loaded) == []
 
+
+
+def test_the_production_kernel_does_not_load_the_liouville_route():
+    # channels is the closed-form Bloch kernel; only verify and the tests run
+    # the Liouville reference, and cli loads it for the tracer alone
+    loaded = modules_loaded_by("mpembasim.channels")
+    assert "mpembasim.channels" in loaded
+    assert "mpembasim.liouville" not in loaded
 
 #: numpy names, relative to the numpy namespace, that numpy 1.24 lacks
 NUMPY2_ONLY = frozenset(

@@ -4,8 +4,7 @@ they replaced."""
 import numpy as np
 import pytest
 
-from mpembasim.channels import ThermalEnvironment, build_heat_exchange, \
-    verify_davies_blocks, verify_gad_equivalence
+from mpembasim.channels import ThermalEnvironment, build_heat_exchange
 from mpembasim.liouville import decompose, extract_generator
 from mpembasim.mpemba import mpemba_unitary
 from mpembasim.operators import qubit_hamiltonian
@@ -28,8 +27,6 @@ BUILDERS = {
     "MpembaTransform": lambda: mpemba_unitary(
         np.array([[0.5, -0.2], [-0.2, 0.5]]), qubit_hamiltonian(2.0, axis="z")
     ),
-    "GadEquivalenceReport": lambda: verify_gad_equivalence(channel()),
-    "DaviesBlockReport": lambda: verify_davies_blocks(np.zeros((4, 4))),
 }
 
 

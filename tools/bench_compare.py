@@ -21,8 +21,11 @@ change worse than the metric's bound is flagged ``BEYOND BOUND``, and so is
 a rise in the fraction of failed operations.  The ``peak_rss_mb`` line also
 gives each side's median number of operations per run (``ops``), since the
 harness keeps a timing record per operation and a faster side that completes
-more operations reads a little higher for that alone.  The exit code is 1 when
-anything is flagged and 0 otherwise.  Nothing is written.
+more operations reads a little higher for that alone.  The ``setup_s`` line
+also gives each side's median raw setup time (``raw``, the median over its
+reports of each report's ``speed.setup_runs_s`` median), since ``setup_s`` is
+scaled by a per-run machine-speed factor that swings widely.  The exit code
+is 1 when anything is flagged and 0 otherwise.  Nothing is written.
 """
 
 from __future__ import annotations
@@ -57,6 +60,12 @@ def _median_attempted(reports: list) -> float:
     return statistics.median(report["result"]["attempted"] for report in reports)
 
 
+def _median_raw_setup(reports: list) -> float:
+    return statistics.median(
+        statistics.median(report["speed"]["setup_runs_s"]) for report in reports
+    )
+
+
 def _failed_fraction(reports: list) -> float:
     attempted = sum(report["result"]["attempted"] for report in reports)
     return sum(report["result"]["failed"] for report in reports) / attempted
@@ -74,13 +83,18 @@ def compare(old: dict, new: dict, end_to_end: list) -> tuple:
             worse = change if metric["better"] == "lower" else -change
             flag = worse > bound
             flags += flag
-            ops = (
-                f"  ops {_median_attempted(before):g} -> {_median_attempted(after):g}"
-                if name == "peak_rss_mb" else ""
-            )
+            if name == "peak_rss_mb":
+                extra = f"  ops {_median_attempted(before):g} -> {_median_attempted(after):g}"
+            elif name == "setup_s":
+                extra = (
+                    f"  raw {_median_raw_setup(before):.3g} -> "
+                    f"{_median_raw_setup(after):.3g} s"
+                )
+            else:
+                extra = ""
             lines.append(
                 f"{workload:13s} {name:12s} {a:12.6g} -> {b:12.6g} {metric['unit']:4s} "
-                f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%{ops}"
+                f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%{extra}"
                 + (f"  BEYOND BOUND ({100.0 * bound:.0f}%)" if flag else "")
             )
         a, b = _failed_fraction(before), _failed_fraction(after)
