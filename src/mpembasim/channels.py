@@ -18,16 +18,21 @@ the Kraus form stays the reference both are tested against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import SingularInputError, TauOutOfRangeError
-from .numerics import SINGULARITY_TOL
+from .numerics import SINGULARITY_TOL, _identity
 from .operators import hermitize, validate_bloch_vectors, validate_density_matrix
 
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
 COMPLETENESS_TOL = 1e-12
+
+#: exponent up to which ``np.exp`` stays finite (the edge is ln(max float),
+#: about 709.7827)
+_EXP_FINITE = 709.78
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,11 @@ class ThermalEnvironment:
     gap_frequency: float
 
     def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ValueError(f"temperature {self.temperature} must be positive")
-        if self.gap_frequency <= 0.0:
-            raise ValueError(f"gap frequency {self.gap_frequency} must be positive")
+        # a NaN fails every comparison, so it fails these too
+        if not 0.0 < self.temperature < math.inf:
+            raise ValueError(f"temperature {self.temperature} must be positive and finite")
+        if not 0.0 < self.gap_frequency < math.inf:
+            raise ValueError(f"gap frequency {self.gap_frequency} must be positive and finite")
 
     @property
     def excited_population(self) -> float:
@@ -54,9 +60,14 @@ class ThermalEnvironment:
 
         At temperatures far below the gap the exponential overflows to
         ``inf``, which gives the exact limit 0; that overflow is not reported.
+        Below the overflow edge no error state is set up, which saves its
+        cost on every call.
         """
+        x = 2.0 * self.gap_frequency / self.temperature
+        if x <= _EXP_FINITE:
+            return 1.0 / (1.0 + np.exp(x))
         with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(2.0 * self.gap_frequency / self.temperature))
+            return 1.0 / (1.0 + np.exp(x))
 
     @property
     def polarization(self) -> float:
@@ -74,7 +85,7 @@ class KrausChannel:
         ops = np.asarray(self.operators, dtype=complex)
         object.__setattr__(self, "operators", tuple(ops))
         completeness = np.einsum("kji,kjl->il", ops.conj(), ops)
-        deviation = float(np.max(np.abs(completeness - np.eye(ops.shape[1]))))
+        deviation = float(np.abs(completeness - _identity(ops.shape[1])).max())
         if deviation > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness violated by {deviation:.3e} (tol {COMPLETENESS_TOL})"
@@ -98,10 +109,10 @@ def _check_delays(j_hz: float, taus) -> np.ndarray:
     in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding."""
     window = swap_window(j_hz)
     taus = np.asarray(taus, dtype=float).reshape(-1)
-    outside = taus[~((taus >= -1e-9) & (taus <= window + 1e-9))]
-    if outside.size:
+    inside = (taus >= -1e-9) & (taus <= window + 1e-9)
+    if not inside.all():
         raise TauOutOfRangeError(
-            f"tau={outside[0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
+            f"tau={taus[~inside][0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
         )
     return taus
 
@@ -130,11 +141,15 @@ def build_heat_exchange(
     angle = _swap_angle(j_hz, tau_ms)
     c, s = np.cos(angle), np.sin(angle)
     p = environment.excited_population
-    k1 = np.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, c]], dtype=complex)
-    k2 = np.sqrt(1.0 - p) * np.array([[0.0, s], [0.0, 0.0]], dtype=complex)
-    k3 = np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex)
-    k4 = np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex)
-    return KrausChannel(operators=(k1, k2, k3, k4))
+    # one array holding each weight times each nonzero entry; the products
+    # are of real numbers, so they have the bits of the matrix-times-weight form
+    low, high = np.sqrt(1.0 - p), np.sqrt(p)
+    ops = np.zeros((4, 2, 2), dtype=complex)
+    ops[0, 0, 0], ops[0, 1, 1] = low, low * c
+    ops[1, 0, 1] = low * s
+    ops[2, 0, 0], ops[2, 1, 1] = high * c, high
+    ops[3, 1, 0] = high * -s
+    return KrausChannel(operators=ops)
 
 
 def heat_exchange_bloch(

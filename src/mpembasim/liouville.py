@@ -31,6 +31,7 @@ ties broken by ascending ``|Im lambda|`` and then ascending ``Im lambda``.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -63,7 +64,7 @@ def vectorize(rho: np.ndarray) -> np.ndarray:
 def devectorize(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`vectorize`; the length must be a perfect square."""
     vec = np.asarray(vec, dtype=complex)
-    d = int(round(np.sqrt(vec.size)))
+    d = math.isqrt(vec.size)
     if d * d != vec.size:
         raise ValueError(f"vector length {vec.size} is not a perfect square")
     return vec.reshape(d, d)
@@ -112,8 +113,9 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     Raises
     ------
     NoStationaryModeError
-        If no eigenvalue satisfies ``|Re lambda| <= 1e-8`` or the stationary
-        mode cannot be normalized to a valid state.
+        If no eigenvalue satisfies ``|Re lambda| <= 1e-8``, every one that
+        does oscillates (``|Im lambda| > 1e-8``), or the stationary mode
+        cannot be normalized to a valid state.
     """
     system = numerics.eig_general(generator)
     values = system.eigenvalues
@@ -129,12 +131,20 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
         )
 
     # Among stationary candidates, lead with the mode that has weight on the
-    # trace; a traceless null vector cannot define a fixed point.
+    # trace; a traceless null vector cannot define a fixed point.  Entries
+    # 0, d + 1, 2 (d + 1), ... of a row-stacked d x d matrix are its diagonal.
     stationary = np.flatnonzero(
         (np.abs(values.real) <= STATIONARY_TOL) & (np.abs(values.imag) <= STATIONARY_TOL)
     )
-    traces = np.array([np.trace(devectorize(right[:, k])) for k in stationary])
-    best = stationary[int(np.argmax(np.abs(traces)))]
+    if not stationary.size:
+        raise NoStationaryModeError(
+            f"every mode with |Re lambda| <= {STATIONARY_TOL} oscillates; "
+            "no stationary mode"
+        )
+    d = devectorize(right[:, 0]).shape[0]
+    traces = right[:: d + 1, stationary].sum(axis=0)
+    lead = int(np.abs(traces).argmax())
+    trace0, best = traces[lead], stationary[lead]
     if best != 0:
         perm = np.arange(values.size)
         perm[0], perm[best] = perm[best], perm[0]
@@ -142,13 +152,11 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
         right = right[:, perm]
         left = left[perm, :]
 
-    trace0 = np.trace(devectorize(right[:, 0]))
     if abs(trace0) < 1e-12:
         raise NoStationaryModeError("stationary mode is traceless; cannot normalize")
-    right = right.copy()
-    left = left.copy()
-    right[:, 0] = right[:, 0] / trace0
-    left[0, :] = left[0, :] * trace0
+    # the fancy indexing above already copied the sorted modes
+    right[:, 0] /= trace0
+    left[0, :] *= trace0
 
     fixed = hermitize(devectorize(right[:, 0]))
     try:
@@ -230,9 +238,9 @@ def extract_generator(channel, t: float) -> np.ndarray:
     matrix = transfer_matrix(channel.operators)
     with np.errstate(over="ignore", invalid="ignore"):
         generator = numerics.logm_principal(matrix) / t
-    if not np.all(np.isfinite(generator)):
+    if not np.isfinite(generator).all():
         raise TauOutOfRangeError(f"channel delay {t} too short for a finite generator")
-    roundtrip = float(np.max(np.abs(numerics.expm(t * generator) - matrix)))
+    roundtrip = float(np.abs(numerics.expm(t * generator) - matrix).max())
     if roundtrip > 1e-8:
         raise SingularInputError(
             f"generator round trip error {roundtrip:.3e}; branch selection failed"

@@ -124,7 +124,7 @@ def _pulse_bloch(r: np.ndarray) -> np.ndarray:
     """The map of :func:`mpemba_bloch` without its check: ``r`` ``(..., 3)``
     floats."""
     out = np.zeros_like(r)
-    out[..., 2] = -np.linalg.norm(r, axis=-1)
+    out[..., 2] = -np.sqrt((r * r).sum(axis=-1))
     return out
 
 

@@ -14,12 +14,21 @@ system that is biorthonormal by construction.
 
 The matrix exponential is the degree-13 Pade approximant with scaling and
 squaring of Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).
+
+Each input is validated once: :func:`eig_general` and :func:`expm` check that
+it is a finite square matrix, and :func:`logm_principal` leaves that check to
+the :func:`eig_general` call it makes.  The routines run on 4x4 matrices
+thousands of times per second, so the code avoids numpy's per-call fixed
+costs where the arithmetic allows it: reductions use the method form, each
+matrix size has one read-only identity, and the 1-norm is the column-sum
+maximum that ``numpy.linalg.norm(a, 1)`` computes internally.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -72,9 +81,17 @@ def _as_square(a: np.ndarray, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a
+
+
+@cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only complex ``n x n`` identity, made once per size."""
+    ident = np.eye(n, dtype=complex)
+    ident.flags.writeable = False
+    return ident
 
 
 @dataclass(frozen=True)
@@ -111,6 +128,8 @@ def eig_general(a: np.ndarray) -> EigenSystem:
 
     Raises
     ------
+    ValueError
+        If ``a`` is not a finite square matrix.
     NonConvergenceError
         If the QR iteration fails.
     DefectiveMatrixError
@@ -130,7 +149,7 @@ def eig_general(a: np.ndarray) -> EigenSystem:
             "right eigenvectors are linearly dependent; matrix appears defective"
         ) from exc
 
-    residual = float(np.max(np.abs(left @ right - np.eye(a.shape[0]))))
+    residual = float(np.abs(left @ right - _identity(a.shape[0])).max())
     if residual > BIORTHONORMALITY_TOL:
         raise DefectiveMatrixError(
             f"biorthonormality residual {residual:.3e} exceeds {BIORTHONORMALITY_TOL}"
@@ -138,8 +157,8 @@ def eig_general(a: np.ndarray) -> EigenSystem:
     # A defective matrix can sneak past the pairing check (inv of a nearly
     # singular eigenvector matrix may still invert cleanly in floating point)
     # but its eigenvectors cannot rebuild the input.
-    scale = max(1.0, float(np.max(np.abs(a))))
-    rebuilt = float(np.max(np.abs(right @ (values[:, None] * left) - a)))
+    scale = max(1.0, float(np.abs(a).max()))
+    rebuilt = float(np.abs(right @ (values[:, None] * left) - a).max())
     if rebuilt > RECONSTRUCTION_TOL * scale:
         raise DefectiveMatrixError(
             f"eigensystem rebuilds the input only to {rebuilt:.3e}; "
@@ -163,15 +182,15 @@ def expm(a: np.ndarray) -> np.ndarray:
     """
     a = _as_square(a, "a")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a, 1))
-    if not np.isfinite(norm):
+        norm = float(np.abs(a).sum(axis=0).max())
+    if not math.isfinite(norm):
         raise ValueError("a is too large to exponentiate: its 1-norm overflows")
     squarings = 0
     if norm > PADE13_THETA:
         squarings = int(np.ceil(np.log2(norm / PADE13_THETA)))
-    a = a / 2.0**squarings
+        a = a / 2.0**squarings
     b = _PADE13
-    ident = np.eye(a.shape[0], dtype=complex)
+    ident = _identity(a.shape[0])
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -203,14 +222,13 @@ def logm_principal(a: np.ndarray) -> np.ndarray:
         If any ``|eigenvalue| < 1e-12``.
     BranchCutError
         If any eigenvalue sits on the closed negative real axis.
-    DefectiveMatrixError, NonConvergenceError
-        Propagated from :func:`eig_general`.
+    ValueError, DefectiveMatrixError, NonConvergenceError
+        Propagated from :func:`eig_general`, which also validates ``a``.
     """
-    a = _as_square(a, "a")
     system = eig_general(a)
     values = system.eigenvalues
     magnitudes = np.abs(values)
-    if np.any(magnitudes < SINGULARITY_TOL):
+    if (magnitudes < SINGULARITY_TOL).any():
         worst = float(magnitudes.min())
         raise SingularInputError(
             f"eigenvalue magnitude {worst:.3e} below {SINGULARITY_TOL}; "
@@ -219,7 +237,7 @@ def logm_principal(a: np.ndarray) -> np.ndarray:
     on_cut = (values.real < 0.0) & (
         np.abs(values.imag) <= BRANCH_TOL * np.maximum(1.0, magnitudes)
     )
-    if np.any(on_cut):
+    if on_cut.any():
         raise BranchCutError(
             "eigenvalue on the negative real axis; principal logarithm is ambiguous"
         )

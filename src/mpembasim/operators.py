@@ -144,9 +144,10 @@ def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.n
     r = np.asarray(bloch, dtype=float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise ValueError(f"Bloch vectors need a last axis of length 3, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
+    if not np.isfinite(r).all():
         raise ValueError("Bloch vectors must be finite")
-    smallest = 0.5 * (1.0 - float(np.linalg.norm(r, axis=-1).max(initial=0.0)))
+    # the sum of squares numpy.linalg.norm forms, without its dispatch
+    smallest = 0.5 * (1.0 - float(np.sqrt((r * r).sum(axis=-1)).max(initial=0.0)))
     if smallest < -psd_tol:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return r

@@ -64,6 +64,10 @@ class StrokeName(Enum):
     HOT_RESET = "hot_reset"
 
 
+#: the strokes in cycle order; iterating the enum class itself is slower
+_STROKES = tuple(StrokeName)
+
+
 @dataclass(frozen=True)
 class CycleConfig:
     """Cycle parameters; frequencies in kHz, coupling in Hz, times in ms.
@@ -199,10 +203,9 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
         )
     ]
     durations = (cfg.tau1, 0.0, tau2, cfg.tau1, reset)
-    return [
-        StrokeRecord(name, duration, junctions[k], junctions[k + 1], states[k])
-        for k, (name, duration) in enumerate(zip(StrokeName, durations))
-    ]
+    return list(
+        map(StrokeRecord._make, zip(_STROKES, durations, junctions, junctions[1:], states))
+    )
 
 
 def energy_balance(records: Sequence[StrokeRecord]) -> float:

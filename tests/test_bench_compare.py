@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 
+import numpy as np
 import pytest
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "bench_compare.py")
@@ -15,11 +16,18 @@ BASE = {"setup_s": 0.40, "op_p50_ms": 100.0, "work_per_s": 5000.0, "peak_rss_mb"
 
 
 def report(
-    workload="sweep-large", failed=0, trace=0, attempted=10, setup_runs=(0.5,), **changes
+    workload="sweep-large",
+    failed=0,
+    trace=0,
+    attempted=10,
+    setup_runs=(0.5,),
+    seed=None,
+    **changes,
 ):
     values = {**BASE, **changes}
     return {
         "workload": workload,
+        "seed": seed,
         "trace": trace,
         "speed": {"setup_runs_s": list(setup_runs)},
         "result": {
@@ -107,5 +115,44 @@ def test_the_setup_line_gives_each_sides_median_raw_setup_time(tmp_path, capsys)
     assert code == 0
     lines = out.splitlines()
     setup = [line for line in lines if "setup_s" in line]
-    assert len(setup) == 1 and setup[0].endswith("+10.0%  raw 0.29 -> 0.25 s")
+    assert len(setup) == 1 and setup[0].endswith("  raw 0.29 -> 0.25 s")
+    assert "+10.0%  won 0/0  parent q1/q3 0.4/0.4  raw" in setup[0]
     assert all("raw" not in line for line in lines if "setup_s" not in line)
+
+
+def test_timing_lines_count_the_seed_matched_pairs_the_change_won(tmp_path, capsys):
+    # seeds 1-4 pair up: two wins, one tie, one loss; seed 5 has no partner
+    # and the traced report is skipped
+    old = [report(seed=seed, op_p50_ms=100.0, work_per_s=50.0) for seed in (1, 2, 3, 4)]
+    new = [
+        report(seed=1, op_p50_ms=90.0, work_per_s=55.0),
+        report(seed=2, op_p50_ms=95.0, work_per_s=40.0),
+        report(seed=3, op_p50_ms=100.0, work_per_s=50.0),
+        report(seed=4, op_p50_ms=105.0, work_per_s=60.0),
+        report(seed=5, op_p50_ms=10.0, work_per_s=500.0),
+        report(seed=1, trace=1, op_p50_ms=1.0),
+    ]
+    code, out = run(tmp_path, capsys, old, new)
+    assert code == 0
+    lines = {line.split()[1]: line for line in out.splitlines()}
+    assert "  won 2/4  " in lines["op_p50_ms"]
+    # higher is better for throughput: seeds 1 and 4 won, 2 lost, 3 tied
+    assert "  won 2/4  " in lines["work_per_s"]
+    assert "  won 0/4  " in lines["setup_s"]
+    assert "won" not in lines["peak_rss_mb"] and "won" not in lines["failed"]
+
+
+def test_timing_lines_give_the_parents_quartiles(tmp_path, capsys):
+    values = (130.0, 100.0, 120.0, 110.0, 150.0)
+    old = [report(seed=seed, op_p50_ms=value) for seed, value in enumerate(values)]
+    new = [report(seed=seed, op_p50_ms=80.0) for seed in range(5)]
+    code, out = run(tmp_path, capsys, old, new)
+    assert code == 0
+    line = next(line for line in out.splitlines() if "op_p50_ms" in line)
+    # linear interpolation between order statistics, as numpy.percentile
+    assert tuple(np.percentile(values, [25, 75])) == (110.0, 130.0)
+    assert line.endswith("-33.3%  won 5/5  parent q1/q3 110/130")
+    # one parent report gives its own value for both quartiles
+    code, out = run(tmp_path, capsys, report(seed=1), report(seed=1, op_p50_ms=80.0))
+    line = next(line for line in out.splitlines() if "op_p50_ms" in line)
+    assert line.endswith("won 1/1  parent q1/q3 100/100")

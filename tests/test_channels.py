@@ -82,6 +82,85 @@ def test_environment_rejects_nonpositive_parameters():
         ThermalEnvironment(temperature=1.0, gap_frequency=-2.0)
 
 
+@pytest.mark.parametrize(
+    "temperature, gap",
+    [
+        (float("nan"), 1.0),
+        (1.0, float("nan")),
+        (float("inf"), 1.0),
+        (1.0, float("inf")),
+        (-float("inf"), 1.0),
+        (1.0, -float("inf")),
+    ],
+)
+def test_environment_rejects_non_finite_parameters(temperature, gap):
+    # NaN passes a "<= 0" test, and would give a NaN polarization
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        ThermalEnvironment(temperature=temperature, gap_frequency=gap)
+
+
+EXP_EDGE = float(np.log(np.finfo(float).max))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        709.0,
+        np.nextafter(709.78, 0.0),
+        709.78,
+        np.nextafter(709.78, np.inf),
+        np.nextafter(EXP_EDGE, 0.0),
+        EXP_EDGE,
+        np.nextafter(EXP_EDGE, np.inf),
+        710.0,
+        1e6,
+    ],
+)
+def test_excited_population_near_the_overflow_edge_is_the_formula_bit_for_bit(x):
+    # 2 nu / T equals x exactly at T = 2; either side of the edge the weight
+    # is 1 / (1 + exp(x)), subnormal or 0, and no warning is raised
+    with np.errstate(over="ignore"):
+        expected = 1.0 / (1.0 + np.exp(x))
+    env = ThermalEnvironment(temperature=2.0, gap_frequency=float(x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = env.excited_population
+    assert np.float64(p).tobytes() == np.float64(expected).tobytes()
+    assert (p > 0.0) == (x <= EXP_EDGE)
+
+
+def four_matrix_kraus(p, c, s):
+    """The heat-exchange Kraus operators as four weighted 2x2 matrices."""
+    return (
+        np.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, c]], dtype=complex),
+        np.sqrt(1.0 - p) * np.array([[0.0, s], [0.0, 0.0]], dtype=complex),
+        np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex),
+        np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex),
+    )
+
+
+def test_one_array_kraus_build_equals_the_four_matrix_form():
+    rng = np.random.default_rng(2718)
+    draws = [
+        (rng.uniform(0.05, 50.0), rng.uniform(0.1, 20.0), rng.uniform(20.0, 2000.0),
+         rng.uniform(0.0, 1.0))
+        for _ in range(300)
+    ]
+    # no delay, the full window, and a partner cold enough that p is 0
+    draws += [(4.77, 2.0, COUPLING_HZ, 0.0), (4.77, 2.0, COUPLING_HZ, 1.0),
+              (1e-3, 2.0, COUPLING_HZ, 0.4)]
+    for temperature, gap, j_hz, fraction in draws:
+        env = ThermalEnvironment(temperature=temperature, gap_frequency=gap)
+        tau = fraction * swap_window(j_hz)
+        angle = np.pi * (j_hz / 1000.0) * tau
+        expected = four_matrix_kraus(env.excited_population, np.cos(angle), np.sin(angle))
+        operators = build_heat_exchange(env, j_hz, tau).operators
+        assert len(operators) == 4
+        for got, want in zip(operators, expected):
+            assert (got == want).all()
+            assert got.tobytes() == want.tobytes()
+
+
 def test_swap_window_value():
     assert swap_window(COUPLING_HZ) == pytest.approx(2.3245002, abs=1e-6)
     assert swap_window(500.0) == pytest.approx(1.0, abs=1e-15)

@@ -141,6 +141,13 @@ def test_decompose_requires_a_stationary_mode():
         decompose(-np.eye(4))
 
 
+def test_decompose_refuses_a_generator_whose_slowest_modes_all_oscillate():
+    # both modes with |Re lambda| <= 1e-8 have |Im lambda| = 1, so no
+    # candidate is left to carry the trace
+    with pytest.raises(NoStationaryModeError, match="oscillates"):
+        decompose(np.diag([1j, -1j, -1.0, -2.0]))
+
+
 def test_decompose_rejects_traceless_stationary_mode():
     with pytest.raises(NoStationaryModeError, match="traceless"):
         decompose(np.diag([-1.0, 0.0, -1.0, -1.0]))

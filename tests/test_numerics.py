@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import mpembasim
+from mpembasim import numerics
 from mpembasim.channels import build_heat_exchange, swap_window
 from mpembasim.exceptions import (
     BranchCutError,
@@ -158,6 +160,21 @@ def test_expm_rejects_a_matrix_whose_norm_overflows():
         expm(np.full((4, 4), 1e308))
 
 
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.full((4, 4), 1e308),
+        # the modulus of each entry overflows before the column sum does
+        np.full((2, 2), 1.5e308 + 1.5e308j),
+    ],
+)
+def test_expm_refuses_an_overflowing_norm_with_warnings_as_errors(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            expm(a)
+
+
 def test_expm_of_a_subnormal_matrix():
     # the norm underflows against the Pade threshold; no squaring is needed
     a = np.diag([0.0, 0.0, 5e-324j])
@@ -233,6 +250,29 @@ def test_logm_rejects_negative_real_eigenvalue():
         logm_principal(np.diag([-1.0, 2.0]))
     with pytest.raises(BranchCutError):
         logm_principal(-np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "a, message",
+    [
+        (np.ones((2, 3)), "square matrix"),
+        (np.ones(4), "square matrix"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), "non-finite"),
+    ],
+)
+def test_logm_validates_its_input_once(monkeypatch, a, message):
+    checked = []
+    real = numerics._as_square
+    monkeypatch.setattr(
+        numerics, "_as_square", lambda m, name: checked.append(name) or real(m, name)
+    )
+    with pytest.raises(ValueError, match=message):
+        logm_principal(a)
+    assert checked == ["a"]
+    checked.clear()
+    assert_allclose(logm_principal(np.diag([1.0, np.e])), np.diag([0.0, 1.0]), atol=1e-15)
+    assert checked == ["a"]
 
 
 def test_logm_refuses_the_exponential_of_a_jordan_block():

@@ -18,7 +18,12 @@ ones are skipped.  For every workload present on both sides and every
 end-to-end metric of ``BENCHMARK.json``, one line gives the median of each
 side over its reports, the number of reports and the relative change.  A
 change worse than the metric's bound is flagged ``BEYOND BOUND``, and so is
-a rise in the fraction of failed operations.  The ``peak_rss_mb`` line also
+a rise in the fraction of failed operations.  Each timing line (``setup_s``,
+``op_p50_ms``, ``work_per_s``) also gives how many seed-matched pairs of
+reports the change won (``won k/n``: the change's value is better than the
+parent's at the same seed; a tie counts for neither side) and the parent's
+first and third quartiles (``parent q1/q3``), so a claimed gain can be read
+against the spread of the parent's runs.  The ``peak_rss_mb`` line also
 gives each side's median number of operations per run (``ops``), since the
 harness keeps a timing record per operation and a faster side that completes
 more operations reads a little higher for that alone.  The ``setup_s`` line
@@ -66,6 +71,28 @@ def _median_raw_setup(reports: list) -> float:
     )
 
 
+def _wins(before: list, after: list, name: str, better: str) -> tuple:
+    """How many pairs of reports with the same seed the change won, and the
+    number of such pairs; a report without a seed is in no pair."""
+    old, new = (
+        {report.get("seed"): report["result"]["metrics"][name]["value"] for report in side}
+        for side in (before, after)
+    )
+    sign = 1.0 if better == "lower" else -1.0
+    seeds = (old.keys() & new.keys()) - {None}
+    return sum(sign * (old[seed] - new[seed]) > 0.0 for seed in seeds), len(seeds)
+
+
+def _quartiles(reports: list, name: str) -> tuple:
+    """First and third quartiles of the metric over the reports, with linear
+    interpolation between order statistics (numpy's default)."""
+    values = [report["result"]["metrics"][name]["value"] for report in reports]
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
 def _failed_fraction(reports: list) -> float:
     attempted = sum(report["result"]["attempted"] for report in reports)
     return sum(report["result"]["failed"] for report in reports) / attempted
@@ -85,13 +112,15 @@ def compare(old: dict, new: dict, end_to_end: list) -> tuple:
             flags += flag
             if name == "peak_rss_mb":
                 extra = f"  ops {_median_attempted(before):g} -> {_median_attempted(after):g}"
-            elif name == "setup_s":
-                extra = (
+            else:
+                won, pairs = _wins(before, after, name, metric["better"])
+                q1, q3 = _quartiles(before, name)
+                extra = f"  won {won}/{pairs}  parent q1/q3 {q1:.6g}/{q3:.6g}"
+            if name == "setup_s":
+                extra += (
                     f"  raw {_median_raw_setup(before):.3g} -> "
                     f"{_median_raw_setup(after):.3g} s"
                 )
-            else:
-                extra = ""
             lines.append(
                 f"{workload:13s} {name:12s} {a:12.6g} -> {b:12.6g} {metric['unit']:4s} "
                 f"(n={len(before)}/{len(after)}) {100.0 * change:+7.1f}%{extra}"
