@@ -75,15 +75,20 @@ class ThermalEnvironment:
         return 1.0 - 2.0 * self.excited_population
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """A completely positive trace-preserving map given by Kraus operators."""
+    """A completely positive trace-preserving map given by Kraus operators.
 
-    operators: tuple
+    ``operators`` is kept as one read-only complex ``(k, d, d)`` array, which
+    iterates as the ``k`` operators.  Channels compare and hash by identity.
+    """
+
+    operators: np.ndarray
 
     def __post_init__(self):
-        ops = np.asarray(self.operators, dtype=complex)
-        object.__setattr__(self, "operators", tuple(ops))
+        ops = np.array(self.operators, dtype=complex)
+        ops.flags.writeable = False
+        object.__setattr__(self, "operators", ops)
         completeness = np.einsum("kji,kjl->il", ops.conj(), ops)
         deviation = float(np.abs(completeness - _identity(ops.shape[1])).max())
         if deviation > COMPLETENESS_TOL:
@@ -241,7 +246,7 @@ def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Apply the Kraus map to a state, or to each state in a stack ``(..., d,
     d)``, and re-validate the output."""
     rho = validate_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10)
-    ops = np.asarray(channel.operators)
+    ops = channel.operators
     out = hermitize(np.einsum("kij,...jl,kml->...im", ops, rho, ops.conj()))
     return validate_density_matrix(out, herm_tol=1e-10, trace_tol=1e-10)
 

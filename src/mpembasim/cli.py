@@ -41,13 +41,12 @@ def _populations_arg(text: str) -> tuple:
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config or os.environ.get("MPEMBA_CONFIG")
     config = load_config(path) if path else ExperimentConfig()
-    overrides = {}
-    if args.populations is not None:
-        overrides["populations"] = args.populations
-    if args.tau_steps is not None:
-        overrides["tau_steps"] = args.tau_steps
-    if args.theta_steps is not None:
-        overrides["theta_steps"] = args.theta_steps
+    # a subcommand's namespace holds only the override flags it was given
+    overrides = {
+        key: value
+        for key in ("populations", "tau_steps", "theta_steps")
+        if (value := getattr(args, key, None)) is not None
+    }
     if overrides:
         config = dataclasses.replace(config, **overrides)
     return config
@@ -221,22 +220,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return verify.cmd_verify(args)
 
 
-def _add_common(parser: argparse.ArgumentParser, table: bool) -> None:
+#: the flags that override a config key, in the order the help lists them
+_OVERRIDES = {
+    "--populations": dict(
+        type=_populations_arg,
+        metavar="A,B",
+        help="weights of the two x eigenstates in the base state",
+    ),
+    "--tau-steps": dict(type=int, metavar="N", help="delay-grid size"),
+    "--theta-steps": dict(type=int, metavar="N", help="angle-grid size"),
+}
+
+
+def _add_common(
+    parser: argparse.ArgumentParser, overrides: tuple, table: bool
+) -> None:
     parser.add_argument(
         "--config",
         metavar="PATH",
         help="config file (default: $MPEMBA_CONFIG, else built-in defaults)",
     )
-    parser.add_argument(
-        "--populations",
-        type=_populations_arg,
-        metavar="A,B",
-        help="weights of the two x eigenstates in the base state",
-    )
-    parser.add_argument("--tau-steps", type=int, metavar="N", help="delay-grid size")
-    parser.add_argument(
-        "--theta-steps", type=int, metavar="N", help="angle-grid size"
-    )
+    for flag in overrides:
+        parser.add_argument(flag, **_OVERRIDES[flag])
     if table:
         parser.add_argument(
             "--out", required=True, metavar="PATH", help="output table path"
@@ -258,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum = sub.add_parser(
         "spectrum", help="exchange-generator eigenvalues and fixed point"
     )
-    _add_common(spectrum, table=False)
+    _add_common(spectrum, (), table=False)
     spectrum.add_argument(
         "--tau", type=float, default=1.0, metavar="MS", help="exchange delay in ms"
     )
@@ -276,11 +281,13 @@ def _build_parser() -> argparse.ArgumentParser:
          "cycle-power ratio across distance thresholds"),
     ):
         command = sub.add_parser(name, help=help_text)
-        _add_common(command, table=True)
+        # otto-distance and otto-ratio build no angle grid, but keep
+        # --theta-steps: the benchmark's warm-up passes it to them
+        _add_common(command, tuple(_OVERRIDES), table=True)
         command.set_defaults(handler=handler)
 
     verify = sub.add_parser("verify", help="run the full invariant battery")
-    _add_common(verify, table=False)
+    _add_common(verify, ("--populations", "--tau-steps"), table=False)
     verify.set_defaults(handler=cmd_verify)
     return parser
 

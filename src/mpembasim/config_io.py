@@ -205,10 +205,14 @@ def write_table(
     file plus rename in the target directory) and the file's mode follows
     the umask.
 
-    A float column at most half of whose cells are distinct, such as a grid
-    axis repeated or tiled over the rows of a surface, is rendered once per
-    distinct value, told apart by bit pattern so that ``0.0`` and ``-0.0``
-    keep their own text.  The output is the same either way.
+    A JSON row goes through the ``%.{precision}g`` slots that CSV uses
+    unless one of its floats is spelled otherwise by ``json.dumps`` or may
+    be (see :func:`_spelled_alike`); such a row is filled with the exact
+    spellings instead.  A float column at most half of whose cells are
+    distinct, such as a grid axis repeated or tiled over the rows of a
+    surface, is rendered once per distinct value, told apart by bit pattern
+    so that ``0.0`` and ``-0.0`` keep their own text.  The output is the
+    same either way.
     """
     schema = list(schema)
     if isinstance(rows, np.ndarray):
@@ -229,10 +233,19 @@ def write_table(
         import json  # loaded only for JSON tables
 
         # the layout json.dumps(payload, indent=2) writes, filled per row
-        members = (json.dumps(name).replace("%", "%%") for name in schema)
-        template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
-        _, cells = _columns(columns, precision, as_json=True)
-        blocks = _filled(template, ",\n", cells)
+        members = [json.dumps(name).replace("%", "%%") for name in schema]
+
+        def layout(slots):
+            lines = (f"    {key}: {slot}" for key, slot in zip(members, slots))
+            return "  {\n" + ",\n".join(lines) + "\n  }"
+
+        slots, cells = _columns(columns, precision, as_json=True)
+        blocks = _filled(
+            layout(slots), ",\n", cells,
+            fallback=layout(["%s"] * len(slots)),
+            checked=[k for k, slot in enumerate(slots) if slot != "%s"],
+            precision=precision,
+        )
         first = next(blocks, None)
         pieces = ["[]\n"] if first is None else chain(["[\n", first], blocks, ["\n]\n"])
     else:
@@ -240,14 +253,24 @@ def write_table(
     _atomic_write(path, pieces)
 
 
-def _filled(template: str, separator: str, cells: list):
+def _filled(
+    template: str,
+    separator: str,
+    cells: list,
+    fallback: str = "",
+    checked: list = (),
+    precision: int = 0,
+):
     """The rows of ``cells`` (see :func:`_columns`) filled into ``template``
     and joined by ``separator``, as text blocks of at most
     :data:`BLOCK_ROWS` rows; each block after the first starts with
     ``separator``.  Only one block's cells exist at a time.
 
-    A block is filled by one ``%`` on ``template`` repeated once per row,
-    with the columns' cells interleaved into one row-major list.
+    A block is filled by one ``%`` on the rows' templates joined, with the
+    columns' cells interleaved into one row-major list.  A row in which a
+    float of a ``checked`` column fails :func:`_spelled_alike` at
+    ``precision`` is filled into ``fallback``, whose slots are all ``%s``,
+    with those floats as their JSON spellings.
     """
     n_rows = len(cells[0][1]) if cells else 0
     width = len(cells)
@@ -257,7 +280,18 @@ def _filled(template: str, separator: str, cells: list):
         flat = [None] * (size * width)
         for k, (render, data) in enumerate(cells):
             flat[k::width] = render(data[part])
-        text = separator.join([template] * size) % tuple(flat)
+        templates = [template] * size
+        if checked:
+            values = [cells[k][1][part] for k in checked]
+            alike = np.logical_and.reduce([_spelled_alike(v, precision) for v in values])
+            rows = np.flatnonzero(~alike)
+            for row in rows.tolist():
+                templates[row] = fallback
+            for k, column in zip(checked, values):
+                texts = _float_texts(column[rows], precision, as_json=True)
+                for cell, text in zip((rows * width + k).tolist(), texts):
+                    flat[cell] = text
+        text = separator.join(templates) % tuple(flat)
         yield (separator if start else "") + text
 
 
@@ -266,24 +300,28 @@ def _columns(columns: list, precision: int, as_json: bool) -> tuple:
     column order; the cells of the rows in a slice are ``render(data[slice])``.
 
     Strings are JSON-quoted for ``as_json`` and ints are left as they are.
-    Float cells stay numbers under the ``%.{precision}g`` slot, except in
-    JSON and in a column at most half of whose cells are distinct, where
-    they become text under a ``%s`` slot.  That choice is made on the whole
-    column, and such a column's distinct values are rendered once.
+    Float cells stay numbers under the ``%.{precision}g`` slot, in CSV and
+    in JSON alike, except in a column at most half of whose cells are
+    distinct, where they become text under a ``%s`` slot.  That choice is
+    made on the whole column: one sort of its bit patterns counts the
+    distinct values, and only such a column looks its cells up among them
+    and renders each distinct value once.
     """
     slots, cells = [], []
     for column in columns:
         slot, render = "%s", list
         if isinstance(column[0], float):
             column = np.asarray(column, dtype=float)
-            distinct, inverse = np.unique(column.view(np.int64), return_inverse=True)
-            if 2 * distinct.size <= column.size:
+            bits = column.view(np.int64)
+            ordered = np.sort(bits)
+            first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+            if 2 * np.count_nonzero(first) <= column.size:
+                distinct = ordered[first]
                 texts = np.array(
                     _float_texts(distinct.view(float), precision, as_json), dtype=object
                 )
-                column, render = inverse, lambda part, texts=texts: texts[part].tolist()
-            elif as_json:
-                render = lambda part: _float_texts(part, precision, as_json=True)
+                column = np.searchsorted(distinct, bits)
+                render = lambda part, texts=texts: texts[part].tolist()
             else:
                 slot, render = f"%.{precision}g", np.ndarray.tolist
         elif as_json and isinstance(column[0], str):
@@ -295,6 +333,29 @@ def _columns(columns: list, precision: int, as_json: bool) -> tuple:
         slots.append(slot)
         cells.append((render, column))
     return slots, cells
+
+
+def _spelled_alike(values: np.ndarray, precision: int) -> np.ndarray:
+    """Which floats are surely spelled by ``json.dumps`` of their rounded
+    value as ``%.{precision}g`` spells them.
+
+    A float passes when ``precision <= 15``, ``|v| >= 1e-300`` and ``|v -
+    rint(v)| > 10**(1 - precision) * |v|``.  The last bound also keeps
+    ``|v|`` below ``10**(precision - 1) / 2`` and fails NaN and the
+    infinities.  Rounding to ``precision`` digits moves ``v`` by at most
+    half that bound, so no passing float's text is an integer (which JSON
+    writes with ``.0``) or reaches ``10**precision`` (an ``e+`` exponent,
+    which JSON writes out); and its rounded value is a normal double, whose
+    repr has the text's digits (see :func:`_float_texts`).  Zeros and
+    subnormals fail too.  The test is conservative: a float that fails may
+    still be spelled alike.
+    """
+    if precision > 15:
+        return np.zeros(values.shape, dtype=bool)
+    magnitude = np.abs(values)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf)
+        fraction = np.abs(values - np.rint(values))
+    return (magnitude >= 1e-300) & (fraction > 10.0 ** (1 - precision) * magnitude)
 
 
 #: json.dumps spellings of the non-finite floats

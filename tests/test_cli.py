@@ -474,12 +474,43 @@ def test_unknown_config_key_is_a_config_error(capsys, tmp_path):
         assert f"config error: line 1: unknown key {key.split()[0]!r}" in err
 
 
-def test_oversized_grid_is_refused_before_any_numerics(capsys):
+def test_oversized_grid_is_refused_before_any_numerics(capsys, tmp_path):
     # spectrum builds no delay grid, so a broken cap cannot exhaust memory here
-    code, out, err = run(capsys, "spectrum", "--tau-steps", "1000000000")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("tau_steps = 1000000000\n", encoding="utf-8")
+    code, out, err = run(capsys, "spectrum", "--config", str(cfg))
     assert code == 3
     assert out == ""
     assert "theta_steps * tau_steps must be at most 4194304" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--populations", "0.4,0.6"],
+        ["spectrum", "--tau-steps", "8"],
+        ["spectrum", "--theta-steps", "8"],
+        ["verify", "--theta-steps", "8"],
+    ],
+)
+def test_a_flag_the_subcommand_never_reads_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+
+def test_the_otto_commands_still_take_the_angle_grid_flag(capsys, tmp_path):
+    # the flag changes nothing there, but sweep-large's warm-up passes it
+    for command in ("otto-distance", "otto-ratio"):
+        path = tmp_path / f"{command}.csv"
+        code, _, _ = run(capsys, command, "--out", str(path), "--tau-steps", "8")
+        plain = path.read_bytes()
+        code_with, _, _ = run(
+            capsys, command, "--out", str(path), "--tau-steps", "8", "--theta-steps", "3"
+        )
+        assert code == code_with == 0
+        assert path.read_bytes() == plain
 
 
 def test_missing_output_directory_is_an_io_error(capsys, tmp_path):

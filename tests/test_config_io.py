@@ -293,17 +293,93 @@ def test_tables_longer_than_two_write_blocks_match_format_and_json_dumps():
     assert_tables_match_reference(rows, ["axis", "value"], 12)
 
 
+def spelling_edges(precision):
+    """Floats at and beside each edge of ``config_io._spelled_alike``, and
+    their negatives."""
+    limit = float(10**precision)
+
+    def around(value):
+        return [np.nextafter(value, -np.inf), value, np.nextafter(value, np.inf)]
+
+    edges = [
+        *around(limit), *around(1e-300),
+        # round to an integer or to 10**p at p = 12
+        0.99999999999995, 999999999999.5,
+        # round to 1 or to 10**p at this precision
+        1.0 - 0.4 * 10.0 ** -precision, limit - 0.4,
+        2.5, 0.1, 0.0, float("nan"), float("inf"),
+        # subnormals, whose repr may have fewer digits than their %g text
+        5e-324, 1.5e-323, 1e-310,
+    ]
+    return edges + [-v for v in edges]
+
+
+@pytest.mark.parametrize("precision", [1, 6, 11, 12, 15, 16, 17])
+def test_floats_at_the_edges_of_the_spelling_test_match_json_dumps(precision):
+    # the edge column is distinct, so its cells go through the %g slot, next
+    # to a column whose cells almost all pass the test
+    edges = spelling_edges(precision)
+    others = (np.arange(len(edges)) + np.pi).tolist()
+    assert_tables_match_reference(list(zip(edges, others)), ["edge", "other"], precision)
+
+
+def test_the_spelling_test_passes_only_inside_its_edges():
+    def alike(values, precision):
+        return config_io._spelled_alike(np.array(values, dtype=float), precision).tolist()
+
+    below_limit = np.nextafter(1e12, 0.0)
+    assert alike([1e-300, 0.5, -123.25, 99999999.25, 1.5e-5], 12) == [True] * 5
+    assert alike(
+        [np.nextafter(1e-300, 0.0), 0.0, -0.0, 5e-324, 3.0, 0.99999999999995,
+         999999999999.5, 1e11 + 0.5, below_limit, 1e12, 2e12 + 0.5,
+         float("nan"), -float("inf")],
+        12,
+    ) == [False] * 13
+    assert alike([0.5, 0.123], 15) == [True, True]
+    assert alike([0.5, 0.123], 16) == [False, False]
+    assert alike([0.5, 0.25], 1) == [False, False]
+
+
+@pytest.mark.parametrize("row", [0, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_a_row_spelled_otherwise_keeps_its_place_in_the_blocks(row):
+    # every other row passes the spelling test; this one holds an integer
+    n = BLOCK_ROWS + 2
+    values = np.random.default_rng(row).uniform(1.0, 2.0, size=(n, 2))
+    values[row, 1] = 3.0
+    assert_tables_match_reference([tuple(r) for r in values.tolist()], ["a", "b"], 12)
+
+
 def per_row_table(rows, schema, fmt, precision):
-    """The table with one ``%`` per row, on the cells that write_table picks."""
+    """The table with one ``%`` per row, on the cells that write_table picks.
+
+    A JSON row whose ``%g`` cells all pass ``_spelled_alike`` fills the
+    template with those slots; any other row fills an all-``%s`` template,
+    with each of those cells spelled by ``json.dumps`` of its rounded value.
+    """
     as_json = fmt == "json"
     slots, cells = config_io._columns(list(zip(*rows)), precision, as_json)
     rendered = zip(*(render(data) for render, data in cells))
     if not as_json:
         template = ",".join(slots) + "\n"
         return ",".join(schema) + "\n" + "".join(map(template.__mod__, rendered))
-    members = (json.dumps(name).replace("%", "%%") for name in schema)
-    template = "  {\n" + ",\n".join(f"    {key}: %s" for key in members) + "\n  }"
-    return "[\n" + ",\n".join(map(template.__mod__, rendered)) + "\n]\n" if rows else "[]\n"
+    members = [json.dumps(name).replace("%", "%%") for name in schema]
+
+    def layout(slots):
+        lines = (f"    {key}: {slot}" for key, slot in zip(members, slots))
+        return "  {\n" + ",\n".join(lines) + "\n  }"
+
+    checked = [k for k, slot in enumerate(slots) if slot != "%s"]
+
+    def fill(row):
+        floats = np.array([row[k] for k in checked], dtype=float)
+        if config_io._spelled_alike(floats, precision).all():
+            return layout(slots) % row
+        spelled = list(row)
+        for k in checked:
+            spelled[k] = json.dumps(float(format(row[k], f".{precision}g")))
+        return layout(["%s"] * len(slots)) % tuple(spelled)
+
+    return "[\n" + ",\n".join(map(fill, rendered)) + "\n]\n" if rows else "[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -6,10 +6,13 @@ Usage::
 
 Runs the package found in ``SRC_DIR`` (the directory holding ``mpembasim/``)
 as fresh processes: all six subcommands at the default grids and at
-``--theta-steps 200 --tau-steps 4096``, each table command in csv and json,
+``--theta-steps 200 --tau-steps 4096`` (each given only the grid flags it
+takes, :data:`GRID_FLAGS`), each table command in csv and json,
 and then every subcommand once more with a config file (:data:`CONFIG`) that
 sets each key to a value other than its default, so that config parsing and
-validation are covered as well.  Then ``spectrum`` runs at the delays of
+validation are covered as well; its ``output_precision`` of 10 puts the
+table commands' csv and json cells through a precision other than the
+default 12.  Then ``spectrum`` runs at the delays of
 :data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
 ``--help`` for the program and each subcommand, and the failing runs of
 :data:`ERROR_RUNS`.  Every run gets its own temporary working directory and a
@@ -36,9 +39,11 @@ import sys
 import tempfile
 
 GRIDS = (
-    ("default", []),
-    ("large", ["--theta-steps", "200", "--tau-steps", "4096"]),
+    ("default", {}),
+    ("large", {"--theta-steps": "200", "--tau-steps": "4096"}),
 )
+#: the grid flags of the subcommands that do not take both
+GRID_FLAGS = {"spectrum": (), "verify": ("--tau-steps",)}
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
 
 #: every config key, none at its default
@@ -70,18 +75,26 @@ ERROR_RUNS = (
 )
 
 
+def grid_args(command: str, grid: dict) -> list:
+    """The flags of ``grid`` that ``command`` takes, with their values."""
+    flags = GRID_FLAGS.get(command, grid)
+    return [arg for flag in flags if flag in grid for arg in (flag, grid[flag])]
+
+
 def runs():
     """(label, argv, table name or None) for every run, in a fixed order."""
-    for grid, grid_args in GRIDS:
+    for grid, sizes in GRIDS:
         for fmt in ("csv", "json"):
             table = f"table.{fmt}"
             for command in TABLE_COMMANDS:
-                argv = [command, *grid_args, "--out", table, "--format", fmt]
+                argv = [command, *grid_args(command, sizes), "--out", table, "--format", fmt]
                 yield f"{command} {grid} {fmt}", argv, table
-        yield f"verify {grid}", ["verify", *grid_args], None
-    for command in TABLE_COMMANDS:
-        argv = [command, "--config", CONFIG_NAME, "--out", "table.csv"]
-        yield f"{command} config csv", argv, "table.csv"
+        yield f"verify {grid}", ["verify", *grid_args("verify", sizes)], None
+    for fmt in ("csv", "json"):
+        table = f"table.{fmt}"
+        for command in TABLE_COMMANDS:
+            argv = [command, "--config", CONFIG_NAME, "--out", table, "--format", fmt]
+            yield f"{command} config {fmt}", argv, table
     yield "verify config", ["verify", "--config", CONFIG_NAME], None
     for tau in SPECTRUM_DELAYS:
         for fmt in ("csv", "json"):
