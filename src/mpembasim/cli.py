@@ -271,19 +271,21 @@ def _build_parser() -> argparse.ArgumentParser:
     spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
     spectrum.set_defaults(handler=cmd_spectrum)
 
-    for name, handler, help_text in (
-        ("surface", cmd_surface, "free-energy excess over the angle/delay grid"),
-        ("cooling", cmd_cooling,
+    # otto-distance and otto-ratio build no base state and no angle grid,
+    # but keep --theta-steps: the benchmark's warm-up passes it to them
+    cycle_overrides = ("--tau-steps", "--theta-steps")
+    for name, handler, overrides, help_text in (
+        ("surface", cmd_surface, tuple(_OVERRIDES),
+         "free-energy excess over the angle/delay grid"),
+        ("cooling", cmd_cooling, tuple(_OVERRIDES),
          "relaxation curves with and without the acceleration"),
-        ("otto-distance", cmd_otto_distance,
+        ("otto-distance", cmd_otto_distance, cycle_overrides,
          "exchange-stroke distance curves of the cycle"),
-        ("otto-ratio", cmd_otto_ratio,
+        ("otto-ratio", cmd_otto_ratio, cycle_overrides,
          "cycle-power ratio across distance thresholds"),
     ):
         command = sub.add_parser(name, help=help_text)
-        # otto-distance and otto-ratio build no angle grid, but keep
-        # --theta-steps: the benchmark's warm-up passes it to them
-        _add_common(command, tuple(_OVERRIDES), table=True)
+        _add_common(command, overrides, table=True)
         command.set_defaults(handler=handler)
 
     verify = sub.add_parser("verify", help="run the full invariant battery")

@@ -208,11 +208,11 @@ def write_table(
     A JSON row goes through the ``%.{precision}g`` slots that CSV uses
     unless one of its floats is spelled otherwise by ``json.dumps`` or may
     be (see :func:`_spelled_alike`); such a row is filled with the exact
-    spellings instead.  A float column at most half of whose cells are
-    distinct, such as a grid axis repeated or tiled over the rows of a
-    surface, is rendered once per distinct value, told apart by bit pattern
-    so that ``0.0`` and ``-0.0`` keep their own text.  The output is the
-    same either way.
+    spellings (see :func:`_float_texts`) instead.  A float column at most
+    half of whose cells are distinct, such as a grid axis repeated or tiled
+    over the rows of a surface, is rendered once per distinct value, told
+    apart by bit pattern so that ``0.0`` and ``-0.0`` keep their own text.
+    The output is the same either way.
     """
     schema = list(schema)
     if isinstance(rows, np.ndarray):
@@ -346,9 +346,10 @@ def _spelled_alike(values: np.ndarray, precision: int) -> np.ndarray:
     half that bound, so no passing float's text is an integer (which JSON
     writes with ``.0``) or reaches ``10**precision`` (an ``e+`` exponent,
     which JSON writes out); and its rounded value is a normal double, whose
-    repr has the text's digits (see :func:`_float_texts`).  Zeros and
-    subnormals fail too.  The test is conservative: a float that fails may
-    still be spelled alike.
+    repr, the shortest decimal that reads back as it, is the text itself:
+    no two decimals of at most 15 significant digits read back as the same
+    normal double.  Zeros and subnormals fail too.  The test is
+    conservative: a float that fails may still be spelled alike.
     """
     if precision > 15:
         return np.zeros(values.shape, dtype=bool)
@@ -361,36 +362,15 @@ def _spelled_alike(values: np.ndarray, precision: int) -> np.ndarray:
 #: json.dumps spellings of the non-finite floats
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-#: decimal exponents that repr writes positionally and %g may not
-_POSITIONAL_EXPONENTS = {f"e+{k:02d}" for k in range(16)}
-
 
 def _float_texts(values: np.ndarray, precision: int, as_json: bool) -> list:
     """Floats as ``%.{precision}g`` text, or as ``json.dumps`` spells the rounded value.
 
-    The JSON spelling is ``repr(float(text))``.  For ``precision <= 15``,
-    when every rounded value is zero or a normal double, ``text`` already
-    has the digits of that repr: two decimals of at most 15 significant
-    digits never round to the same normal double, so the shortest decimal
-    that reads back as ``float(text)`` is ``text`` itself.  Only the layout
-    can differ, and only the cells that need it are parsed: an integer
-    needs ``.0`` and an exponent ``e+00`` to ``e+15`` is written out.  A
-    column reaching below ``1e-307`` or up to ``1e308``, whose rounding may
-    land among the subnormals or on infinity, parses every cell.
+    The JSON spelling is ``repr(float(text))``, with the non-finite reprs
+    renamed after it, since at ``precision >= 16`` a finite value can round
+    to infinity.
     """
     texts = list(map(f"%.{precision}g".__mod__, values.tolist()))
     if not as_json:
         return texts
-    magnitude = np.abs(values[np.isfinite(values)])
-    if precision > 15 or np.any((magnitude >= 1e308) | ((magnitude < 1e-307) & (magnitude > 0))):
-        texts = [repr(float(text)) for text in texts]
-    return [text if "." in text and "e" not in text else _json_float(text) for text in texts]
-
-
-def _json_float(text: str) -> str:
-    """JSON spelling of a float text that has the shortest repr's digits."""
-    if text[-4:] in _POSITIONAL_EXPONENTS:
-        return repr(float(text))
-    if "." in text or "e" in text:
-        return text
-    return _JSON_NON_FINITE.get(text, text + ".0")
+    return [_JSON_NON_FINITE.get(text, text) for text in map(repr, map(float, texts))]

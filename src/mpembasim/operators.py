@@ -76,15 +76,9 @@ def bloch_vector(rho: np.ndarray) -> np.ndarray:
 
 def density_from_bloch(r: np.ndarray) -> np.ndarray:
     """Qubit state from a Bloch vector with ``|r| <= 1``, or the stack
-    ``(..., 2, 2)`` of states from Bloch vectors ``(..., 3)``."""
-    r = np.asarray(r, dtype=float)
-    if r.ndim == 0 or r.shape[-1] != 3:
-        raise ValueError("Bloch vector must have exactly three components")
-    norm = float(np.linalg.norm(r, axis=-1).max(initial=0.0))
-    if not math.isfinite(norm):
-        raise ValueError("Bloch vector must be finite")
-    if norm > 1.0 + 1e-12:
-        raise ValueError(f"Bloch vector norm {norm} exceeds 1")
+    ``(..., 2, 2)`` of states from Bloch vectors ``(..., 3)``, checked by
+    :func:`validate_bloch_vectors` at ``psd_tol=5e-13``: ``|r| <= 1 + 1e-12``."""
+    r = validate_bloch_vectors(r, psd_tol=5e-13)
     x, y, z = (r[..., k, np.newaxis, np.newaxis] for k in range(3))
     return 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
 

@@ -34,7 +34,9 @@ five resulting Bloch vectors together, once each.  Records hold those Bloch
 vectors; :attr:`StrokeRecord.state_after` builds the 2x2 density matrix each
 time it is read, so a cycle whose matrices nobody reads builds none.  The
 tests check every record against the stroke sequence on 2x2 density matrices
-through Kraus channels.  Energies are in h*kHz, times in ms.
+through Kraus channels.  :func:`power_ratio` forms all 40 ratios at once and
+refuses one below 1 there, so its :class:`PowerReport` rows, like the stroke
+records, are plain named tuples.  Energies are in h*kHz, times in ms.
 """
 
 from __future__ import annotations
@@ -118,21 +120,13 @@ class StrokeRecord(NamedTuple):
         return density_from_bloch(self.bloch_after)
 
 
-@dataclass(frozen=True)
-class PowerReport:
+class PowerReport(NamedTuple):
     """Threshold times and cycle-power ratio at one trace-distance target."""
 
     delta: float
     tau2_plain: float
     tau2_mb: float
     ratio: float
-
-    def __post_init__(self):
-        if self.ratio < 1.0 - 1e-12:
-            raise NoAdvantageError(
-                f"ratio {self.ratio} below 1; delta {self.delta} lies outside "
-                "the advantage window"
-            )
 
 
 def _ramp_phase(nu_start: float, nu_end: float, duration: float) -> float:
@@ -295,15 +289,19 @@ def power_ratio(cfg: CycleConfig, tau2_grid: Sequence[float]) -> list:
     thresholds of :func:`default_delta_grid` on the distance curves over
     ``tau2_grid``.  All 40 threshold delays come from one
     :func:`threshold_times` call, and the ratios are formed element by
-    element.
+    element.  A ratio below ``1 - 1e-12`` raises NoAdvantageError naming the
+    first such delta.
     """
     curves = distance_curves(cfg, tau2_grid)
     deltas = default_delta_grid(curves)
     tau2_plain, tau2_mb = threshold_times(curves, deltas)
     ratios = (cfg.tau_bar + tau2_plain) / (cfg.tau_bar + tau2_mb)
-    return [
-        PowerReport(delta=delta, tau2_plain=plain, tau2_mb=mb, ratio=ratio)
-        for delta, plain, mb, ratio in zip(
-            deltas.tolist(), tau2_plain.tolist(), tau2_mb.tolist(), ratios.tolist()
+    below = ratios < 1.0 - 1e-12
+    if below.any():
+        k = np.argmax(below)
+        raise NoAdvantageError(
+            f"ratio {ratios[k].item()} below 1; delta {deltas[k].item()} lies outside "
+            "the advantage window"
         )
-    ]
+    rows = zip(deltas.tolist(), tau2_plain.tolist(), tau2_mb.tolist(), ratios.tolist())
+    return list(map(PowerReport._make, rows))

@@ -134,6 +134,39 @@ def test_validate_bloch_vectors_bounds_the_smallest_eigenvalue():
         validate_bloch_vectors([0.0, 0.0])
 
 
+EDGE = 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "norm",
+    [np.nextafter(EDGE, 0.0), EDGE, np.nextafter(EDGE, 2.0)],
+    ids=["below", "at", "above"],
+)
+def test_density_from_bloch_refuses_exactly_what_the_bloch_check_refuses(norm):
+    r = np.array([0.0, 0.0, norm])
+    try:
+        validate_bloch_vectors(r, psd_tol=5e-13)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as refused:
+            density_from_bloch(r)
+        assert str(refused.value) == str(exc)
+    else:
+        assert density_from_bloch(r)[0, 0] == 0.5 * (1.0 + norm)
+    # the edge itself lies outside: (1 - |r|)/2 is below -5e-13 there
+    assert (norm >= EDGE) == (0.5 * (1.0 - norm) < -5e-13)
+
+
+def test_density_from_bloch_names_the_worst_vector_of_a_stack():
+    below = np.nextafter(EDGE, 0.0)
+    stack = np.array([[0.0, 0.0, 0.5], [0.0, below, 0.0], [EDGE, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-13") as refused:
+        density_from_bloch(stack)
+    with pytest.raises(ValueError) as checked:
+        validate_bloch_vectors(stack, psd_tol=5e-13)
+    assert str(refused.value) == str(checked.value)
+    assert density_from_bloch(stack[:2]).shape == (2, 2, 2)
+
+
 def test_x_eigenbasis_diagonalizes_sigma_x():
     assert_allclose(
         X_EIGENBASIS.conj().T @ SIGMA_X @ X_EIGENBASIS, SIGMA_Z, atol=1e-14

@@ -32,7 +32,6 @@ from mpembasim.operators import (
 )
 from mpembasim.otto import (
     CycleConfig,
-    PowerReport,
     StrokeName,
     StrokeRecord,
     default_delta_grid,
@@ -498,9 +497,23 @@ def test_power_ratio_peak_shows_a_real_advantage():
     assert 1.0 + 1e-3 < peak < 1.2
 
 
-def test_power_report_rejects_ratios_below_one():
-    with pytest.raises(NoAdvantageError):
-        PowerReport(delta=0.1, tau2_plain=1.0, tau2_mb=1.5, ratio=0.9)
+def test_power_report_rejects_ratios_below_one(monkeypatch):
+    cfg = CycleConfig()
+    grid = np.linspace(0.0, swap_window(cfg.j_hz), 64)
+    curves = distance_curves(cfg, grid)
+    deltas = default_delta_grid(curves)
+    tau2_plain, tau2_mb = threshold_times(curves, deltas)
+    # with the delays swapped the accelerated cycle is the slower one
+    swapped = (cfg.tau_bar + tau2_mb) / (cfg.tau_bar + tau2_plain)
+    first = int(np.flatnonzero(swapped < 1.0 - 1e-12)[0])
+    real = otto.threshold_times
+    monkeypatch.setattr(otto, "threshold_times", lambda *args: real(*args)[::-1])
+    with pytest.raises(NoAdvantageError) as refused:
+        power_ratio(cfg, grid)
+    assert str(refused.value) == (
+        f"ratio {float(swapped[first])!r} below 1; delta {float(deltas[first])!r} "
+        "lies outside the advantage window"
+    )
     assert issubclass(NoAdvantageError, MpembaSimError)
     assert issubclass(NoAdvantageError, ValueError)
 

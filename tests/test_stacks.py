@@ -149,7 +149,7 @@ def test_a_stack_reports_its_worst_deviation():
     stack[2] = np.diag([0.7, 0.5])
     with pytest.raises(ValueError, match="deviates from 1 by 2.000e-01"):
         validate_density_matrix(stack)
-    with pytest.raises(ValueError, match="norm 1.5 exceeds 1"):
+    with pytest.raises(ValueError, match="negative eigenvalue -2.500e-01"):
         density_from_bloch([[0.0, 0.0, 0.5], [0.0, 0.0, -1.5]])
 
 

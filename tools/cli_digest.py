@@ -5,9 +5,10 @@ Usage::
     python3 tools/cli_digest.py SRC_DIR
 
 Runs the package found in ``SRC_DIR`` (the directory holding ``mpembasim/``)
-as fresh processes: all six subcommands at the default grids and at
-``--theta-steps 200 --tau-steps 4096`` (each given only the grid flags it
-takes, :data:`GRID_FLAGS`), each table command in csv and json,
+as fresh processes: all six subcommands at the default grids and, except
+``spectrum``, which takes no grid flag, at ``--theta-steps 200 --tau-steps
+4096`` (each given only the grid flags it takes, :data:`GRID_FLAGS`), each
+table command in csv and json,
 and then every subcommand once more with a config file (:data:`CONFIG`) that
 sets each key to a value other than its default, so that config parsing and
 validation are covered as well; its ``output_precision`` of 10 puts the
@@ -87,6 +88,8 @@ def runs():
         for fmt in ("csv", "json"):
             table = f"table.{fmt}"
             for command in TABLE_COMMANDS:
+                if sizes and not grid_args(command, sizes):
+                    continue  # it would repeat the default run
                 argv = [command, *grid_args(command, sizes), "--out", table, "--format", fmt]
                 yield f"{command} {grid} {fmt}", argv, table
         yield f"verify {grid}", ["verify", *grid_args("verify", sizes)], None
