@@ -1,7 +1,11 @@
 """Command-line pipelines: spectra, sweeps, refrigerator tables, self checks.
 
-Summaries go to stdout, tables to files.  Exit codes: 0 success, 1
-self-check failure, 2 numerical failure, 3 config or IO failure.  The
+Summaries go to stdout, tables to files.  The five table commands share
+one handler, :func:`cmd_table`: it resolves the config, runs the command's
+computation ``(config, args) -> (rows, schema, summary_lines)``, writes the
+table when ``--out`` is given and only then prints, so a run whose table
+cannot be written exits 3 with nothing on stdout.  Exit codes: 0 success,
+1 self-check failure, 2 numerical failure, 3 config or IO failure.  The
 ``verify`` battery lives in :mod:`mpembasim.verify`.
 """
 
@@ -68,8 +72,7 @@ def _hot_environment(config: ExperimentConfig) -> ThermalEnvironment:
     )
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def spectrum_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     tau = args.tau
     window = swap_window(config.j_hz)
     # the chained comparison is false for nan and +-inf as well
@@ -80,27 +83,23 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     eigenvalues, populations = exchange_spectrum(
         _hot_environment(config), config.j_hz, tau
     )
-
-    print(f"exchange-generator spectrum at tau = {tau:g} ms (rates in 1/ms):")
     kinds = ("population", "coherence", "coherence", "population")
-    rows = []
-    for k, (eigenvalue, kind) in enumerate(zip(eigenvalues, kinds), start=1):
-        print(f"  lambda_{k} = {eigenvalue:+.9f} +0.000000000i  [{kind}]")
-        rows.append((k, eigenvalue, 0.0, kind))
-    print(f"fixed-point populations: {populations[0]:.9f}, {populations[1]:.9f}")
-    if args.out:
-        write_table(
-            rows,
-            ["index", "re_per_ms", "im_per_ms", "kind"],
-            args.out,
-            args.format,
-            config.output_precision,
-        )
-    return 0
+    rows = [
+        (k, eigenvalue, 0.0, kind)
+        for k, (eigenvalue, kind) in enumerate(zip(eigenvalues, kinds), start=1)
+    ]
+    lines = [
+        f"exchange-generator spectrum at tau = {tau:g} ms (rates in 1/ms):",
+        *(
+            f"  lambda_{k} = {eigenvalue:+.9f} +0.000000000i  [{kind}]"
+            for k, eigenvalue, _, kind in rows
+        ),
+        f"fixed-point populations: {populations[0]:.9f}, {populations[1]:.9f}",
+    ]
+    return rows, ["index", "re_per_ms", "im_per_ms", "kind"], lines
 
 
-def cmd_surface(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     angles = np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
     family = build_theta_family(_base_state(config), angles)
     taus = _tau_grid(config)
@@ -108,109 +107,80 @@ def cmd_surface(args: argparse.Namespace) -> int:
     rows = np.column_stack(
         [np.repeat(angles, taus.size), np.tile(taus, angles.size), excess.ravel()]
     )
-    write_table(
-        rows,
-        ["theta_rad", "tau_ms", "delta_f_neq_khz"],
-        args.out,
-        args.format,
-        config.output_precision,
-    )
     lowest = int(np.argmin(excess[:, 0]))
-    print(f"surface: {len(rows)} rows -> {args.out}")
-    print(
+    lines = [
+        f"surface: {len(rows)} rows -> {args.out}",
         f"lowest initial excess {excess[lowest, 0]:.6f} kHz "
-        f"at theta = {angles[lowest]:.6f} rad"
-    )
-    return 0
+        f"at theta = {angles[lowest]:.6f} rad",
+    ]
+    return rows, ["theta_rad", "tau_ms", "delta_f_neq_khz"], lines
 
 
-def cmd_cooling(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
+def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     base = _base_state(config)
     env = _hot_environment(config)
     grid = _tau_grid(config)
     plain = cooling_curves(base, env, config.j_hz, grid, with_mpemba=False)
     accelerated = cooling_curves(base, env, config.j_hz, grid, with_mpemba=True)
-
-    write_table(
-        np.column_stack(
-            [
-                grid,
-                plain.f_neq,
-                accelerated.f_neq,
-                plain.trace_dist,
-                accelerated.trace_dist,
-            ]
-        ),
-        ["tau_ms", "delta_f_plain_khz", "delta_f_mb_khz", "dist_plain", "dist_mb"],
-        args.out,
-        args.format,
-        config.output_precision,
+    rows = np.column_stack(
+        [grid, plain.f_neq, accelerated.f_neq, plain.trace_dist, accelerated.trace_dist]
     )
     crossing = detect_crossing(accelerated, plain, observable="f_neq")
     if crossing.exists:
         kind = "persistent" if crossing.persistent else "transient"
-        print(
+        lines = [
             f"cooling: crossing detected, {kind}, t_cross = {crossing.t_cross:.6f} ms"
-        )
+        ]
     else:
-        print("cooling: no crossing on this grid")
+        lines = ["cooling: no crossing on this grid"]
     eps = config.epsilon_equilibrium_khz
     for trajectory in (plain, accelerated):
         inside = np.flatnonzero(trajectory.f_neq <= eps)
         when = f"tau = {grid[inside[0]]:.6f} ms" if inside.size else "never"
-        print(
+        lines.append(
             f"cooling: {trajectory.label} curve enters the {eps:g} kHz "
             f"neighborhood at {when}"
         )
-    return 0
+    schema = ["tau_ms", "delta_f_plain_khz", "delta_f_mb_khz", "dist_plain", "dist_mb"]
+    return rows, schema, lines
 
 
-def cmd_otto_distance(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    cycle = config.cycle_config()
+def otto_distance_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     grid = _tau_grid(config)
-    plain, accelerated = distance_curves(cycle, grid)
-    write_table(
-        np.column_stack([grid, plain.trace_dist, accelerated.trace_dist]),
-        ["tau2_ms", "dist_plain", "dist_mb"],
-        args.out,
-        args.format,
-        config.output_precision,
-    )
+    plain, accelerated = distance_curves(config.cycle_config(), grid)
+    rows = np.column_stack([grid, plain.trace_dist, accelerated.trace_dist])
     crossing = detect_crossing(accelerated, plain, observable="trace_dist")
     if crossing.exists:
-        print(f"otto-distance: crossing at tau2 = {crossing.t_cross:.6f} ms")
         gap = plain.trace_dist - accelerated.trace_dist
         peak = int(np.argmax(gap))
-        print(
+        lines = [
+            f"otto-distance: crossing at tau2 = {crossing.t_cross:.6f} ms",
             f"otto-distance: maximum separation {gap[peak]:.6f} "
-            f"at tau2 = {grid[peak]:.6f} ms"
-        )
+            f"at tau2 = {grid[peak]:.6f} ms",
+        ]
     else:
-        print("otto-distance: no crossing on this grid")
-    return 0
+        lines = ["otto-distance: no crossing on this grid"]
+    return rows, ["tau2_ms", "dist_plain", "dist_mb"], lines
 
 
-def cmd_otto_ratio(args: argparse.Namespace) -> int:
-    config = _resolve_config(args)
-    cycle = config.cycle_config()
-    reports = power_ratio(cycle, tau2_grid=_tau_grid(config))
-    write_table(
-        [
-            (report.delta, report.tau2_plain, report.tau2_mb, report.ratio)
-            for report in reports
-        ],
-        ["delta", "tau2_plain_ms", "tau2_mb_ms", "ratio"],
-        args.out,
-        args.format,
-        config.output_precision,
-    )
+def otto_ratio_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
+    reports = power_ratio(config.cycle_config(), tau2_grid=_tau_grid(config))
     peak = max(reports, key=lambda report: report.ratio)
-    print(
+    line = (
         f"otto-ratio: peak ratio {peak.ratio:.6f} at delta = {peak.delta:.6f} "
         f"(tau2_plain = {peak.tau2_plain:.6f} ms, tau2_mb = {peak.tau2_mb:.6f} ms)"
     )
+    # PowerReport's fields are the table's columns, in order
+    return reports, ["delta", "tau2_plain_ms", "tau2_mb_ms", "ratio"], [line]
+
+
+def cmd_table(args: argparse.Namespace) -> int:
+    """Run a table command: compute, write the table if asked, then print."""
+    config = _resolve_config(args)
+    rows, schema, lines = args.compute(config, args)
+    if args.out is not None:
+        write_table(rows, schema, args.out, args.format, config.output_precision)
+    print("\n".join(lines))
     return 0
 
 
@@ -269,24 +239,24 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     spectrum.add_argument("--out", metavar="PATH", help="optional table path")
     spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
-    spectrum.set_defaults(handler=cmd_spectrum)
+    spectrum.set_defaults(handler=cmd_table, compute=spectrum_table)
 
     # otto-distance and otto-ratio build no base state and no angle grid,
     # but keep --theta-steps: the benchmark's warm-up passes it to them
     cycle_overrides = ("--tau-steps", "--theta-steps")
-    for name, handler, overrides, help_text in (
-        ("surface", cmd_surface, tuple(_OVERRIDES),
+    for name, compute, overrides, help_text in (
+        ("surface", surface_table, tuple(_OVERRIDES),
          "free-energy excess over the angle/delay grid"),
-        ("cooling", cmd_cooling, tuple(_OVERRIDES),
+        ("cooling", cooling_table, tuple(_OVERRIDES),
          "relaxation curves with and without the acceleration"),
-        ("otto-distance", cmd_otto_distance, cycle_overrides,
+        ("otto-distance", otto_distance_table, cycle_overrides,
          "exchange-stroke distance curves of the cycle"),
-        ("otto-ratio", cmd_otto_ratio, cycle_overrides,
+        ("otto-ratio", otto_ratio_table, cycle_overrides,
          "cycle-power ratio across distance thresholds"),
     ):
         command = sub.add_parser(name, help=help_text)
         _add_common(command, overrides, table=True)
-        command.set_defaults(handler=handler)
+        command.set_defaults(handler=cmd_table, compute=compute)
 
     verify = sub.add_parser("verify", help="run the full invariant battery")
     _add_common(verify, ("--populations", "--tau-steps"), table=False)

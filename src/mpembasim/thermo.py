@@ -207,17 +207,11 @@ def detect_crossing(
     diff = getattr(a, observable) - getattr(b, observable)
     signs = np.where(diff > CROSSING_TOL, 1, np.where(diff < -CROSSING_TOL, -1, 0))
     nonzero = np.flatnonzero(signs)
-    if nonzero.size == 0:
+    # nonzero points whose sign differs from the first one (none if all are 0)
+    flips = nonzero[signs[nonzero] != signs[nonzero[:1]]]
+    if flips.size == 0:
         return CrossingReport(False, float("nan"), False)
-
-    first = signs[nonzero[0]]
-    flip = None
-    for idx in nonzero[1:]:
-        if signs[idx] != first:
-            flip = idx
-            break
-    if flip is None:
-        return CrossingReport(False, float("nan"), False)
+    flip = flips[0]
 
     # Last grid index before the flip still carrying the original sign.
     before = nonzero[nonzero < flip][-1]

@@ -21,6 +21,8 @@ from mpembasim.cli import main
 
 WINDOW_MS = 2.3245002324500232
 
+TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
+
 VERIFY_CHECKS = (
     "kraus-completeness",
     "damping-equivalence",
@@ -517,13 +519,27 @@ def test_the_otto_commands_still_take_the_angle_grid_flag(capsys, tmp_path):
         assert path.read_bytes() == plain
 
 
-def test_missing_output_directory_is_an_io_error(capsys, tmp_path):
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_missing_output_directory_is_an_io_error(capsys, tmp_path, command):
+    # every table command writes its table before it prints its summary, so
+    # a table that cannot be written leaves stdout empty
     requested = str(tmp_path / "absent" / "t.csv")
-    code, _, err = run(capsys, "cooling", "--out", requested, "--tau-steps", "8")
+    code, out, err = run(capsys, command, "--out", requested)
     assert code == 3
     assert "io error" in err
     assert requested in err
     assert ".partial-" not in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_an_empty_output_path_is_an_io_error(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--out", "")
+    assert (code, out) == (3, "")
+    assert "io error" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_output_path_that_is_a_directory_is_an_io_error(capsys, tmp_path):

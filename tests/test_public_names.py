@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import mpembasim
-from mpembasim import otto
+from mpembasim import cli, otto
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(__file__)), "benchmarks")
 PACKAGE = os.path.dirname(mpembasim.__file__)
@@ -86,6 +86,21 @@ def test_importing_the_cli_loads_every_traced_module_and_nothing_it_does_not_run
     unused = {"logging", "json", "numpy.random", "mpembasim.verify"}
     assert sorted(unused & loaded) == []
 
+
+def test_the_tracer_counts_the_rows_of_the_one_table_writer(tmp_path):
+    # every table command writes through cli's one write_table call, whose
+    # binding the tracer rebinds to count config_io.write_table.rows;
+    # otto-ratio imports no module the tracer has not scanned, so uninstall
+    # puts back every binding the run went through
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["otto-ratio", "--out", str(tmp_path / "ratio.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counters()["rows_written"] == 40
+    assert tracer.summary()["config_io.write_table"]["calls"] == 1
 
 
 def test_the_production_kernel_does_not_load_the_liouville_route():

@@ -16,11 +16,13 @@ table commands' csv and json cells through a precision other than the
 default 12.  Then ``spectrum`` runs at the delays of
 :data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
 ``--help`` for the program and each subcommand, and the failing runs of
-:data:`ERROR_RUNS`.  Every run gets its own temporary working directory and a
-fixed relative output name, so paths echoed to stdout match between
-checkouts, and ``COLUMNS=80``, so argparse wraps help and usage text the same
-way in any terminal.  One SHA-256 line is printed per stdout, per table, and
-per stderr that is not empty.
+:data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
+a ``spectrum`` whose table cannot be written.  Every run gets its own
+temporary working directory and a fixed relative output name, so paths
+echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
+wraps help and usage text the same way in any terminal.  One SHA-256 line
+is printed per stdout, per table, and per stderr that is not empty: 82
+lines in all.
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -68,11 +70,13 @@ CONFIG_NAME = "run.cfg"
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
 
-#: runs that fail: a numerical error (exit 2), then two config or IO errors
+#: runs that fail: a numerical error (exit 2), then a config error and two
+#: IO errors, where a table command's table cannot be written
 ERROR_RUNS = (
     ("otto-ratio", "--tau-steps", "2", "--out", "table.csv"),
     ("spectrum", "--tau", "0"),
     ("cooling", "--out", "missing/a.csv"),
+    ("spectrum", "--out", "missing/a.csv"),
 )
 
 
