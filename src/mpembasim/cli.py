@@ -4,9 +4,11 @@ Summaries go to stdout, tables to files.  The five table commands share
 one handler, :func:`cmd_table`: it resolves the config, runs the command's
 computation ``(config, args) -> (rows, schema, summary_lines)``, writes the
 table when ``--out`` is given and only then prints, so a run whose table
-cannot be written exits 3 with nothing on stdout.  Exit codes: 0 success,
-1 self-check failure, 2 numerical failure, 3 config or IO failure.  The
-``verify`` battery lives in :mod:`mpembasim.verify`.
+cannot be written exits 3 with nothing on stdout.  :data:`_SUBCOMMANDS`
+declares each subcommand's help, handler, computation and flags.  Exit
+codes: 0 success, 1 self-check failure, 2 numerical failure or an argparse
+usage error, 3 config or IO failure.  The ``verify`` battery lives in
+:mod:`mpembasim.verify`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 # this module and then looks every traced module up in sys.modules
 from . import liouville  # noqa: F401
 from .channels import ThermalEnvironment, exchange_spectrum, swap_window
-from .config_io import ExperimentConfig, load_config, write_table
+from .config_io import MAX_GRID_POINTS, ExperimentConfig, load_config, write_table
 from .exceptions import ConfigError, MpembaSimError
 from .mpemba import build_theta_family, cooling_curves, free_energy_surface
 from .otto import distance_curves, power_ratio
@@ -45,11 +47,12 @@ def _populations_arg(text: str) -> tuple:
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config or os.environ.get("MPEMBA_CONFIG")
     config = load_config(path) if path else ExperimentConfig()
-    # a subcommand's namespace holds only the override flags it was given
+    # override flags are the namespace's config keys; one not given is None
+    keys = {field.name for field in dataclasses.fields(ExperimentConfig)}
     overrides = {
         key: value
-        for key in ("populations", "tau_steps", "theta_steps")
-        if (value := getattr(args, key, None)) is not None
+        for key, value in vars(args).items()
+        if key in keys and value is not None
     }
     if overrides:
         config = dataclasses.replace(config, **overrides)
@@ -100,6 +103,11 @@ def spectrum_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
 
 
 def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
+    if config.theta_steps * config.tau_steps > MAX_GRID_POINTS:
+        raise ConfigError(
+            f"theta_steps * tau_steps must be at most {MAX_GRID_POINTS}, "
+            f"got {config.theta_steps} * {config.tau_steps}"
+        )
     angles = np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
     family = build_theta_family(_base_state(config), angles)
     taus = _tau_grid(config)
@@ -190,33 +198,46 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return verify.cmd_verify(args)
 
 
-#: the flags that override a config key, in the order the help lists them
-_OVERRIDES = {
-    "--populations": dict(
-        type=_populations_arg,
-        metavar="A,B",
-        help="weights of the two x eigenstates in the base state",
-    ),
-    "--tau-steps": dict(type=int, metavar="N", help="delay-grid size"),
-    "--theta-steps": dict(type=int, metavar="N", help="angle-grid size"),
-}
+#: one (flag, argparse spec) per flag; an override flag's dest is its config key
+_CONFIG = ("--config", dict(
+    metavar="PATH", help="config file (default: $MPEMBA_CONFIG, else built-in defaults)"
+))
+_POPULATIONS = ("--populations", dict(
+    type=_populations_arg,
+    metavar="A,B",
+    help="weights of the two x eigenstates in the base state",
+))
+_TAU_STEPS = ("--tau-steps", dict(type=int, metavar="N", help="delay-grid size"))
+_THETA_STEPS = ("--theta-steps", dict(type=int, metavar="N", help="angle-grid size"))
+_OUT = ("--out", dict(required=True, metavar="PATH", help="output table path"))
+_FORMAT = ("--format", dict(choices=("csv", "json"), default="csv"))
 
-
-def _add_common(
-    parser: argparse.ArgumentParser, overrides: tuple, table: bool
-) -> None:
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help="config file (default: $MPEMBA_CONFIG, else built-in defaults)",
-    )
-    for flag in overrides:
-        parser.add_argument(flag, **_OVERRIDES[flag])
-    if table:
-        parser.add_argument(
-            "--out", required=True, metavar="PATH", help="output table path"
-        )
-        parser.add_argument("--format", choices=("csv", "json"), default="csv")
+#: (name, help, handler, computation, flags in the order --help lists them).
+#: Only surface builds an angle grid, but cooling and the otto commands keep
+#: --theta-steps: the benchmark's sweep-large warm-up passes it to all four.
+_SUBCOMMANDS = (
+    ("spectrum", "exchange-generator eigenvalues and fixed point",
+     cmd_table, spectrum_table,
+     (_CONFIG,
+      ("--tau", dict(type=float, default=1.0, metavar="MS", help="exchange delay in ms")),
+      ("--out", dict(metavar="PATH", help="optional table path")),
+      _FORMAT)),
+    ("surface", "free-energy excess over the angle/delay grid",
+     cmd_table, surface_table,
+     (_CONFIG, _POPULATIONS, _TAU_STEPS, _THETA_STEPS, _OUT, _FORMAT)),
+    ("cooling", "relaxation curves with and without the acceleration",
+     cmd_table, cooling_table,
+     (_CONFIG, _POPULATIONS, _TAU_STEPS, _THETA_STEPS, _OUT, _FORMAT)),
+    ("otto-distance", "exchange-stroke distance curves of the cycle",
+     cmd_table, otto_distance_table,
+     (_CONFIG, _TAU_STEPS, _THETA_STEPS, _OUT, _FORMAT)),
+    ("otto-ratio", "cycle-power ratio across distance thresholds",
+     cmd_table, otto_ratio_table,
+     (_CONFIG, _TAU_STEPS, _THETA_STEPS, _OUT, _FORMAT)),
+    ("verify", "run the full invariant battery",
+     cmd_verify, None,
+     (_CONFIG, _POPULATIONS, _TAU_STEPS)),
+)
 
 
 @functools.cache
@@ -229,38 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "a Mpemba-boosted Otto refrigerator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    spectrum = sub.add_parser(
-        "spectrum", help="exchange-generator eigenvalues and fixed point"
-    )
-    _add_common(spectrum, (), table=False)
-    spectrum.add_argument(
-        "--tau", type=float, default=1.0, metavar="MS", help="exchange delay in ms"
-    )
-    spectrum.add_argument("--out", metavar="PATH", help="optional table path")
-    spectrum.add_argument("--format", choices=("csv", "json"), default="csv")
-    spectrum.set_defaults(handler=cmd_table, compute=spectrum_table)
-
-    # otto-distance and otto-ratio build no base state and no angle grid,
-    # but keep --theta-steps: the benchmark's warm-up passes it to them
-    cycle_overrides = ("--tau-steps", "--theta-steps")
-    for name, compute, overrides, help_text in (
-        ("surface", surface_table, tuple(_OVERRIDES),
-         "free-energy excess over the angle/delay grid"),
-        ("cooling", cooling_table, tuple(_OVERRIDES),
-         "relaxation curves with and without the acceleration"),
-        ("otto-distance", otto_distance_table, cycle_overrides,
-         "exchange-stroke distance curves of the cycle"),
-        ("otto-ratio", otto_ratio_table, cycle_overrides,
-         "cycle-power ratio across distance thresholds"),
-    ):
+    for name, help_text, handler, compute, flags in _SUBCOMMANDS:
         command = sub.add_parser(name, help=help_text)
-        _add_common(command, overrides, table=True)
-        command.set_defaults(handler=cmd_table, compute=compute)
-
-    verify = sub.add_parser("verify", help="run the full invariant battery")
-    _add_common(verify, ("--populations", "--tau-steps"), table=False)
-    verify.set_defaults(handler=cmd_verify)
+        for flag, spec in flags:
+            command.add_argument(flag, **spec)
+        command.set_defaults(handler=handler, compute=compute)
     return parser
 
 

@@ -17,7 +17,8 @@ import numpy as np
 from .exceptions import ParseError, UnknownKeyError, ValidationError
 from .otto import CycleConfig
 
-#: largest angle x delay grid a config may ask for; 5x the 200 x 4096 surface
+#: largest grid a config may ask for, 5x the 200 x 4096 surface; the config
+#: caps each grid size, and surface the angle x delay product it builds
 MAX_GRID_POINTS = 2**22
 
 #: table rows rendered and written per block, so no table is held as one text
@@ -69,11 +70,11 @@ class ExperimentConfig:
             )
         if self.theta_steps < 2 or self.tau_steps < 2:
             raise ValidationError("theta_steps and tau_steps must be at least 2")
-        if self.theta_steps * self.tau_steps > MAX_GRID_POINTS:
-            raise ValidationError(
-                f"theta_steps * tau_steps must be at most {MAX_GRID_POINTS}, "
-                f"got {self.theta_steps} * {self.tau_steps}"
-            )
+        for key in ("theta_steps", "tau_steps"):
+            if getattr(self, key) > MAX_GRID_POINTS:
+                raise ValidationError(
+                    f"{key} must be at most {MAX_GRID_POINTS}, got {getattr(self, key)}"
+                )
         if self.epsilon_equilibrium_khz <= 0.0:
             raise ValidationError("epsilon_equilibrium_khz must be positive")
         if self.output_precision < 1:

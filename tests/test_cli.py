@@ -483,7 +483,44 @@ def test_oversized_grid_is_refused_before_any_numerics(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", "--config", str(cfg))
     assert code == 3
     assert out == ""
-    assert "theta_steps * tau_steps must be at most 4194304" in err
+    assert err == "config error: tau_steps must be at most 4194304, got 1000000000\n"
+
+
+def test_surface_refuses_an_angle_x_delay_grid_over_the_cap(capsys, tmp_path):
+    path = tmp_path / "surface.csv"
+    code, out, err = run(
+        capsys, "surface", "--theta-steps", "2049", "--tau-steps", "2049", "--out", str(path)
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "config error: theta_steps * tau_steps must be at most 4194304, "
+        "got 2049 * 2049\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_commands_without_an_angle_grid_take_any_grid_size_under_the_cap(
+    capsys, tmp_path
+):
+    # at the default 73 angles, 57,457 delays would be over the product cap
+    path = tmp_path / "cooling.csv"
+    code, _, _ = run(capsys, "cooling", "--tau-steps", "57457", "--out", str(path))
+    assert code == 0
+    assert len(read_csv(path)) == 57457
+    path = tmp_path / "ratio.csv"
+    code, _, _ = run(capsys, "otto-ratio", "--tau-steps", "64", "--out", str(path))
+    plain = path.read_bytes()
+    code_with, _, _ = run(
+        capsys, "otto-ratio", "--theta-steps", "1000000", "--tau-steps", "64",
+        "--out", str(path),
+    )
+    assert code == code_with == 0
+    assert path.read_bytes() == plain
+    cfg = tmp_path / "angles.cfg"
+    cfg.write_text("theta_steps = 100000\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert "FAIL" not in out
 
 
 @pytest.mark.parametrize(

@@ -15,13 +15,14 @@ validation are covered as well; its ``output_precision`` of 10 puts the
 table commands' csv and json cells through a precision other than the
 default 12.  Then ``spectrum`` runs at the delays of
 :data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
-``--help`` for the program and each subcommand, and the failing runs of
+``--help`` for the program and each subcommand, the failing runs of
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
-a ``spectrum`` whose table cannot be written.  Every run gets its own
+a ``spectrum`` whose table cannot be written, and the two runs of
+:data:`CAP_RUNS` at the grid cap.  Every run gets its own
 temporary working directory and a fixed relative output name, so paths
 echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
 wraps help and usage text the same way in any terminal.  One SHA-256 line
-is printed per stdout, per table, and per stderr that is not empty: 82
+is printed per stdout, per table, and per stderr that is not empty: 87
 lines in all.
 
 Two checkouts are byte-identical when the printouts of both are::
@@ -79,6 +80,13 @@ ERROR_RUNS = (
     ("spectrum", "--out", "missing/a.csv"),
 )
 
+#: runs at the grid cap of MAX_GRID_POINTS = 2**22: an angle grid that
+#: otto-ratio never builds, and a surface whose angle x delay grid is over it
+CAP_RUNS = (
+    ("otto-ratio", "--theta-steps", "1000000", "--tau-steps", "64", "--out", "table.csv"),
+    ("surface", "--theta-steps", "2049", "--tau-steps", "2049", "--out", "table.csv"),
+)
+
 
 def grid_args(command: str, grid: dict) -> list:
     """The flags of ``grid`` that ``command`` takes, with their values."""
@@ -113,6 +121,8 @@ def runs():
         yield f"{command} --help", [command, "--help"], None
     for argv in ERROR_RUNS:
         yield " ".join(argv), list(argv), None
+    for argv in CAP_RUNS:
+        yield " ".join(argv), list(argv), "table.csv"
 
 
 def sha256(data: bytes) -> str:
