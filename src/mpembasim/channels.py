@@ -10,10 +10,13 @@ collapses onto the auxiliary's thermal populations.
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; ``verify`` (``damping-equivalence``) checks that identification
-numerically rather than assuming it.  The sweeps and the refrigerator cycle
-use it through :func:`heat_exchange_bloch`, the closed-form map on Bloch
-vectors, and the generator spectrum comes from :func:`exchange_spectrum`;
-the Kraus form stays the reference both are tested against.
+numerically rather than assuming it.  On Bloch vectors it is the closed-form
+map of :func:`heat_exchange_bloch`, written once, on each component, in
+:func:`_exchange_components`: the sweeps take its component planes (through
+:func:`mpemba._exchange_planes`), and the refrigerator cycle the ``(..., n,
+3)`` array :func:`_exchange_bloch` fills from them.  The generator spectrum
+comes from :func:`exchange_spectrum`; the Kraus form stays the reference
+all of these are tested against.
 """
 
 from __future__ import annotations
@@ -172,7 +175,9 @@ def heat_exchange_bloch(
     :attr:`~ThermalEnvironment.polarization`.
     ``bloch`` has shape ``(..., 3)`` and ``tau_grid`` shape ``(n,)``; the
     result has shape ``(..., n, 3)``.  Inputs and outputs get the positivity
-    bound :func:`apply_channel` puts on states.
+    bound :func:`apply_channel` puts on states.  This is the stacked
+    reference of the sweeps, which run the same map and checks on component
+    planes (:func:`mpemba._exchange_planes`).
 
     Raises
     ------
@@ -189,12 +194,24 @@ def _exchange_bloch(
 ) -> np.ndarray:
     """The map of :func:`heat_exchange_bloch` without its checks: ``r``
     ``(..., 3)`` floats, ``taus`` a flat array of delays already in the window."""
-    r = r[..., np.newaxis, :]
-    c = np.cos(_swap_angle(j_hz, taus))
-    out = np.empty(r.shape[:-2] + (taus.size, 3))
-    out[..., :2] = r[..., :2] * c[:, np.newaxis]
-    out[..., 2] = z_eq + (r[..., 2] - z_eq) * c**2
+    out = np.empty(r.shape[:-1] + (taus.size, 3))
+    out[..., 0], out[..., 1], out[..., 2] = _exchange_components(z_eq, j_hz, r, taus)
     return out
+
+
+def _exchange_components(
+    z_eq: float, j_hz: float, r: np.ndarray, taus: np.ndarray
+) -> tuple:
+    """The map of :func:`heat_exchange_bloch` on each Bloch component: the
+    planes ``x c``, ``y c`` and ``z_eq + (z - z_eq) c^2`` of shape ``(...,
+    n)``, each start component broadcast against the delays; unchecked, as
+    :func:`_exchange_bloch`."""
+    c = np.cos(_swap_angle(j_hz, taus))
+    return (
+        r[..., 0, np.newaxis] * c,
+        r[..., 1, np.newaxis] * c,
+        z_eq + (r[..., 2, np.newaxis] - z_eq) * c**2,
+    )
 
 
 def exchange_spectrum(

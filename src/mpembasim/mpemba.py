@@ -10,20 +10,29 @@ fast.  On the Bloch vector it is the closed form :func:`mpemba_bloch`; the
 slow-mode weights it removes are measured by ``verify`` (``slow-mode-removal``)
 and the tests with :func:`liouville.mode_overlap`.  The sweep helpers generate
 the theta-rotated family of initial states and the free-energy /
-trace-distance curves over the exchange-delay grid.
+trace-distance curves over the exchange-delay grid.  The sweeps run the heat
+exchange on Bloch-component planes, one value per (state, delay) point, with
+no ``(..., n, 3)`` stack: :func:`_exchange_planes` applies the map and the
+checks of :func:`channels.heat_exchange_bloch`, and the free energy and trace
+distance come from its ``x^2 + y^2``, ``z`` and ``|r|`` planes by the same
+operations in the same order as :func:`thermo.f_neq_bloch` and
+:func:`thermo.trace_distance_bloch` on the stack, so each result has their
+bits.  Those three stay the references that ``verify``
+(``sweep-kernel-agreement``) and the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, heat_exchange_bloch
+from .channels import ThermalEnvironment, _check_delays, _exchange_components
 from .exceptions import DegenerateHamiltonianError
-from .operators import mean_energy, qubit_hamiltonian, validate_bloch_vectors, \
-    validate_density_matrix
-from .thermo import RelaxationTrajectory, _f_neq_bloch, trace_distance_bloch
+from .operators import SIGMA_Z, _check_bloch_length, mean_energy, qubit_hamiltonian, \
+    validate_bloch_vectors, validate_density_matrix
+from .thermo import RelaxationTrajectory, _f_neq_bloch, _qubit_free_energy
 
 #: unitarity defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
@@ -150,13 +159,45 @@ def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> np.ndar
     )
 
 
-def _excess_free_energy(bloch: np.ndarray, env: ThermalEnvironment) -> np.ndarray:
+def _exchange_planes(
+    environment: ThermalEnvironment, j_hz: float, bloch: np.ndarray, taus
+) -> tuple:
+    """The sweep kernel: Bloch vectors ``bloch`` ``(..., 3)`` after every delay
+    of the heat exchange with ``environment`` and coupling ``j_hz``, as the
+    planes ``x^2 + y^2``, ``z`` and ``|r|`` of shape ``(..., len(taus))``.
+
+    The checks are those of :func:`channels.heat_exchange_bloch`, in its order:
+    the delays, the start, then the output's finiteness and positivity bound,
+    taken on the ``|r|`` plane.  The sum of squares keeps numpy's order over
+    a length-3 axis, ``(x^2 + y^2) + z^2``.
+    """
+    taus = _check_delays(j_hz, taus)
+    r = validate_bloch_vectors(bloch)
+    x, y, z = _exchange_components(environment.polarization, j_hz, r, taus)
+    xy2 = np.multiply(x, x, out=x)
+    xy2 += np.multiply(y, y, out=y)
+    length = np.sqrt(xy2 + z * z)
+    # a NaN or infinite component makes its length non-finite, and max
+    # carries that through the plane
+    largest = float(length.max(initial=0.0))
+    if not math.isfinite(largest):
+        raise ValueError("Bloch vectors must be finite")
+    _check_bloch_length(largest)
+    return xy2, z, length
+
+
+def _excess_free_energy(
+    z: np.ndarray, length: np.ndarray, env: ThermalEnvironment
+) -> np.ndarray:
     """Free energy (kHz) over the equilibrium of ``env``, under its
-    Hamiltonian ``-2 pi nu sigma_z`` and at its temperature.  ``bloch`` comes
-    checked from :func:`heat_exchange_bloch`, so it is not checked again."""
+    Hamiltonian ``-2 pi nu sigma_z`` and at its temperature, of the states
+    with Bloch components ``z`` and lengths ``length`` from
+    :func:`_exchange_planes`, which checked them."""
     h = qubit_hamiltonian(env.gap_frequency, axis="z")
     f_eq = _f_neq_bloch(np.array([0.0, 0.0, env.polarization]), h, env.temperature)
-    return _f_neq_bloch(bloch, h, env.temperature) - f_eq
+    # H lies along z, so r . (Tr H sigma_a)_a is z Tr(H sigma_z)
+    field = z * np.trace(h @ SIGMA_Z).real
+    return _qubit_free_energy(np.trace(h).real, field, length, env.temperature) - f_eq
 
 
 def free_energy_surface(
@@ -178,8 +219,22 @@ def free_energy_surface(
     taus = np.asarray(tau_grid, dtype=float)
     if taus.size == 0:
         raise ValueError("tau grid must be nonempty")
-    evolved = heat_exchange_bloch(environment, j_hz, bloch, taus)
-    return _excess_free_energy(evolved, environment)
+    _, z, length = _exchange_planes(environment, j_hz, bloch, taus)
+    return _excess_free_energy(z, length, environment)
+
+
+def _relaxation(
+    start: np.ndarray, env: ThermalEnvironment, j_hz: float, taus: np.ndarray
+) -> tuple:
+    """Free-energy excess (kHz) and trace distance to the thermal target of
+    ``env`` of the Bloch vectors ``start`` ``(..., 3)`` after every delay."""
+    xy2, z, length = _exchange_planes(env, j_hz, start, taus)
+    # |r - (0, 0, z_eq)| / 2, summed in the order of the stacked route, in
+    # the buffer of x^2 + y^2, which nothing else reads
+    distance = np.add(xy2, (z - env.polarization) ** 2, out=xy2)
+    np.sqrt(distance, out=distance)
+    distance *= 0.5
+    return _excess_free_energy(z, length, env), distance
 
 
 def cooling_curves(
@@ -198,10 +253,10 @@ def cooling_curves(
     """
     taus = np.asarray(tau_grid, dtype=float)
     start = mpemba_bloch(r0) if with_mpemba else r0
-    evolved = heat_exchange_bloch(env, j_hz, start, taus)
+    f_neq, trace_dist = _relaxation(start, env, j_hz, taus)
     return RelaxationTrajectory(
         times=taus,
-        f_neq=_excess_free_energy(evolved, env),
-        trace_dist=trace_distance_bloch(evolved, (0.0, 0.0, env.polarization)),
+        f_neq=f_neq,
+        trace_dist=trace_dist,
         label="mpemba" if with_mpemba else "plain",
     )

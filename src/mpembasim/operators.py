@@ -141,7 +141,13 @@ def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.n
     if not np.isfinite(r).all():
         raise ValueError("Bloch vectors must be finite")
     # the sum of squares numpy.linalg.norm forms, without its dispatch
-    smallest = 0.5 * (1.0 - float(np.sqrt((r * r).sum(axis=-1)).max(initial=0.0)))
+    _check_bloch_length(float(np.sqrt((r * r).sum(axis=-1)).max(initial=0.0)), psd_tol)
+    return r
+
+
+def _check_bloch_length(largest: float, psd_tol: float = 1e-10) -> None:
+    """The positivity bound of :func:`validate_bloch_vectors`, ``(1 - |r|)/2
+    >= -psd_tol``, on the largest length ``|r|`` of an array of Bloch vectors."""
+    smallest = 0.5 * (1.0 - largest)
     if smallest < -psd_tol:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
-    return r

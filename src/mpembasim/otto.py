@@ -36,7 +36,10 @@ time it is read, so a cycle whose matrices nobody reads builds none.  The
 tests check every record against the stroke sequence on 2x2 density matrices
 through Kraus channels.  :func:`power_ratio` forms all 40 ratios at once and
 refuses one below 1 there, so its :class:`PowerReport` rows, like the stroke
-records, are plain named tuples.  Energies are in h*kHz, times in ms.
+records, are plain named tuples.  The distance curves it reads come from
+:func:`distance_curves`, that is from :func:`mpemba.cooling_curves`, so they
+run on the sweeps' component planes, with no cycle per delay.  Energies are
+in h*kHz, times in ms.
 """
 
 from __future__ import annotations

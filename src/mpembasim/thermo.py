@@ -61,8 +61,13 @@ def von_neumann_entropy(rho: np.ndarray):
 
 def _eigen_entropy_terms(eigenvalues: np.ndarray) -> np.ndarray:
     """``sum p ln p`` over the last axis, for the eigenvalues above the floor."""
-    support = np.where(eigenvalues > ENTROPY_FLOOR, eigenvalues, 1.0)
-    return (support * np.log(support)).sum(axis=-1)
+    return _p_ln_p(eigenvalues).sum(axis=-1)
+
+
+def _p_ln_p(p: np.ndarray) -> np.ndarray:
+    """``p ln p`` of each eigenvalue above the floor, 0 for the others."""
+    support = np.where(p > ENTROPY_FLOOR, p, 1.0)
+    return support * np.log(support)
 
 
 def f_neq(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float):
@@ -93,10 +98,22 @@ def _f_neq_bloch(
     already within the positivity bound."""
     h = np.asarray(hamiltonian, dtype=complex)
     components = np.array([np.trace(h @ PAULIS[axis]).real for axis in "xyz"])
-    energy = 0.5 * (np.trace(h).real + r @ components) / TWO_PI
-    norm = np.linalg.norm(r, axis=-1)
-    eigenvalues = np.stack([0.5 * (1.0 + norm), 0.5 * (1.0 - norm)], axis=-1)
-    return energy + temperature * _eigen_entropy_terms(eigenvalues)
+    return _qubit_free_energy(
+        np.trace(h).real, r @ components, np.linalg.norm(r, axis=-1), temperature
+    )
+
+
+def _qubit_free_energy(
+    trace: float, field: np.ndarray, length: np.ndarray, temperature: float
+) -> np.ndarray:
+    """Free energy (kHz) of qubit states from their Bloch vectors' products
+    ``field = r . (Tr H sigma_a)_a`` with the Hamiltonian's Pauli components
+    and their lengths ``|r|``, given ``trace = Tr H``: the energy ``(Tr H +
+    field)/(4 pi)`` plus ``T sum p ln p`` over the eigenvalues ``(1 +- |r|)/2``.
+    """
+    energy = 0.5 * (trace + field) / TWO_PI
+    entropy_terms = _p_ln_p(0.5 * (1.0 + length)) + _p_ln_p(0.5 * (1.0 - length))
+    return energy + temperature * entropy_terms
 
 
 def kl_divergence(rho: np.ndarray, sigma: np.ndarray):

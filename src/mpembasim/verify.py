@@ -30,7 +30,7 @@ from .cli import _base_state, _hot_environment, _resolve_config, _tau_grid
 from .exceptions import MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
     propagate_spectral, slow_pair_indices, transfer_matrix, vectorize
-from .mpemba import mpemba_bloch
+from .mpemba import _relaxation, mpemba_bloch
 from .numerics import expm
 from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
     random_density
@@ -197,14 +197,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}"
 
     def sweep_kernel_agreement():
-        # the closed-form sweep kernel against the Kraus route it replaces
+        # the closed-form Bloch map against the Kraus route it replaces, and
+        # the planar kernel the sweeps run against that map's stacked route
         state, _ = equilibrium()
         taus = np.linspace(0.0, window, 4)
         starts = bloch_vector(identity_states)
         evolved = heat_exchange_bloch(env, config.j_hz, starts, taus)
         free = f_neq_bloch(evolved, h, config.t_hot_khz)
         dist = trace_distance_bloch(evolved, bloch_vector(state))
-        worst = worst_free = 0.0
+        target = np.array([0.0, 0.0, env.polarization])
+        excess, planar_dist = _relaxation(starts, env, config.j_hz, taus)
+        worst = float(np.abs(planar_dist - trace_distance_bloch(evolved, target)).max())
+        worst_free = float(
+            np.abs(excess - (free - f_neq_bloch(target, h, config.t_hot_khz))).max()
+        )
         for k, tau in enumerate(taus):
             channel = build_heat_exchange(env, config.j_hz, float(tau))
             out = apply_channel(channel, identity_states)

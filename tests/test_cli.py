@@ -334,6 +334,23 @@ def test_hot_verify_still_catches_defects(
     assert failed == [check]
 
 
+@pytest.mark.parametrize("part", [0, 1], ids=["free-energy", "trace-distance"])
+def test_verify_checks_the_planar_kernel_the_sweeps_run(capsys, monkeypatch, part):
+    # the sweeps' kernel, off its stacked route by more than the bound
+    original = verify._relaxation
+
+    def shifted(*args):
+        planes = list(original(*args))
+        planes[part] = planes[part] + 1e-11
+        return tuple(planes)
+
+    monkeypatch.setattr(verify, "_relaxation", shifted)
+    code, out, _ = run(capsys, "verify")
+    assert code == 1
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["sweep-kernel-agreement"]
+
+
 def test_an_accelerated_branch_slower_than_the_plain_one_is_reported(
     capsys, tmp_path, monkeypatch
 ):
@@ -415,8 +432,10 @@ def test_a_diagnostic_fails_its_check_at_its_bound_and_passes_below(
 )
 def test_each_swept_array_is_checked_once(capsys, monkeypatch, tmp_path, command, calls):
     # a sweep checks its start and the exchange's output; the free energy of
-    # that output is not checked again, nor is the equilibrium it is measured from
-    original = mpembasim.operators.validate_bloch_vectors
+    # that output is not checked again, nor is the equilibrium it is measured
+    # from.  Counted is the positivity bound, which validate_bloch_vectors
+    # applies to its input and the sweep kernel to its |r| plane
+    original = mpembasim.operators._check_bloch_length
     count = [0]
 
     def counted(*args, **kwargs):

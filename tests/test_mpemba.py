@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mpembasim import mpemba
-from mpembasim.channels import ThermalEnvironment, build_heat_exchange, swap_window
+from mpembasim import channels, mpemba
+from mpembasim.channels import ThermalEnvironment, build_heat_exchange, \
+    heat_exchange_bloch, swap_window
 from mpembasim.exceptions import DegenerateHamiltonianError
 from mpembasim.liouville import decompose, extract_generator, mode_overlap, \
     slow_pair_indices
@@ -21,7 +22,8 @@ from mpembasim.mpemba import (
 )
 from mpembasim.operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
     random_density
-from mpembasim.thermo import detect_crossing, f_neq, gibbs_state
+from mpembasim.thermo import detect_crossing, f_neq, f_neq_bloch, gibbs_state, \
+    trace_distance_bloch
 
 from conftest import rotation_y
 
@@ -287,3 +289,118 @@ def test_cooling_an_equilibrium_state_is_flat(hot_env, h_hot):
     curve = cooling_curves(target, hot_env, COUPLING_HZ, taus, with_mpemba=False)
     assert curve.f_neq.max() <= 1e-12
     assert curve.trace_dist.max() <= 1e-12
+
+
+# ------------------------------------------- planar kernel vs the stacked route
+#
+# The sweeps run the exchange on Bloch-component planes; the stacked route maps
+# (..., 3) vectors with heat_exchange_bloch and takes f_neq_bloch and
+# trace_distance_bloch of the result.  Both form each number by the same
+# operations in the same order, so they agree bit for bit.
+
+
+def _stacked_route(bloch, env, j_hz, taus):
+    """Excess free energy and distance to the target, through the stack."""
+    evolved = heat_exchange_bloch(env, j_hz, bloch, taus)
+    h = qubit_hamiltonian(env.gap_frequency, axis="z")
+    target = np.array([0.0, 0.0, env.polarization])
+    excess = f_neq_bloch(evolved, h, env.temperature) - f_neq_bloch(
+        target, h, env.temperature
+    )
+    return excess, trace_distance_bloch(evolved, target)
+
+
+def _seeded_sweep(seed):
+    """A model drawn log-uniformly over several decades, a stack of starts
+    (``y != 0``, pure, the centre, a pulsed one) and delays from 0 to the
+    full window, both ends included."""
+    rng = np.random.default_rng(seed)
+    env = ThermalEnvironment(
+        temperature=10.0 ** rng.uniform(-2.0, 3.0),
+        gap_frequency=10.0 ** rng.uniform(-2.0, 2.0),
+    )
+    j_hz = 10.0 ** rng.uniform(0.0, 4.0)
+    inside = rng.normal(size=(4, 3))
+    inside *= rng.uniform(0.0, 1.0, size=(4, 1)) / np.linalg.norm(inside, axis=1)[:, None]
+    pure = rng.normal(size=3)
+    pure /= np.linalg.norm(pure)
+    starts = np.vstack([inside, pure, [0.0, 0.0, 0.0], mpemba_bloch(inside[0])])
+    window = swap_window(j_hz)
+    taus = np.unique(np.concatenate([[0.0, window], rng.uniform(0.0, window, 37)]))
+    return env, j_hz, starts, taus
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_surface_has_the_bits_of_the_stacked_route(seed):
+    env, j_hz, starts, taus = _seeded_sweep(seed)
+    expected, _ = _stacked_route(starts, env, j_hz, taus)
+    assert np.array_equal(free_energy_surface(starts, env, j_hz, taus), expected)
+
+
+def test_surface_of_an_empty_stack_is_empty():
+    env, j_hz, _, taus = _seeded_sweep(0)
+    surface = free_energy_surface(np.empty((0, 3)), env, j_hz, taus)
+    expected, _ = _stacked_route(np.empty((0, 3)), env, j_hz, taus)
+    assert surface.shape == expected.shape == (0, taus.size)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("with_mpemba", [False, True])
+def test_cooling_curves_have_the_bits_of_the_stacked_route(seed, with_mpemba):
+    env, j_hz, starts, taus = _seeded_sweep(seed)
+    for r0 in starts:
+        curve = cooling_curves(r0, env, j_hz, taus, with_mpemba)
+        start = mpemba_bloch(r0) if with_mpemba else r0
+        excess, distance = _stacked_route(start, env, j_hz, taus)
+        assert np.array_equal(curve.f_neq, excess)
+        assert np.array_equal(curve.trace_dist, distance)
+
+
+def _error_of(call):
+    """The type and message of what ``call`` raises (a NaN it forms is not
+    reported on the way)."""
+    with pytest.raises(Exception) as caught, np.errstate(invalid="ignore"):
+        call()
+    return type(caught.value), str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "bloch, taus, j_hz",
+    [
+        ([[0.1, 0.2, 0.3]], [0.0, 1.1 * swap_window(COUPLING_HZ)], COUPLING_HZ),
+        ([[0.1, 0.2, 0.3], [1.1, 0.0, 0.0]], [0.0, 1.0], COUPLING_HZ),
+        # an infinite coupling leaves only tau = 0, where the swap angle is NaN
+        ([[0.1, 0.2, 0.3]], [0.0], np.inf),
+    ],
+    ids=["delay-outside-the-window", "start-outside-the-ball", "non-finite-output"],
+)
+def test_the_planar_kernel_raises_as_the_stacked_route(hot_env, bloch, taus, j_hz):
+    bloch = np.array(bloch)
+    stacked = _error_of(lambda: _stacked_route(bloch, hot_env, j_hz, taus))
+    assert _error_of(lambda: free_energy_surface(bloch, hot_env, j_hz, taus)) == stacked
+    for with_mpemba in (False, True):
+        assert _error_of(
+            lambda: cooling_curves(bloch[-1], hot_env, j_hz, taus, with_mpemba)
+        ) == _error_of(
+            lambda: _stacked_route(
+                mpemba_bloch(bloch[-1]) if with_mpemba else bloch[-1], hot_env, j_hz, taus
+            )
+        )
+
+
+def test_the_planar_kernel_bounds_its_output_as_the_stacked_route(hot_env, monkeypatch):
+    # the exchange cannot lengthen a Bloch vector, so a map that does is a
+    # stand-in for a broken one; both routes run the same component map
+    original = channels._exchange_components
+
+    def lengthening(*args):
+        return tuple(1.5 * plane for plane in original(*args))
+
+    monkeypatch.setattr(channels, "_exchange_components", lengthening)
+    monkeypatch.setattr(mpemba, "_exchange_components", lengthening)
+    bloch, taus = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.9]]), [0.0, 1.0]
+    kind, message = _error_of(lambda: _stacked_route(bloch, hot_env, COUPLING_HZ, taus))
+    assert (kind, "negative eigenvalue" in message) == (ValueError, True)
+    assert _error_of(
+        lambda: free_energy_surface(bloch, hot_env, COUPLING_HZ, taus)
+    ) == (kind, message)
