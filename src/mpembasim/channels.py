@@ -11,12 +11,13 @@ The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; ``verify`` (``damping-equivalence``) checks that identification
 numerically rather than assuming it.  On Bloch vectors it is the closed-form
-map of :func:`heat_exchange_bloch`, written once, on each component, in
-:func:`_exchange_components`: the sweeps take its component planes (through
-:func:`mpemba._exchange_planes`), and the refrigerator cycle the ``(..., n,
-3)`` array :func:`_exchange_bloch` fills from them.  The generator spectrum
-comes from :func:`exchange_spectrum`; the Kraus form stays the reference
-all of these are tested against.
+map of :func:`heat_exchange_bloch`, written once, on Bloch components, in
+:func:`_exchange_components`: the one expression serves the sweeps' numpy
+planes (through :func:`mpemba._exchange_planes`), this module's ``(..., n,
+3)`` reference array, and the refrigerator cycle's Python floats
+(:func:`otto.run_cycle`, with ``math.cos`` for the cosine).  The generator
+spectrum comes from :func:`exchange_spectrum`; the Kraus form stays the
+reference all of these are tested against.
 """
 
 from __future__ import annotations
@@ -186,32 +187,26 @@ def heat_exchange_bloch(
     """
     taus = _check_delays(j_hz, tau_grid)
     r = validate_bloch_vectors(bloch)
-    return validate_bloch_vectors(_exchange_bloch(environment.polarization, j_hz, r, taus))
-
-
-def _exchange_bloch(
-    z_eq: float, j_hz: float, r: np.ndarray, taus: np.ndarray
-) -> np.ndarray:
-    """The map of :func:`heat_exchange_bloch` without its checks: ``r``
-    ``(..., 3)`` floats, ``taus`` a flat array of delays already in the window."""
     out = np.empty(r.shape[:-1] + (taus.size, 3))
-    out[..., 0], out[..., 1], out[..., 2] = _exchange_components(z_eq, j_hz, r, taus)
-    return out
-
-
-def _exchange_components(
-    z_eq: float, j_hz: float, r: np.ndarray, taus: np.ndarray
-) -> tuple:
-    """The map of :func:`heat_exchange_bloch` on each Bloch component: the
-    planes ``x c``, ``y c`` and ``z_eq + (z - z_eq) c^2`` of shape ``(...,
-    n)``, each start component broadcast against the delays; unchecked, as
-    :func:`_exchange_bloch`."""
-    c = np.cos(_swap_angle(j_hz, taus))
-    return (
-        r[..., 0, np.newaxis] * c,
-        r[..., 1, np.newaxis] * c,
-        z_eq + (r[..., 2, np.newaxis] - z_eq) * c**2,
+    out[..., 0], out[..., 1], out[..., 2] = _exchange_components(
+        environment.polarization, np.cos(_swap_angle(j_hz, taus)), *_grid_components(r)
     )
+    return validate_bloch_vectors(out)
+
+
+def _grid_components(r: np.ndarray) -> np.ndarray:
+    """The components ``x``, ``y``, ``z`` of Bloch vectors ``r`` ``(..., 3)``,
+    each as a ``(..., 1)`` view that broadcasts against a delay grid."""
+    return np.moveaxis(r, -1, 0)[..., np.newaxis]
+
+
+def _exchange_components(z_eq: float, c, x, y, z) -> tuple:
+    """The map of :func:`heat_exchange_bloch` on each Bloch component,
+    unchecked: ``x c``, ``y c`` and ``z_eq + (z - z_eq) c^2`` for the cosine
+    ``c = cos(pi J tau)``.  The components and ``c`` are numpy arrays that
+    broadcast together or Python floats alike; ``c * c`` rather than ``c ** 2``,
+    which on floats goes through libm's ``pow``."""
+    return x * c, y * c, z_eq + (z - z_eq) * (c * c)
 
 
 def exchange_spectrum(

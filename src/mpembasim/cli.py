@@ -130,9 +130,7 @@ def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     grid = _tau_grid(config)
     plain = cooling_curves(base, env, config.j_hz, grid, with_mpemba=False)
     accelerated = cooling_curves(base, env, config.j_hz, grid, with_mpemba=True)
-    rows = np.column_stack(
-        [grid, plain.f_neq, accelerated.f_neq, plain.trace_dist, accelerated.trace_dist]
-    )
+    # before the rows exist, so the crossing's temporaries do not add to them
     crossing = detect_crossing(accelerated, plain, observable="f_neq")
     if crossing.exists:
         kind = "persistent" if crossing.persistent else "transient"
@@ -149,6 +147,9 @@ def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
             f"cooling: {trajectory.label} curve enters the {eps:g} kHz "
             f"neighborhood at {when}"
         )
+    rows = np.column_stack(
+        [grid, plain.f_neq, accelerated.f_neq, plain.trace_dist, accelerated.trace_dist]
+    )
     schema = ["tau_ms", "delta_f_plain_khz", "delta_f_mb_khz", "dist_plain", "dist_mb"]
     return rows, schema, lines
 

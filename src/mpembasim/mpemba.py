@@ -28,7 +28,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, _check_delays, _exchange_components
+from .channels import ThermalEnvironment, _check_delays, _exchange_components, \
+    _grid_components, _swap_angle
 from .exceptions import DegenerateHamiltonianError
 from .operators import SIGMA_Z, _check_bloch_length, mean_energy, qubit_hamiltonian, \
     validate_bloch_vectors, validate_density_matrix
@@ -126,15 +127,17 @@ def mpemba_bloch(bloch: np.ndarray) -> np.ndarray:
     on the upper level, ``sigma_z = -1`` for every gap ``nu > 0``: ``r -> (0,
     0, -|r|)``.  This is :func:`mpemba_unitary` under ``-2 pi nu sigma_z``.
     """
-    return _pulse_bloch(validate_bloch_vectors(bloch))
-
-
-def _pulse_bloch(r: np.ndarray) -> np.ndarray:
-    """The map of :func:`mpemba_bloch` without its check: ``r`` ``(..., 3)``
-    floats."""
+    r = validate_bloch_vectors(bloch)
     out = np.zeros_like(r)
-    out[..., 2] = -np.sqrt((r * r).sum(axis=-1))
+    out[..., 2] = _pulse_z(r[..., 0], r[..., 1], r[..., 2], np.sqrt)
     return out
+
+
+def _pulse_z(x, y, z, sqrt=math.sqrt):
+    """The one nonzero component of the pulse's image ``(0, 0, -|r|)``,
+    unchecked, with ``|r|`` summed in numpy's order over a length-3 axis,
+    ``(x^2 + y^2) + z^2``: on Python floats, or on arrays with ``sqrt=np.sqrt``."""
+    return -sqrt((x * x + y * y) + z * z)
 
 
 def build_theta_family(base: np.ndarray, theta_grid: Sequence[float]) -> np.ndarray:
@@ -173,7 +176,9 @@ def _exchange_planes(
     """
     taus = _check_delays(j_hz, taus)
     r = validate_bloch_vectors(bloch)
-    x, y, z = _exchange_components(environment.polarization, j_hz, r, taus)
+    x, y, z = _exchange_components(
+        environment.polarization, np.cos(_swap_angle(j_hz, taus)), *_grid_components(r)
+    )
     xy2 = np.multiply(x, x, out=x)
     xy2 += np.multiply(y, y, out=y)
     length = np.sqrt(xy2 + z * z)

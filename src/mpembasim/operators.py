@@ -99,33 +99,60 @@ def validate_density_matrix(
 ) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return ``rho`` unchanged.
 
-    ``rho`` is one state or a stack ``(..., d, d)``, checked as a whole.
-    Raises ``ValueError`` for non-finite entries, or naming the violated
-    constraint and the worst deviation in the stack.  ``psd_tol`` bounds how
-    negative an eigenvalue may drift before the state is rejected.
+    ``rho`` is one qubit state or a stack ``(..., 2, 2)``, checked as a whole;
+    any other shape is refused.  Raises ``ValueError`` for non-finite
+    entries, or naming the violated constraint and the worst deviation in the
+    stack.  ``psd_tol`` bounds how negative an eigenvalue may drift before the
+    state is rejected.  Every check is a closed form on the four entries
+    (:func:`_qubit_deviations`), taken on Python numbers for one state and on
+    arrays over the stack otherwise.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    herm_dev = float(abs(rho - rho.conj().swapaxes(-1, -2)).max(initial=0.0))
-    # a NaN or infinite entry makes its own deviation non-finite, and max
-    # carries that through the stack, so this one test rejects every
-    # non-finite state before a NaN comparison can let another bad one pass
-    if not math.isfinite(herm_dev):
+    if rho.shape[-2:] != (2, 2):
+        raise ValueError(f"density matrix must be square 2x2, got shape {rho.shape}")
+    # refused first, so no NaN reaches a comparison below
+    if not np.isfinite(rho).all():
         raise ValueError("state has non-finite entries")
+    if rho.ndim == 2:
+        herm, trace_dev, smallest = _qubit_deviations(*rho.ravel().tolist(), _hypot)
+        herm_dev = max(herm)
+    else:
+        herm, trace_dev, smallest = _qubit_deviations(*rho.reshape(-1, 4).T, np.hypot)
+        herm_dev = max(dev.max(initial=0.0) for dev in herm)
+        trace_dev = trace_dev.max(initial=0.0)
+        smallest = smallest.min(initial=np.inf)
     if herm_dev > herm_tol:
         raise ValueError(f"state is not Hermitian: max deviation {herm_dev:.3e}")
-    trace_dev = abs(rho.trace(axis1=-2, axis2=-1) - 1.0)
-    if trace_dev.ndim:
-        # one state leaves a scalar, which needs no reduction; reducing it
-        # anyway would add about 1.5 us to every single-state check
-        trace_dev = trace_dev.max(initial=0.0)
     if trace_dev > trace_tol:
         raise ValueError(f"state trace deviates from 1 by {trace_dev:.3e}")
-    smallest = float(np.linalg.eigvalsh(hermitize(rho)).min(initial=np.inf))
     if smallest < -psd_tol:
         raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
     return rho
+
+
+def _qubit_deviations(a, b, c, d, hypot) -> tuple:
+    """The checks of :func:`validate_density_matrix` on the entries ``[[a,
+    b], [c, d]]``: the three distinct entries of ``|rho - rho^dag|``, the
+    trace deviation ``|a + d - 1|``, and the smallest eigenvalue ``(p + q)/2
+    - hypot((p - q)/2, |w|)`` of the Hermitian part, whose diagonal is ``p, q``
+    (the real parts of ``a``, ``d``) and whose coherence is ``w = (b +
+    conj(c))/2``.  The entries are Python complex numbers, with
+    :func:`_hypot`, or arrays over a stack, with ``np.hypot``; both are libm's
+    hypot, so a state gives the same bits alone and in a stack."""
+    c_bar = c.conjugate()
+    skew, w, t = b - c_bar, 0.5 * (b + c_bar), a + d - 1.0
+    p, q = a.real, d.real
+    return (
+        (2.0 * abs(a.imag), 2.0 * abs(d.imag), hypot(skew.real, skew.imag)),
+        hypot(t.real, t.imag),
+        0.5 * (p + q) - hypot(0.5 * (p - q), hypot(w.real, w.imag)),
+    )
+
+
+def _hypot(u: float, v: float) -> float:
+    """libm's hypot of two floats, as ``np.hypot`` takes it (``math.hypot``
+    rounds differently)."""
+    return abs(complex(u, v))
 
 
 def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.ndarray:
@@ -138,10 +165,14 @@ def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.n
     r = np.asarray(bloch, dtype=float)
     if r.ndim == 0 or r.shape[-1] != 3:
         raise ValueError(f"Bloch vectors need a last axis of length 3, got shape {r.shape}")
-    if not np.isfinite(r).all():
+    # the sum of squares numpy.linalg.norm forms, without its dispatch; a NaN
+    # or infinite component makes its square non-finite, and max carries that
+    # through, so only then is the array searched for one
+    largest = float(np.maximum.reduce(np.add.reduce(r * r, axis=-1), axis=None, initial=0.0))
+    if not math.isfinite(largest) and not np.isfinite(r).all():
         raise ValueError("Bloch vectors must be finite")
-    # the sum of squares numpy.linalg.norm forms, without its dispatch
-    _check_bloch_length(float(np.sqrt((r * r).sum(axis=-1)).max(initial=0.0)), psd_tol)
+    # sqrt is monotone, so the root of the largest square is the largest root
+    _check_bloch_length(math.sqrt(largest), psd_tol)
     return r
 
 

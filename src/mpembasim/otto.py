@@ -11,20 +11,24 @@ in the cycle: COOLING is the tunable stroke (it drains the working medium's
 excited population through the large gap), HOT_RESET the closing reset.
 
 Every stroke is an affine map of the Bloch vector r, and :func:`run_cycle`
-computes them as such.  The two gap ramps rotate r about x by the angle of
-:func:`ramp_unitary`.  The exchange is the generalized-amplitude-damping map
-of :func:`channels.heat_exchange_bloch` with the hot partner; the reset is the
-same map with the cold partner in the frame that swaps x and z (the Kraus
-reset conjugated into the x eigenbasis also flips the sign of y, which
-cancels because the map scales x and y alike).  A stroke's energy under
-``-2 pi nu sigma_a`` is ``-nu r_a``.  The expansion ramp leaves the cold
-Gibbs state unchanged, since that state lies along x; its record only
-reassigns the energy from ``nu0`` to ``nu1``, as an Otto expansion should.
+computes them as such, on the three components as Python floats, through
+the expressions the sweeps run on numpy planes.  The two gap ramps rotate r
+about x by the angle of :func:`ramp_unitary` (:func:`_ramp_bloch`).  The
+exchange is the generalized-amplitude-damping map of
+:func:`channels.heat_exchange_bloch` with the hot partner
+(:func:`channels._exchange_components`); the reset is the same map with the
+cold partner in the frame that swaps x and z (the Kraus reset conjugated into
+the x eigenbasis also flips the sign of y, which cancels because the map
+scales x and y alike).  A stroke's energy under ``-2 pi nu sigma_a`` is
+``-nu r_a``.  The expansion ramp leaves the cold Gibbs state unchanged, since
+that state lies along x; its record only reassigns the energy from ``nu0`` to
+``nu1``, as an Otto expansion should.
 
 Every cycle emits all five records, the accelerating stroke included; when
 disabled it is the identity and still bridges the bookkeeping frame from the
 drive axis (x) to the exchange axis (z).  When enabled it is
-:func:`mpemba.mpemba_bloch`, ``r -> (0, 0, -|r|)``, which builds no generator;
+:func:`mpemba.mpemba_bloch`, ``r -> (0, 0, -|r|)`` (:func:`mpemba._pulse_z`
+on the components), which builds no generator;
 that it empties the exchange generator's slow modes is checked by ``verify``
 (``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
 evaluated so consecutive records share the same axis and state at each
@@ -44,15 +48,17 @@ in h*kHz, times in ms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, _check_delays, _exchange_bloch, swap_window
+from .channels import ThermalEnvironment, _check_delays, _exchange_components, \
+    _swap_angle, swap_window
 from .exceptions import NoAdvantageError, ThresholdUnreachableError
-from .mpemba import _pulse_bloch, cooling_curves
+from .mpemba import _pulse_z, cooling_curves
 from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, \
     validate_bloch_vectors
 from .thermo import RelaxationTrajectory, _check_same_grid, detect_crossing
@@ -150,19 +156,20 @@ def ramp_unitary(nu_start: float, nu_end: float, duration: float) -> np.ndarray:
     return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * SIGMA_X
 
 
-def _ramp_bloch(
-    r: np.ndarray, nu_start: float, nu_end: float, duration: float
-) -> np.ndarray:
-    """Bloch vector after :func:`ramp_unitary`, a rotation about x."""
+def _ramp_bloch(r, nu_start: float, nu_end: float, duration: float) -> tuple:
+    """Bloch components after :func:`ramp_unitary`, a rotation about x, of
+    the components ``r``: three floats or a ``(3,)`` array."""
     phi = 2.0 * _ramp_phase(nu_start, nu_end, duration)
-    c, s = np.cos(phi), np.sin(phi)
-    return np.array([r[0], c * r[1] + s * r[2], c * r[2] - s * r[1]])
+    c, s = math.cos(phi), math.sin(phi)
+    x, y, z = r
+    return x, c * y + s * z, c * z - s * y
 
 
-def _expanded_cold_state(cfg: CycleConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Bloch vectors of the cold Gibbs state before and after the expansion."""
+def _expanded_cold_state(cfg: CycleConfig) -> tuple:
+    """Bloch components of the cold Gibbs state before and after the
+    expansion."""
     env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    r0 = np.array([env_cold.polarization, 0.0, 0.0])
+    r0 = (env_cold.polarization, 0.0, 0.0)
     return r0, _ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1)
 
 
@@ -171,22 +178,25 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
 
     ``tau2`` is the exchange delay of the tunable stroke, restricted to the
     swap window; ``TauOutOfRangeError`` is raised for one outside it.  The
-    reset exchanges for the full window.  The strokes run through the
-    unchecked kernels of :func:`channels.heat_exchange_bloch` and
-    :func:`mpemba.mpemba_bloch`, and their five results are then validated
-    together.
+    reset exchanges for the full window.  The strokes run on the Bloch
+    components as Python floats, through the unchecked kernels the sweeps
+    share, :func:`channels._exchange_components`, :func:`mpemba._pulse_z` and
+    :func:`_ramp_bloch`; their five results are then validated together, and
+    the records hold them as ``(3,)`` arrays.
     """
     reset = swap_window(cfg.j_hz)
-    taus = _check_delays(cfg.j_hz, (tau2, reset))
+    _check_delays(cfg.j_hz, (tau2, reset))
     r0, r1 = _expanded_cold_state(cfg)
-    r2 = _pulse_bloch(r1) if cfg.use_mpemba else r1
+    r2 = (0.0, 0.0, _pulse_z(*r1)) if cfg.use_mpemba else r1
     env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
-    r3 = _exchange_bloch(env_hot.polarization, cfg.j_hz, r2, taus[:1])[0]
+    c = math.cos(_swap_angle(cfg.j_hz, tau2))
+    r3 = _exchange_components(env_hot.polarization, c, *r2)
     r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1)
     # the reset exchanges along x with the cold partner, whose polarization
     # r0[0] already holds: reversing (x, y, z) swaps x and z, and the map
     # scales x and y alike, so y needs no sign flip
-    r5 = _exchange_bloch(r0[0], cfg.j_hz, r4[::-1], taus[1:])[0][::-1]
+    c = math.cos(_swap_angle(cfg.j_hz, reset))
+    r5 = _exchange_components(r0[0], c, *r4[::-1])[::-1]
     states = validate_bloch_vectors(np.array([r1, r2, r3, r4, r5]))
 
     # energy -nu r_axis at each junction between strokes; neighbours share

@@ -222,7 +222,8 @@ def detect_crossing(
     _check_same_grid(a, b)
 
     diff = getattr(a, observable) - getattr(b, observable)
-    signs = np.where(diff > CROSSING_TOL, 1, np.where(diff < -CROSSING_TOL, -1, 0))
+    # +1, -1 or 0 per point, one byte each
+    signs = np.subtract(diff > CROSSING_TOL, diff < -CROSSING_TOL, dtype=np.int8)
     nonzero = np.flatnonzero(signs)
     # nonzero points whose sign differs from the first one (none if all are 0)
     flips = nonzero[signs[nonzero] != signs[nonzero[:1]]]

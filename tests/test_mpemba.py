@@ -158,6 +158,19 @@ def test_closed_form_pulse_maps_arrays_of_bloch_vectors():
         mpemba_bloch([0.0, 0.0, 1.0 + 1e-6])
 
 
+def test_the_pulse_keeps_numpys_length_on_arrays_and_on_floats():
+    # |r| as numpy sums a length-3 axis, for a stack, for one vector and for
+    # the Python floats the refrigerator cycle passes
+    from mpembasim.mpemba import _pulse_z
+
+    r = np.random.default_rng(5).uniform(-0.577, 0.577, size=(2000, 3))
+    length = np.sqrt((r * r).sum(axis=-1))
+    assert np.array_equal(mpemba_bloch(r)[:, 2], -length)
+    assert np.array_equal([mpemba_bloch(v)[2] for v in r], -length)
+    assert np.array_equal([_pulse_z(*v) for v in r.tolist()], -length)
+    assert not mpemba_bloch(r)[:, :2].any()
+
+
 # -------------------------------------------------------------- angle family
 
 

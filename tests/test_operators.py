@@ -17,6 +17,7 @@ from mpembasim.operators import (
     hermitize,
     mean_energy,
     qubit_hamiltonian,
+    random_density,
     validate_bloch_vectors,
     validate_density_matrix,
 )
@@ -179,3 +180,73 @@ def test_hermitize_projects_onto_hermitian_part():
     h = hermitize(a)
     assert_allclose(h, h.conj().T, atol=1e-15)
     assert_allclose(h[0, 1], 1.0 + 0.5j, atol=1e-15)
+
+
+def _unit_trace_hermitian(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` random Hermitian unit-trace matrices, some of them not
+    positive: the eigenvalues are ``(1 +- s)/2`` with ``s`` up to 3."""
+    bloch = rng.normal(size=(size, 3))
+    bloch *= rng.uniform(0.0, 3.0, size=(size, 1)) / np.linalg.norm(bloch, axis=-1, keepdims=True)
+    x, y, z = (bloch[:, k, None, None] for k in range(3))
+    return 0.5 * (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z)
+
+
+def test_the_closed_form_smallest_eigenvalue_matches_eigvalsh():
+    from mpembasim.operators import _hypot, _qubit_deviations
+
+    rng = np.random.default_rng(7)
+    states = np.concatenate(
+        [_unit_trace_hermitian(rng, 500), np.array([random_density(rng) for _ in range(500)])]
+    )
+    reference = np.linalg.eigvalsh(hermitize(states))[:, 0]
+    stacked = _qubit_deviations(*states.reshape(-1, 4).T, np.hypot)[2]
+    single = np.array(
+        [_qubit_deviations(*rho.ravel().tolist(), _hypot)[2] for rho in states]
+    )
+    eps = np.finfo(float).eps
+    assert np.abs(stacked - reference).max() <= 4 * eps
+    assert np.abs(single - reference).max() <= 4 * eps
+    assert np.array_equal(single, stacked)
+
+
+@pytest.mark.parametrize("psd_tol", [1e-10, 1e-9, 1e-8])
+def test_states_at_the_positivity_bound_are_decided_as_by_eigvalsh(psd_tol):
+    # eigenvalues 1 + e and -e in a random basis, with e a part in a
+    # thousand inside or outside the bound; eigvalsh decides each the same
+    rng = np.random.default_rng(11)
+    for outside in (False, True):
+        e = psd_tol * (1.0 + 1e-3 if outside else 1.0 - 1e-3)
+        states = []
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            states.append(hermitize(q @ np.diag([1.0 + e, -e]) @ q.conj().T))
+        states = np.array(states)
+        expected = np.linalg.eigvalsh(states)[:, 0] < -psd_tol
+        assert expected.all() == outside and expected.any() == outside
+        for rho in states:
+            try:
+                validate_density_matrix(rho, psd_tol=psd_tol)
+                refused = False
+            except ValueError as exc:
+                assert "negative eigenvalue" in str(exc)
+                refused = True
+            assert refused == outside
+        if outside:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                validate_density_matrix(states, psd_tol=psd_tol)
+        else:
+            assert validate_density_matrix(states, psd_tol=psd_tol) is states
+
+
+def test_only_qubit_states_are_validated():
+    for shape in ((3, 3), (4, 4), (5, 3, 3), (2,), ()):
+        with pytest.raises(ValueError, match="square 2x2"):
+            validate_density_matrix(np.zeros(shape))
+    assert validate_density_matrix(np.zeros((0, 2, 2))).shape == (0, 2, 2)
+
+
+def test_a_huge_finite_bloch_vector_is_refused_for_its_length():
+    # its square overflows to inf; it is finite, so the length bound refuses it
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        with pytest.raises(ValueError, match="negative eigenvalue -inf"):
+            validate_bloch_vectors([[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]])

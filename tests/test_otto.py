@@ -1,5 +1,7 @@
 """Cycle strokes, energy bookkeeping, and the threshold-power comparison."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -13,6 +15,7 @@ from mpembasim.channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
+    heat_exchange_bloch,
     swap_window,
 )
 from mpembasim.exceptions import (
@@ -22,7 +25,7 @@ from mpembasim.exceptions import (
     TauOutOfRangeError,
     ThresholdUnreachableError,
 )
-from mpembasim.mpemba import mpemba_unitary
+from mpembasim.mpemba import mpemba_bloch, mpemba_unitary
 from mpembasim.operators import (
     IDENTITY,
     SIGMA_X,
@@ -291,6 +294,57 @@ def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
     for use_mpemba in (False, True):
         run_cycle(CycleConfig(use_mpemba=use_mpemba), tau2=1.0)
     assert seen == [(5, 3), (5, 3)]
+
+
+def _composed_cycle(cfg: CycleConfig, tau2: float) -> tuple:
+    """The junction energies and the five Bloch vectors of a cycle, from the
+    public stroke maps and the ramp on ``(3,)`` arrays."""
+    window = swap_window(cfg.j_hz)
+    cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
+    hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
+    r0 = np.array([cold.polarization, 0.0, 0.0])
+    r1 = np.array(otto._ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1))
+    r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
+    r3 = heat_exchange_bloch(hot, cfg.j_hz, r2, [tau2])[0]
+    r4 = np.array(otto._ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1))
+    r5 = heat_exchange_bloch(cold, cfg.j_hz, r4[::-1], [window])[0][::-1]
+    energies = [
+        float(e)
+        for e in (
+            -cfg.nu0 * r0[0], -cfg.nu1 * r1[0], -cfg.nu1 * r2[2],
+            -cfg.nu1 * r3[2], -cfg.nu0 * r4[0], -cfg.nu0 * r5[0],
+        )
+    ]
+    return energies, [r1, r2, r3, r4, r5]
+
+
+def test_cycle_has_the_bits_of_the_composed_stroke_maps():
+    # 200 seeded configs in the ranges of the cycle-scan benchmark, each with
+    # and without the pulse, and the delays 0 and the full window
+    rng = np.random.default_rng(2024)
+    for k in range(200):
+        nu0 = rng.uniform(0.5, 1.5)
+        base = CycleConfig(
+            nu0=nu0,
+            nu1=nu0 * rng.uniform(1.5, 3.0),
+            j_hz=rng.uniform(100.0, 400.0),
+            t_hot=rng.uniform(2.0, 8.0),
+            t_cold=rng.uniform(1.0, 4.0),
+            tau1=rng.uniform(0.02, 0.2),
+            tau_bar=rng.uniform(1.0, 10.0),
+        )
+        fraction = (0.0, 1.0)[k] if k < 2 else rng.uniform(0.0, 1.0)
+        tau2 = fraction * swap_window(base.j_hz)
+        for use_mpemba in (False, True):
+            cfg = dataclasses.replace(base, use_mpemba=use_mpemba)
+            records = run_cycle(cfg, tau2)
+            energies, states = _composed_cycle(cfg, tau2)
+            assert [r.energy_in for r in records] == energies[:-1]
+            assert [r.energy_out for r in records] == energies[1:]
+            assert all(type(e) is float for r in records for e in (r.energy_in, r.energy_out))
+            for record, state in zip(records, states):
+                assert record.bloch_after.shape == (3,)
+                assert np.array_equal(record.bloch_after, state)
 
 
 def test_cycle_rejects_a_vector_outside_the_bloch_ball(monkeypatch):
