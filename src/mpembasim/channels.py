@@ -12,12 +12,12 @@ parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; ``verify`` (``damping-equivalence``) checks that identification
 numerically rather than assuming it.  On Bloch vectors it is the closed-form
 map of :func:`heat_exchange_bloch`, written once, on Bloch components, in
-:func:`_exchange_components`: the one expression serves the sweeps' numpy
-planes (through :func:`mpemba._exchange_planes`), this module's ``(..., n,
-3)`` reference array, and the refrigerator cycle's Python floats
-(:func:`otto.run_cycle`, with ``math.cos`` for the cosine).  The generator
-spectrum comes from :func:`exchange_spectrum`; the Kraus form stays the
-reference all of these are tested against.
+:func:`_exchange_components`, for numpy planes and for the refrigerator
+cycle's Python floats (:func:`otto.run_cycle`, with ``math.cos``).
+:func:`_exchange_grid` checks the delays and the start and maps every
+(state, delay) pair, for this module's stack and the sweeps' planes.  The
+generator spectrum comes from :func:`exchange_spectrum`; the Kraus form
+stays the reference all of these are tested against.
 """
 
 from __future__ import annotations
@@ -185,19 +185,22 @@ def heat_exchange_bloch(
     TauOutOfRangeError
         If any delay leaves the physical window.
     """
-    taus = _check_delays(j_hz, tau_grid)
-    r = validate_bloch_vectors(bloch)
-    out = np.empty(r.shape[:-1] + (taus.size, 3))
-    out[..., 0], out[..., 1], out[..., 2] = _exchange_components(
-        environment.polarization, np.cos(_swap_angle(j_hz, taus)), *_grid_components(r)
+    return validate_bloch_vectors(
+        np.stack(_exchange_grid(environment, j_hz, bloch, tau_grid), axis=-1)
     )
-    return validate_bloch_vectors(out)
 
 
-def _grid_components(r: np.ndarray) -> np.ndarray:
-    """The components ``x``, ``y``, ``z`` of Bloch vectors ``r`` ``(..., 3)``,
-    each as a ``(..., 1)`` view that broadcasts against a delay grid."""
-    return np.moveaxis(r, -1, 0)[..., np.newaxis]
+def _exchange_grid(
+    environment: ThermalEnvironment, j_hz: float, bloch: np.ndarray, taus
+) -> tuple:
+    """Bloch vectors ``bloch`` ``(..., 3)`` after every delay of ``taus``, as
+    unchecked planes ``x``, ``y``, ``z`` of shape ``(..., n)``; the delays are
+    checked first, then the start."""
+    taus = _check_delays(j_hz, taus)
+    r = validate_bloch_vectors(bloch)
+    c = np.cos(_swap_angle(j_hz, taus))
+    x, y, z = np.moveaxis(r, -1, 0)[..., np.newaxis]  # (..., 1), broadcast with c
+    return _exchange_components(environment.polarization, c, x, y, z)
 
 
 def _exchange_components(z_eq: float, c, x, y, z) -> tuple:

@@ -45,8 +45,10 @@ def _populations_arg(text: str) -> tuple:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    path = args.config or os.environ.get("MPEMBA_CONFIG")
-    config = load_config(path) if path else ExperimentConfig()
+    path = args.config
+    if path is None:  # an empty --config is a path, an empty $MPEMBA_CONFIG is unset
+        path = os.environ.get("MPEMBA_CONFIG") or None
+    config = load_config(path) if path is not None else ExperimentConfig()
     # override flags are the namespace's config keys; one not given is None
     keys = {field.name for field in dataclasses.fields(ExperimentConfig)}
     overrides = {

@@ -168,17 +168,12 @@ def _atomic_write(path: str, pieces) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     # os.open with mode 0o666 lets the umask set the file's permissions, as
     # open() would; tempfile.mkstemp always creates its files 0600
-    for _ in range(100):
-        tmp_path = os.path.join(directory, f".partial-{os.urandom(6).hex()}")
-        try:
-            fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            break
-        except FileExistsError:
-            continue
-        except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from exc
-    else:
-        raise FileExistsError(f"no free temporary file name in {directory}")
+    # one try: O_EXCL makes a clash with a leftover file an OSError, not a write
+    tmp_path = os.path.join(directory, f".partial-{os.urandom(6).hex()}")
+    try:
+        fd = os.open(tmp_path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
             handle.writelines(pieces)

@@ -12,13 +12,14 @@ and the tests with :func:`liouville.mode_overlap`.  The sweep helpers generate
 the theta-rotated family of initial states and the free-energy /
 trace-distance curves over the exchange-delay grid.  The sweeps run the heat
 exchange on Bloch-component planes, one value per (state, delay) point, with
-no ``(..., n, 3)`` stack: :func:`_exchange_planes` applies the map and the
-checks of :func:`channels.heat_exchange_bloch`, and the free energy and trace
-distance come from its ``x^2 + y^2``, ``z`` and ``|r|`` planes by the same
-operations in the same order as :func:`thermo.f_neq_bloch` and
-:func:`thermo.trace_distance_bloch` on the stack, so each result has their
-bits.  Those three stay the references that ``verify``
-(``sweep-kernel-agreement``) and the tests compare against.
+no ``(..., n, 3)`` stack: :func:`_exchange_planes` squares and bounds the
+checked grid of :func:`channels._exchange_grid`, and the free energy, from
+the partner's gap with no matrix, and the trace distance come from its
+``x^2 + y^2``, ``z`` and ``|r|`` planes by the same operations in the same
+order as :func:`channels.heat_exchange_bloch`, :func:`thermo.f_neq_bloch`
+and :func:`thermo.trace_distance_bloch`, so each result has their bits.
+Those three stay the references that ``verify`` (``sweep-kernel-agreement``)
+and the tests compare against.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ThermalEnvironment, _check_delays, _exchange_components, \
-    _grid_components, _swap_angle
+from .channels import ThermalEnvironment, _exchange_grid
 from .exceptions import DegenerateHamiltonianError
-from .operators import SIGMA_Z, _check_bloch_length, mean_energy, qubit_hamiltonian, \
-    validate_bloch_vectors, validate_density_matrix
-from .thermo import RelaxationTrajectory, _f_neq_bloch, _qubit_free_energy
+from .operators import TWO_PI, _check_bloch_length, mean_energy, validate_bloch_vectors, \
+    validate_density_matrix
+from .thermo import RelaxationTrajectory, _qubit_free_energy
 
 #: unitarity defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
@@ -174,11 +174,7 @@ def _exchange_planes(
     taken on the ``|r|`` plane.  The sum of squares keeps numpy's order over
     a length-3 axis, ``(x^2 + y^2) + z^2``.
     """
-    taus = _check_delays(j_hz, taus)
-    r = validate_bloch_vectors(bloch)
-    x, y, z = _exchange_components(
-        environment.polarization, np.cos(_swap_angle(j_hz, taus)), *_grid_components(r)
-    )
+    x, y, z = _exchange_grid(environment, j_hz, bloch, taus)
     xy2 = np.multiply(x, x, out=x)
     xy2 += np.multiply(y, y, out=y)
     length = np.sqrt(xy2 + z * z)
@@ -198,11 +194,12 @@ def _excess_free_energy(
     Hamiltonian ``-2 pi nu sigma_z`` and at its temperature, of the states
     with Bloch components ``z`` and lengths ``length`` from
     :func:`_exchange_planes`, which checked them."""
-    h = qubit_hamiltonian(env.gap_frequency, axis="z")
-    f_eq = _f_neq_bloch(np.array([0.0, 0.0, env.polarization]), h, env.temperature)
-    # H lies along z, so r . (Tr H sigma_a)_a is z Tr(H sigma_z)
-    field = z * np.trace(h @ SIGMA_Z).real
-    return _qubit_free_energy(np.trace(h).real, field, length, env.temperature) - f_eq
+    # Tr H = 0 and H's one Pauli component is Tr(H sigma_z) = -4 pi nu, so
+    # r . (Tr H sigma_a)_a = z Tr(H sigma_z); the equilibrium is (0, 0, z_eq)
+    field = -2.0 * TWO_PI * env.gap_frequency
+    z_eq = env.polarization
+    f_eq = _qubit_free_energy(0.0, z_eq * field, abs(z_eq), env.temperature)
+    return _qubit_free_energy(0.0, z * field, length, env.temperature) - f_eq
 
 
 def free_energy_surface(

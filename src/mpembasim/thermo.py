@@ -7,7 +7,8 @@ entropies in nats, so the non-equilibrium free energy
     F_neq(rho) = Tr(H rho)/(2 pi) - T S_vN(rho)
 
 comes out in kHz and obeys ``F_neq(rho) - F_eq = T S_KL(rho || rho_eq)``
-exactly, which the tests enforce at 1e-10.
+exactly, which the tests enforce at 1e-10.  On qubit Bloch vectors it is the
+scalar :func:`_qubit_free_energy`, which the sweeps feed from the gap alone.
 """
 
 from __future__ import annotations
@@ -56,12 +57,7 @@ def von_neumann_entropy(rho: np.ndarray):
     """Entropy in nats of a state, or of each state in a stack ``(..., d, d)``;
     eigenvalues at or below the floor contribute zero."""
     eigenvalues = np.linalg.eigvalsh(hermitize(np.asarray(rho, dtype=complex)))
-    return _scalar(-_eigen_entropy_terms(eigenvalues))
-
-
-def _eigen_entropy_terms(eigenvalues: np.ndarray) -> np.ndarray:
-    """``sum p ln p`` over the last axis, for the eigenvalues above the floor."""
-    return _p_ln_p(eigenvalues).sum(axis=-1)
+    return _scalar(-_p_ln_p(eigenvalues).sum(axis=-1))
 
 
 def _p_ln_p(p: np.ndarray) -> np.ndarray:
@@ -88,14 +84,6 @@ def f_neq_bloch(
     :func:`f_neq` applies.
     """
     r = validate_bloch_vectors(bloch, psd_tol=1e-8)
-    return _f_neq_bloch(r, hamiltonian, temperature)
-
-
-def _f_neq_bloch(
-    r: np.ndarray, hamiltonian: np.ndarray, temperature: float
-) -> np.ndarray:
-    """:func:`f_neq_bloch` without its check: ``r`` ``(..., 3)`` floats
-    already within the positivity bound."""
     h = np.asarray(hamiltonian, dtype=complex)
     components = np.array([np.trace(h @ PAULIS[axis]).real for axis in "xyz"])
     return _qubit_free_energy(
@@ -134,7 +122,7 @@ def kl_divergence(rho: np.ndarray, sigma: np.ndarray):
         raise SingularReferenceError(
             f"reference state eigenvalue {s_eigs.min():.3e} at or below rank tolerance"
         )
-    tr_r_ln_r = _eigen_entropy_terms(np.linalg.eigvalsh(hermitize(rho)))
+    tr_r_ln_r = _p_ln_p(np.linalg.eigvalsh(hermitize(rho))).sum(axis=-1)
     log_sigma = (s_vecs * np.log(s_eigs)) @ s_vecs.conj().T
     tr_r_ln_s = (rho @ log_sigma).trace(axis1=-2, axis2=-1).real
     return _scalar(tr_r_ln_r - tr_r_ln_s)

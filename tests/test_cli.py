@@ -633,6 +633,71 @@ def test_config_flag_beats_the_environment(capsys, tmp_path, monkeypatch):
     assert len(read_csv(path)) == 7
 
 
+@pytest.mark.parametrize("command", TABLE_COMMANDS)
+def test_an_empty_config_path_is_an_io_error(capsys, tmp_path, monkeypatch, command):
+    # an empty --config names a file that cannot be read, as an empty --out
+    # names one that cannot be written; it does not fall back to
+    # $MPEMBA_CONFIG or to the defaults
+    cfg = tmp_path / "env.cfg"
+    cfg.write_text("tau_steps = 5\n", encoding="utf-8")
+    monkeypatch.setenv("MPEMBA_CONFIG", str(cfg))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, "--config", "", "--out", "t.csv")
+    assert (code, out) == (3, "")
+    assert "io error" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["env.cfg"]
+
+
+def test_verify_reports_an_empty_config_path_as_a_failure(capsys):
+    code, out, err = run(capsys, "verify", "--config", "")
+    assert code == 1
+    assert out.startswith("FAIL construction") and len(out.splitlines()) == 1
+    assert err == ""
+
+
+def test_an_empty_environment_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MPEMBA_CONFIG", "")
+    path = str(tmp_path / "distance.csv")
+    code, _, _ = run(capsys, "otto-distance", "--out", path, "--tau-steps", "6")
+    assert code == 0
+    assert len(read_csv(path)) == 6
+
+
+#: the matrix routes that stay as references: the table commands run the
+#: closed-form Bloch path and call none of them
+MATRIX_REFERENCES = (
+    (mpembasim.operators,
+     ("qubit_hamiltonian", "density_from_bloch", "validate_density_matrix")),
+    (mpembasim.channels, ("build_heat_exchange", "apply_channel")),
+    (mpembasim.thermo, ("f_neq", "f_neq_bloch", "gibbs_state")),
+)
+
+
+def test_the_table_commands_call_no_matrix_reference(capsys, tmp_path):
+    references = {
+        getattr(module, name).__code__: name
+        for module, names in MATRIX_REFERENCES
+        for name in names
+    }
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in references:
+            called.add(references[frame.f_code])
+
+    for command in TABLE_COMMANDS:
+        grid = () if command == "spectrum" else ("--tau-steps", "16", "--theta-steps", "5")
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            code = main([command, *grid, "--out", str(tmp_path / "t.csv")])
+        finally:
+            sys.setprofile(previous)
+        assert code == 0, command
+        assert called == set(), command
+    capsys.readouterr()
+
+
 def test_malformed_populations_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["cooling", "--out", "x.csv", "--populations", "0.5"])

@@ -202,6 +202,20 @@ def test_table_write_into_a_missing_directory_raises_oserror(tmp_path):
         write_table(ROWS, ["tau_ms", "value"], str(tmp_path / "no" / "dir.csv"))
 
 
+def test_a_temporary_name_clash_is_an_oserror_naming_the_table(tmp_path, monkeypatch):
+    # the temporary name is drawn once; a leftover file of that name is
+    # neither written into nor retried around
+    monkeypatch.setattr(config_io.os, "urandom", bytes)
+    leftover = tmp_path / f".partial-{'00' * 6}"
+    leftover.write_text("left over", encoding="utf-8")
+    path = str(tmp_path / "t.csv")
+    with pytest.raises(OSError) as excinfo:
+        write_table(ROWS, ["tau_ms", "value"], path)
+    assert excinfo.value.filename == path
+    assert leftover.read_text(encoding="utf-8") == "left over"
+    assert not os.path.exists(path)
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_array_and_row_tuples_write_the_same_bytes(tmp_path, fmt):
     table = np.array([[0.0, 1.0 / 3.0, -2.5e-7], [1.5, float("nan"), 1e300]])

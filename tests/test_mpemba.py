@@ -403,14 +403,14 @@ def test_the_planar_kernel_raises_as_the_stacked_route(hot_env, bloch, taus, j_h
 
 def test_the_planar_kernel_bounds_its_output_as_the_stacked_route(hot_env, monkeypatch):
     # the exchange cannot lengthen a Bloch vector, so a map that does is a
-    # stand-in for a broken one; both routes run the same component map
+    # stand-in for a broken one; both routes reach the same component map
+    # through one grid helper
     original = channels._exchange_components
 
     def lengthening(*args):
         return tuple(1.5 * plane for plane in original(*args))
 
     monkeypatch.setattr(channels, "_exchange_components", lengthening)
-    monkeypatch.setattr(mpemba, "_exchange_components", lengthening)
     bloch, taus = np.array([[0.1, 0.2, 0.3], [0.0, 0.0, 0.9]]), [0.0, 1.0]
     kind, message = _error_of(lambda: _stacked_route(bloch, hot_env, COUPLING_HZ, taus))
     assert (kind, "negative eigenvalue" in message) == (ValueError, True)

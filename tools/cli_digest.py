@@ -17,13 +17,15 @@ default 12.  Then ``spectrum`` runs at the delays of
 :data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
 ``--help`` for the program and each subcommand, the failing runs of
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
-a ``spectrum`` whose table cannot be written, and the two runs of
-:data:`CAP_RUNS` at the grid cap.  Every run gets its own
+a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
+empty config path ``--config ""``, and the two runs of :data:`CAP_RUNS` at
+the grid cap.  Every run gets its own
 temporary working directory and a fixed relative output name, so paths
 echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
 wraps help and usage text the same way in any terminal.  One SHA-256 line
-is printed per stdout, per table, and per stderr that is not empty: 87
-lines in all.
+is printed per stdout, per table, and per stderr that is not empty: 89
+lines in all (88 for a package that ignores an empty ``--config``, whose
+run then succeeds and writes no stderr).
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -71,13 +73,15 @@ CONFIG_NAME = "run.cfg"
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
 
-#: runs that fail: a numerical error (exit 2), then a config error and two
-#: IO errors, where a table command's table cannot be written
+#: runs that fail: a numerical error (exit 2), then a config error, two IO
+#: errors, where a table command's table cannot be written, and an IO error
+#: for a config path given as the empty string
 ERROR_RUNS = (
     ("otto-ratio", "--tau-steps", "2", "--out", "table.csv"),
     ("spectrum", "--tau", "0"),
     ("cooling", "--out", "missing/a.csv"),
     ("spectrum", "--out", "missing/a.csv"),
+    ("spectrum", "--config", ""),
 )
 
 #: runs at the grid cap of MAX_GRID_POINTS = 2**22: an angle grid that
