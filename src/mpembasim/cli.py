@@ -25,7 +25,7 @@ import numpy as np
 # this module and then looks every traced module up in sys.modules
 from . import liouville  # noqa: F401
 from .channels import ThermalEnvironment, exchange_spectrum, swap_window
-from .config_io import MAX_GRID_POINTS, ExperimentConfig, load_config, write_table
+from .config_io import MAX_GRID_POINTS, ExperimentConfig, GridRows, load_config, write_table
 from .exceptions import ConfigError, MpembaSimError
 from .mpemba import build_theta_family, cooling_curves, free_energy_surface
 from .otto import distance_curves, power_ratio
@@ -114,9 +114,7 @@ def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     family = build_theta_family(_base_state(config), angles)
     taus = _tau_grid(config)
     excess = free_energy_surface(family, _hot_environment(config), config.j_hz, taus)
-    rows = np.column_stack(
-        [np.repeat(angles, taus.size), np.tile(taus, angles.size), excess.ravel()]
-    )
+    rows = GridRows(angles, taus, excess.reshape(-1, 1))
     lowest = int(np.argmin(excess[:, 0]))
     lines = [
         f"surface: {len(rows)} rows -> {args.out}",

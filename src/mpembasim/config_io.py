@@ -186,140 +186,181 @@ def _atomic_write(path: str, pieces) -> None:
         raise
 
 
+class GridRows:
+    """The rows of a grid product, outer-major: each ``inner`` axis value
+    under each ``outer`` one in turn, then that grid point's row of
+    ``values``, a ``(outer.size * inner.size, n_cols)`` array.  Its length
+    is its number of rows."""
+
+    def __init__(self, outer: np.ndarray, inner: np.ndarray, values: np.ndarray):
+        self.outer, self.inner, self.values = outer, inner, values
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 def write_table(
     rows, schema: list, path: str, fmt: str = "csv", precision: int = 12
 ) -> None:
     """Serialize a table as CSV or a JSON array of objects.
 
     ``rows`` holds the cells in ``schema`` order, as a 2-D ``(n_rows,
-    n_cols)`` array or a sequence of row tuples.  Each column is rendered by
+    n_cols)`` array or a sequence of row tuples, or is a :class:`GridRows`,
+    whose two axes are the first two columns.  Each column is rendered by
     the type of its cell in the first row: floats with ``precision``
     significant digits (``%.{precision}g``), ints and strings as they are.
     JSON floats are spelled as ``json.dumps`` spells the rounded value.
     '.' decimal separator and LF line endings; the cells are rendered and
-    written in blocks of :data:`BLOCK_ROWS` rows, the write is atomic (temp
-    file plus rename in the target directory) and the file's mode follows
-    the umask.
+    written in blocks of at most :data:`BLOCK_ROWS` rows, the write is
+    atomic (temp file plus rename in the target directory) and the file's
+    mode follows the umask.
 
     A JSON row goes through the ``%.{precision}g`` slots that CSV uses
     unless one of its floats is spelled otherwise by ``json.dumps`` or may
     be (see :func:`_spelled_alike`); such a row is filled with the exact
-    spellings (see :func:`_float_texts`) instead.  A float column at most
-    half of whose cells are distinct, such as a grid axis repeated or tiled
-    over the rows of a surface, is rendered once per distinct value, told
-    apart by bit pattern so that ``0.0`` and ``-0.0`` keep their own text.
-    The output is the same either way.
+    spellings (see :func:`_float_texts`) instead.  A grid's axis values are
+    rendered once each, as those exact spellings in JSON; the output is the
+    same as for the grid's rows written out in full.
     """
     schema = list(schema)
-    if isinstance(rows, np.ndarray):
-        aligned = rows.ndim == 2 and rows.shape[1] == len(schema)
-        columns = list(rows.T) if len(rows) else []
+    grid = isinstance(rows, GridRows)
+    axes = [np.asarray(axis, dtype=float) for axis in (rows.outer, rows.inner)] if grid else []
+    values = rows.values if grid else rows
+    width = len(schema) - len(axes)
+    if isinstance(values, np.ndarray):
+        aligned = values.ndim == 2 and values.shape[1] == width
+        columns = list(values.T) if len(values) else []
     else:
-        aligned = all(len(row) == len(schema) for row in rows)
-        columns = list(zip(*rows))
+        aligned = all(len(row) == width for row in values)
+        columns = list(zip(*values))
+    if grid:
+        aligned = aligned and len(values) == axes[0].size * axes[1].size
     if not aligned:
         raise ValueError(f"rows do not have one cell per schema column {schema}")
 
     fmt = fmt.lower()
     if fmt == "csv":
-        slots, cells = _columns(columns, precision, as_json=False)
-        blocks = _filled(",".join(slots) + "\n", "", cells)
-        pieces = chain([",".join(schema) + "\n"], blocks)
+        as_json, separator = False, ""
+
+        def layout(slots):
+            return ",".join(slots) + "\n"
+
     elif fmt == "json":
         import json  # loaded only for JSON tables
 
         # the layout json.dumps(payload, indent=2) writes, filled per row
+        as_json, separator = True, ",\n"
         members = [json.dumps(name).replace("%", "%%") for name in schema]
 
         def layout(slots):
             lines = (f"    {key}: {slot}" for key, slot in zip(members, slots))
             return "  {\n" + ",\n".join(lines) + "\n  }"
 
-        slots, cells = _columns(columns, precision, as_json=True)
-        blocks = _filled(
-            layout(slots), ",\n", cells,
-            fallback=layout(["%s"] * len(slots)),
-            checked=[k for k, slot in enumerate(slots) if slot != "%s"],
-            precision=precision,
-        )
-        first = next(blocks, None)
-        pieces = ["[]\n"] if first is None else chain(["[\n", first], blocks, ["\n]\n"])
     else:
         raise ValueError(f"unknown table format {fmt!r}")
+    slots, cells = _columns(columns, precision, as_json)
+    axis_texts = [_float_texts(axis, precision, as_json) for axis in axes]
+    blocks = _filled(
+        [layout([_AXIS_CELL] * len(axes) + s) for s in (slots, ["%s"] * len(slots))],
+        separator, axis_texts, axes[1].size if grid else len(values), cells,
+        [k for k, slot in enumerate(slots) if as_json and slot != "%s"], precision,
+    )
+    if not as_json:
+        pieces = chain([",".join(schema) + "\n"], blocks)
+    elif len(rows):
+        pieces = chain(["[\n"], blocks, ["\n]\n"])
+    else:
+        pieces = ["[]\n"]
     _atomic_write(path, pieces)
 
 
+#: where an axis cell's text goes in a row template; json.dumps escapes it
+#: in the JSON member names, and a CSV row template holds only slots
+_AXIS_CELL = "\0"
+
+
 def _filled(
-    template: str,
+    layouts: list,
     separator: str,
+    axis_texts: list,
+    n_inner: int,
     cells: list,
-    fallback: str = "",
-    checked: list = (),
-    precision: int = 0,
+    checked: list,
+    precision: int,
 ):
-    """The rows of ``cells`` (see :func:`_columns`) filled into ``template``
-    and joined by ``separator``, as text blocks of at most
+    """The table's rows joined by ``separator``, as text blocks of at most
     :data:`BLOCK_ROWS` rows; each block after the first starts with
     ``separator``.  Only one block's cells exist at a time.
 
-    A block is filled by one ``%`` on the rows' templates joined, with the
-    columns' cells interleaved into one row-major list.  A row in which a
-    float of a ``checked`` column fails :func:`_spelled_alike` at
-    ``precision`` is filled into ``fallback``, whose slots are all ``%s``,
-    with those floats as their JSON spellings.
+    ``layouts`` are the row template and its fallback (every value slot
+    ``%s``), with an :data:`_AXIS_CELL` for each of the ``axis_texts``:
+    none in a plain table of ``n_inner`` rows, the outer and the inner axis
+    texts in a grid.  A row is its lead, the template up to and with its
+    outer text (empty in a plain table), then the tail of its inner index,
+    the rest with its inner text; so each axis text is placed once, and the
+    rows of one outer value are the tails joined with its lead.  A block
+    holds whole outer rows, or a slice of one longer than a block, and is
+    filled by one ``%`` on the value columns' cells (see :func:`_columns`)
+    interleaved into one row-major list.  A row in which a float of a
+    ``checked`` column fails :func:`_spelled_alike` at ``precision`` takes
+    the fallback's tail, with those floats as their JSON spellings.
     """
-    n_rows = len(cells[0][1]) if cells else 0
+    (*edges, tail), (*_, fallback) = (text.split(_AXIS_CELL) for text in layouts)
+    leads, tails = [""], None
+    if axis_texts:
+        (lead, between), (outer, inner) = edges, axis_texts
+        leads = [lead + text for text in outer]
+        tails = [between + text + tail for text in inner]
+
+    span = max(1, min(n_inner, BLOCK_ROWS))
+    per_block = BLOCK_ROWS // span
     width = len(cells)
-    for start in range(0, n_rows, BLOCK_ROWS):
-        part = slice(start, start + BLOCK_ROWS)
-        size = min(BLOCK_ROWS, n_rows - start)
-        flat = [None] * (size * width)
-        for k, (render, data) in enumerate(cells):
-            flat[k::width] = render(data[part])
-        templates = [template] * size
-        if checked:
-            values = [cells[k][1][part] for k in checked]
-            alike = np.logical_and.reduce([_spelled_alike(v, precision) for v in values])
-            rows = np.flatnonzero(~alike)
-            for row in rows.tolist():
-                templates[row] = fallback
-            for k, column in zip(checked, values):
-                texts = _float_texts(column[rows], precision, as_json=True)
-                for cell, text in zip((rows * width + k).tolist(), texts):
-                    flat[cell] = text
-        text = separator.join(templates) % tuple(flat)
-        yield (separator if start else "") + text
+    for first_outer in range(0, len(leads), per_block):
+        block_leads = leads[first_outer:first_outer + per_block]
+        for start in range(0, n_inner, span):
+            size = min(span, n_inner - start)
+            first = first_outer * n_inner + start
+            part = slice(first, first + len(block_leads) * size)
+            inner_tails = [tail] * size if tails is None else tails[start:start + size]
+            block_tails = inner_tails * len(block_leads)
+            flat = [None] * (part.stop - first) * width
+            for k, (render, data) in enumerate(cells):
+                flat[k::width] = render(data[part])
+            if checked:
+                values = [cells[k][1][part] for k in checked]
+                alike = np.logical_and.reduce([_spelled_alike(v, precision) for v in values])
+                rows = np.flatnonzero(~alike)
+                if rows.size:
+                    spelled = [fallback] * size if tails is None else [
+                        between + text + fallback for text in inner[start:start + size]
+                    ]
+                    for row in rows.tolist():
+                        block_tails[row] = spelled[row % size]
+                for k, column in zip(checked, values):
+                    texts = _float_texts(column[rows], precision, as_json=True)
+                    for cell, text in zip((rows * width + k).tolist(), texts):
+                        flat[cell] = text
+            template = separator.join(
+                lead + (separator + lead).join(block_tails[o * size:(o + 1) * size])
+                for o, lead in enumerate(block_leads)
+            )
+            yield (separator if first else "") + template % tuple(flat)
 
 
 def _columns(columns: list, precision: int, as_json: bool) -> tuple:
     """Each column's ``%``-template slot and ``(render, data)`` pair, in
     column order; the cells of the rows in a slice are ``render(data[slice])``.
 
-    Strings are JSON-quoted for ``as_json`` and ints are left as they are.
     Float cells stay numbers under the ``%.{precision}g`` slot, in CSV and
-    in JSON alike, except in a column at most half of whose cells are
-    distinct, where they become text under a ``%s`` slot.  That choice is
-    made on the whole column: one sort of its bit patterns counts the
-    distinct values, and only such a column looks its cells up among them
-    and renders each distinct value once.
+    in JSON alike.  Ints and strings go under a ``%s`` slot, strings
+    JSON-quoted for ``as_json`` and ints as they are.
     """
     slots, cells = [], []
     for column in columns:
         slot, render = "%s", list
         if isinstance(column[0], float):
             column = np.asarray(column, dtype=float)
-            bits = column.view(np.int64)
-            ordered = np.sort(bits)
-            first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-            if 2 * np.count_nonzero(first) <= column.size:
-                distinct = ordered[first]
-                texts = np.array(
-                    _float_texts(distinct.view(float), precision, as_json), dtype=object
-                )
-                column = np.searchsorted(distinct, bits)
-                render = lambda part, texts=texts: texts[part].tolist()
-            else:
-                slot, render = f"%.{precision}g", np.ndarray.tolist
+            slot, render = f"%.{precision}g", np.ndarray.tolist
         elif as_json and isinstance(column[0], str):
             import json
 

@@ -15,6 +15,7 @@ from mpembasim.config_io import (
     BLOCK_ROWS,
     MAX_GRID_POINTS,
     ExperimentConfig,
+    GridRows,
     load_config,
     write_table,
 )
@@ -298,7 +299,7 @@ def test_edge_floats_match_format_and_json_dumps(value, precision):
 
 
 def test_tables_longer_than_two_write_blocks_match_format_and_json_dumps():
-    # a repeated axis column (rendered once per value) beside distinct cells
+    # a column of seven repeated values beside distinct cells
     n = 2 * BLOCK_ROWS + 3
     values = np.random.default_rng(7).normal(size=n)
     rows = [(0.1 * (k % 7), v) for k, v in enumerate(values.tolist())]
@@ -362,7 +363,8 @@ def test_a_row_spelled_otherwise_keeps_its_place_in_the_blocks(row):
 
 
 def per_row_table(rows, schema, fmt, precision):
-    """The table with one ``%`` per row, on the cells that write_table picks.
+    """The table with one ``%`` per row, on the slots and cells of
+    ``config_io._columns``: every float cell under a ``%g`` slot.
 
     A JSON row whose ``%g`` cells all pass ``_spelled_alike`` fills the
     template with those slots; any other row fills an all-``%s`` template,
@@ -432,6 +434,70 @@ def test_signed_zeros_keep_their_own_text(tmp_path):
         '"z": 0.0,', '"z": -0.0,', '"z": 0.0,', '"z": -0.0,'
     ]
     assert text.count("NaN") == 2
+
+
+def grid_axis(n, rng):
+    """``n`` distinct-looking values holding ``-0.0`` and, from three values
+    on, ``0.0`` and NaN as well, spread over the axis."""
+    axis = rng.uniform(-1.0, 1.0, size=n)
+    where = np.unique(np.linspace(0, n - 1, 3).astype(int))
+    axis[where] = [-0.0, 0.0, float("nan")][: where.size]
+    return axis
+
+
+@pytest.mark.parametrize("precision", [12, 16])
+@pytest.mark.parametrize("n_outer", [1, 3])
+@pytest.mark.parametrize("n_inner", [1, 7, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
+def test_grid_tables_match_their_rows_written_out(n_inner, n_outer, precision):
+    # the grid's axes are rendered once per value and its rows filled from
+    # each inner value's tail; the reference spells every cell of every row.
+    # Integers, zeros and non-finite values put JSON rows spelled otherwise
+    # inside the blocks, which hold several outer rows when the inner axis is
+    # short; at precision 16 every JSON row is spelled otherwise
+    rng = np.random.default_rng(n_inner * n_outer + precision)
+    outer, inner = grid_axis(n_outer, rng), grid_axis(n_inner, rng)
+    values = rng.uniform(1.0, 2.0, size=(n_outer * n_inner, 2))
+    specials = [0.0, 3.0, float("inf"), float("nan")][: values.size]
+    values.flat[rng.choice(values.size, len(specials), replace=False)] = specials
+    points = [(o, i) for o in outer.tolist() for i in inner.tolist()]
+    rows = [(*point, *cells) for point, cells in zip(points, values.tolist())]
+    schema = ["theta_%", "tau_ms", "%s value", "other"]
+    with tempfile.TemporaryDirectory() as workdir:
+        for fmt, expected in reference_tables(rows, schema, precision).items():
+            path = os.path.join(workdir, f"grid.{fmt}")
+            write_table(GridRows(outer, inner, values), schema, path, fmt, precision)
+            with open(path, encoding="utf-8") as handle:
+                assert handle.read() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "n_outer, n_inner, n_blocks", [(3, BLOCK_ROWS + 1, 6), (2000, 5, 3), (1, 0, 0)]
+)
+def test_grid_tables_are_written_in_blocks_of_at_most_block_rows(
+    monkeypatch, fmt, n_outer, n_inner, n_blocks
+):
+    # a block holds whole outer rows, or a slice of one longer than a block
+    written = []
+    monkeypatch.setattr(config_io, "_atomic_write", lambda path, pieces: written.extend(pieces))
+    grid = GridRows(
+        np.arange(n_outer, dtype=float), np.arange(n_inner, dtype=float),
+        np.full((n_outer * n_inner, 1), 0.5),
+    )
+    write_table(grid, ["a", "b", "c"], "unused", fmt)
+    blocks = written[1:-1] if fmt == "json" else written[1:]
+    rows = [block.count("{") if fmt == "json" else block.count("\n") for block in blocks]
+    assert sum(rows) == len(grid) and all(0 < n <= BLOCK_ROWS for n in rows)
+    assert len(blocks) == n_blocks
+
+
+def test_grid_rows_must_fill_the_grid(tmp_path):
+    grid = GridRows(np.zeros(2), np.zeros(3), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="schema"):
+        write_table(grid, ["a", "b", "c"], str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match="schema"):
+        write_table(GridRows(np.zeros(2), np.zeros(3), np.zeros((6, 2))),
+                    ["a", "b", "c"], str(tmp_path / "x.csv"))
 
 
 POOL_CELLS = st.sampled_from(

@@ -103,6 +103,22 @@ def test_the_tracer_counts_the_rows_of_the_one_table_writer(tmp_path):
     assert tracer.summary()["config_io.write_table"]["calls"] == 1
 
 
+def test_the_tracer_counts_every_row_of_a_surface_grid(tmp_path, capsys):
+    # surface hands write_table its angle x delay grid with the axes apart;
+    # the tracer counts len() of that argument, which is one per table row
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        path = str(tmp_path / "surface.csv")
+        code = cli.main(["surface", "--out", path])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.counters()["rows_written"] == 73 * 64
+    assert tracer.summary()["config_io.write_table"]["calls"] == 1
+    assert capsys.readouterr().out.splitlines()[0] == f"surface: 4672 rows -> {path}"
+
+
 def test_the_production_kernel_does_not_load_the_liouville_route():
     # channels is the closed-form Bloch kernel; only verify and the tests run
     # the Liouville reference, and cli loads it for the tracer alone

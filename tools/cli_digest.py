@@ -14,7 +14,9 @@ sets each key to a value other than its default, so that config parsing and
 validation are covered as well; its ``output_precision`` of 10 puts the
 table commands' csv and json cells through a precision other than the
 default 12.  Then ``spectrum`` runs at the delays of
-:data:`SPECTRUM_DELAYS`, at the default grid, in csv and json.  Last come
+:data:`SPECTRUM_DELAYS`, at the default grid, in csv and json, and
+``surface`` at :data:`SPLIT_GRID`, whose delay grid is longer than one
+block of the table writer, in csv and json.  Last come
 ``--help`` for the program and each subcommand, the failing runs of
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
@@ -23,8 +25,8 @@ the grid cap.  Every run gets its own
 temporary working directory and a fixed relative output name, so paths
 echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
 wraps help and usage text the same way in any terminal.  One SHA-256 line
-is printed per stdout, per table, and per stderr that is not empty: 89
-lines in all (88 for a package that ignores an empty ``--config``, whose
+is printed per stdout, per table, and per stderr that is not empty: 93
+lines in all (92 for a package that ignores an empty ``--config``, whose
 run then succeeds and writes no stderr).
 
 Two checkouts are byte-identical when the printouts of both are::
@@ -73,6 +75,10 @@ CONFIG_NAME = "run.cfg"
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
 
+#: a surface grid whose delay axis is longer than one block of
+#: ``config_io.BLOCK_ROWS = 4096`` rows, so each angle's rows span two blocks
+SPLIT_GRID = ("--theta-steps", "3", "--tau-steps", "4099")
+
 #: runs that fail: a numerical error (exit 2), then a config error, two IO
 #: errors, where a table command's table cannot be written, and an IO error
 #: for a config path given as the empty string
@@ -120,6 +126,10 @@ def runs():
             table = f"table.{fmt}"
             argv = ["spectrum", "--tau", tau, "--out", table, "--format", fmt]
             yield f"spectrum --tau {tau} default {fmt}", argv, table
+    for fmt in ("csv", "json"):
+        table = f"table.{fmt}"
+        argv = ["surface", *SPLIT_GRID, "--out", table, "--format", fmt]
+        yield f"surface split {fmt}", argv, table
     yield "--help", ["--help"], None
     for command in (*TABLE_COMMANDS, "verify"):
         yield f"{command} --help", [command, "--help"], None
