@@ -10,14 +10,15 @@ collapses onto the auxiliary's thermal populations.
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
 population; ``verify`` (``damping-equivalence``) checks that identification
-numerically rather than assuming it.  On Bloch vectors it is the closed-form
-map of :func:`heat_exchange_bloch`, written once, on Bloch components, in
-:func:`_exchange_components`, for numpy planes and for the refrigerator
-cycle's Python floats (:func:`otto.run_cycle`, with ``math.cos``).
-:func:`_exchange_grid` checks the delays and the start and maps every
-(state, delay) pair, for this module's stack and the sweeps' planes.  The
-generator spectrum comes from :func:`exchange_spectrum`; the Kraus form
-stays the reference all of these are tested against.
+numerically rather than assuming it.  On Bloch vectors it is the affine map
+``x, y -> c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with ``c = cos(pi J
+tau)`` and ``z_eq`` the partner's :attr:`~ThermalEnvironment.polarization`,
+written once, on Bloch components, in :func:`_exchange_components`, for
+numpy planes and for the refrigerator cycle's Python floats
+(:func:`otto.run_cycle`, with ``math.cos``).  :func:`_exchange_grid` checks
+the delays and the start and maps every (state, delay) pair, for the sweeps'
+planes.  The generator spectrum comes from :func:`exchange_spectrum`; the
+Kraus form stays the reference all of these are tested against.
 """
 
 from __future__ import annotations
@@ -161,35 +162,6 @@ def build_heat_exchange(
     return KrausChannel(operators=ops)
 
 
-def heat_exchange_bloch(
-    environment: ThermalEnvironment,
-    j_hz: float,
-    bloch: np.ndarray,
-    tau_grid: np.ndarray,
-) -> np.ndarray:
-    """Bloch vectors after every delay of the heat exchange, in closed form.
-
-    The channel of :func:`build_heat_exchange` is generalized amplitude
-    damping, so on the Bloch vector it is the affine map
-    ``x, y -> c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with
-    ``c = cos(pi J tau)`` and ``z_eq`` the partner's
-    :attr:`~ThermalEnvironment.polarization`.
-    ``bloch`` has shape ``(..., 3)`` and ``tau_grid`` shape ``(n,)``; the
-    result has shape ``(..., n, 3)``.  Inputs and outputs get the positivity
-    bound :func:`apply_channel` puts on states.  This is the stacked
-    reference of the sweeps, which run the same map and checks on component
-    planes (:func:`mpemba._exchange_planes`).
-
-    Raises
-    ------
-    TauOutOfRangeError
-        If any delay leaves the physical window.
-    """
-    return validate_bloch_vectors(
-        np.stack(_exchange_grid(environment, j_hz, bloch, tau_grid), axis=-1)
-    )
-
-
 def _exchange_grid(
     environment: ThermalEnvironment, j_hz: float, bloch: np.ndarray, taus
 ) -> tuple:
@@ -204,11 +176,11 @@ def _exchange_grid(
 
 
 def _exchange_components(z_eq: float, c, x, y, z) -> tuple:
-    """The map of :func:`heat_exchange_bloch` on each Bloch component,
-    unchecked: ``x c``, ``y c`` and ``z_eq + (z - z_eq) c^2`` for the cosine
-    ``c = cos(pi J tau)``.  The components and ``c`` are numpy arrays that
-    broadcast together or Python floats alike; ``c * c`` rather than ``c ** 2``,
-    which on floats goes through libm's ``pow``."""
+    """The exchange's Bloch map on each component, unchecked: ``x c``, ``y c``
+    and ``z_eq + (z - z_eq) c^2`` for the cosine ``c = cos(pi J tau)``.  The
+    components and ``c`` are numpy arrays that broadcast together or Python
+    floats alike; ``c * c`` rather than ``c ** 2``, which on floats goes
+    through libm's ``pow``."""
     return x * c, y * c, z_eq + (z - z_eq) * (c * c)
 
 
@@ -218,7 +190,7 @@ def exchange_spectrum(
     """Generator spectrum and fixed point of the heat exchange, in closed form.
 
     The exchange at delay ``tau`` scales coherences by ``c = cos(pi J tau)``
-    and population offsets by ``c^2`` (see :func:`heat_exchange_bloch`), so
+    and population offsets by ``c^2`` (see :func:`_exchange_components`), so
     its generator has the eigenvalues ``0``, ``ln(c)/tau`` twice (the
     coherences) and ``2 ln(c)/tau`` (the population offset), in 1/ms.  They
     are returned as a float array in the sort order of

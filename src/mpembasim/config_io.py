@@ -79,6 +79,12 @@ class ExperimentConfig:
             raise ValidationError("epsilon_equilibrium_khz must be positive")
         if self.output_precision < 1:
             raise ValidationError("output_precision must be at least 1")
+        # 17 significant digits spell every float64 so that it reads back
+        # exactly; % refuses precisions past 2**31 - 1
+        if self.output_precision > 17:
+            raise ValidationError(
+                f"output_precision must be at most 17, got {self.output_precision}"
+            )
 
     def cycle_config(self) -> CycleConfig:
         """The refrigerator-cycle view of this configuration."""

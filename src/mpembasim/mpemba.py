@@ -15,11 +15,10 @@ exchange on Bloch-component planes, one value per (state, delay) point, with
 no ``(..., n, 3)`` stack: :func:`_exchange_planes` squares and bounds the
 checked grid of :func:`channels._exchange_grid`, and the free energy, from
 the partner's gap with no matrix, and the trace distance come from its
-``x^2 + y^2``, ``z`` and ``|r|`` planes by the same operations in the same
-order as :func:`channels.heat_exchange_bloch`, :func:`thermo.f_neq_bloch`
-and :func:`thermo.trace_distance_bloch`, so each result has their bits.
-Those three stay the references that ``verify`` (``sweep-kernel-agreement``)
-and the tests compare against.
+``x^2 + y^2``, ``z`` and ``|r|`` planes.  ``verify``
+(``sweep-kernel-agreement``) and the tests compare them with the Kraus route:
+:func:`channels.apply_channel`, :func:`thermo.f_neq` and
+:func:`thermo.trace_distance`.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .channels import ThermalEnvironment, _exchange_grid
 from .exceptions import DegenerateHamiltonianError
 from .operators import TWO_PI, _check_bloch_length, mean_energy, validate_bloch_vectors, \
     validate_density_matrix
-from .thermo import RelaxationTrajectory, _qubit_free_energy
+from .thermo import RelaxationTrajectory, _p_ln_p
 
 #: unitarity defect tolerated in a constructed transform
 TRANSFORM_TOL = 1e-12
@@ -169,10 +168,11 @@ def _exchange_planes(
     of the heat exchange with ``environment`` and coupling ``j_hz``, as the
     planes ``x^2 + y^2``, ``z`` and ``|r|`` of shape ``(..., len(taus))``.
 
-    The checks are those of :func:`channels.heat_exchange_bloch`, in its order:
-    the delays, the start, then the output's finiteness and positivity bound,
-    taken on the ``|r|`` plane.  The sum of squares keeps numpy's order over
-    a length-3 axis, ``(x^2 + y^2) + z^2``.
+    The delays are checked first, then the start, then the output's
+    finiteness and the positivity bound of
+    :func:`operators.validate_bloch_vectors`, taken on the ``|r|`` plane.
+    The sum of squares keeps numpy's order over a length-3 axis, ``(x^2 +
+    y^2) + z^2``.
     """
     x, y, z = _exchange_grid(environment, j_hz, bloch, taus)
     xy2 = np.multiply(x, x, out=x)
@@ -193,13 +193,19 @@ def _excess_free_energy(
     """Free energy (kHz) over the equilibrium of ``env``, under its
     Hamiltonian ``-2 pi nu sigma_z`` and at its temperature, of the states
     with Bloch components ``z`` and lengths ``length`` from
-    :func:`_exchange_planes`, which checked them."""
-    # Tr H = 0 and H's one Pauli component is Tr(H sigma_z) = -4 pi nu, so
-    # r . (Tr H sigma_a)_a = z Tr(H sigma_z); the equilibrium is (0, 0, z_eq)
+    :func:`_exchange_planes`, which checked them: the energy ``Tr(H rho)/(2
+    pi) = z Tr(H sigma_z)/(4 pi)`` plus ``T sum p ln p`` over the eigenvalues
+    ``(1 +- |r|)/2``."""
+    # Tr H = 0 and H's one Pauli component is Tr(H sigma_z) = -4 pi nu; the
+    # equilibrium is (0, 0, z_eq)
     field = -2.0 * TWO_PI * env.gap_frequency
     z_eq = env.polarization
-    f_eq = _qubit_free_energy(0.0, z_eq * field, abs(z_eq), env.temperature)
-    return _qubit_free_energy(0.0, z * field, length, env.temperature) - f_eq
+
+    def free(z, r):
+        entropy_terms = _p_ln_p(0.5 * (1.0 + r)) + _p_ln_p(0.5 * (1.0 - r))
+        return 0.5 * (z * field) / TWO_PI + env.temperature * entropy_terms
+
+    return free(z, length) - free(z_eq, abs(z_eq))
 
 
 def free_energy_surface(
@@ -231,8 +237,8 @@ def _relaxation(
     """Free-energy excess (kHz) and trace distance to the thermal target of
     ``env`` of the Bloch vectors ``start`` ``(..., 3)`` after every delay."""
     xy2, z, length = _exchange_planes(env, j_hz, start, taus)
-    # |r - (0, 0, z_eq)| / 2, summed in the order of the stacked route, in
-    # the buffer of x^2 + y^2, which nothing else reads
+    # |r - (0, 0, z_eq)| / 2, summed as (x^2 + y^2) + (z - z_eq)^2, in the
+    # buffer of x^2 + y^2, which nothing else reads
     distance = np.add(xy2, (z - env.polarization) ** 2, out=xy2)
     np.sqrt(distance, out=distance)
     distance *= 0.5

@@ -14,12 +14,11 @@ Every stroke is an affine map of the Bloch vector r, and :func:`run_cycle`
 computes them as such, on the three components as Python floats, through
 the expressions the sweeps run on numpy planes.  The two gap ramps rotate r
 about x by the angle of :func:`ramp_unitary` (:func:`_ramp_bloch`).  The
-exchange is the generalized-amplitude-damping map of
-:func:`channels.heat_exchange_bloch` with the hot partner
-(:func:`channels._exchange_components`); the reset is the same map with the
-cold partner in the frame that swaps x and z (the Kraus reset conjugated into
-the x eigenbasis also flips the sign of y, which cancels because the map
-scales x and y alike).  A stroke's energy under ``-2 pi nu sigma_a`` is
+exchange is the generalized-amplitude-damping map on Bloch components,
+:func:`channels._exchange_components`, with the hot partner; the reset is
+the same map with the cold partner in the frame that swaps x and z (the
+Kraus reset conjugated into the x eigenbasis also flips the sign of y, which
+cancels because the map scales x and y alike).  A stroke's energy under ``-2 pi nu sigma_a`` is
 ``-nu r_a``.  The expansion ramp leaves the cold Gibbs state unchanged, since
 that state lies along x; its record only reassigns the energy from ``nu0`` to
 ``nu1``, as an Otto expansion should.

@@ -7,8 +7,9 @@ entropies in nats, so the non-equilibrium free energy
     F_neq(rho) = Tr(H rho)/(2 pi) - T S_vN(rho)
 
 comes out in kHz and obeys ``F_neq(rho) - F_eq = T S_KL(rho || rho_eq)``
-exactly, which the tests enforce at 1e-10.  On qubit Bloch vectors it is the
-scalar :func:`_qubit_free_energy`, which the sweeps feed from the gap alone.
+exactly, which the tests enforce at 1e-10.  The sweeps take it on Bloch
+vectors, with no matrix (:func:`mpemba._excess_free_energy`); :func:`f_neq`
+is the reference they are checked against.
 """
 
 from __future__ import annotations
@@ -19,15 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import GridMismatchError, SingularReferenceError
-from .operators import (
-    PAULIS,
-    TWO_PI,
-    _scalar,
-    hermitize,
-    mean_energy,
-    validate_bloch_vectors,
-    validate_density_matrix,
-)
+from .operators import TWO_PI, _scalar, hermitize, mean_energy, validate_density_matrix
 
 #: eigenvalues below this contribute zero to entropy sums
 ENTROPY_FLOOR = 1e-15
@@ -73,37 +66,6 @@ def f_neq(rho: np.ndarray, hamiltonian: np.ndarray, temperature: float):
     return mean_energy(rho, hamiltonian) - temperature * von_neumann_entropy(rho)
 
 
-def f_neq_bloch(
-    bloch: np.ndarray, hamiltonian: np.ndarray, temperature: float
-) -> np.ndarray:
-    """:func:`f_neq` of qubit states given as Bloch vectors ``(..., 3)``.
-
-    The energy comes from the Pauli components of ``hamiltonian``, the
-    entropy from the eigenvalues ``(1 +- |r|)/2`` with the same floor as
-    :func:`von_neumann_entropy`, and the positivity bound is the one
-    :func:`f_neq` applies.
-    """
-    r = validate_bloch_vectors(bloch, psd_tol=1e-8)
-    h = np.asarray(hamiltonian, dtype=complex)
-    components = np.array([np.trace(h @ PAULIS[axis]).real for axis in "xyz"])
-    return _qubit_free_energy(
-        np.trace(h).real, r @ components, np.linalg.norm(r, axis=-1), temperature
-    )
-
-
-def _qubit_free_energy(
-    trace: float, field: np.ndarray, length: np.ndarray, temperature: float
-) -> np.ndarray:
-    """Free energy (kHz) of qubit states from their Bloch vectors' products
-    ``field = r . (Tr H sigma_a)_a`` with the Hamiltonian's Pauli components
-    and their lengths ``|r|``, given ``trace = Tr H``: the energy ``(Tr H +
-    field)/(4 pi)`` plus ``T sum p ln p`` over the eigenvalues ``(1 +- |r|)/2``.
-    """
-    energy = 0.5 * (trace + field) / TWO_PI
-    entropy_terms = _p_ln_p(0.5 * (1.0 + length)) + _p_ln_p(0.5 * (1.0 - length))
-    return energy + temperature * entropy_terms
-
-
 def kl_divergence(rho: np.ndarray, sigma: np.ndarray):
     """Quantum relative entropy ``Tr rho (ln rho - ln sigma)`` in nats.
 
@@ -133,11 +95,6 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray):
     leading axes when either is a stack ``(..., d, d)``."""
     delta = hermitize(np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex))
     return _scalar(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum(axis=-1))
-
-
-def trace_distance_bloch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`trace_distance` of qubit states given as Bloch vectors, ``|a - b|/2``."""
-    return 0.5 * np.linalg.norm(np.asarray(a, float) - np.asarray(b, float), axis=-1)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Each check compares a production result with an independent route (the
 Kraus channel, the Liouville spectral stack, the Gibbs reference or an
-identity of the model) and prints one ``PASS``/``FAIL`` line.  The two
+identity of the model) and prints one ``PASS``/``FAIL`` line; the sweeps'
+planar kernel, for one, is checked straight against the Kraus channel
+(``sweep-kernel-agreement``).  The two
 diagnostics of the exchange model, :func:`damping_fit` (the channel is
 generalized amplitude damping) and :func:`block_coupling` (its generator
 keeps populations apart from coherences), return numbers that their checks
@@ -20,10 +22,10 @@ import numpy as np
 
 from .channels import (
     KrausChannel,
+    _exchange_grid,
     apply_channel,
     build_heat_exchange,
     exchange_spectrum,
-    heat_exchange_bloch,
     swap_window,
 )
 from .cli import _base_state, _hot_environment, _resolve_config, _tau_grid
@@ -35,8 +37,7 @@ from .numerics import expm
 from .operators import bloch_vector, density_from_bloch, qubit_hamiltonian, \
     random_density
 from .otto import energy_balance, power_ratio, run_cycle
-from .thermo import f_neq, f_neq_bloch, gibbs_state, kl_divergence, \
-    trace_distance, trace_distance_bloch
+from .thermo import f_neq, gibbs_state, kl_divergence, trace_distance
 
 
 def damping_fit(channel: KrausChannel) -> tuple:
@@ -197,20 +198,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}"
 
     def sweep_kernel_agreement():
-        # the closed-form Bloch map against the Kraus route it replaces, and
-        # the planar kernel the sweeps run against that map's stacked route
-        state, _ = equilibrium()
+        # the sweeps' planar kernel against the Kraus route it replaces: the
+        # checked exchange grid's states, and the excess and distance planes
+        state, f_eq = equilibrium()
         taus = np.linspace(0.0, window, 4)
         starts = bloch_vector(identity_states)
-        evolved = heat_exchange_bloch(env, config.j_hz, starts, taus)
-        free = f_neq_bloch(evolved, h, config.t_hot_khz)
-        dist = trace_distance_bloch(evolved, bloch_vector(state))
-        target = np.array([0.0, 0.0, env.polarization])
-        excess, planar_dist = _relaxation(starts, env, config.j_hz, taus)
-        worst = float(np.abs(planar_dist - trace_distance_bloch(evolved, target)).max())
-        worst_free = float(
-            np.abs(excess - (free - f_neq_bloch(target, h, config.t_hot_khz))).max()
-        )
+        evolved = np.stack(_exchange_grid(env, config.j_hz, starts, taus), axis=-1)
+        excess, dist = _relaxation(starts, env, config.j_hz, taus)
+        worst = worst_free = 0.0
         for k, tau in enumerate(taus):
             channel = build_heat_exchange(env, config.j_hz, float(tau))
             out = apply_channel(channel, identity_states)
@@ -219,10 +214,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 float(np.abs(density_from_bloch(evolved[:, k]) - out).max()),
                 float(np.abs(dist[:, k] - trace_distance(out, state)).max()),
             )
-            worst_free = max(
-                worst_free,
-                float(np.abs(free[:, k] - f_neq(out, h, config.t_hot_khz)).max()),
-            )
+            free = f_neq(out, h, config.t_hot_khz) - f_eq
+            worst_free = max(worst_free, float(np.abs(excess[:, k] - free).max()))
         passed = worst <= 1e-12 and worst_free <= 1e-12 * free_energy_scale
         return passed, f"max deviation {max(worst, worst_free):.3e}"
 

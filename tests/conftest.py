@@ -5,8 +5,9 @@ import from here."""
 import numpy as np
 import pytest
 
-from mpembasim.channels import ThermalEnvironment
-from mpembasim.operators import qubit_hamiltonian, random_density as draw_density
+from mpembasim.channels import ThermalEnvironment, _check_delays
+from mpembasim.operators import qubit_hamiltonian, random_density as draw_density, \
+    validate_bloch_vectors
 
 # Columns are the sigma_x eigenstates |x+>, |x->; maps z-basis coordinates to
 # the x eigenbasis and back (the matrix is its own inverse).
@@ -53,6 +54,22 @@ def rotation_y(theta: float) -> np.ndarray:
     return np.array(
         [[np.cos(half), -np.sin(half)], [np.sin(half), np.cos(half)]], dtype=complex
     )
+
+
+def gad_bloch(env: ThermalEnvironment, j_hz: float, bloch, taus) -> np.ndarray:
+    """Bloch vectors ``bloch`` ``(..., 3)`` after every delay of ``taus`` (ms)
+    of the heat exchange with ``env`` at coupling ``j_hz`` (Hz), stacked as
+    ``(..., n, 3)``, from the generalized-amplitude-damping formula: ``x, y ->
+    c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with ``c = cos(pi J tau)``.
+
+    The delays are checked first, then the start; the output is not checked.
+    """
+    taus = _check_delays(j_hz, taus)
+    r = validate_bloch_vectors(bloch)
+    c = np.cos(np.pi * (j_hz / 1000.0) * taus)
+    z_eq = env.polarization
+    x, y, z = (r[..., axis, np.newaxis] for axis in range(3))
+    return np.stack([x * c, y * c, z_eq + (z - z_eq) * (c * c)], axis=-1)
 
 
 def build_lindbladian(hamiltonian: np.ndarray, jumps) -> np.ndarray:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -11,30 +12,25 @@ from numpy.testing import assert_allclose
 from mpembasim.channels import (
     KrausChannel,
     ThermalEnvironment,
+    _exchange_grid,
     apply_channel,
     build_heat_exchange,
     exchange_spectrum,
-    heat_exchange_bloch,
     swap_window,
 )
 from mpembasim.exceptions import SingularInputError, TauOutOfRangeError
-from mpembasim.liouville import decompose, extract_generator
+from mpembasim.liouville import decompose, extract_generator, transfer_matrix
+from mpembasim.mpemba import _relaxation, free_energy_surface
 from mpembasim.otto import CycleConfig, run_cycle
 from mpembasim.operators import (
     IDENTITY,
+    SIGMA_X,
     SIGMA_Y,
-    SIGMA_Z,
     bloch_vector,
     density_from_bloch,
     qubit_hamiltonian,
 )
-from mpembasim.thermo import (
-    f_neq,
-    f_neq_bloch,
-    gibbs_state,
-    trace_distance,
-    trace_distance_bloch,
-)
+from mpembasim.thermo import f_neq, gibbs_state, trace_distance
 from mpembasim.verify import block_coupling, damping_fit
 
 from conftest import X_EIGENBASIS, build_lindbladian
@@ -221,31 +217,30 @@ def test_delay_outside_the_window_is_rejected(hot_env):
 
 
 def test_bloch_kernel_matches_the_kraus_route(hot_env, rng, random_density):
-    """The closed-form sweep kernel reproduces apply_channel, f_neq and
-    trace_distance on random mixed, pure and nearly pure states, for a
-    Hamiltonian off the z axis, at delays from 0 to the full window."""
+    """The sweeps' planar kernel reproduces apply_channel, and the free-energy
+    excess and trace distance of its output, on random mixed, pure and nearly
+    pure states, at delays from 0 to the full window."""
     window = swap_window(COUPLING_HZ)
     taus = np.concatenate([[0.0, window], np.sort(rng.uniform(0.0, window, 6))])
     pure = rng.normal(size=(3, 3))
     pure /= np.linalg.norm(pure, axis=1, keepdims=True)
     edges = np.concatenate([pure, (1.0 - 1e-6) * pure])
     states = [random_density() for _ in range(12)] + [density_from_bloch(r) for r in edges]
-    h = qubit_hamiltonian(1.3, "x") + 2.1 * SIGMA_Y - 0.9 * SIGMA_Z + 0.7 * IDENTITY
-    temperature = 3.1
+    starts = np.array([bloch_vector(rho) for rho in states])
+    h = qubit_hamiltonian(hot_env.gap_frequency, "z")
+    temperature = hot_env.temperature
     target = gibbs_state(h, temperature)
+    f_eq = f_neq(target, h, temperature)
 
-    evolved = heat_exchange_bloch(
-        hot_env, COUPLING_HZ, [bloch_vector(rho) for rho in states], taus
-    )
+    evolved = np.stack(_exchange_grid(hot_env, COUPLING_HZ, starts, taus), axis=-1)
     assert evolved.shape == (len(states), taus.size, 3)
-    free = f_neq_bloch(evolved, h, temperature)
-    dist = trace_distance_bloch(evolved, bloch_vector(target))
+    excess, dist = _relaxation(starts, hot_env, COUPLING_HZ, taus)
     for k, tau in enumerate(taus):
         channel = build_heat_exchange(hot_env, COUPLING_HZ, float(tau))
         for i, rho in enumerate(states):
             out = apply_channel(channel, rho)
             assert np.abs(density_from_bloch(evolved[i, k]) - out).max() <= 1e-12
-            assert abs(free[i, k] - f_neq(out, h, temperature)) <= 1e-12
+            assert abs(excess[i, k] - (f_neq(out, h, temperature) - f_eq)) <= 1e-12
             assert abs(dist[i, k] - trace_distance(out, target)) <= 1e-12
 
 
@@ -253,17 +248,17 @@ def test_bloch_kernel_rejects_delays_outside_the_window(hot_env):
     window = swap_window(COUPLING_HZ)
     for bad in ([0.0, window * 1.01], [-1e-6], [np.nan]):
         with pytest.raises(TauOutOfRangeError):
-            heat_exchange_bloch(hot_env, COUPLING_HZ, [0.0, 0.0, 0.5], bad)
+            _exchange_grid(hot_env, COUPLING_HZ, [0.0, 0.0, 0.5], bad)
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda env, tau: build_heat_exchange(env, COUPLING_HZ, tau),
-        lambda env, tau: heat_exchange_bloch(env, COUPLING_HZ, [0.0, 0.0, 0.5], [tau]),
+        lambda env, tau: free_energy_surface([[0.0, 0.0, 0.5]], env, COUPLING_HZ, [tau]),
         lambda env, tau: run_cycle(CycleConfig(j_hz=COUPLING_HZ), tau),
     ],
-    ids=["build_heat_exchange", "heat_exchange_bloch", "run_cycle"],
+    ids=["build_heat_exchange", "free_energy_surface", "run_cycle"],
 )
 def test_every_delay_meets_one_window_check(hot_env, call):
     """Rounding of 1e-9 ms past either edge is accepted, and no more."""
@@ -273,6 +268,32 @@ def test_every_delay_meets_one_window_check(hot_env, call):
     for tau in (-2e-9, window + 2e-9):
         with pytest.raises(TauOutOfRangeError):
             call(hot_env, tau)
+
+
+@pytest.mark.parametrize(
+    "temperature, gap, j_hz",
+    [(4.77, 2.0, COUPLING_HZ), (0.05, 3.0, 10.0), (300.0, 0.1, 5000.0)],
+)
+def test_kraus_channel_is_the_dilated_partial_swap(temperature, gap, j_hz):
+    """The Kraus operators are those of a partial swap with a Gibbs auxiliary.
+
+    The auxiliary starts in ``diag(1 - p, p)`` and the pair evolves under
+    ``U = exp(-i theta (XX + YY)/2)`` with ``theta = pi J tau``; tracing the
+    auxiliary out leaves the operators ``sqrt(p_j) <i|_aux U |j>_aux``
+    (Nielsen & Chuang, section 8.3.5), whose transfer matrix is the channel's.
+    """
+    env = ThermalEnvironment(temperature=temperature, gap_frequency=gap)
+    p = env.excited_population
+    weights = np.sqrt([1.0 - p, p])
+    exchange = 0.5 * (np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y))
+    for tau in np.linspace(0.0, swap_window(j_hz), 50):
+        theta = np.pi * (j_hz / 1000.0) * tau
+        # axes (system out, auxiliary out, system in, auxiliary in)
+        u = scipy.linalg.expm(-1j * theta * exchange).reshape(2, 2, 2, 2)
+        dilated = [weights[j] * u[:, i, :, j] for i in range(2) for j in range(2)]
+        channel = build_heat_exchange(env, j_hz, float(tau))
+        deviation = np.abs(transfer_matrix(dilated) - transfer_matrix(channel.operators))
+        assert deviation.max() <= 1e-12
 
 
 def test_partner_gibbs_state_is_a_fixed_point(hot_env, h_hot):

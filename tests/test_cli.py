@@ -310,22 +310,44 @@ def test_verify_passes_in_a_very_hot_environment(capsys, tmp_path):
     assert all(line.startswith("PASS ") for line in lines)
 
 
+def _shifted(original, offset, part=None):
+    """``original`` with its result off by ``offset``, or, given ``part``,
+    only that plane of the planes it returns."""
+
+    def shifted(*args):
+        if part is None:
+            return original(*args) + offset
+        planes = list(original(*args))
+        planes[part] = planes[part] + offset
+        return tuple(planes)
+
+    return shifted
+
+
 @pytest.mark.parametrize(
-    "check, name, offset",
+    "check, name, part, offset",
     [
         # 1e-9 nats of divergence is 1e-3 kHz at 1e6 kHz, ten times the bound
-        ("free-energy-identity", "kl_divergence", 1e-9),
+        pytest.param(
+            "free-energy-identity", "kl_divergence", None, 1e-9,
+            id="free-energy-identity-kl_divergence-1e-09",
+        ),
         # free energies are bounded per kHz of temperature: 1e-12 * 1e6
-        ("sweep-kernel-agreement", "f_neq_bloch", 1e-5),
+        pytest.param(
+            "sweep-kernel-agreement", "_relaxation", 0, 1e-5,
+            id="sweep-kernel-agreement-excess-plane",
+        ),
         # distances and states keep the absolute 1e-12 bound at any temperature
-        ("sweep-kernel-agreement", "trace_distance_bloch", 1e-11),
+        pytest.param(
+            "sweep-kernel-agreement", "_relaxation", 1, 1e-11,
+            id="sweep-kernel-agreement-distance-plane",
+        ),
     ],
 )
 def test_hot_verify_still_catches_defects(
-    capsys, tmp_path, monkeypatch, check, name, offset
+    capsys, tmp_path, monkeypatch, check, name, part, offset
 ):
-    original = getattr(verify, name)
-    monkeypatch.setattr(verify, name, lambda *args: original(*args) + offset)
+    monkeypatch.setattr(verify, name, _shifted(getattr(verify, name), offset, part))
     cfg = tmp_path / "hot.cfg"
     cfg.write_text("t_hot_khz = 1e6\n", encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--config", str(cfg))
@@ -336,15 +358,8 @@ def test_hot_verify_still_catches_defects(
 
 @pytest.mark.parametrize("part", [0, 1], ids=["free-energy", "trace-distance"])
 def test_verify_checks_the_planar_kernel_the_sweeps_run(capsys, monkeypatch, part):
-    # the sweeps' kernel, off its stacked route by more than the bound
-    original = verify._relaxation
-
-    def shifted(*args):
-        planes = list(original(*args))
-        planes[part] = planes[part] + 1e-11
-        return tuple(planes)
-
-    monkeypatch.setattr(verify, "_relaxation", shifted)
+    # the sweeps' kernel, off the Kraus route by more than the bound
+    monkeypatch.setattr(verify, "_relaxation", _shifted(verify._relaxation, 1e-11, part))
     code, out, _ = run(capsys, "verify")
     assert code == 1
     failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
@@ -669,7 +684,7 @@ MATRIX_REFERENCES = (
     (mpembasim.operators,
      ("qubit_hamiltonian", "density_from_bloch", "validate_density_matrix")),
     (mpembasim.channels, ("build_heat_exchange", "apply_channel")),
-    (mpembasim.thermo, ("f_neq", "f_neq_bloch", "gibbs_state")),
+    (mpembasim.thermo, ("f_neq", "gibbs_state")),
 )
 
 
@@ -766,7 +781,7 @@ CONFIG_VALUES = {
     "theta_steps": st.integers(-1, 6),
     "tau_steps": st.integers(-1, 12),
     "epsilon_equilibrium_khz": st.floats(1e-4, 1.0),
-    "output_precision": st.integers(0, 17),
+    "output_precision": st.integers(0, 17) | st.just(18) | st.just(2**31),
 }
 
 #: out-of-range and non-finite values, one of which may replace any float key

@@ -111,6 +111,10 @@ def test_validation_messages_name_the_offending_key(tmp_path):
         load_config(write(tmp_path, "t_hot_khz = inf\n"))
     with pytest.raises(ValidationError, match="tau_steps must be at most"):
         load_config(write(tmp_path, "tau_steps = 1000000000\n"))
+    with pytest.raises(ValidationError, match="^output_precision must be at most 17, got 18$"):
+        load_config(write(tmp_path, "output_precision = 18\n"))
+    with pytest.raises(ValidationError, match="output_precision must be at most 17"):
+        load_config(write(tmp_path, "output_precision = 3000000000\n"))
 
 
 def test_grid_sizes_are_capped():

@@ -15,7 +15,6 @@ from mpembasim.channels import (
     ThermalEnvironment,
     apply_channel,
     build_heat_exchange,
-    heat_exchange_bloch,
     swap_window,
 )
 from mpembasim.exceptions import (
@@ -52,7 +51,7 @@ from mpembasim.thermo import (
     trace_distance,
 )
 
-from conftest import X_EIGENBASIS
+from conftest import X_EIGENBASIS, gad_bloch
 
 CLOSURE_TOL = 1e-10
 BALANCE_TOL = 1e-8
@@ -298,16 +297,17 @@ def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
 
 def _composed_cycle(cfg: CycleConfig, tau2: float) -> tuple:
     """The junction energies and the five Bloch vectors of a cycle, from the
-    public stroke maps and the ramp on ``(3,)`` arrays."""
+    generalized-amplitude-damping formula of :func:`conftest.gad_bloch`, the
+    public pulse and the ramp on ``(3,)`` arrays."""
     window = swap_window(cfg.j_hz)
     cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
     hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     r0 = np.array([cold.polarization, 0.0, 0.0])
     r1 = np.array(otto._ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1))
     r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
-    r3 = heat_exchange_bloch(hot, cfg.j_hz, r2, [tau2])[0]
+    r3 = gad_bloch(hot, cfg.j_hz, r2, [tau2])[0]
     r4 = np.array(otto._ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1))
-    r5 = heat_exchange_bloch(cold, cfg.j_hz, r4[::-1], [window])[0][::-1]
+    r5 = gad_bloch(cold, cfg.j_hz, r4[::-1], [window])[0][::-1]
     energies = [
         float(e)
         for e in (
