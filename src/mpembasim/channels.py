@@ -92,10 +92,17 @@ class KrausChannel:
 
     def __post_init__(self):
         ops = np.array(self.operators, dtype=complex)
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2] or not ops.size:
+            raise ValueError(
+                f"Kraus operators must be a non-empty (k, d, d) stack, got shape {ops.shape}"
+            )
         ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
-        completeness = np.einsum("kji,kjl->il", ops.conj(), ops)
-        deviation = float(np.abs(completeness - _identity(ops.shape[1])).max())
+        # sum_k K_k^dag K_k is the Gram matrix of the operators' stacked rows
+        d = ops.shape[1]
+        stacked = ops.reshape(-1, d)
+        completeness = stacked.conj().T @ stacked
+        deviation = float(np.abs(completeness - _identity(d)).max())
         if deviation > COMPLETENESS_TOL:
             raise ValueError(
                 f"Kraus completeness violated by {deviation:.3e} (tol {COMPLETENESS_TOL})"
@@ -116,7 +123,9 @@ def _swap_angle(j_hz: float, taus):
 
 def _check_delays(j_hz: float, taus) -> np.ndarray:
     """The delays as a flat float array; TauOutOfRangeError unless each lies
-    in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding."""
+    in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding.  The grids
+    of the sweeps come through here; a caller with one delay uses
+    :func:`_check_delay`."""
     window = swap_window(j_hz)
     taus = np.asarray(taus, dtype=float).reshape(-1)
     inside = (taus >= -1e-9) & (taus <= window + 1e-9)
@@ -125,6 +134,16 @@ def _check_delays(j_hz: float, taus) -> np.ndarray:
             f"tau={taus[~inside][0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
         )
     return taus
+
+
+def _check_delay(j_hz: float, tau: float) -> None:
+    """TauOutOfRangeError unless the one delay ``tau`` passes
+    :func:`_check_delays`.  The comparisons are made first on a Python float,
+    which skips numpy's fixed cost per call; a delay that fails them goes on
+    to :func:`_check_delays`, which raises with its message."""
+    # a NaN fails both comparisons, so it fails this too
+    if not -1e-9 <= float(tau) <= swap_window(j_hz) + 1e-9:
+        _check_delays(j_hz, tau)
 
 
 def build_heat_exchange(
@@ -147,7 +166,7 @@ def build_heat_exchange(
     TauOutOfRangeError
         If ``tau`` leaves the physical window.
     """
-    _check_delays(j_hz, tau_ms)
+    _check_delay(j_hz, tau_ms)
     angle = _swap_angle(j_hz, tau_ms)
     c, s = np.cos(angle), np.sin(angle)
     p = environment.excited_population
@@ -210,7 +229,7 @@ def exchange_spectrum(
         If ``c^2`` falls below the threshold at which the matrix logarithm of
         :func:`liouville.extract_generator` refuses the channel.
     """
-    _check_delays(j_hz, tau_ms)
+    _check_delay(j_hz, tau_ms)
     if not tau_ms > 0.0:
         raise TauOutOfRangeError(f"channel delay {tau_ms} must be positive")
     angle = _swap_angle(j_hz, tau_ms)

@@ -118,39 +118,43 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
         cannot be normalized to a valid state.
     """
     system = numerics.eig_general(generator)
-    values = system.eigenvalues
-    order = np.lexsort((values.imag, np.abs(values.imag), np.abs(values.real)))
-    values = values[order]
-    right = system.right[:, order]
-    left = system.left[order, :]
-
-    if abs(values[0].real) > STATIONARY_TOL:
+    # the modes are ordered, and the stationary lead picked, on Python
+    # numbers; the arrays are then indexed once
+    values = system.eigenvalues.tolist()
+    order = sorted(
+        range(len(values)),
+        key=lambda k: (abs(values[k].real), abs(values[k].imag), values[k].imag),
+    )
+    first = values[order[0]]
+    if abs(first.real) > STATIONARY_TOL:
         raise NoStationaryModeError(
-            f"smallest |Re lambda| is {abs(values[0].real):.3e}, "
+            f"smallest |Re lambda| is {abs(first.real):.3e}, "
             f"no stationary mode within {STATIONARY_TOL}"
         )
 
     # Among stationary candidates, lead with the mode that has weight on the
     # trace; a traceless null vector cannot define a fixed point.  Entries
     # 0, d + 1, 2 (d + 1), ... of a row-stacked d x d matrix are its diagonal.
-    stationary = np.flatnonzero(
-        (np.abs(values.real) <= STATIONARY_TOL) & (np.abs(values.imag) <= STATIONARY_TOL)
-    )
-    if not stationary.size:
+    d = math.isqrt(len(values))
+    diagonal = system.right[:: d + 1].tolist()
+    traces = {
+        i: sum(row[k] for row in diagonal)
+        for i, k in enumerate(order)
+        if abs(values[k].real) <= STATIONARY_TOL and abs(values[k].imag) <= STATIONARY_TOL
+    }
+    if not traces:
         raise NoStationaryModeError(
             f"every mode with |Re lambda| <= {STATIONARY_TOL} oscillates; "
             "no stationary mode"
         )
-    d = devectorize(right[:, 0]).shape[0]
-    traces = right[:: d + 1, stationary].sum(axis=0)
-    lead = int(np.abs(traces).argmax())
-    trace0, best = traces[lead], stationary[lead]
-    if best != 0:
-        perm = np.arange(values.size)
-        perm[0], perm[best] = perm[best], perm[0]
-        values = values[perm]
-        right = right[:, perm]
-        left = left[perm, :]
+    best = max(traces, key=lambda i: abs(traces[i]))
+    trace0 = traces[best]
+    order[0], order[best] = order[best], order[0]
+    # one index array for the three lookups; numpy converts a list each time
+    order = np.array(order)
+    values = system.eigenvalues[order]
+    right = system.right[:, order]
+    left = system.left[order, :]
 
     if abs(trace0) < 1e-12:
         raise NoStationaryModeError("stationary mode is traceless; cannot normalize")

@@ -12,16 +12,20 @@ guarantee that the left and right vectors it returns are paired mode by mode
 when eigenvalues repeat.  Inverting the right eigenvector matrix gives a left
 system that is biorthonormal by construction.
 
-The matrix exponential is the degree-13 Pade approximant with scaling and
-squaring of Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005).
+The matrix exponential is Algorithm 2.3 of Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179 (2005): the Pade approximant of the lowest degree among 3, 5,
+7, 9 and 13 that meets unit roundoff at the input's 1-norm, with scaling and
+squaring above the degree-13 bound.
 
 Each input is validated once: :func:`eig_general` and :func:`expm` check that
 it is a finite square matrix, and :func:`logm_principal` leaves that check to
 the :func:`eig_general` call it makes.  The routines run on 4x4 matrices
 thousands of times per second, so the code avoids numpy's per-call fixed
 costs where the arithmetic allows it: reductions use the method form, each
-matrix size has one read-only identity, and the 1-norm is the column-sum
-maximum that ``numpy.linalg.norm(a, 1)`` computes internally.
+matrix size has one read-only identity, the 1-norm is the column-sum
+maximum that ``numpy.linalg.norm(a, 1)`` computes internally, both halves of
+the Pade numerator come from one matrix product, and the logarithm checks its
+few eigenvalues as Python numbers.
 """
 
 from __future__ import annotations
@@ -51,28 +55,59 @@ SINGULARITY_TOL = 1e-12
 #: relative distance from the negative real axis that trips the branch-cut guard
 BRANCH_TOL = 1e-13
 
-#: largest 1-norm for which the degree-13 Pade approximant meets unit roundoff
-PADE13_THETA = 5.371920351148152
+#: largest 1-norm at which the Pade approximant of each degree meets unit
+#: roundoff, the theta_m of Higham 2005's Algorithm 2.3; :func:`expm` runs the
+#: lowest degree whose bound covers the norm, and degree 13 after scaling
+#: above the last
+PADE_THETAS = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
 
-#: coefficients b_0 .. b_13 of the degree-13 Pade approximant to exp, divided
-#: by b_0 so that a nilpotent ``a`` with ``a @ a = 0`` maps to exactly ``I + a``
-_PADE13 = tuple(
-    b / 64764752532480000.0
+#: largest 1-norm for which the degree-13 Pade approximant meets unit roundoff
+PADE13_THETA = PADE_THETAS[13]
+
+
+def _pade_weights(b: tuple) -> np.ndarray:
+    """Weights on the even powers ``I, a^2, a^4, ...`` of the numerator
+    coefficients ``b_0 .. b_m``, divided by ``b_0`` so that a nilpotent ``a``
+    with ``a @ a = 0`` maps to exactly ``I + a``.
+
+    The rows are the odd half's weights, then the even half's.  Degree 13
+    writes each half as ``a^6 @ high + low`` over ``I, a^2, a^4, a^6``, so its
+    rows are the odd low and high parts, then the even low and high parts."""
+    b = np.array(b) / b[0]
+    odd, even = b[1::2], b[0::2]
+    if b.size == 14:
+        rows = [odd[:4], [0.0, *odd[4:]], even[:4], [0.0, *even[4:]]]
+    else:
+        rows = [odd, even]
+    # complex, as the powers are, so the product casts nothing per call
+    weights = np.array(rows, dtype=complex)
+    weights.flags.writeable = False
+    return weights
+
+
+#: (degree, theta, weights) from the lowest degree up, each built from the
+#: numerator coefficients b_0 .. b_m that Higham 2005's Algorithm 2.3 uses
+_PADE = tuple(
+    (len(b) - 1, PADE_THETAS[len(b) - 1], _pade_weights(b))
     for b in (
-        64764752532480000.0,
-        32382376266240000.0,
-        7771770303897600.0,
-        1187353796428800.0,
-        129060195264000.0,
-        10559470521600.0,
-        670442572800.0,
-        33522128640.0,
-        1323241920.0,
-        40840800.0,
-        960960.0,
-        16380.0,
-        182.0,
-        1.0,
+        (120.0, 60.0, 12.0, 1.0),
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+        (
+            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+        ),
     )
 )
 
@@ -168,12 +203,15 @@ def eig_general(a: np.ndarray) -> EigenSystem:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring the degree-13 Pade approximant.
+    """Matrix exponential by the Pade approximant of Higham's Algorithm 2.3.
 
-    ``a`` is divided by ``2**s``, the smallest power of two that brings its
-    1-norm under :data:`PADE13_THETA`.  With ``odd`` and ``even`` the odd and
-    even parts of the approximant's numerator at the scaled matrix, the
-    approximant ``(even - odd)^-1 (even + odd)`` is then squared ``s`` times.
+    The approximant runs at the lowest degree ``m`` in 3, 5, 7, 9 whose bound
+    in :data:`PADE_THETAS` covers the 1-norm of ``a``.  Above those, ``a`` is
+    divided by ``2**s``, the smallest power of two that brings its 1-norm
+    under :data:`PADE13_THETA`, and the degree-13 approximant is squared
+    ``s`` times.  The odd and even halves ``odd`` and ``even`` of the
+    numerator come from one product of the degree's weights with the stacked
+    even powers of ``a``; the approximant is ``(even - odd)^-1 (even + odd)``.
 
     Raises
     ------
@@ -185,23 +223,25 @@ def expm(a: np.ndarray) -> np.ndarray:
         norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError("a is too large to exponentiate: its 1-norm overflows")
+    for degree, theta, weights in _PADE:
+        if norm <= theta:
+            break
     squarings = 0
     if norm > PADE13_THETA:
         squarings = int(np.ceil(np.log2(norm / PADE13_THETA)))
         a = a / 2.0**squarings
-    b = _PADE13
-    ident = _identity(a.shape[0])
+    n = a.shape[0]
     a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    odd = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident
-    )
-    even = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6 + b[4] * a4 + b[2] * a2 + ident
-    )
+    powers = [_identity(n), a2]
+    while len(powers) < weights.shape[1]:
+        powers.append(powers[-1] @ a2)
+    halves = (weights @ np.array(powers).reshape(len(powers), -1)).reshape(-1, n, n)
+    if degree == 13:
+        a6 = powers[3]
+        odd = a @ (a6 @ halves[1] + halves[0])
+        even = a6 @ halves[3] + halves[2]
+    else:
+        odd, even = a @ halves[0], halves[1]
     result = np.linalg.solve(even - odd, even + odd)
     for _ in range(squarings):
         result = result @ result
@@ -226,20 +266,20 @@ def logm_principal(a: np.ndarray) -> np.ndarray:
         Propagated from :func:`eig_general`, which also validates ``a``.
     """
     system = eig_general(a)
-    values = system.eigenvalues
-    magnitudes = np.abs(values)
-    if (magnitudes < SINGULARITY_TOL).any():
-        worst = float(magnitudes.min())
+    # the few eigenvalues are checked as Python complex numbers, which skips
+    # numpy's fixed cost per call; the comparisons are the same
+    values = system.eigenvalues.tolist()
+    magnitudes = [abs(value) for value in values]
+    worst = min(magnitudes)
+    if worst < SINGULARITY_TOL:
         raise SingularInputError(
             f"eigenvalue magnitude {worst:.3e} below {SINGULARITY_TOL}; "
             "matrix logarithm is singular"
         )
-    on_cut = (values.real < 0.0) & (
-        np.abs(values.imag) <= BRANCH_TOL * np.maximum(1.0, magnitudes)
-    )
-    if on_cut.any():
-        raise BranchCutError(
-            "eigenvalue on the negative real axis; principal logarithm is ambiguous"
-        )
-    log_values = np.log(values)
-    return system.right @ np.diag(log_values) @ system.left
+    for value, magnitude in zip(values, magnitudes):
+        if value.real < 0.0 and abs(value.imag) <= BRANCH_TOL * max(1.0, magnitude):
+            raise BranchCutError(
+                "eigenvalue on the negative real axis; principal logarithm is ambiguous"
+            )
+    # scaling column k of right by log_values[k] is right @ diag(log_values)
+    return (system.right * np.log(system.eigenvalues)) @ system.left

@@ -1,5 +1,6 @@
 """Heat-exchange channel construction, its damping form, and CPTP checks."""
 
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from numpy.testing import assert_allclose
 from mpembasim.channels import (
     KrausChannel,
     ThermalEnvironment,
+    _check_delays,
     _exchange_grid,
     apply_channel,
     build_heat_exchange,
@@ -177,6 +179,12 @@ def test_kraus_channel_rejects_incomplete_operator_sets():
         KrausChannel(operators=(0.9 * IDENTITY,))
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2, 2, 2), (3, 2, 3), (0, 2, 2)])
+def test_kraus_channel_refuses_anything_but_a_stack_of_square_operators(shape):
+    with pytest.raises(ValueError, match=r"\(k, d, d\) stack, got shape " + re.escape(str(shape))):
+        KrausChannel(operators=np.zeros(shape))
+
+
 def test_zero_delay_is_the_identity_map(hot_env, rho0):
     channel = build_heat_exchange(hot_env, COUPLING_HZ, 0.0)
     assert_allclose(apply_channel(channel, rho0), rho0, atol=1e-14)
@@ -252,22 +260,42 @@ def test_bloch_kernel_rejects_delays_outside_the_window(hot_env):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, edge_errors",
     [
-        lambda env, tau: build_heat_exchange(env, COUPLING_HZ, tau),
-        lambda env, tau: free_energy_surface([[0.0, 0.0, 0.5]], env, COUPLING_HZ, [tau]),
-        lambda env, tau: run_cycle(CycleConfig(j_hz=COUPLING_HZ), tau),
+        (lambda env, tau: build_heat_exchange(env, COUPLING_HZ, tau), ()),
+        (
+            lambda env, tau: free_energy_surface([[0.0, 0.0, 0.5]], env, COUPLING_HZ, [tau]),
+            (),
+        ),
+        (lambda env, tau: run_cycle(CycleConfig(j_hz=COUPLING_HZ), tau), ()),
+        # the closed-form spectrum refuses a delay that is not positive, and
+        # the singular generator at the window's far edge, for reasons of its own
+        (
+            lambda env, tau: exchange_spectrum(env, COUPLING_HZ, tau),
+            (TauOutOfRangeError, SingularInputError),
+        ),
     ],
-    ids=["build_heat_exchange", "free_energy_surface", "run_cycle"],
+    ids=["build_heat_exchange", "free_energy_surface", "run_cycle", "exchange_spectrum"],
 )
-def test_every_delay_meets_one_window_check(hot_env, call):
-    """Rounding of 1e-9 ms past either edge is accepted, and no more."""
+def test_every_delay_meets_one_window_check(hot_env, call, edge_errors):
+    """Rounding of 1e-9 ms past either edge passes the window, and no more:
+    each caller refuses what _check_delays refuses, with its text."""
     window = swap_window(COUPLING_HZ)
-    for tau in (-1e-9, window + 1e-9):
-        call(hot_env, tau)
-    for tau in (-2e-9, window + 2e-9):
-        with pytest.raises(TauOutOfRangeError):
+    for tau in (-1e-9, window + 1e-9, -2e-9, window + 2e-9, np.nan, np.inf, -np.inf):
+        try:
+            _check_delays(COUPLING_HZ, [tau])
+        except TauOutOfRangeError as exc:
+            with pytest.raises(TauOutOfRangeError) as refused:
+                call(hot_env, tau)
+            assert str(refused.value) == str(exc)
+            continue
+        assert tau in (-1e-9, window + 1e-9)
+        if not edge_errors:
             call(hot_env, tau)
+            continue
+        with pytest.raises(edge_errors) as refused:
+            call(hot_env, tau)
+        assert "outside" not in str(refused.value)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,13 @@ from mpembasim.exceptions import (
     SingularInputError,
 )
 from mpembasim.liouville import extract_generator
-from mpembasim.numerics import PADE13_THETA, eig_general, expm, logm_principal
+from mpembasim.numerics import (
+    PADE13_THETA,
+    PADE_THETAS,
+    eig_general,
+    expm,
+    logm_principal,
+)
 
 COUPLING_HZ = 215.1
 
@@ -147,12 +153,19 @@ def test_expm_pauli_rotation():
 
 def test_expm_matches_reference_across_scaling_regimes():
     rng = np.random.default_rng(16)
-    norms = np.geomspace(1e-3, 1e2, 60)
+    # every Pade degree's bound and the floats on either side of it
+    edges = [
+        np.nextafter(theta, direction)
+        for theta in PADE_THETAS.values()
+        for direction in (0.0, theta, np.inf)
+    ]
+    norms = np.concatenate([np.geomspace(1e-3, 1e2, 60), edges])
     for norm in norms:
         a = random_matrix(rng)
         assert_matches_reference_expm(a * (norm / np.linalg.norm(a, 1)))
-    # both the unscaled approximant and the squaring branch ran
-    assert norms.min() < PADE13_THETA < norms.max()
+    # every degree and the squaring branch ran
+    assert norms.min() < min(PADE_THETAS.values())
+    assert PADE13_THETA < norms.max()
 
 
 def test_expm_rejects_a_matrix_whose_norm_overflows():
@@ -181,7 +194,8 @@ def test_expm_of_a_subnormal_matrix():
     assert_matches_reference_expm(a)
 
 
-@pytest.mark.parametrize("size", [1e-3, 0.5, 40.0])
+# one size for each Pade degree, 3 to 13, and one for the squaring branch
+@pytest.mark.parametrize("size", [1e-3, 0.1, 0.5, 1.5, 4.0, 40.0])
 def test_expm_of_a_nilpotent_block_is_exact(size):
     b = np.zeros((4, 4), dtype=complex)
     b[0, 1] = size
@@ -250,6 +264,10 @@ def test_logm_rejects_negative_real_eigenvalue():
         logm_principal(np.diag([-1.0, 2.0]))
     with pytest.raises(BranchCutError):
         logm_principal(-np.eye(2))
+    # the guard scales with the modulus: |Im| up to 1e-13 |lambda| is on the cut
+    with pytest.raises(BranchCutError, match="negative real axis"):
+        logm_principal(np.diag([-4.0 + 3e-13j, 2.0]))
+    assert np.isfinite(logm_principal(np.diag([-4.0 + 5e-13j, 2.0]))).all()
 
 
 @pytest.mark.parametrize(
