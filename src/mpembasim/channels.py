@@ -9,8 +9,9 @@ collapses onto the auxiliary's thermal populations.
 
 The map is exactly a generalized amplitude damping channel with decay
 parameter ``eta = sin^2(pi J tau)`` and bias given by the auxiliary's excited
-population; ``verify`` (``damping-equivalence``) checks that identification
-numerically rather than assuming it.  On Bloch vectors it is the affine map
+population, written here in that form; ``verify`` (``dilation-agreement``)
+derives it from the collision itself, a partial swap with the Gibbs
+auxiliary, rather than assuming it.  On Bloch vectors it is the affine map
 ``x, y -> c x, c y`` and ``z -> z_eq + (z - z_eq) c^2`` with ``c = cos(pi J
 tau)`` and ``z_eq`` the partner's :attr:`~ThermalEnvironment.polarization`,
 written once, on Bloch components, in :func:`_exchange_components`, for

@@ -137,8 +137,12 @@ _PARSERS = {
 
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config file; missing keys take the defaults."""
-    with open(path, "r", encoding="utf-8") as handle:
-        raw_lines = handle.read().splitlines()
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        raw_lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
 
     values = {}
     for lineno, raw in enumerate(raw_lines, start=1):

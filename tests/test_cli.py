@@ -24,10 +24,8 @@ WINDOW_MS = 2.3245002324500232
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
 
 VERIFY_CHECKS = (
-    "kraus-completeness",
-    "damping-equivalence",
+    "dilation-agreement",
     "biorthonormality",
-    "population-coherence-decoupling",
     "free-energy-identity",
     "spectral-propagation",
     "cycle-closure",
@@ -260,6 +258,7 @@ def test_verify_calls_each_reference_once_per_delay(capsys, monkeypatch):
     # return to per-state loops makes hundreds of calls of each
     counts = {}
     for module_name, name in (
+        ("channels", "build_heat_exchange"),
         ("channels", "apply_channel"),
         ("thermo", "f_neq"),
         ("thermo", "trace_distance"),
@@ -279,10 +278,13 @@ def test_verify_calls_each_reference_once_per_delay(capsys, monkeypatch):
                         monkeypatch.setattr(module, attr, counted)
     code, _, _ = run(capsys, "verify")
     assert code == 0
-    assert counts["apply_channel"] <= 6
+    # one channel per delay of the dilation (6) and of the sweep kernel's
+    # reference (4), and the probe channel of the generator
+    assert counts["build_heat_exchange"] <= 11
+    assert counts["apply_channel"] <= 4
     assert counts["f_neq"] <= 6
     assert counts["trace_distance"] <= 4
-    assert counts["validate_density_matrix"] <= 30
+    assert counts["validate_density_matrix"] <= 17
 
 
 def test_verify_checks_fail_independently(capsys, tmp_path):
@@ -308,6 +310,29 @@ def test_verify_passes_in_a_very_hot_environment(capsys, tmp_path):
     lines = [line for line in out.splitlines() if line]
     assert [line.split()[1] for line in lines] == list(VERIFY_CHECKS)
     assert all(line.startswith("PASS ") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "t_hot_khz = 0.01",
+        "t_hot_khz = 1e-3",
+        "t_hot_khz = 1e6",
+        "nu1_khz = 1e6",
+        "j_hz = 1e12",
+        "j_hz = 1e-300",
+        "j_hz = 5000",
+    ],
+)
+def test_the_dilation_holds_at_the_domain_edges(capsys, tmp_path, line):
+    # the Liouville stack fails at some of these; the dilation builds no
+    # generator, so it holds at all of them
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(f"{line}\n", encoding="utf-8")
+    _, out, _ = run(capsys, "verify", "--config", str(cfg))
+    first = out.splitlines()[0].split()
+    assert first[:2] == ["PASS", "dilation-agreement"]
+    assert float(first[-1].rstrip(")")) <= 1e-15
 
 
 def _shifted(original, offset, part=None):
@@ -418,23 +443,15 @@ def test_verify_catches_a_shifted_closed_form_rate(capsys, monkeypatch):
     assert len(failed) == 1 and failed[0].startswith("FAIL spectrum-agreement")
 
 
-@pytest.mark.parametrize(
-    "check, name, bound, measured",
-    [
-        ("damping-equivalence", "damping_fit", 1e-10, lambda v: (0.5, 0.3, v)),
-        ("population-coherence-decoupling", "block_coupling", 1e-9, lambda v: v),
-    ],
-    ids=("damping-equivalence", "population-coherence-decoupling"),
-)
-def test_a_diagnostic_fails_its_check_at_its_bound_and_passes_below(
-    capsys, monkeypatch, check, name, bound, measured
+def test_the_dilation_fails_its_check_above_its_bound_and_passes_at_it(
+    capsys, monkeypatch
 ):
-    # both bounds are strict: the bound itself fails, the next float below passes
+    # the bound is inclusive: the bound itself passes, the next float above fails
     for value, code_wanted, failed_wanted in (
-        (bound, 1, [check]),
-        (np.nextafter(bound, 0.0), 0, []),
+        (1e-12, 0, []),
+        (np.nextafter(1e-12, 1.0), 1, ["dilation-agreement"]),
     ):
-        monkeypatch.setattr(verify, name, lambda *_, v=value: measured(v))
+        monkeypatch.setattr(verify, "dilation_deviation", lambda *_, v=value: v)
         code, out, _ = run(capsys, "verify")
         assert code == code_wanted
         failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
@@ -499,6 +516,27 @@ def test_verify_reports_a_missing_config_as_a_failure(
     assert code == 1
     assert out.startswith("FAIL construction") and len(out.splitlines()) == 1
     assert err == ""
+
+
+@pytest.mark.parametrize("via_environment", [False, True])
+def test_a_config_that_is_not_utf8_is_a_config_error(
+    capsys, tmp_path, monkeypatch, via_environment
+):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"j_hz = 2\xff0\n")
+    if via_environment:
+        monkeypatch.setenv("MPEMBA_CONFIG", str(bad))
+        config = []
+    else:
+        config = ["--config", str(bad)]
+    code, out, err = run(capsys, "cooling", *config, "--out", str(tmp_path / "t.csv"))
+    assert (code, out) == (3, "")
+    assert err.startswith("config error: byte 8: not UTF-8 text")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
+    code, out, err = run(capsys, "verify", *config)
+    assert code == 1
+    assert out.startswith("FAIL construction  (byte 8: not UTF-8 text")
+    assert len(out.splitlines()) == 1 and err == ""
 
 
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path):

@@ -96,6 +96,13 @@ def test_malformed_lines_are_rejected():
                 load_config(path)
 
 
+def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_byte(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"tau_steps = 5\nj_hz = 2\xff0\n")
+    with pytest.raises(ParseError, match=r"^byte 22: not UTF-8 text"):
+        load_config(str(path))
+
+
 def test_validation_messages_name_the_offending_key(tmp_path):
     with pytest.raises(ValidationError, match="nu1_khz"):
         load_config(write(tmp_path, "nu1_khz = 0.5\n"))

@@ -20,13 +20,13 @@ block of the table writer, in csv and json.  Last come
 ``--help`` for the program and each subcommand, the failing runs of
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
-empty config path ``--config ""``, and the two runs of :data:`CAP_RUNS` at
-the grid cap.  Every run gets its own
+empty config path ``--config ""``, a ``verify`` whose battery fails, and the
+two runs of :data:`CAP_RUNS` at the grid cap.  Every run gets its own
 temporary working directory and a fixed relative output name, so paths
 echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
 wraps help and usage text the same way in any terminal.  One SHA-256 line
-is printed per stdout, per table, and per stderr that is not empty: 93
-lines in all (92 for a package that ignores an empty ``--config``, whose
+is printed per stdout, per table, and per stderr that is not empty: 94
+lines in all (93 for a package that ignores an empty ``--config``, whose
 run then succeeds and writes no stderr).
 
 Two checkouts are byte-identical when the printouts of both are::
@@ -80,14 +80,16 @@ SPECTRUM_DELAYS = ("0.3", "1e-9")
 SPLIT_GRID = ("--theta-steps", "3", "--tau-steps", "4099")
 
 #: runs that fail: a numerical error (exit 2), then a config error, two IO
-#: errors, where a table command's table cannot be written, and an IO error
-#: for a config path given as the empty string
+#: errors, where a table command's table cannot be written, an IO error for
+#: a config path given as the empty string, and a ``verify`` whose
+#: ``power-ratio-floor`` fails on a grid too short to cross (exit 1)
 ERROR_RUNS = (
     ("otto-ratio", "--tau-steps", "2", "--out", "table.csv"),
     ("spectrum", "--tau", "0"),
     ("cooling", "--out", "missing/a.csv"),
     ("spectrum", "--out", "missing/a.csv"),
     ("spectrum", "--config", ""),
+    ("verify", "--tau-steps", "2"),
 )
 
 #: runs at the grid cap of MAX_GRID_POINTS = 2**22: an angle grid that
