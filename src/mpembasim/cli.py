@@ -6,8 +6,9 @@ computation ``(config, args) -> (rows, schema, summary_lines)``, writes the
 table when ``--out`` is given and only then prints, so a run whose table
 cannot be written exits 3 with nothing on stdout.  :data:`_SUBCOMMANDS`
 declares each subcommand's help, handler, computation and flags.  Exit
-codes: 0 success, 1 self-check failure, 2 numerical failure or an argparse
-usage error, 3 config or IO failure.  The ``verify`` battery lives in
+codes: 0 success, 1 self-check failure or a stdout closed by its reader
+before the output ended, 2 numerical failure or an argparse usage error, 3
+config or IO failure.  The ``verify`` battery lives in
 :mod:`mpembasim.verify`.
 """
 
@@ -262,7 +263,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a reader that closed stdout early shows here, not at the exit flush
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the output was not delivered in full; with stdout on os.devnull the
+        # interpreter's exit flush raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3

@@ -27,6 +27,16 @@ biorthonormal left rows ``xi_k``, a state evolves as
 
 Modes are ordered by ascending ``|Re lambda|`` (stationary mode first), with
 ties broken by ascending ``|Im lambda|`` and then ascending ``Im lambda``.
+
+One eigendecomposition per reference pass: the generator ``log(M) / t`` has
+the eigenvectors of the transfer matrix ``M``, so :func:`extract_generator`
+returns a read-only :class:`Generator` that carries the eigensystem its
+logarithm was checked on, and :func:`decompose` reads the modes off it after
+checking that it rebuilds the matrix.  :func:`numerics.eig_general` still runs
+on any other array (a plain one, or one derived from a generator, such as
+``2 * g`` or a slice), and on a carried generator whose null space is
+degenerate, where the transfer matrix's basis of it would pick another fixed
+point than the array's own.
 """
 
 from __future__ import annotations
@@ -38,6 +48,7 @@ import numpy as np
 
 from . import numerics
 from .exceptions import (
+    DefectiveMatrixError,
     HermiticityError,
     NoStationaryModeError,
     SingularInputError,
@@ -102,8 +113,49 @@ class SpectralDecomposition(NamedTuple):
         return self.system.condition_estimate
 
 
+class Generator(np.ndarray):
+    """A read-only generator matrix that carries its checked eigensystem.
+
+    :func:`extract_generator` returns one, so that :func:`decompose` reads
+    the modes off :attr:`system` instead of diagonalizing the matrix again.
+    An array derived from a generator (``2 * g``, ``g.copy()``, a slice)
+    carries no system, and ``np.array(g)`` is a plain array.
+    """
+
+    __slots__ = ("system",)
+
+    def __new__(cls, matrix: np.ndarray, system: numerics.EigenSystem) -> Generator:
+        generator = np.asarray(matrix, dtype=complex).view(cls)
+        generator.system = system
+        generator.setflags(write=False)
+        return generator
+
+    def __array_finalize__(self, obj) -> None:
+        # the system was checked against one array only
+        self.system = None
+
+
+def _check_rebuild(a: np.ndarray, system: numerics.EigenSystem) -> None:
+    """Refuse a carried eigensystem that does not rebuild the array ``a`` to
+    the bound :func:`numerics.eig_general` puts on its own systems."""
+    rebuilt = (system.right * system.eigenvalues) @ system.left
+    error = float(np.abs(rebuilt - a).max()) if rebuilt.shape == a.shape else math.inf
+    if not error <= numerics.RECONSTRUCTION_TOL * max(1.0, float(np.abs(a).max())):
+        raise DefectiveMatrixError(
+            f"carried eigensystem rebuilds the generator only to {error:.3e}; "
+            "it belongs to another matrix"
+        )
+
+
 def decompose(generator: np.ndarray) -> SpectralDecomposition:
     """Sorted biorthonormal spectral decomposition of a generator.
+
+    A :class:`Generator` that carries its eigensystem is decomposed from it,
+    once the system rebuilds the matrix to the relative
+    :data:`numerics.RECONSTRUCTION_TOL`, unless it has more than one
+    stationary candidate: a degenerate null space has no basis of its own.
+    Such a generator, and any other array (derived arrays of a generator
+    included), is diagonalized by :func:`numerics.eig_general`.
 
     Sorting: ascending ``|Re lambda|``, ties by ascending ``|Im lambda|``,
     then ascending ``Im lambda``.  When several eigenvalues tie as stationary
@@ -116,8 +168,16 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
         If no eigenvalue satisfies ``|Re lambda| <= 1e-8``, every one that
         does oscillates (``|Im lambda| > 1e-8``), or the stationary mode
         cannot be normalized to a valid state.
+    DefectiveMatrixError
+        If a carried eigensystem does not rebuild its generator, or from
+        :func:`numerics.eig_general`.
     """
-    system = numerics.eig_general(generator)
+    carried = generator.system if isinstance(generator, Generator) else None
+    if carried is None:
+        system = numerics.eig_general(generator)
+    else:
+        system = carried
+        _check_rebuild(generator.view(np.ndarray), system)
     # the modes are ordered, and the stationary lead picked, on Python
     # numbers; the arrays are then indexed once
     values = system.eigenvalues.tolist()
@@ -147,22 +207,33 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
             f"every mode with |Re lambda| <= {STATIONARY_TOL} oscillates; "
             "no stationary mode"
         )
+    if carried is not None and len(traces) > 1:
+        # a degenerate null space has no basis of its own, and the carried
+        # one is the transfer matrix's: the array's own eigensystem picks
+        # the fixed point, as it does for a plain array
+        return decompose(generator.view(np.ndarray))
     best = max(traces, key=lambda i: abs(traces[i]))
     trace0 = traces[best]
     order[0], order[best] = order[best], order[0]
-    # one index array for the three lookups; numpy converts a list each time
+    # one index array for the three lookups; ``take`` copies the sorted modes
+    # in the layouts of ``[order]``, ``[:, order]`` and ``[order, :]``
     order = np.array(order)
-    values = system.eigenvalues[order]
-    right = system.right[:, order]
-    left = system.left[order, :]
+    values = system.eigenvalues.take(order)
+    right = system.right.T.take(order, 0).T
+    left = system.left.take(order, 0)
 
     if abs(trace0) < 1e-12:
         raise NoStationaryModeError("stationary mode is traceless; cannot normalize")
-    # the fancy indexing above already copied the sorted modes
     right[:, 0] /= trace0
     left[0, :] *= trace0
 
-    fixed = hermitize(devectorize(right[:, 0]))
+    # the Hermitian part (m + m^dag)/2 of the fixed point m, entry by entry
+    # on Python numbers, which round as numpy's complex loops do
+    m = right[:, 0].tolist()
+    fixed = np.array([
+        [0.5 * (m[i * d + j] + m[j * d + i].conjugate()) for j in range(d)]
+        for i in range(d)
+    ])
     try:
         validate_density_matrix(fixed, herm_tol=1e-9, trace_tol=1e-9, psd_tol=1e-9)
     except ValueError as exc:
@@ -221,13 +292,20 @@ def propagate_spectral(
     return hermitize(rho_t)
 
 
-def extract_generator(channel, t: float) -> np.ndarray:
+def extract_generator(channel, t: float) -> Generator:
     """Effective generator ``(1/t) log M`` of a channel's transfer matrix.
 
     ``channel`` is anything with an ``operators`` attribute, such as a
     :class:`channels.KrausChannel`.  The principal logarithm is verified by
     re-exponentiating: ``expm(t L)`` must reproduce the transfer matrix to
     1e-8 or the extraction is rejected.
+
+    The transfer matrix is diagonalized once, by
+    :func:`numerics.log_eigensystem`; the generator is
+    ``((right * log(lambda)) @ left) / t``, the bits of
+    ``logm_principal(M) / t``, returned as a read-only :class:`Generator`
+    that carries ``log(lambda) / t`` with the same vectors, for
+    :func:`decompose` to use.
 
     Raises
     ------
@@ -241,7 +319,9 @@ def extract_generator(channel, t: float) -> np.ndarray:
         raise TauOutOfRangeError(f"channel delay {t} must be positive")
     matrix = transfer_matrix(channel.operators)
     with np.errstate(over="ignore", invalid="ignore"):
-        generator = numerics.logm_principal(matrix) / t
+        logs = numerics.log_eigensystem(matrix)
+        generator = ((logs.right * logs.eigenvalues) @ logs.left) / t
+        rates = logs.eigenvalues / t
     if not np.isfinite(generator).all():
         raise TauOutOfRangeError(f"channel delay {t} too short for a finite generator")
     roundtrip = float(np.abs(numerics.expm(t * generator) - matrix).max())
@@ -249,5 +329,4 @@ def extract_generator(channel, t: float) -> np.ndarray:
         raise SingularInputError(
             f"generator round trip error {roundtrip:.3e}; branch selection failed"
         )
-    return generator
-
+    return Generator(generator, numerics.EigenSystem(rates, logs.right, logs.left))

@@ -17,9 +17,13 @@ Appl. 26, 1179 (2005): the Pade approximant of the lowest degree among 3, 5,
 7, 9 and 13 that meets unit roundoff at the input's 1-norm, with scaling and
 squaring above the degree-13 bound.
 
-Each input is validated once: :func:`eig_general` and :func:`expm` check that
-it is a finite square matrix, and :func:`logm_principal` leaves that check to
-the :func:`eig_general` call it makes.  The routines run on 4x4 matrices
+Each input is validated once, and each pass of the reference route makes
+one eigendecomposition: :func:`eig_general` and :func:`expm` check that their
+input is a finite square matrix; :func:`log_eigensystem` leaves that check to
+the :func:`eig_general` call it makes and returns the logarithm's eigensystem,
+which :func:`logm_principal` turns into a matrix and
+:func:`liouville.extract_generator` hands on to :func:`liouville.decompose`,
+so the generator is not diagonalized again.  The routines run on 4x4 matrices
 thousands of times per second, so the code avoids numpy's per-call fixed
 costs where the arithmetic allows it: reductions use the method form, each
 matrix size has one read-only identity, the 1-norm is the column-sum
@@ -216,7 +220,8 @@ def expm(a: np.ndarray) -> np.ndarray:
     Raises
     ------
     ValueError
-        If ``a`` is not a finite square matrix, or its 1-norm overflows.
+        If ``a`` is not a finite square matrix, its 1-norm overflows, or the
+        squarings overflow.
     """
     a = _as_square(a, "a")
     with np.errstate(over="ignore"):
@@ -243,15 +248,24 @@ def expm(a: np.ndarray) -> np.ndarray:
     else:
         odd, even = a @ halves[0], halves[1]
     result = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        result = result @ result
+    if squarings:
+        # the approximant's rounding can grow through the squarings until it
+        # overflows, as for a large generator times a long delay
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(squarings):
+                result = result @ result
+        if not np.isfinite(result).all():
+            raise ValueError(f"the exponential overflows in {squarings} squarings")
     return result
 
 
-def logm_principal(a: np.ndarray) -> np.ndarray:
-    """Principal matrix logarithm through the eigendecomposition.
+def log_eigensystem(a: np.ndarray) -> EigenSystem:
+    """Eigensystem of the principal matrix logarithm of ``a``.
 
-    Every eigenvalue must stay clear of zero and of the negative real axis;
+    The eigenvalues are the principal ``log(lambda)`` of those of
+    :func:`eig_general`, paired with the same right and left vectors, so
+    :func:`logm_principal` is ``(right * eigenvalues) @ left``.  Every
+    eigenvalue must stay clear of zero and of the negative real axis;
     otherwise the principal branch is ill defined for the intended use
     (extracting a relaxation generator from a channel transfer matrix) and the
     caller should shrink the channel delay instead.
@@ -281,5 +295,12 @@ def logm_principal(a: np.ndarray) -> np.ndarray:
             raise BranchCutError(
                 "eigenvalue on the negative real axis; principal logarithm is ambiguous"
             )
-    # scaling column k of right by log_values[k] is right @ diag(log_values)
-    return (system.right * np.log(system.eigenvalues)) @ system.left
+    return EigenSystem(np.log(system.eigenvalues), system.right, system.left)
+
+
+def logm_principal(a: np.ndarray) -> np.ndarray:
+    """Principal matrix logarithm through the eigendecomposition: the matrix
+    form of :func:`log_eigensystem`, whose checks and errors it shares."""
+    system = log_eigensystem(a)
+    # scaling column k of right by eigenvalue k is right @ diag(eigenvalues)
+    return (system.right * system.eigenvalues) @ system.left

@@ -211,6 +211,79 @@ def test_a_very_cold_environment_runs_with_a_clean_stderr(tmp_path):
     assert "cooling: plain curve enters" in result.stdout
 
 
+def child_env(unbuffered: bool) -> dict:
+    """The environment of a fresh ``python -m mpembasim.cli`` process."""
+    src = os.path.dirname(os.path.dirname(mpembasim.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def test_verify_at_a_huge_coupling_fails_with_a_clean_stderr(tmp_path):
+    # at J = 1e300 Hz the generator's rates are near 1e297/ms, and the direct
+    # exponential of spectral-propagation overflows in its squarings for
+    # some of the check's delays: that fails the check by name instead of
+    # printing numpy's overflow warnings
+    (tmp_path / "huge.cfg").write_text("j_hz = 1e300\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "mpembasim.cli", "verify", "--config", "huge.cfg"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=child_env(unbuffered=False),
+    )
+    assert result.stderr == ""
+    assert result.returncode in (0, 1)
+
+
+@pytest.mark.parametrize("unbuffered", (True, False))
+@pytest.mark.parametrize("command", (["verify"], ["cooling", "--out", "cooling.csv"]))
+def test_a_reader_gone_before_the_first_line_gets_exit_1_and_a_clean_stderr(
+    tmp_path, command, unbuffered
+):
+    # the read end is closed before the run starts, so the first write, or
+    # the flush of a buffered stdout, meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "mpembasim.cli", *command],
+            cwd=tmp_path,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+            env=child_env(unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert result.stderr == ""
+    assert result.returncode == 1
+
+
+def test_a_reader_that_closes_after_one_line_of_verify_gets_exit_1(tmp_path):
+    # verify prints each check as it finishes, so the lines after the first
+    # meet a closed pipe
+    process = subprocess.Popen(
+        [sys.executable, "-m", "mpembasim.cli", "verify"],
+        cwd=tmp_path,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(unbuffered=True),
+    )
+    first = process.stdout.readline()
+    process.stdout.close()
+    stderr = process.stderr.read()
+    process.stderr.close()
+    assert process.wait(timeout=120) == 1
+    assert first.startswith("PASS dilation-agreement")
+    assert stderr == ""
+
+
 def test_otto_distance_summary(capsys, tmp_path):
     path = str(tmp_path / "distance.csv")
     code, out, _ = run(capsys, "otto-distance", "--out", path)

@@ -7,15 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mpembasim.channels import KrausChannel
+from mpembasim import numerics
+from mpembasim.channels import KrausChannel, ThermalEnvironment, build_heat_exchange
 from mpembasim.exceptions import (
     BranchCutError,
+    DefectiveMatrixError,
     HermiticityError,
+    MpembaSimError,
     NoStationaryModeError,
     SingularInputError,
 )
 from mpembasim.liouville import (
     HERMITICITY_TOL,
+    Generator,
     decompose,
     devectorize,
     extract_generator,
@@ -25,7 +29,7 @@ from mpembasim.liouville import (
     transfer_matrix,
     vectorize,
 )
-from mpembasim.numerics import eig_general
+from mpembasim.numerics import eig_general, logm_principal
 from mpembasim.operators import SIGMA_X, qubit_hamiltonian
 
 from conftest import build_lindbladian
@@ -253,6 +257,102 @@ def test_extract_generator_needs_positive_delay(hot_env):
     channel = build_heat_exchange(hot_env, 215.1, 0.5)
     with pytest.raises(ValueError):
         extract_generator(channel, 0.0)
+
+
+def cycle_scan_exchanges(count: int, seed: int = 30):
+    """Seeded (channel, delay) pairs from the ``cycle-scan`` workload's ranges:
+    gap 0.75-4.5 kHz, T 2-8 kHz, J 100-400 Hz, delay 5-80% of the window."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        nu1 = rng.uniform(0.5, 1.5) * rng.uniform(1.5, 3.0)
+        env = ThermalEnvironment(temperature=rng.uniform(2.0, 8.0), gap_frequency=nu1)
+        j_hz = rng.uniform(100.0, 400.0)
+        tau = float(rng.uniform(0.05, 0.8) * 500.0 / j_hz)
+        yield build_heat_exchange(env, j_hz, tau), tau
+
+
+def count_eig_general(monkeypatch) -> list:
+    """Record each numerics.eig_general call in the returned list."""
+    calls = []
+
+    def counted(a):
+        calls.append(a)
+        return eig_general(a)
+
+    monkeypatch.setattr(numerics, "eig_general", counted)
+    return calls
+
+
+def assert_same_decomposition(carried, plain, tol=1e-12):
+    scale = max(1.0, float(np.abs(plain.eigenvalues).max()))
+    assert np.abs(carried.eigenvalues - plain.eigenvalues).max() <= tol * scale
+    assert np.abs(carried.fixed_point - plain.fixed_point).max() <= tol
+
+
+def test_a_reference_pass_diagonalizes_once(hot_env, monkeypatch):
+    channel = build_heat_exchange(hot_env, 215.1, 1.0)
+    calls = count_eig_general(monkeypatch)
+    decompose(extract_generator(channel, 1.0))
+    assert len(calls) == 1
+
+
+def test_the_generator_has_the_bits_of_the_scaled_logarithm():
+    for channel, tau in cycle_scan_exchanges(20):
+        generator = extract_generator(channel, tau)
+        matrix = transfer_matrix(channel.operators)
+        assert np.array_equal(generator, logm_principal(matrix) / tau)
+        rates = numerics.log_eigensystem(matrix).eigenvalues / tau
+        assert np.array_equal(generator.system.eigenvalues, rates)
+
+
+def test_the_carried_system_decomposes_as_the_plain_array_does():
+    for channel, tau in cycle_scan_exchanges(200):
+        generator = extract_generator(channel, tau)
+        assert_same_decomposition(decompose(generator), decompose(np.array(generator)))
+
+
+def test_the_generator_is_read_only(hot_env):
+    generator = extract_generator(build_heat_exchange(hot_env, 215.1, 1.0), 1.0)
+    assert isinstance(generator, Generator)
+    with pytest.raises(ValueError):
+        generator[0, 0] = 1.0
+
+
+def test_arrays_derived_from_a_generator_carry_no_system(hot_env, monkeypatch):
+    generator = extract_generator(build_heat_exchange(hot_env, 215.1, 1.0), 1.0)
+    calls = count_eig_general(monkeypatch)
+    for derived in (2 * generator, generator.copy(), np.array(generator)):
+        decompose(derived)
+    assert len(calls) == 3
+
+
+def test_a_generator_with_another_matrix_system_is_refused(hot_env):
+    generator = extract_generator(build_heat_exchange(hot_env, 215.1, 1.0), 1.0)
+    other = extract_generator(build_heat_exchange(hot_env, 215.1, 0.5), 0.5)
+    with pytest.raises(DefectiveMatrixError, match="rebuilds the generator"):
+        decompose(Generator(np.array(generator), other.system))
+    with pytest.raises(DefectiveMatrixError, match="rebuilds the generator"):
+        decompose(Generator(np.zeros((2, 2)), generator.system))
+
+
+@pytest.mark.parametrize("temperature", (2.0, 4.77))
+@pytest.mark.parametrize("tau", (1e-9, 1e-6))
+def test_short_delays_fail_alike_on_the_carried_and_plain_paths(temperature, tau):
+    # the route loses the rates at these delays (see ROADMAP item 5): at
+    # 1e-9 ms the generator is zero at 4.77 kHz and has no stationary mode
+    # at 2 kHz; the carried system must not change either outcome
+    env = ThermalEnvironment(temperature=temperature, gap_frequency=2.0)
+    generator = extract_generator(build_heat_exchange(env, 215.1, tau), tau)
+    outcomes = []
+    for array in (generator, np.array(generator)):
+        try:
+            outcomes.append(decompose(array))
+        except MpembaSimError as exc:
+            outcomes.append(f"{type(exc).__name__}: {exc}")
+    if isinstance(outcomes[0], str) or isinstance(outcomes[1], str):
+        assert outcomes[0] == outcomes[1]
+    else:
+        assert_same_decomposition(*outcomes)
 
 
 matrix_entries = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)

@@ -188,6 +188,15 @@ def test_expm_refuses_an_overflowing_norm_with_warnings_as_errors(a):
             expm(a)
 
 
+def test_expm_refuses_an_exponential_that_overflows_in_its_squarings():
+    # exp(800) is beyond the float range; the norm is not, so the squarings
+    # reach it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows in 8 squarings"):
+            expm(np.diag([800.0, 0.0]))
+
+
 def test_expm_of_a_subnormal_matrix():
     # the norm underflows against the Pade threshold; no squaring is needed
     a = np.diag([0.0, 0.0, 5e-324j])

@@ -15,7 +15,10 @@ sample is the minimum over the repeats of the time per call.  The inputs are
 the ones a ``cycle-scan`` operation hands each function: the exchange at the
 spectrum delay, its transfer matrix and generator, the generator times the
 delay (the argument of ``extract_generator``'s round trip), and a cycle at
-the tunable delay, every other one with the accelerating pulse.
+the tunable delay, every other one with the accelerating pulse.  The
+``reference_pass`` row times a whole pass of the reference route as one
+call: the exchange is built, its generator extracted and decomposed, as a
+``cycle-scan`` operation does before its two cycles.
 
 Printed per directory: the median over the rounds of each layer's per-call
 minimum, in microseconds; a directory after the first also gets each
@@ -54,6 +57,7 @@ LAYERS = (
     "expm",
     "extract_generator",
     "decompose",
+    "reference_pass",
     "run_cycle",
 )
 
@@ -91,6 +95,9 @@ calls = {
     "expm": lambda x: numerics.expm(x[2] * x[5]),
     "extract_generator": lambda x: liouville.extract_generator(x[3], x[2]),
     "decompose": lambda x: liouville.decompose(x[5]),
+    "reference_pass": lambda x: liouville.decompose(
+        liouville.extract_generator(channels.build_heat_exchange(x[0], x[1], x[2]), x[2])
+    ),
     "run_cycle": lambda x: otto.run_cycle(x[6], x[7]),
 }
 per_call = {}
