@@ -39,8 +39,10 @@ def gibbs_state(hamiltonian: np.ndarray, temperature: float) -> np.ndarray:
     h = np.asarray(hamiltonian, dtype=complex)
     energies, vectors = np.linalg.eigh(h)
     # Shift by the ground energy before exponentiating; keeps weights finite
-    # for any gap/temperature ratio.
-    weights = np.exp(-(energies - energies.min()) / (TWO_PI * temperature))
+    # for any gap/temperature ratio.  Far below the gap the exponent
+    # overflows to -inf, which gives the exact weight 0; that is not reported.
+    with np.errstate(over="ignore"):
+        weights = np.exp(-(energies - energies.min()) / (TWO_PI * temperature))
     weights /= weights.sum()
     rho = (vectors * weights) @ vectors.conj().T
     return hermitize(rho)

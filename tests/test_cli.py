@@ -9,10 +9,11 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpembasim
@@ -895,9 +896,10 @@ CONFIG_VALUES = {
     "output_precision": st.integers(0, 17) | st.just(18) | st.just(2**31),
 }
 
-#: out-of-range and non-finite values, one of which may replace any float key
+#: out-of-range, non-finite and float-edge values, one of which may replace
+#: any float key
 SPECIAL = st.sampled_from(
-    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e300]
+    [float("nan"), float("inf"), -float("inf"), 0.0, -1.0, 1e-300, 1e300, 1e308, 5e-324]
 )
 FLOAT_KEYS = [key for key in CONFIG_VALUES if key.endswith(("_khz", "_hz", "_us", "_ms"))]
 
@@ -911,21 +913,48 @@ FLOAT_KEYS = [key for key in CONFIG_VALUES if key.endswith(("_khz", "_hz", "_us"
     poison=st.none() | st.tuples(st.sampled_from(FLOAT_KEYS), SPECIAL),
     tau=st.floats(0.0, 5.0) | SPECIAL,
 )
+# runs that once warned, raised or wrote NaN cells: an infinite swap window,
+# an infinite field or ramp angle, a ramp time of 0 ms, and a Gibbs weight
+# that overflows
+@example(command="surface", values={}, poison=("j_hz", 5e-324), tau=1.0)
+@example(command="cooling", values={}, poison=("j_hz", 5e-324), tau=1.0)
+@example(command="otto-distance", values={}, poison=("j_hz", 5e-324), tau=1.0)
+@example(command="otto-ratio", values={}, poison=("j_hz", 5e-324), tau=1.0)
+@example(command="verify", values={}, poison=("j_hz", 5e-324), tau=1.0)
+@example(command="surface", values={}, poison=("nu1_khz", 1e308), tau=1.0)
+@example(command="cooling", values={}, poison=("nu1_khz", 1e308), tau=1.0)
+@example(command="otto-distance", values={}, poison=("nu1_khz", 1e308), tau=1.0)
+@example(command="otto-ratio", values={}, poison=("nu1_khz", 1e308), tau=1.0)
+@example(command="verify", values={}, poison=("nu1_khz", 1e308), tau=1.0)
+@example(command="otto-ratio", values={"nu1_khz": 1e300}, poison=("tau1_us", 1e308), tau=1.0)
+@example(command="otto-distance", values={}, poison=("tau1_us", 5e-324), tau=1.0)
+@example(command="otto-ratio", values={}, poison=("tau1_us", 5e-324), tau=1.0)
+@example(command="verify", values={}, poison=("t_hot_khz", 5e-324), tau=1.0)
+@example(command="verify", values={}, poison=("t_cold_khz", 5e-324), tau=1.0)
 def test_every_config_ends_in_a_documented_exit_code(command, values, poison, tau):
-    """Any config file gives exit 0/1/2/3 with no traceback, in every subcommand."""
+    """Any config file gives exit 0/1/2/3 with no traceback and no warning, in
+    every subcommand, and a table written with exit 0 holds no NaN cell."""
     if poison is not None:
         values = {**values, poison[0]: poison[1]}
     with tempfile.TemporaryDirectory() as workdir:
         cfg = os.path.join(workdir, "run.cfg")
         with open(cfg, "w", encoding="utf-8") as handle:
             handle.writelines(f"{key} = {value!s}\n" for key, value in values.items())
+        table = os.path.join(workdir, "table.csv")
         argv = [command, "--config", cfg]
         if command == "spectrum":
             argv.append(f"--tau={tau!r}")
         elif command != "verify":
-            argv += ["--out", os.path.join(workdir, "table.csv")]
+            argv += ["--out", table]
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(argv)
+        if code == 0 and os.path.exists(table):
+            with open(table, encoding="utf-8") as handle:
+                cells = [cell for row in csv.reader(handle) for cell in row]
+            assert "nan" not in {cell.strip().lower() for cell in cells}
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
+    assert [str(warning.message) for warning in caught] == []

@@ -1,8 +1,12 @@
-"""tools/layer_cost.py on this checkout, with two rounds."""
+"""tools/layer_cost.py on this checkout and on edited copies of its package."""
 
 import ast
 import importlib.util
 import os
+import re
+import shutil
+
+import pytest
 
 import mpembasim
 
@@ -16,6 +20,16 @@ spec.loader.exec_module(layer_cost)
 SRC = os.path.dirname(os.path.dirname(mpembasim.__file__))
 
 
+def edited_copy(tmp_path, edit, *modules):
+    """A copy of the package under ``tmp_path`` with ``edit`` applied to the
+    text of each of ``modules``; returns the directory that holds it."""
+    shutil.copytree(os.path.join(SRC, "mpembasim"), tmp_path / "mpembasim")
+    for module in modules:
+        path = tmp_path / "mpembasim" / f"{module}.py"
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+    return str(tmp_path)
+
+
 def test_two_rounds_over_two_directories_report_every_layer(capsys):
     assert layer_cost.main([SRC, SRC, "--rounds", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -24,9 +38,43 @@ def test_two_rounds_over_two_directories_report_every_layer(capsys):
         timed = [line for line in lines if line.split()[:2] == [layer, "median"]]
         assert len(timed) == 2
         assert all("us per call  (n=2)" in line for line in timed)
-        assert "minus the first SRC_DIR's" not in timed[0]
-        assert "minus the first SRC_DIR's" in timed[1]
+        assert "ratio" not in timed[0]
+        assert re.search(r"ratio to the first: \d+\.\d{3} \(IQR \d+\.\d{3}-\d+\.\d{3}\)$", timed[1])
     assert len(lines) == 2 * (1 + len(layer_cost.LAYERS))
+
+
+def test_a_function_the_package_lacks_is_reported_absent(tmp_path, capsys):
+    older = edited_copy(
+        tmp_path, lambda text: text.replace("log_eigensystem", "_log_eigensystem"),
+        "numerics", "liouville",
+    )
+    assert layer_cost.main([older, SRC, "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == older
+    assert [line.split() for line in lines if "absent" in line] == [["log_eigensystem", "absent"]]
+    assert lines.index("  log_eigensystem      absent") < lines.index(SRC)
+    timed = [line for line in lines if line.split()[:2] == ["log_eigensystem", "median"]]
+    assert len(timed) == 1 and "ratio" not in timed[0]
+    assert sum("ratio to the first" in line for line in lines) == len(layer_cost.LAYERS) - 1
+
+
+@pytest.mark.parametrize(
+    "module, tail",
+    [
+        ("__init__", "raise ImportError('on purpose')\n"),
+        ("otto", "def run_cycle(cfg, tau2):\n    raise ValueError('on purpose')\n"),
+    ],
+    ids=["load", "layer"],
+)
+def test_a_package_that_fails_to_load_or_a_layer_that_raises_exits_1(
+    tmp_path, capsys, module, tail
+):
+    broken = edited_copy(tmp_path, lambda text: text + "\n\n" + tail, module)
+    assert layer_cost.main([SRC, broken, "--rounds", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{broken} failed:\nTraceback")
+    assert captured.err.endswith("Error: on purpose\n")
 
 
 def test_a_directory_without_the_package_is_refused(tmp_path, capsys):

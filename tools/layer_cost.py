@@ -4,36 +4,34 @@ Usage::
 
     python3 tools/layer_cost.py SRC_DIR [SRC_DIR ...] [--rounds N]
 
-Each ``SRC_DIR`` is a directory holding ``mpembasim/``, for example the
-``src`` of two checkouts.  Every round starts one fresh interpreter per
-directory, in an order that rotates from round to round, so a drift in the
-machine's speed falls on every directory alike.  Each interpreter draws the
-same seeded inputs from the ``cycle-scan`` ranges of
-``benchmarks/workloads.py`` (:data:`RANGES`, a copy) and times, with
-:mod:`timeit`, each function of :data:`LAYERS` over all of them; a layer's
-sample is the minimum over the repeats of the time per call.  The inputs are
-the ones a ``cycle-scan`` operation hands each function: the exchange at the
-spectrum delay, its transfer matrix and generator, the generator times the
-delay (the argument of ``extract_generator``'s round trip), and a cycle at
-the tunable delay, every other one with the accelerating pulse.  The
-``reference_pass`` row times a whole pass of the reference route as one
-call: the exchange is built, its generator extracted and decomposed, as a
-``cycle-scan`` operation does before its two cycles.
+Each ``SRC_DIR`` holds ``mpembasim/``, for example the ``src`` of two
+checkouts.  Each package is imported into this one interpreter under its own
+name.  Every round times each layer of :data:`LAYERS` on each package in
+turn, in an order that reverses from round to round (ABBA), so a drift in
+the machine's speed falls on all alike.  A sample is the best over repeats of
+the time per call over 16 seeded ``cycle-scan`` inputs (:data:`RANGES`);
+``reference_pass`` builds, extracts and decomposes, as a ``cycle-scan``
+operation does before its two cycles.  The inputs are reused across calls,
+so a cache kept on an input reads here as a gain that ``cycle-scan``, whose
+operations build fresh configs, would not show.
 
-Printed per directory: the median over the rounds of each layer's per-call
-minimum, in microseconds; a directory after the first also gets each
-median's difference from the first one's.  The exit code is 2 when a
-directory holds no package, 1 when an interpreter fails, else 0.
+Printed per directory: each layer's median sample in microseconds, or
+``absent`` where the package lacks it; after the first directory, the median
+and interquartile range of the per-round ratios to the first's.  Exit code:
+2 when a directory holds no package, 1 when a package fails to load or a
+layer raises, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import statistics
-import subprocess
 import sys
+import timeit
+import traceback
+from importlib import import_module, util
+
+import numpy as np
 
 #: the ranges of ``CycleScan.RANGES`` in ``benchmarks/workloads.py`` (kHz, Hz, ms)
 RANGES = {
@@ -48,117 +46,118 @@ RANGES = {
     "tau2_over_window": (0.0, 1.0),
 }
 
-#: the functions timed, in the order printed
-LAYERS = (
-    "build_heat_exchange",
-    "transfer_matrix",
-    "eig_general",
-    "logm_principal",
-    "expm",
-    "extract_generator",
-    "decompose",
-    "reference_pass",
-    "run_cycle",
-)
-
-#: run in each fresh interpreter with the ranges as its argument; prints one
-#: JSON line of seconds per call
-PROBE = """\
-import json, sys, timeit
-import numpy as np
-from mpembasim import channels, liouville, numerics, otto
-
-ranges = json.loads(sys.argv[1])
-rng = np.random.default_rng(28)
-inputs = []
-for k in range(16):
-    v = {key: float(rng.uniform(low, high)) for key, (low, high) in ranges.items()}
-    nu0, j_hz = v["nu0_khz"], v["j_hz"]
-    window = 500.0 / j_hz
-    env = channels.ThermalEnvironment(temperature=v["t_hot_khz"],
-                                      gap_frequency=nu0 * v["nu1_over_nu0"])
-    tau = v["spectrum_tau_over_window"] * window
-    channel = channels.build_heat_exchange(env, j_hz, tau)
-    generator = liouville.extract_generator(channel, tau)
-    cycle = otto.CycleConfig(
-        nu0=nu0, nu1=nu0 * v["nu1_over_nu0"], j_hz=j_hz, t_hot=v["t_hot_khz"],
-        t_cold=v["t_cold_khz"], tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"],
-        use_mpemba=bool(k % 2),
-    )
-    inputs.append((env, j_hz, tau, channel, liouville.transfer_matrix(channel.operators),
-                   generator, cycle, v["tau2_over_window"] * window))
-calls = {
-    "build_heat_exchange": lambda x: channels.build_heat_exchange(x[0], x[1], x[2]),
-    "transfer_matrix": lambda x: liouville.transfer_matrix(x[3].operators),
-    "eig_general": lambda x: numerics.eig_general(x[5]),
-    "logm_principal": lambda x: numerics.logm_principal(x[4]),
-    "expm": lambda x: numerics.expm(x[2] * x[5]),
-    "extract_generator": lambda x: liouville.extract_generator(x[3], x[2]),
-    "decompose": lambda x: liouville.decompose(x[5]),
-    "reference_pass": lambda x: liouville.decompose(
-        liouville.extract_generator(channels.build_heat_exchange(x[0], x[1], x[2]), x[2])
-    ),
-    "run_cycle": lambda x: otto.run_cycle(x[6], x[7]),
+#: the functions timed, in the order printed, with their modules (None: the whole pass)
+LAYERS = {
+    "build_heat_exchange": "channels",
+    "transfer_matrix": "liouville",
+    "eig_general": "numerics",
+    "log_eigensystem": "numerics",
+    "expm": "numerics",
+    "extract_generator": "liouville",
+    "decompose": "liouville",
+    "reference_pass": None,
+    "run_cycle": "otto",
 }
-per_call = {}
-for name, call in calls.items():
-    def loop(call=call):
-        for x in inputs:
-            call(x)
-    best = min(timeit.repeat(loop, number=10, repeat=5))
-    per_call[name] = best / (10 * len(inputs))
-print(json.dumps(per_call))
-"""
 
 
-def probe(src: str) -> dict:
-    env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(RANGES)],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=False,
+def load(src: str, name: str) -> dict:
+    """Import ``src``'s ``mpembasim`` afresh as the package ``name``; map each
+    layer to its function and arguments, or to ``None`` where it is absent."""
+    for key in [key for key in sys.modules if key.split(".")[0] == name]:
+        del sys.modules[key]
+    root = os.path.join(src, "mpembasim")
+    spec = util.spec_from_file_location(
+        name, os.path.join(root, "__init__.py"), submodule_search_locations=[root]
     )
-    if done.returncode != 0:
-        raise RuntimeError(f"probe of {src} exited {done.returncode}: {done.stderr.strip()}")
-    return json.loads(done.stdout.splitlines()[-1])
+    sys.modules[name] = util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules[name])
+    channels, liouville, otto = (
+        import_module(f"{name}.{module}") for module in ("channels", "liouville", "otto")
+    )
+
+    def reference_pass(env, j_hz, tau):
+        channel = channels.build_heat_exchange(env, j_hz, tau)
+        return liouville.decompose(liouville.extract_generator(channel, tau))
+
+    rng = np.random.default_rng(28)
+    calls = []
+    for k in range(16):
+        v = {key: float(rng.uniform(low, high)) for key, (low, high) in RANGES.items()}
+        nu0, nu1, j_hz = v["nu0_khz"], v["nu0_khz"] * v["nu1_over_nu0"], v["j_hz"]
+        window = 500.0 / j_hz
+        env = channels.ThermalEnvironment(temperature=v["t_hot_khz"], gap_frequency=nu1)
+        tau = v["spectrum_tau_over_window"] * window
+        channel = channels.build_heat_exchange(env, j_hz, tau)
+        generator = liouville.extract_generator(channel, tau)
+        cycle = otto.CycleConfig(
+            nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
+            tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"], use_mpemba=bool(k % 2),
+        )
+        # the arguments of each layer, in the order of LAYERS
+        calls.append((
+            (env, j_hz, tau), (channel.operators,), (generator,),
+            (liouville.transfer_matrix(channel.operators),), (tau * generator,),
+            (channel, tau), (generator,), (env, j_hz, tau),
+            (cycle, v["tau2_over_window"] * window),
+        ))
+    layers = {}
+    for column, (layer, module) in enumerate(LAYERS.items()):
+        module = module and import_module(f"{name}.{module}")
+        function = getattr(module, layer, None) if module else reference_pass
+        layers[layer] = (function, [call[column] for call in calls]) if function else None
+    return layers
+
+
+def per_call(function, calls: list) -> float:
+    """Seconds per call of ``function`` over ``calls``, the best of 3 repeats."""
+
+    def loop():
+        for args in calls:
+            function(*args)
+
+    return min(timeit.repeat(loop, number=2, repeat=3)) / (2 * len(calls))
 
 
 def main(argv: list) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src", nargs="+", metavar="SRC_DIR")
-    parser.add_argument("--rounds", type=int, default=10, metavar="N")
+    parser.add_argument("--rounds", type=int, default=40, metavar="N")
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     sources = [os.path.abspath(src) for src in args.src]
     for src in sources:
         if not os.path.isdir(os.path.join(src, "mpembasim")):
             print(f"no mpembasim package under {src}", file=sys.stderr)
             return 2
-    samples = [[] for _ in sources]
+    packages, samples = [], [{layer: [] for layer in LAYERS} for _ in sources]
+    order = list(range(len(sources)))
     try:
-        for round_ in range(args.rounds):
-            for k in range(len(sources)):
-                index = (k + round_) % len(sources)
-                samples[index].append(probe(sources[index]))
-    except RuntimeError as exc:
-        print(exc, file=sys.stderr)
+        for index in order:
+            packages.append(load(sources[index], f"mpembasim_{index}"))
+        for _ in range(args.rounds):
+            for layer in LAYERS:
+                for index in order:
+                    if packages[index][layer]:
+                        samples[index][layer].append(per_call(*packages[index][layer]))
+            order.reverse()
+    except Exception:  # the code under test may raise anything
+        print(f"{sources[index]} failed:", file=sys.stderr)
+        traceback.print_exc()
         return 1
 
-    first = None
-    for src, runs in zip(sources, samples):
-        medians = {
-            layer: 1e6 * statistics.median(run[layer] for run in runs) for layer in LAYERS
-        }
+    for src, times in zip(sources, samples):
         print(src)
-        for layer in LAYERS:
-            line = f"  {layer:<20} median {medians[layer]:8.2f} us per call  (n={len(runs)})"
-            if first is not None:
-                gap = medians[layer] - first[layer]
-                line += f"  minus the first SRC_DIR's: {gap:+.2f} us ({gap / first[layer]:+.1%})"
+        for layer, runs in times.items():
+            if not runs:
+                print(f"  {layer:<20} absent")
+                continue
+            line = f"  {layer:<20} median {1e6 * np.median(runs):8.2f} us per call  (n={len(runs)})"
+            if times is not samples[0] and samples[0][layer]:
+                ratios = np.divide(runs, samples[0][layer])
+                low, mid, high = np.percentile(ratios, [25, 50, 75])
+                line += f"  ratio to the first: {mid:.3f} (IQR {low:.3f}-{high:.3f})"
             print(line)
-        if first is None:
-            first = medians
     return 0
 
 
