@@ -56,7 +56,9 @@ from .exceptions import (
 )
 from .operators import _scalar, hermitize, validate_density_matrix
 
-#: |Re lambda| below which a mode counts as stationary
+#: |Re lambda| below which a mode counts as stationary, times the largest
+#: |lambda| where that exceeds 1: the stationary eigenvalue's rounding grows
+#: with the rates
 STATIONARY_TOL = 1e-8
 
 #: Hermiticity drift beyond which propagation refuses to repair silently
@@ -165,9 +167,10 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     Raises
     ------
     NoStationaryModeError
-        If no eigenvalue satisfies ``|Re lambda| <= 1e-8``, every one that
-        does oscillates (``|Im lambda| > 1e-8``), or the stationary mode
-        cannot be normalized to a valid state.
+        If no eigenvalue satisfies ``|Re lambda| <= tol``, every one that
+        does oscillates (``|Im lambda| > tol``), or the stationary mode
+        cannot be normalized to a valid state; ``tol`` is
+        :data:`STATIONARY_TOL` times ``max(1, max |lambda|)``.
     DefectiveMatrixError
         If a carried eigensystem does not rebuild its generator, or from
         :func:`numerics.eig_general`.
@@ -181,15 +184,16 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     # the modes are ordered, and the stationary lead picked, on Python
     # numbers; the arrays are then indexed once
     values = system.eigenvalues.tolist()
+    tol = STATIONARY_TOL * max(1.0, *map(abs, values))
     order = sorted(
         range(len(values)),
         key=lambda k: (abs(values[k].real), abs(values[k].imag), values[k].imag),
     )
     first = values[order[0]]
-    if abs(first.real) > STATIONARY_TOL:
+    if abs(first.real) > tol:
         raise NoStationaryModeError(
             f"smallest |Re lambda| is {abs(first.real):.3e}, "
-            f"no stationary mode within {STATIONARY_TOL}"
+            f"no stationary mode within {tol:.3g}"
         )
 
     # Among stationary candidates, lead with the mode that has weight on the
@@ -200,11 +204,11 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     traces = {
         i: sum(row[k] for row in diagonal)
         for i, k in enumerate(order)
-        if abs(values[k].real) <= STATIONARY_TOL and abs(values[k].imag) <= STATIONARY_TOL
+        if abs(values[k].real) <= tol and abs(values[k].imag) <= tol
     }
     if not traces:
         raise NoStationaryModeError(
-            f"every mode with |Re lambda| <= {STATIONARY_TOL} oscillates; "
+            f"every mode with |Re lambda| <= {tol:.3g} oscillates; "
             "no stationary mode"
         )
     if carried is not None and len(traces) > 1:
@@ -227,13 +231,7 @@ def decompose(generator: np.ndarray) -> SpectralDecomposition:
     right[:, 0] /= trace0
     left[0, :] *= trace0
 
-    # the Hermitian part (m + m^dag)/2 of the fixed point m, entry by entry
-    # on Python numbers, which round as numpy's complex loops do
-    m = right[:, 0].tolist()
-    fixed = np.array([
-        [0.5 * (m[i * d + j] + m[j * d + i].conjugate()) for j in range(d)]
-        for i in range(d)
-    ])
+    fixed = hermitize(right[:, 0].reshape(d, d))
     try:
         validate_density_matrix(fixed, herm_tol=1e-9, trace_tol=1e-9, psd_tol=1e-9)
     except ValueError as exc:
@@ -256,9 +254,12 @@ def mode_overlap(decomposition: SpectralDecomposition, k: int, rho: np.ndarray):
 
 
 def slow_pair_indices(decomposition: SpectralDecomposition) -> list[int]:
-    """1-based indices of all modes sharing the slowest nonzero decay rate."""
-    rates = np.abs(decomposition.eigenvalues.real)
-    nonzero = np.flatnonzero(rates > STATIONARY_TOL)
+    """1-based indices of all modes sharing the slowest nonzero decay rate;
+    a rate is nonzero above :data:`STATIONARY_TOL` times
+    ``max(1, max |lambda|)``, as in :func:`decompose`."""
+    values = decomposition.eigenvalues
+    rates = np.abs(values.real)
+    nonzero = np.flatnonzero(rates > STATIONARY_TOL * max(1.0, float(np.abs(values).max())))
     if nonzero.size == 0:
         return []
     slowest = rates[nonzero].min()

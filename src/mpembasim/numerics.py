@@ -12,10 +12,11 @@ guarantee that the left and right vectors it returns are paired mode by mode
 when eigenvalues repeat.  Inverting the right eigenvector matrix gives a left
 system that is biorthonormal by construction.
 
-The matrix exponential is Algorithm 2.3 of Higham, SIAM J. Matrix Anal.
-Appl. 26, 1179 (2005): the Pade approximant of the lowest degree among 3, 5,
-7, 9 and 13 that meets unit roundoff at the input's 1-norm, with scaling and
-squaring above the degree-13 bound.
+The matrix exponential follows Algorithm 2.3 of Higham, SIAM J. Matrix Anal.
+Appl. 26, 1179 (2005): the degree-13 Pade approximant, with scaling and
+squaring above its bound, for every input: the lower degrees the algorithm
+offers for small norms would save a few microseconds of a 4x4 call, which
+no whole reference pass resolves.
 
 Each input is validated once, and each pass of the reference route makes
 one eigendecomposition: :func:`eig_general` and :func:`expm` check that their
@@ -59,61 +60,27 @@ SINGULARITY_TOL = 1e-12
 #: relative distance from the negative real axis that trips the branch-cut guard
 BRANCH_TOL = 1e-13
 
-#: largest 1-norm at which the Pade approximant of each degree meets unit
-#: roundoff, the theta_m of Higham 2005's Algorithm 2.3; :func:`expm` runs the
-#: lowest degree whose bound covers the norm, and degree 13 after scaling
-#: above the last
-PADE_THETAS = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
+#: largest 1-norm for which the degree-13 Pade approximant meets unit
+#: roundoff, the theta_13 of Higham 2005's Algorithm 2.3
+PADE13_THETA = 5.371920351148152e0
 
-#: largest 1-norm for which the degree-13 Pade approximant meets unit roundoff
-PADE13_THETA = PADE_THETAS[13]
+#: the numerator coefficients b_0 .. b_13 of the degree-13 approximant in
+#: Higham 2005's Algorithm 2.3, divided by b_0 so that a nilpotent ``a`` with
+#: ``a @ a = 0`` maps to exactly ``I + a``
+_B13 = np.array((
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)) / 64764752532480000.0
 
-
-def _pade_weights(b: tuple) -> np.ndarray:
-    """Weights on the even powers ``I, a^2, a^4, ...`` of the numerator
-    coefficients ``b_0 .. b_m``, divided by ``b_0`` so that a nilpotent ``a``
-    with ``a @ a = 0`` maps to exactly ``I + a``.
-
-    The rows are the odd half's weights, then the even half's.  Degree 13
-    writes each half as ``a^6 @ high + low`` over ``I, a^2, a^4, a^6``, so its
-    rows are the odd low and high parts, then the even low and high parts."""
-    b = np.array(b) / b[0]
-    odd, even = b[1::2], b[0::2]
-    if b.size == 14:
-        rows = [odd[:4], [0.0, *odd[4:]], even[:4], [0.0, *even[4:]]]
-    else:
-        rows = [odd, even]
-    # complex, as the powers are, so the product casts nothing per call
-    weights = np.array(rows, dtype=complex)
-    weights.flags.writeable = False
-    return weights
-
-
-#: (degree, theta, weights) from the lowest degree up, each built from the
-#: numerator coefficients b_0 .. b_m that Higham 2005's Algorithm 2.3 uses
-_PADE = tuple(
-    (len(b) - 1, PADE_THETAS[len(b) - 1], _pade_weights(b))
-    for b in (
-        (120.0, 60.0, 12.0, 1.0),
-        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-        (
-            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-        ),
-        (
-            64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-        ),
-    )
+#: weights on the even powers ``I, a^2, a^4, a^6``: each half of the
+#: numerator is ``a^6 @ high + low``, and the rows are the odd half's low and
+#: high parts, then the even half's; complex, as the powers are, so the
+#: product casts nothing per call
+_PADE13_WEIGHTS = np.array(
+    [_B13[1:8:2], [0.0, *_B13[9::2]], _B13[0:8:2], [0.0, *_B13[8::2]]], dtype=complex
 )
+_PADE13_WEIGHTS.flags.writeable = False
 
 
 def _as_square(a: np.ndarray, name: str) -> np.ndarray:
@@ -207,15 +174,15 @@ def eig_general(a: np.ndarray) -> EigenSystem:
 
 
 def expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by the Pade approximant of Higham's Algorithm 2.3.
+    """Matrix exponential by scaling and squaring of the degree-13 Pade
+    approximant, as in Higham's Algorithm 2.3.
 
-    The approximant runs at the lowest degree ``m`` in 3, 5, 7, 9 whose bound
-    in :data:`PADE_THETAS` covers the 1-norm of ``a``.  Above those, ``a`` is
-    divided by ``2**s``, the smallest power of two that brings its 1-norm
-    under :data:`PADE13_THETA`, and the degree-13 approximant is squared
-    ``s`` times.  The odd and even halves ``odd`` and ``even`` of the
-    numerator come from one product of the degree's weights with the stacked
-    even powers of ``a``; the approximant is ``(even - odd)^-1 (even + odd)``.
+    ``a`` is divided by ``2**s``, the smallest power of two that brings its
+    1-norm under :data:`PADE13_THETA` (``s = 0`` at or below it), and the
+    approximant is squared ``s`` times.  The odd and even halves ``odd`` and
+    ``even`` of the numerator come from one product of the weights with the
+    stacked even powers ``I, a^2, a^4, a^6``; the approximant is
+    ``(even - odd)^-1 (even + odd)``.
 
     Raises
     ------
@@ -228,25 +195,18 @@ def expm(a: np.ndarray) -> np.ndarray:
         norm = float(np.abs(a).sum(axis=0).max())
     if not math.isfinite(norm):
         raise ValueError("a is too large to exponentiate: its 1-norm overflows")
-    for degree, theta, weights in _PADE:
-        if norm <= theta:
-            break
     squarings = 0
     if norm > PADE13_THETA:
         squarings = int(np.ceil(np.log2(norm / PADE13_THETA)))
         a = a / 2.0**squarings
     n = a.shape[0]
     a2 = a @ a
-    powers = [_identity(n), a2]
-    while len(powers) < weights.shape[1]:
-        powers.append(powers[-1] @ a2)
-    halves = (weights @ np.array(powers).reshape(len(powers), -1)).reshape(-1, n, n)
-    if degree == 13:
-        a6 = powers[3]
-        odd = a @ (a6 @ halves[1] + halves[0])
-        even = a6 @ halves[3] + halves[2]
-    else:
-        odd, even = a @ halves[0], halves[1]
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    powers = np.array([_identity(n), a2, a4, a6]).reshape(4, -1)
+    halves = (_PADE13_WEIGHTS @ powers).reshape(-1, n, n)
+    odd = a @ (a6 @ halves[1] + halves[0])
+    even = a6 @ halves[3] + halves[2]
     result = np.linalg.solve(even - odd, even + odd)
     if squarings:
         # the approximant's rounding can grow through the squarings until it

@@ -111,6 +111,17 @@ class CycleConfig:
             raise ValueError("temperatures must be positive")
         if min(self.j_hz, self.tau1, self.tau_bar) <= 0.0:
             raise ValueError("coupling and stroke times must be positive")
+        # the swap window, the hot field and the ramp angle must be finite at
+        # the edges of the float range
+        if not math.isfinite(swap_window(self.j_hz)):
+            raise ValueError(f"J {self.j_hz!r} Hz is too small: 500 / J overflows")
+        if not math.isfinite(2.0 * TWO_PI * self.nu1):
+            raise ValueError(f"nu1 {self.nu1!r} kHz is too large: 4 pi nu1 overflows")
+        if not math.isfinite(2.0 * _ramp_phase(self.nu0, self.nu1, self.tau1)):
+            raise ValueError(
+                f"nu1 {self.nu1!r} kHz and tau1 {self.tau1!r} ms are too large: "
+                "the ramp angle 2 pi (nu0 + nu1) tau1 overflows"
+            )
 
 
 class StrokeRecord(NamedTuple):

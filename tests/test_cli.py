@@ -375,6 +375,18 @@ def test_verify_checks_fail_independently(capsys, tmp_path):
     assert "rank tolerance" in lines[VERIFY_CHECKS.index("free-energy-identity")]
 
 
+def test_verify_at_a_terahertz_coupling_fails_spectral_propagation_alone(capsys, tmp_path):
+    # the stationary tolerance scales with the rates, about 1e10/ms here, so
+    # the modes are found; the check's propagation times of 0.1-5 ms do not
+    # scale with the 5e-10 ms swap window, and its defect stays above 1e-8
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("j_hz = 1e12\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--config", str(cfg))
+    assert code == 1
+    failed = [line.split()[1] for line in out.splitlines() if line.startswith("FAIL ")]
+    assert failed == ["spectral-propagation"]
+
+
 def test_verify_passes_in_a_very_hot_environment(capsys, tmp_path):
     # free energies of size T ln 2 carry rounding of a few eps * T here
     cfg = tmp_path / "hot.cfg"

@@ -39,7 +39,11 @@ def test_two_rounds_over_two_directories_report_every_layer(capsys):
         assert len(timed) == 2
         assert all("us per call  (n=2)" in line for line in timed)
         assert "ratio" not in timed[0]
-        assert re.search(r"ratio to the first: \d+\.\d{3} \(IQR \d+\.\d{3}-\d+\.\d{3}\)$", timed[1])
+        assert re.search(
+            r"ratio to the first: \d+\.\d{3} "
+            r"\(IQR \d+\.\d{3}-\d+\.\d{3}, 95% CI \d+\.\d{3}-\d+\.\d{3}\)$",
+            timed[1],
+        )
     assert len(lines) == 2 * (1 + len(layer_cost.LAYERS))
 
 

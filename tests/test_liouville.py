@@ -184,6 +184,15 @@ def test_slow_pair_covers_the_degenerate_coherence_rate():
     assert slow_pair_indices(decompose(reference_generator())) == [2, 3]
 
 
+def test_the_stationary_tolerance_scales_with_the_rates(hot_env):
+    # at rates near 1e11/ms the stationary eigenvalue rounds far above the
+    # unscaled 1e-8
+    generator = extract_generator(build_heat_exchange(hot_env, 215.1, 1.0), 1.0)
+    scaled = decompose(1e12 * generator)
+    assert_allclose(scaled.fixed_point, decompose(generator).fixed_point, rtol=0.0, atol=1e-12)
+    assert slow_pair_indices(scaled) == [2, 3]
+
+
 def test_slow_pair_empty_for_zero_generator():
     assert slow_pair_indices(decompose(np.zeros((4, 4)))) == []
 

@@ -1,6 +1,7 @@
 """Cycle strokes, energy bookkeeping, and the threshold-power comparison."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,16 @@ def test_cycle_config_validation():
         CycleConfig(j_hz=float("nan"))
     with pytest.raises(ValueError, match="finite"):
         CycleConfig(t_hot=float("inf"))
+    # an infinite field or ramp angle ended the cycle in a math domain
+    # error, and an infinite swap window warned in the distance curves
+    with pytest.raises(ValueError, match=re.escape("nu1 1e+308 kHz is too large")):
+        CycleConfig(nu1=1e308)
+    with pytest.raises(ValueError, match="J 5e-324 Hz is too small"):
+        CycleConfig(j_hz=5e-324)
+    with pytest.raises(
+        ValueError, match=re.escape("nu1 1e+300 kHz and tau1 1e+308 ms are too large")
+    ):
+        CycleConfig(nu1=1e300, tau1=1e308)
 
 
 # -------------------------------------------------------------------- cycles

@@ -11,13 +11,18 @@ turn, in an order that reverses from round to round (ABBA), so a drift in
 the machine's speed falls on all alike.  A sample is the best over repeats of
 the time per call over 16 seeded ``cycle-scan`` inputs (:data:`RANGES`);
 ``reference_pass`` builds, extracts and decomposes, as a ``cycle-scan``
-operation does before its two cycles.  The inputs are reused across calls,
+operation does before its two cycles, and ``cycle_scan_op`` is the whole
+operation as ``CycleScan.run`` in ``benchmarks/workloads.py`` runs it: the
+hot environment, the reference pass, and ``run_cycle`` without and with the
+pulse.  The inputs are reused across calls,
 so a cache kept on an input reads here as a gain that ``cycle-scan``, whose
 operations build fresh configs, would not show.
 
 Printed per directory: each layer's median sample in microseconds, or
 ``absent`` where the package lacks it; after the first directory, the median
-and interquartile range of the per-round ratios to the first's.  Exit code:
+and interquartile range of the per-round ratios to the first's, and a
+seeded bootstrap 95% interval of that median.  A ratio counts as resolved
+only when its interval excludes 1.  Exit code:
 2 when a directory holds no package, 1 when a package fails to load or a
 layer raises, else 0.
 """
@@ -46,7 +51,8 @@ RANGES = {
     "tau2_over_window": (0.0, 1.0),
 }
 
-#: the functions timed, in the order printed, with their modules (None: the whole pass)
+#: the functions timed, in the order printed, with their modules (None: a
+#: pass over several of them)
 LAYERS = {
     "build_heat_exchange": "channels",
     "transfer_matrix": "liouville",
@@ -57,7 +63,11 @@ LAYERS = {
     "decompose": "liouville",
     "reference_pass": None,
     "run_cycle": "otto",
+    "cycle_scan_op": None,
 }
+
+#: resamples of the bootstrap interval of a median ratio
+RESAMPLES = 2000
 
 
 def load(src: str, name: str) -> dict:
@@ -79,6 +89,12 @@ def load(src: str, name: str) -> dict:
         channel = channels.build_heat_exchange(env, j_hz, tau)
         return liouville.decompose(liouville.extract_generator(channel, tau))
 
+    def cycle_scan_op(t_hot, nu1, j_hz, tau, plain, pulsed, tau2):
+        env = channels.ThermalEnvironment(temperature=t_hot, gap_frequency=nu1)
+        reference_pass(env, j_hz, tau)
+        otto.run_cycle(plain, tau2)
+        otto.run_cycle(pulsed, tau2)
+
     rng = np.random.default_rng(28)
     calls = []
     for k in range(16):
@@ -89,21 +105,26 @@ def load(src: str, name: str) -> dict:
         tau = v["spectrum_tau_over_window"] * window
         channel = channels.build_heat_exchange(env, j_hz, tau)
         generator = liouville.extract_generator(channel, tau)
-        cycle = otto.CycleConfig(
-            nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
-            tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"], use_mpemba=bool(k % 2),
-        )
+        cycles = [
+            otto.CycleConfig(
+                nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
+                tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"], use_mpemba=pulse,
+            )
+            for pulse in (False, True)
+        ]
+        tau2 = v["tau2_over_window"] * window
         # the arguments of each layer, in the order of LAYERS
         calls.append((
             (env, j_hz, tau), (channel.operators,), (generator,),
             (liouville.transfer_matrix(channel.operators),), (tau * generator,),
-            (channel, tau), (generator,), (env, j_hz, tau),
-            (cycle, v["tau2_over_window"] * window),
+            (channel, tau), (generator,), (env, j_hz, tau), (cycles[k % 2], tau2),
+            (v["t_hot_khz"], nu1, j_hz, tau, *cycles, tau2),
         ))
+    passes = {"reference_pass": reference_pass, "cycle_scan_op": cycle_scan_op}
     layers = {}
     for column, (layer, module) in enumerate(LAYERS.items()):
         module = module and import_module(f"{name}.{module}")
-        function = getattr(module, layer, None) if module else reference_pass
+        function = getattr(module, layer, None) if module else passes[layer]
         layers[layer] = (function, [call[column] for call in calls]) if function else None
     return layers
 
@@ -116,6 +137,13 @@ def per_call(function, calls: list) -> float:
             function(*args)
 
     return min(timeit.repeat(loop, number=2, repeat=3)) / (2 * len(calls))
+
+
+def median_interval(ratios: np.ndarray) -> np.ndarray:
+    """Seeded bootstrap 95% interval of the median of ``ratios``: the 2.5th
+    and 97.5th percentiles of the medians of :data:`RESAMPLES` resamples."""
+    draws = np.random.default_rng(0).choice(ratios, size=(RESAMPLES, ratios.size))
+    return np.percentile(np.median(draws, axis=1), [2.5, 97.5])
 
 
 def main(argv: list) -> int:
@@ -156,7 +184,11 @@ def main(argv: list) -> int:
             if times is not samples[0] and samples[0][layer]:
                 ratios = np.divide(runs, samples[0][layer])
                 low, mid, high = np.percentile(ratios, [25, 50, 75])
-                line += f"  ratio to the first: {mid:.3f} (IQR {low:.3f}-{high:.3f})"
+                lower, upper = median_interval(ratios)
+                line += (
+                    f"  ratio to the first: {mid:.3f} (IQR {low:.3f}-{high:.3f},"
+                    f" 95% CI {lower:.3f}-{upper:.3f})"
+                )
             print(line)
     return 0
 
