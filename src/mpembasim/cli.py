@@ -5,10 +5,11 @@ one handler, :func:`cmd_table`: it resolves the config, runs the command's
 computation ``(config, args) -> (rows, schema, summary_lines)``, writes the
 table when ``--out`` is given and only then prints, so a run whose table
 cannot be written exits 3 with nothing on stdout.  :data:`_SUBCOMMANDS`
-declares each subcommand's help, handler, computation and flags.  Exit
-codes: 0 success, 1 self-check failure or a stdout closed by its reader
-before the output ended, 2 numerical failure or an argparse usage error, 3
-config or IO failure.  The ``verify`` battery lives in
+declares each subcommand's help, handler, computation and flags; the
+computations read the physics from the config's record, ``config.cycle``.
+Exit codes: 0 success, 1 self-check failure or a stdout closed by its
+reader before the output ended, 2 numerical failure or an argparse usage
+error, 3 config or IO failure.  The ``verify`` battery lives in
 :mod:`mpembasim.verify`.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 # only verify runs the Liouville route, but the benchmark's tracer imports just
 # this module and then looks every traced module up in sys.modules
 from . import liouville  # noqa: F401
-from .channels import ThermalEnvironment, exchange_spectrum, swap_window
+from .channels import exchange_spectrum
 from .config_io import MAX_GRID_POINTS, ExperimentConfig, GridRows, load_config, write_table
 from .exceptions import ConfigError, MpembaSimError
 from .mpemba import build_theta_family, cooling_curves, free_energy_surface
@@ -62,33 +63,15 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     return config
 
 
-def _base_state(config: ExperimentConfig) -> np.ndarray:
-    # weights on the two x eigenstates: Bloch vector (p0 - p1) along x
-    p0, p1 = config.populations
-    return np.array([p0 - p1, 0.0, 0.0])
-
-
-def _tau_grid(config: ExperimentConfig) -> np.ndarray:
-    return np.linspace(0.0, swap_window(config.j_hz), config.tau_steps)
-
-
-def _hot_environment(config: ExperimentConfig) -> ThermalEnvironment:
-    return ThermalEnvironment(
-        temperature=config.t_hot_khz, gap_frequency=config.nu1_khz
-    )
-
-
 def spectrum_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     tau = args.tau
-    window = swap_window(config.j_hz)
+    window = config.cycle.window
     # the chained comparison is false for nan and +-inf as well
     if not 0.0 < tau <= window:
         raise ConfigError(
             f"--tau {tau!r} ms outside the exchange window (0, {window:.6f}] ms"
         )
-    eigenvalues, populations = exchange_spectrum(
-        _hot_environment(config), config.j_hz, tau
-    )
+    eigenvalues, populations = exchange_spectrum(config.cycle.hot, config.j_hz, tau)
     kinds = ("population", "coherence", "coherence", "population")
     rows = [
         (k, eigenvalue, 0.0, kind)
@@ -112,9 +95,9 @@ def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
             f"got {config.theta_steps} * {config.tau_steps}"
         )
     angles = np.linspace(0.0, 2.0 * np.pi, config.theta_steps)
-    family = build_theta_family(_base_state(config), angles)
-    taus = _tau_grid(config)
-    excess = free_energy_surface(family, _hot_environment(config), config.j_hz, taus)
+    family = build_theta_family(config.base_bloch, angles)
+    taus = config.delays
+    excess = free_energy_surface(family, config.cycle.hot, config.j_hz, taus)
     rows = GridRows(angles, taus, excess.reshape(-1, 1))
     lowest = int(np.argmin(excess[:, 0]))
     lines = [
@@ -126,9 +109,7 @@ def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
 
 
 def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
-    base = _base_state(config)
-    env = _hot_environment(config)
-    grid = _tau_grid(config)
+    base, env, grid = config.base_bloch, config.cycle.hot, config.delays
     plain = cooling_curves(base, env, config.j_hz, grid, with_mpemba=False)
     accelerated = cooling_curves(base, env, config.j_hz, grid, with_mpemba=True)
     # before the rows exist, so the crossing's temporaries do not add to them
@@ -156,8 +137,8 @@ def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
 
 
 def otto_distance_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
-    grid = _tau_grid(config)
-    plain, accelerated = distance_curves(config.cycle_config(), grid)
+    grid = config.delays
+    plain, accelerated = distance_curves(config.cycle, grid)
     rows = np.column_stack([grid, plain.trace_dist, accelerated.trace_dist])
     crossing = detect_crossing(accelerated, plain, observable="trace_dist")
     if crossing.exists:
@@ -174,7 +155,7 @@ def otto_distance_table(config: ExperimentConfig, args: argparse.Namespace) -> t
 
 
 def otto_ratio_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
-    reports = power_ratio(config.cycle_config(), tau2_grid=_tau_grid(config))
+    reports = power_ratio(config.cycle, tau2_grid=config.delays)
     peak = max(reports, key=lambda report: report.ratio)
     line = (
         f"otto-ratio: peak ratio {peak.ratio:.6f} at delta = {peak.delta:.6f} "

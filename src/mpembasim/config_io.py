@@ -4,6 +4,7 @@ The config format is flat ``key = value`` text.  Bracketed section headers
 are allowed for organization and otherwise ignored, ``#`` starts a comment,
 and every key is optional; missing keys fall back to the built-in defaults.
 Unknown keys are a hard error so typos cannot silently revert a parameter.
+A config holds its physics record, :class:`~mpembasim.otto.CycleConfig`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,9 @@ class ExperimentConfig:
 
     Frequencies and temperatures in kHz (``j_hz`` in Hz), ``tau1_us`` in
     microseconds, ``tau_bar_ms`` in ms; ``populations`` are the weights of
-    the two x eigenstates in the base state.
+    the two x eigenstates in the base state.  Construction keeps the physics
+    record, ``cycle``, a :class:`~mpembasim.otto.CycleConfig` in its units
+    (``tau1`` in ms); it is not a config key.
     """
 
     nu0_khz: float = 1.0
@@ -64,9 +67,13 @@ class ExperimentConfig:
             raise ValidationError(f"tau1_us {self.tau1_us!r} underflows to 0 ms")
         # the cycle refuses the float-range edges of its own parameters
         try:
-            self.cycle_config()
+            cycle = CycleConfig(
+                nu0=self.nu0_khz, nu1=self.nu1_khz, j_hz=self.j_hz, t_hot=self.t_hot_khz,
+                t_cold=self.t_cold_khz, tau1=self.tau1_us / 1000.0, tau_bar=self.tau_bar_ms,
+            )
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
+        object.__setattr__(self, "cycle", cycle)
         if len(self.populations) != 2 or not all(
             0.0 < p < 1.0 for p in self.populations
         ):
@@ -93,17 +100,17 @@ class ExperimentConfig:
                 f"output_precision must be at most 17, got {self.output_precision}"
             )
 
-    def cycle_config(self) -> CycleConfig:
-        """The refrigerator-cycle view of this configuration."""
-        return CycleConfig(
-            nu0=self.nu0_khz,
-            nu1=self.nu1_khz,
-            j_hz=self.j_hz,
-            t_hot=self.t_hot_khz,
-            t_cold=self.t_cold_khz,
-            tau1=self.tau1_us / 1000.0,
-            tau_bar=self.tau_bar_ms,
-        )
+    @property
+    def delays(self) -> np.ndarray:
+        """The ``tau_steps`` delays from 0 to the swap window, in ms."""
+        return np.linspace(0.0, self.cycle.window, self.tau_steps)
+
+    @property
+    def base_bloch(self) -> np.ndarray:
+        """Bloch vector ``(p0 - p1, 0, 0)`` of the base state, whose
+        ``populations`` weight the two x eigenstates."""
+        p0, p1 = self.populations
+        return np.array([p0 - p1, 0.0, 0.0])
 
 
 def _parse_float(key: str, text: str, lineno: int) -> float:

@@ -13,12 +13,16 @@ excited population through the large gap), HOT_RESET the closing reset.
 Every stroke is an affine map of the Bloch vector r, and :func:`run_cycle`
 computes them as such, on the three components as Python floats, through
 the expressions the sweeps run on numpy planes.  The two gap ramps rotate r
-about x by the angle of :func:`ramp_unitary` (:func:`_ramp_bloch`).  The
-exchange is the generalized-amplitude-damping map on Bloch components,
-:func:`channels._exchange_components`, with the hot partner; the reset is
-the same map with the cold partner in the frame that swaps x and z (the
-Kraus reset conjugated into the x eigenbasis also flips the sign of y, which
-cancels because the map scales x and y alike).  A stroke's energy under ``-2 pi nu sigma_a`` is
+about x by the same angle, that of :func:`ramp_unitary`, whose cosine and
+sine the config derives once (:attr:`CycleConfig.ramp`, read by
+:func:`_ramp_bloch`).  The exchange is the generalized-amplitude-damping map
+on Bloch components, :func:`channels._exchange_components`, with the hot
+partner :attr:`CycleConfig.hot`; the reset is the same map with the cold
+partner in the frame that swaps x and z (the Kraus reset conjugated into
+the x eigenbasis also flips the sign of y, which cancels because the map
+scales x and y alike).  The cold partner's polarization,
+:attr:`CycleConfig.z_cold`, is also the x component of the cold Gibbs state
+the cycle starts from.  A stroke's energy under ``-2 pi nu sigma_a`` is
 ``-nu r_a``.  The expansion ramp leaves the cold Gibbs state unchanged, since
 that state lies along x; its record only reassigns the energy from ``nu0`` to
 ``nu1``, as an Otto expansion should.
@@ -49,7 +53,7 @@ in h*kHz, times in ms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -87,6 +91,13 @@ class CycleConfig:
     takes the full exchange window; the accelerating pulse is instantaneous.
     ``tau_bar`` is the fixed per-cycle overhead used in the power ratio; it is
     deliberately a free knob rather than being derived from the stroke times.
+
+    Construction checks the parameters and derives, once, the values the
+    strokes read: ``window``, the swap window ``(2J)^-1`` in ms; ``hot``, the
+    hot partner ``ThermalEnvironment(t_hot, nu1)``; ``z_cold``, the x
+    component of the cold Gibbs state; and ``ramp``, the cosine and sine of
+    the Bloch rotation that both gap ramps share.  They are not parameters,
+    and :func:`dataclasses.replace` derives them afresh.
     """
 
     nu0: float = 1.0
@@ -97,6 +108,10 @@ class CycleConfig:
     tau1: float = 0.1
     tau_bar: float = 4.65
     use_mpemba: bool = True
+    window: float = field(init=False, repr=False, compare=False)
+    hot: ThermalEnvironment = field(init=False, repr=False, compare=False)
+    z_cold: float = field(init=False, repr=False, compare=False)
+    ramp: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         numbers = (
@@ -113,15 +128,23 @@ class CycleConfig:
             raise ValueError("coupling and stroke times must be positive")
         # the swap window, the hot field and the ramp angle must be finite at
         # the edges of the float range
-        if not math.isfinite(swap_window(self.j_hz)):
+        window = swap_window(self.j_hz)
+        if not math.isfinite(window):
             raise ValueError(f"J {self.j_hz!r} Hz is too small: 500 / J overflows")
         if not math.isfinite(2.0 * TWO_PI * self.nu1):
             raise ValueError(f"nu1 {self.nu1!r} kHz is too large: 4 pi nu1 overflows")
-        if not math.isfinite(2.0 * _ramp_phase(self.nu0, self.nu1, self.tau1)):
+        angle = 2.0 * _ramp_phase(self.nu0, self.nu1, self.tau1)
+        if not math.isfinite(angle):
             raise ValueError(
                 f"nu1 {self.nu1!r} kHz and tau1 {self.tau1!r} ms are too large: "
                 "the ramp angle 2 pi (nu0 + nu1) tau1 overflows"
             )
+        cold = ThermalEnvironment(temperature=self.t_cold, gap_frequency=self.nu0)
+        hot = ThermalEnvironment(temperature=self.t_hot, gap_frequency=self.nu1)
+        object.__setattr__(self, "window", window)
+        object.__setattr__(self, "hot", hot)
+        object.__setattr__(self, "z_cold", cold.polarization)
+        object.__setattr__(self, "ramp", (math.cos(angle), math.sin(angle)))
 
 
 class StrokeRecord(NamedTuple):
@@ -167,21 +190,13 @@ def ramp_unitary(nu_start: float, nu_end: float, duration: float) -> np.ndarray:
     return np.cos(phi) * IDENTITY + 1j * np.sin(phi) * SIGMA_X
 
 
-def _ramp_bloch(r, nu_start: float, nu_end: float, duration: float) -> tuple:
+def _ramp_bloch(r, ramp: tuple) -> tuple:
     """Bloch components after :func:`ramp_unitary`, a rotation about x, of
-    the components ``r``: three floats or a ``(3,)`` array."""
-    phi = 2.0 * _ramp_phase(nu_start, nu_end, duration)
-    c, s = math.cos(phi), math.sin(phi)
+    the components ``r``: three floats or a ``(3,)`` array.  ``ramp`` is the
+    cosine and sine of the Bloch rotation angle, :attr:`CycleConfig.ramp`."""
+    c, s = ramp
     x, y, z = r
     return x, c * y + s * z, c * z - s * y
-
-
-def _expanded_cold_state(cfg: CycleConfig) -> tuple:
-    """Bloch components of the cold Gibbs state before and after the
-    expansion."""
-    env_cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    r0 = (env_cold.polarization, 0.0, 0.0)
-    return r0, _ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1)
 
 
 def run_cycle(cfg: CycleConfig, tau2: float) -> list:
@@ -197,18 +212,16 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     """
     # the reset delay is the window itself, so only tau2 needs the check
     _check_delay(cfg.j_hz, tau2)
-    reset = swap_window(cfg.j_hz)
-    r0, r1 = _expanded_cold_state(cfg)
+    r0 = (cfg.z_cold, 0.0, 0.0)
+    r1 = _ramp_bloch(r0, cfg.ramp)
     r2 = (0.0, 0.0, _pulse_z(*r1)) if cfg.use_mpemba else r1
-    env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
     c = math.cos(_swap_angle(cfg.j_hz, tau2))
-    r3 = _exchange_components(env_hot.polarization, c, *r2)
-    r4 = _ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1)
-    # the reset exchanges along x with the cold partner, whose polarization
-    # r0[0] already holds: reversing (x, y, z) swaps x and z, and the map
-    # scales x and y alike, so y needs no sign flip
-    c = math.cos(_swap_angle(cfg.j_hz, reset))
-    r5 = _exchange_components(r0[0], c, *r4[::-1])[::-1]
+    r3 = _exchange_components(cfg.hot.polarization, c, *r2)
+    r4 = _ramp_bloch(r3, cfg.ramp)
+    # the reset exchanges along x with the cold partner: reversing (x, y, z)
+    # swaps x and z, and the map scales x and y alike, so y needs no sign flip
+    c = math.cos(_swap_angle(cfg.j_hz, cfg.window))
+    r5 = _exchange_components(cfg.z_cold, c, *r4[::-1])[::-1]
     states = validate_bloch_vectors(np.array([r1, r2, r3, r4, r5]))
 
     # energy -nu r_axis at each junction between strokes; neighbours share
@@ -221,7 +234,7 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
             -cfg.nu1 * r3[2], -cfg.nu0 * r4[0], -cfg.nu0 * r5[0],
         )
     ]
-    durations = (cfg.tau1, 0.0, tau2, cfg.tau1, reset)
+    durations = (cfg.tau1, 0.0, tau2, cfg.tau1, cfg.window)
     return list(
         map(StrokeRecord._make, zip(_STROKES, durations, junctions, junctions[1:], states))
     )
@@ -237,10 +250,9 @@ def distance_curves(
 ) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
     """Exchange-stroke trace distance to the hot target, without and with
     the accelerating unitary, over a grid of tau2 delays."""
-    r_plain = _expanded_cold_state(cfg)[1]
-    env_hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
+    r_plain = _ramp_bloch((cfg.z_cold, 0.0, 0.0), cfg.ramp)
     return tuple(
-        cooling_curves(r_plain, env_hot, cfg.j_hz, tau2_grid, flag)
+        cooling_curves(r_plain, cfg.hot, cfg.j_hz, tau2_grid, flag)
         for flag in (False, True)
     )
 

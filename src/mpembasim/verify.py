@@ -19,14 +19,9 @@ import functools
 
 import numpy as np
 
-from .channels import (
-    _exchange_grid,
-    apply_channel,
-    build_heat_exchange,
-    exchange_spectrum,
-    swap_window,
-)
-from .cli import _base_state, _hot_environment, _resolve_config, _tau_grid
+from .channels import _exchange_grid, apply_channel, build_heat_exchange, \
+    exchange_spectrum
+from .cli import _resolve_config
 from .exceptions import MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
     propagate_spectral, slow_pair_indices, transfer_matrix, vectorize
@@ -75,8 +70,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except (MpembaSimError, ValueError, OSError) as exc:
         _report("construction", False, str(exc))
         return 1
-    env = _hot_environment(config)
-    window = swap_window(config.j_hz)
+    cycle = config.cycle
+    env, window = cycle.hot, cycle.window
     h = qubit_hamiltonian(config.nu1_khz, axis="z")
     probe_tau = 1.0 if window > 1.0 else 0.43 * window
     # Free energies hold terms of size T ln 2, which carry rounding errors of
@@ -107,7 +102,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     @functools.cache
     def cycle_runs():
-        cycle = config.cycle_config()
         return [
             run_cycle(dataclasses.replace(cycle, use_mpemba=bool(k % 2)), tau2)
             for k, tau2 in enumerate(cycle_delays)
@@ -132,9 +126,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return worst <= 1e-10 * free_energy_scale, f"max defect {worst:.3e}"
 
     def spectral_propagation():
+        # the drawn times shrink by the largest |lambda| above 1/ms, the scale
+        # of liouville.STATIONARY_TOL, so the defect stays at rounding size
+        d = decomposition()
+        scale = max(1.0, float(np.abs(d.eigenvalues).max()))
         worst = 0.0
         for rho, t in propagation_inputs:
-            spectral = propagate_spectral(decomposition(), rho, t)
+            t /= scale
+            spectral = propagate_spectral(d, rho, t)
             direct = devectorize(expm(generator() * t) @ vectorize(rho))
             worst = max(worst, float(np.abs(spectral - direct).max()))
         return worst <= 1e-8, f"max defect {worst:.3e}"
@@ -153,7 +152,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return worst <= 1e-8, f"max defect {worst:.3e}"
 
     def power_ratio_floor():
-        reports = power_ratio(config.cycle_config(), tau2_grid=_tau_grid(config))
+        reports = power_ratio(cycle, tau2_grid=config.delays)
         floor = min(report.ratio for report in reports)
         return floor >= 1.0 - 1e-12, f"min ratio {floor:.12f}"
 
@@ -185,7 +184,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         pair = slow_pair_indices(d)
         if len(pair) != 2:
             return False, f"{len(pair)} slowest decaying modes, expected one pair"
-        starts = np.vstack([_base_state(config), bloch_vector(identity_states)])
+        starts = np.vstack([config.base_bloch, bloch_vector(identity_states)])
         pulsed = density_from_bloch(mpemba_bloch(starts))
         worst = max(float(np.abs(mode_overlap(d, k, pulsed)).max()) for k in pair)
         return worst <= 1e-10, f"max slow-mode weight {worst:.3e}"

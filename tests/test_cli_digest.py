@@ -3,7 +3,11 @@
 import importlib.util
 import os
 
+import pytest
+
 from mpembasim import cli
+from mpembasim.config_io import load_config
+from mpembasim.exceptions import ValidationError
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "cli_digest.py")
 spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
@@ -22,3 +26,12 @@ def test_every_digest_run_parses():
 def test_the_digest_runs_every_subcommand():
     commands = {argv[0] for _, argv, _ in cli_digest.runs()}
     assert commands >= {name for name, *_ in cli._SUBCOMMANDS}
+
+
+@pytest.mark.parametrize("name", sorted(cli_digest.REFUSALS))
+def test_every_refusal_config_is_refused(tmp_path, name):
+    # a config the checks accept would digest as a run, not a refusal
+    path = tmp_path / name
+    path.write_text(cli_digest.REFUSALS[name], encoding="utf-8")
+    with pytest.raises(ValidationError):
+        load_config(str(path))

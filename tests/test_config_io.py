@@ -1,6 +1,7 @@
 """Config parsing, the cycle view of a config, and table serialization."""
 
 import csv
+import dataclasses
 import json
 import os
 import tempfile
@@ -20,6 +21,7 @@ from mpembasim.config_io import (
     write_table,
 )
 from mpembasim.exceptions import ParseError, UnknownKeyError, ValidationError
+from mpembasim.otto import CycleConfig
 
 
 def write(tmp_path, text, name="run.cfg"):
@@ -142,9 +144,27 @@ def test_validation_rejects_out_of_range_weights():
 
 
 def test_cycle_config_view_converts_units():
-    cycle = ExperimentConfig(tau1_us=250.0).cycle_config()
+    cycle = ExperimentConfig(tau1_us=250.0).cycle
     assert cycle.tau1 == pytest.approx(0.25)
     assert cycle.nu0 == 1.0 and cycle.nu1 == 2.0
+
+
+def test_the_config_record_follows_a_replace():
+    config = dataclasses.replace(
+        ExperimentConfig(), j_hz=430.2, t_hot_khz=6.1, t_cold_khz=1.7, tau1_us=50.0
+    )
+    fresh = CycleConfig(j_hz=430.2, t_hot=6.1, t_cold=1.7, tau1=0.05)
+    assert config.cycle == fresh
+    for name in ("window", "hot", "z_cold", "ramp"):
+        assert getattr(config.cycle, name) == getattr(fresh, name)
+    assert dataclasses.replace(ExperimentConfig(), j_hz=430.2).cycle.window == 500.0 / 430.2
+    assert np.array_equal(config.delays, np.linspace(0.0, 500.0 / 430.2, 64))
+
+
+def test_the_config_keeps_its_twelve_keys():
+    # the record and the derived grids are not config keys
+    assert len(dataclasses.fields(ExperimentConfig)) == len(config_io._PARSERS) == 12
+    assert "cycle" not in config_io._PARSERS
 
 
 # --------------------------------------------------------------------- tables

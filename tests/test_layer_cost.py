@@ -9,6 +9,7 @@ import shutil
 import pytest
 
 import mpembasim
+from mpembasim import cli
 
 ROOT = os.path.dirname(os.path.dirname(__file__))
 spec = importlib.util.spec_from_file_location(
@@ -38,7 +39,7 @@ def test_two_rounds_over_two_directories_report_every_layer(capsys):
         timed = [line for line in lines if line.split()[:2] == [layer, "median"]]
         assert len(timed) == 2
         assert all("us per call  (n=2)" in line for line in timed)
-        assert "ratio" not in timed[0]
+        assert "ratio to the first" not in timed[0]
         assert re.search(
             r"ratio to the first: \d+\.\d{3} "
             r"\(IQR \d+\.\d{3}-\d+\.\d{3}, 95% CI \d+\.\d{3}-\d+\.\d{3}\)$",
@@ -58,7 +59,7 @@ def test_a_function_the_package_lacks_is_reported_absent(tmp_path, capsys):
     assert [line.split() for line in lines if "absent" in line] == [["log_eigensystem", "absent"]]
     assert lines.index("  log_eigensystem      absent") < lines.index(SRC)
     timed = [line for line in lines if line.split()[:2] == ["log_eigensystem", "median"]]
-    assert len(timed) == 1 and "ratio" not in timed[0]
+    assert len(timed) == 1 and "ratio to the first" not in timed[0]
     assert sum("ratio to the first" in line for line in lines) == len(layer_cost.LAYERS) - 1
 
 
@@ -67,8 +68,13 @@ def test_a_function_the_package_lacks_is_reported_absent(tmp_path, capsys):
     [
         ("__init__", "raise ImportError('on purpose')\n"),
         ("otto", "def run_cycle(cfg, tau2):\n    raise ValueError('on purpose')\n"),
+        (
+            "config_io",
+            "def _refuse(self):\n    raise ValueError('on purpose')\n\n\n"
+            "ExperimentConfig.__post_init__ = _refuse\n",
+        ),
     ],
-    ids=["load", "layer"],
+    ids=["load", "layer", "table"],
 )
 def test_a_package_that_fails_to_load_or_a_layer_that_raises_exits_1(
     tmp_path, capsys, module, tail
@@ -98,3 +104,9 @@ def test_the_ranges_are_those_of_the_cycle_scan_workload():
         if isinstance(node, ast.Assign) and node.targets[0].id == "RANGES"
     )
     assert ast.literal_eval(ranges) == layer_cost.RANGES
+
+
+def test_the_table_rows_are_the_table_commands_of_the_cli():
+    computed = [name for name, _, _, compute, _ in cli._SUBCOMMANDS if compute is not None]
+    assert list(layer_cost.TABLE_COMMANDS) == computed
+    assert all(layer_cost.LAYERS[name] == "cli" for name in computed)

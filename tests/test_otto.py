@@ -1,6 +1,7 @@
 """Cycle strokes, energy bookkeeping, and the threshold-power comparison."""
 
 import dataclasses
+import math
 import re
 
 import numpy as np
@@ -220,6 +221,26 @@ def test_cycle_config_validation():
         CycleConfig(nu1=1e300, tau1=1e308)
 
 
+def test_cycle_config_derives_its_record_afresh_on_replace():
+    # a derived value left stale by dataclasses.replace would go unnoticed
+    # by every parameter check, so each is compared with its own derivation
+    cfg = dataclasses.replace(CycleConfig(), j_hz=430.2, t_hot=6.1, t_cold=1.7, tau1=0.05)
+    assert cfg.window == swap_window(430.2)
+    assert cfg.hot == ThermalEnvironment(temperature=6.1, gap_frequency=2.0)
+    assert cfg.z_cold == ThermalEnvironment(temperature=1.7, gap_frequency=1.0).polarization
+    phi = 2.0 * otto._ramp_phase(1.0, 2.0, 0.05)
+    assert cfg.ramp == (math.cos(phi), math.sin(phi))
+    assert dataclasses.replace(CycleConfig(), j_hz=430.2).window == swap_window(430.2)
+
+
+@pytest.mark.parametrize("name", ["window", "hot", "z_cold", "ramp"])
+def test_cycle_config_derived_fields_are_not_parameters(name):
+    derived = {field.name: field for field in dataclasses.fields(CycleConfig)}[name]
+    assert not derived.init and not derived.compare
+    with pytest.raises(TypeError):
+        CycleConfig(**{name: 1.0})
+
+
 # -------------------------------------------------------------------- cycles
 
 
@@ -309,15 +330,23 @@ def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
 def _composed_cycle(cfg: CycleConfig, tau2: float) -> tuple:
     """The junction energies and the five Bloch vectors of a cycle, from the
     generalized-amplitude-damping formula of :func:`conftest.gad_bloch`, the
-    public pulse and the ramp on ``(3,)`` arrays."""
+    public pulse and the ramp on ``(3,)`` arrays, none of them read from the
+    config's derived fields."""
     window = swap_window(cfg.j_hz)
     cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
     hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
+    def ramp(r, nu_start, nu_end):
+        # a rotation about x by twice the ramp's phase
+        phi = 2.0 * otto._ramp_phase(nu_start, nu_end, cfg.tau1)
+        c, s = math.cos(phi), math.sin(phi)
+        x, y, z = r
+        return np.array([x, c * y + s * z, c * z - s * y])
+
     r0 = np.array([cold.polarization, 0.0, 0.0])
-    r1 = np.array(otto._ramp_bloch(r0, cfg.nu0, cfg.nu1, cfg.tau1))
+    r1 = ramp(r0, cfg.nu0, cfg.nu1)
     r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
     r3 = gad_bloch(hot, cfg.j_hz, r2, [tau2])[0]
-    r4 = np.array(otto._ramp_bloch(r3, cfg.nu1, cfg.nu0, cfg.tau1))
+    r4 = ramp(r3, cfg.nu1, cfg.nu0)
     r5 = gad_bloch(cold, cfg.j_hz, r4[::-1], [window])[0][::-1]
     energies = [
         float(e)
@@ -363,6 +392,22 @@ def test_cycle_rejects_a_vector_outside_the_bloch_ball(monkeypatch):
     monkeypatch.setattr(otto, "_ramp_bloch", lambda r, *_: np.array([1.5, 0.0, 0.0]))
     with pytest.raises(ValueError, match="negative eigenvalue"):
         run_cycle(CycleConfig(), tau2=1.0)
+
+
+def test_a_cycle_builds_no_thermal_partner(monkeypatch):
+    # both partners come from the config, derived once when it is built
+    configs = [CycleConfig(use_mpemba=use_mpemba) for use_mpemba in (False, True)]
+    built = []
+    post_init = ThermalEnvironment.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ThermalEnvironment, "__post_init__", counting)
+    for cfg in configs:
+        run_cycle(cfg, 1.0)
+    assert built == []
 
 
 def test_bridge_stroke_changes_frame_even_when_disabled():

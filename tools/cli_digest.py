@@ -20,14 +20,16 @@ block of the table writer, in csv and json.  Last come
 ``--help`` for the program and each subcommand, the failing runs of
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
-empty config path ``--config ""``, a ``verify`` whose battery fails, and the
-two runs of :data:`CAP_RUNS` at the grid cap.  Every run gets its own
-temporary working directory and a fixed relative output name, so paths
-echoed to stdout match between checkouts, and ``COLUMNS=80``, so argparse
-wraps help and usage text the same way in any terminal.  One SHA-256 line
-is printed per stdout, per table, and per stderr that is not empty: 94
-lines in all (93 for a package that ignores an empty ``--config``, whose
-run then succeeds and writes no stderr).
+empty config path ``--config ""``, a ``verify`` whose battery fails, the
+two runs of :data:`CAP_RUNS` at the grid cap, and one ``spectrum`` per
+physics refusal of :data:`REFUSALS`, each through its own config file.
+Every run gets its own temporary working directory, which holds every
+config file, and a fixed relative output name, so paths echoed to stdout
+match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
+usage text the same way in any terminal.  One SHA-256 line is printed per
+stdout, per table, and per stderr that is not empty: 110 lines in all (109
+for a package that ignores an empty ``--config``, whose run then succeeds
+and writes no stderr).
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -71,6 +73,19 @@ epsilon_equilibrium_khz = 0.02
 output_precision = 10
 """
 CONFIG_NAME = "run.cfg"
+
+#: config files the physics checks refuse (exit 3, the message on stderr):
+#: the domain of the parameters, then the edges of the float range
+REFUSALS = {
+    "nu1-below-nu0.cfg": "nu1_khz = 0.5\n",
+    "cold-temperature.cfg": "t_cold_khz = 0\n",
+    "coupling.cfg": "j_hz = -1\n",
+    "coupling-nan.cfg": "j_hz = nan\n",
+    "tau1-underflow.cfg": "tau1_us = 5e-324\n",
+    "window-overflow.cfg": "j_hz = 5e-324\n",
+    "field-overflow.cfg": "nu1_khz = 1e308\n",
+    "ramp-overflow.cfg": "nu1_khz = 1e300\ntau1_us = 1e308\n",
+}
 
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
@@ -139,6 +154,8 @@ def runs():
         yield " ".join(argv), list(argv), None
     for argv in CAP_RUNS:
         yield " ".join(argv), list(argv), "table.csv"
+    for name in REFUSALS:
+        yield f"spectrum --config {name}", ["spectrum", "--config", name], None
 
 
 def sha256(data: bytes) -> str:
@@ -158,8 +175,9 @@ def main(argv: list) -> int:
     env["COLUMNS"] = "80"
     for label, args, table in runs():
         with tempfile.TemporaryDirectory() as workdir:
-            with open(os.path.join(workdir, CONFIG_NAME), "w", encoding="utf-8") as handle:
-                handle.write(CONFIG)
+            for name, text in {CONFIG_NAME: CONFIG, **REFUSALS}.items():
+                with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
+                    handle.write(text)
             done = subprocess.run(
                 [sys.executable, "-m", "mpembasim.cli", *args],
                 cwd=workdir,

@@ -14,9 +14,14 @@ the time per call over 16 seeded ``cycle-scan`` inputs (:data:`RANGES`);
 operation does before its two cycles, and ``cycle_scan_op`` is the whole
 operation as ``CycleScan.run`` in ``benchmarks/workloads.py`` runs it: the
 hot environment, the reference pass, and ``run_cycle`` without and with the
-pulse.  The inputs are reused across calls,
-so a cache kept on an input reads here as a gain that ``cycle-scan``, whose
-operations build fresh configs, would not show.
+pulse.  The inputs are reused across calls, as ``cycle-scan`` reuses the
+configs it builds in its untimed ``prepare``; so work moved into a config's
+construction, or a cache kept on an input, reads in those rows as a gain.
+``config_and_cycles`` times that construction as well: it builds the two
+configs as ``CycleScan._draw`` does (by keyword, then ``replace``) and runs
+both cycles.  Last, each table command of :data:`TABLE_COMMANDS` is timed
+as ``ExperimentConfig()`` and its computation from ``cli._SUBCOMMANDS``, at
+the default grids, with no table written; these run once per sample.
 
 Printed per directory: each layer's median sample in microseconds, or
 ``absent`` where the package lacks it; after the first directory, the median
@@ -30,6 +35,7 @@ layer raises, else 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import timeit
@@ -64,7 +70,12 @@ LAYERS = {
     "reference_pass": None,
     "run_cycle": "otto",
     "cycle_scan_op": None,
+    "config_and_cycles": None,
 }
+
+#: the table commands timed after the layers, each with a fresh default config
+TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
+LAYERS.update(dict.fromkeys(TABLE_COMMANDS, "cli"))
 
 #: resamples of the bootstrap interval of a median ratio
 RESAMPLES = 2000
@@ -81,8 +92,9 @@ def load(src: str, name: str) -> dict:
     )
     sys.modules[name] = util.module_from_spec(spec)
     spec.loader.exec_module(sys.modules[name])
-    channels, liouville, otto = (
-        import_module(f"{name}.{module}") for module in ("channels", "liouville", "otto")
+    channels, liouville, otto, config_io, cli = (
+        import_module(f"{name}.{module}")
+        for module in ("channels", "liouville", "otto", "config_io", "cli")
     )
 
     def reference_pass(env, j_hz, tau):
@@ -95,6 +107,11 @@ def load(src: str, name: str) -> dict:
         otto.run_cycle(plain, tau2)
         otto.run_cycle(pulsed, tau2)
 
+    def config_and_cycles(parameters, tau2):
+        pulsed = otto.CycleConfig(**parameters)
+        otto.run_cycle(dataclasses.replace(pulsed, use_mpemba=False), tau2)
+        otto.run_cycle(pulsed, tau2)
+
     rng = np.random.default_rng(28)
     calls = []
     for k in range(16):
@@ -105,24 +122,35 @@ def load(src: str, name: str) -> dict:
         tau = v["spectrum_tau_over_window"] * window
         channel = channels.build_heat_exchange(env, j_hz, tau)
         generator = liouville.extract_generator(channel, tau)
-        cycles = [
-            otto.CycleConfig(
-                nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
-                tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"], use_mpemba=pulse,
-            )
-            for pulse in (False, True)
-        ]
+        parameters = dict(
+            nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
+            tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"],
+        )
+        cycles = [otto.CycleConfig(**parameters, use_mpemba=pulse) for pulse in (False, True)]
         tau2 = v["tau2_over_window"] * window
         # the arguments of each layer, in the order of LAYERS
         calls.append((
             (env, j_hz, tau), (channel.operators,), (generator,),
             (liouville.transfer_matrix(channel.operators),), (tau * generator,),
             (channel, tau), (generator,), (env, j_hz, tau), (cycles[k % 2], tau2),
-            (v["t_hot_khz"], nu1, j_hz, tau, *cycles, tau2),
+            (v["t_hot_khz"], nu1, j_hz, tau, *cycles, tau2), (parameters, tau2),
         ))
-    passes = {"reference_pass": reference_pass, "cycle_scan_op": cycle_scan_op}
+    passes = {
+        "reference_pass": reference_pass,
+        "cycle_scan_op": cycle_scan_op,
+        "config_and_cycles": config_and_cycles,
+    }
+    computations = {command: compute for command, _, _, compute, _ in cli._SUBCOMMANDS}
+
+    def table(compute, args):
+        compute(config_io.ExperimentConfig(), args)
+
     layers = {}
     for column, (layer, module) in enumerate(LAYERS.items()):
+        if module == "cli":
+            args = cli._build_parser().parse_args([layer, "--out", "table.csv"])
+            layers[layer] = (table, [(computations[layer], args)])
+            continue
         module = module and import_module(f"{name}.{module}")
         function = getattr(module, layer, None) if module else passes[layer]
         layers[layer] = (function, [call[column] for call in calls]) if function else None
