@@ -1,15 +1,16 @@
 """Command-line pipelines: spectra, sweeps, refrigerator tables, self checks.
 
-Summaries go to stdout, tables to files.  The five table commands share
-one handler, :func:`cmd_table`: it resolves the config, runs the command's
-computation ``(config, args) -> (rows, schema, summary_lines)``, writes the
-table when ``--out`` is given and only then prints, so a run whose table
-cannot be written exits 3 with nothing on stdout.  :data:`_SUBCOMMANDS`
-declares each subcommand's help, handler, computation and flags; the
-computations read the physics from the config's record, ``config.cycle``.
-Exit codes: 0 success, 1 self-check failure or a stdout closed by its
-reader before the output ended, 2 numerical failure or an argparse usage
-error, 3 config or IO failure.  The ``verify`` battery lives in
+Summaries go to stdout, tables to files.  :func:`main` resolves the config
+and hands it to the subcommand's handler, ``(config, args)``.  The five
+table commands share :func:`cmd_table`: it runs the command's computation
+``(config, args) -> (rows, schema, summary_lines)``, writes the table when
+``--out`` is given and only then prints, so a run whose table cannot be
+written exits 3 with nothing on stdout.  :data:`_SUBCOMMANDS` declares
+each subcommand's help, handler, computation and flags; the computations
+read the physics from the config's record, ``config.cycle``.  Exit codes:
+0 success, 1 self-check failure or a stdout closed by its reader before
+the output ended, 2 numerical failure or an argparse usage error, 3 config
+or IO failure, in every subcommand.  The ``verify`` battery lives in
 :mod:`mpembasim.verify`.
 """
 
@@ -165,9 +166,8 @@ def otto_ratio_table(config: ExperimentConfig, args: argparse.Namespace) -> tupl
     return reports, ["delta", "tau2_plain_ms", "tau2_mb_ms", "ratio"], [line]
 
 
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(config: ExperimentConfig, args: argparse.Namespace) -> int:
     """Run a table command: compute, write the table if asked, then print."""
-    config = _resolve_config(args)
     rows, schema, lines = args.compute(config, args)
     if args.out is not None:
         write_table(rows, schema, args.out, args.format, config.output_precision)
@@ -175,10 +175,10 @@ def cmd_table(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
     from . import verify  # the battery loads only when it runs
 
-    return verify.cmd_verify(args)
+    return verify.cmd_verify(config)
 
 
 #: one (flag, argparse spec) per flag; an override flag's dest is its config key
@@ -244,7 +244,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = args.handler(args)
+        code = args.handler(_resolve_config(args), args)
         # a reader that closed stdout early shows here, not at the exit flush
         sys.stdout.flush()
         return code
@@ -261,7 +261,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3
-    except MpembaSimError as exc:
+    except (MpembaSimError, ValueError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 2
 

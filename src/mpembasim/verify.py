@@ -6,14 +6,13 @@ identity of the model) and prints one ``PASS``/``FAIL`` line; the sweeps'
 planar kernel, for one, is checked straight against the Kraus channel
 (``sweep-kernel-agreement``), and the exchange channel against the
 collision with a Gibbs partner that it models (``dilation-agreement``,
-which bounds :func:`dilation_deviation`).  The module is imported by
-:func:`mpembasim.cli.cmd_verify` when ``verify`` runs, so the other
-subcommands do not load it.
+which bounds :func:`dilation_deviation`).  It runs on the config that
+:func:`mpembasim.cli.main` resolved, and :func:`mpembasim.cli.cmd_verify`
+imports it when ``verify`` runs, so the other subcommands do not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import functools
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .channels import _exchange_grid, apply_channel, build_heat_exchange, \
     exchange_spectrum
-from .cli import _resolve_config
+from .config_io import ExperimentConfig
 from .exceptions import MpembaSimError
 from .liouville import decompose, devectorize, extract_generator, mode_overlap, \
     propagate_spectral, slow_pair_indices, transfer_matrix, vectorize
@@ -64,12 +63,7 @@ def _report(name: str, passed: bool, detail: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} {name}{suffix}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        config = _resolve_config(args)
-    except (MpembaSimError, ValueError, OSError) as exc:
-        _report("construction", False, str(exc))
-        return 1
+def cmd_verify(config: ExperimentConfig) -> int:
     cycle = config.cycle
     env, window = cycle.hot, cycle.window
     h = qubit_hamiltonian(config.nu1_khz, axis="z")

@@ -3,8 +3,10 @@ process where the whole stderr stream is under test."""
 
 import contextlib
 import csv
+import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -19,10 +21,20 @@ from hypothesis import strategies as st
 import mpembasim
 from mpembasim import cli, otto, verify
 from mpembasim.cli import main
+from mpembasim.config_io import ExperimentConfig
+from mpembasim.exceptions import ValidationError
+
+spec = importlib.util.spec_from_file_location(
+    "cli_digest",
+    os.path.join(os.path.dirname(os.path.dirname(__file__)), "tools", "cli_digest.py"),
+)
+cli_digest = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(cli_digest)
 
 WINDOW_MS = 2.3245002324500232
 
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
+COMMANDS = (*TABLE_COMMANDS, "verify")
 
 VERIFY_CHECKS = (
     "dilation-agreement",
@@ -36,6 +48,11 @@ VERIFY_CHECKS = (
     "slow-mode-removal",
     "spectrum-agreement",
 )
+
+
+def command_args(command):
+    """The arguments a run of ``command`` needs besides its config: a table."""
+    return [] if command == "verify" else ["--out", "t.csv"]
 
 
 def run(capsys, *argv):
@@ -598,27 +615,43 @@ def test_non_finite_config_values_are_config_errors(capsys, tmp_path, line):
     assert "must be finite" in err
 
 
-def test_verify_reports_a_broken_config_as_a_failure(capsys, tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("nu1_khz = 0.5\n", encoding="utf-8")
-    code, out, _ = run(capsys, "verify", "--config", str(bad))
-    assert code == 1
-    assert "FAIL construction" in out
+#: config files every subcommand refuses alike (None: the file is absent):
+#: a missing file, bytes that are not UTF-8, an unknown key, and each
+#: physics refusal of the digest, ``nu1_khz`` below ``nu0_khz`` among them
+CONFIG_FAILURES = {
+    "missing": None,
+    "not-utf8": b"j_hz = 2\xff0\n",
+    "unknown-key": b"coupling_hz = 215.1\n",
+    **{name: text.encode() for name, text in cli_digest.REFUSALS.items()},
+}
 
 
-@pytest.mark.parametrize("via_environment", [False, True])
-def test_verify_reports_a_missing_config_as_a_failure(
-    capsys, tmp_path, monkeypatch, via_environment
+@pytest.mark.parametrize("via", ["flag", "environment"])
+@pytest.mark.parametrize("failure", sorted(CONFIG_FAILURES))
+def test_a_config_failure_exits_3_alike_in_every_subcommand(
+    capsys, tmp_path, monkeypatch, failure, via
 ):
-    missing = str(tmp_path / "missing.cfg")
-    if via_environment:
-        monkeypatch.setenv("MPEMBA_CONFIG", missing)
-        code, out, err = run(capsys, "verify")
+    # main resolves the config before any handler runs, so verify refuses
+    # it as the table commands do: exit 3, nothing on stdout, one stderr line
+    cfg = tmp_path / "run.cfg"
+    if CONFIG_FAILURES[failure] is not None:
+        cfg.write_bytes(CONFIG_FAILURES[failure])
+    if via == "environment":
+        monkeypatch.setenv("MPEMBA_CONFIG", str(cfg))
+        config = []
     else:
-        code, out, err = run(capsys, "verify", "--config", missing)
-    assert code == 1
-    assert out.startswith("FAIL construction") and len(out.splitlines()) == 1
-    assert err == ""
+        config = ["--config", str(cfg)]
+    monkeypatch.chdir(tmp_path)
+    errors = set()
+    for command in COMMANDS:
+        code, out, err = run(capsys, command, *config, *command_args(command))
+        assert (code, out) == (3, ""), command
+        errors.add(err)
+    assert len(errors) == 1
+    (err,) = errors
+    assert err.startswith("io error: " if failure == "missing" else "config error: ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == ([cfg] if cfg.exists() else [])
 
 
 @pytest.mark.parametrize("via_environment", [False, True])
@@ -636,10 +669,7 @@ def test_a_config_that_is_not_utf8_is_a_config_error(
     assert (code, out) == (3, "")
     assert err.startswith("config error: byte 8: not UTF-8 text")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.cfg"]
-    code, out, err = run(capsys, "verify", *config)
-    assert code == 1
-    assert out.startswith("FAIL construction  (byte 8: not UTF-8 text")
-    assert len(out.splitlines()) == 1 and err == ""
+    assert run(capsys, "verify", *config) == (code, out, err)
 
 
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path):
@@ -789,7 +819,7 @@ def test_config_flag_beats_the_environment(capsys, tmp_path, monkeypatch):
     assert len(read_csv(path)) == 7
 
 
-@pytest.mark.parametrize("command", TABLE_COMMANDS)
+@pytest.mark.parametrize("command", COMMANDS)
 def test_an_empty_config_path_is_an_io_error(capsys, tmp_path, monkeypatch, command):
     # an empty --config names a file that cannot be read, as an empty --out
     # names one that cannot be written; it does not fall back to
@@ -798,17 +828,10 @@ def test_an_empty_config_path_is_an_io_error(capsys, tmp_path, monkeypatch, comm
     cfg.write_text("tau_steps = 5\n", encoding="utf-8")
     monkeypatch.setenv("MPEMBA_CONFIG", str(cfg))
     monkeypatch.chdir(tmp_path)
-    code, out, err = run(capsys, command, "--config", "", "--out", "t.csv")
+    code, out, err = run(capsys, command, "--config", "", *command_args(command))
     assert (code, out) == (3, "")
     assert "io error" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["env.cfg"]
-
-
-def test_verify_reports_an_empty_config_path_as_a_failure(capsys):
-    code, out, err = run(capsys, "verify", "--config", "")
-    assert code == 1
-    assert out.startswith("FAIL construction") and len(out.splitlines()) == 1
-    assert err == ""
 
 
 def test_an_empty_environment_variable_counts_as_unset(capsys, tmp_path, monkeypatch):
@@ -960,6 +983,16 @@ FLOAT_KEYS = [key for key in CONFIG_VALUES if key.endswith(("_khz", "_hz", "_us"
 @example(command="otto-ratio", values={}, poison=("tau1_us", 5e-324), tau=1.0)
 @example(command="verify", values={}, poison=("t_hot_khz", 5e-324), tau=1.0)
 @example(command="verify", values={}, poison=("t_cold_khz", 5e-324), tau=1.0)
+# a free-energy excess of -8.061e+264 kHz, below RelaxationTrajectory's
+# floor, raised a plain ValueError that main let through as a traceback
+@example(
+    command="otto-distance", values={"nu0_khz": 1e-10, "nu1_khz": 1e268},
+    poison=("t_hot_khz", 1e281), tau=1.0,
+)
+@example(
+    command="otto-ratio", values={"nu0_khz": 1e-10, "nu1_khz": 1e268},
+    poison=("t_hot_khz", 1e281), tau=1.0,
+)
 def test_every_config_ends_in_a_documented_exit_code(command, values, poison, tau):
     """Any config file gives exit 0/1/2/3 with no traceback and no warning, in
     every subcommand, and a table written with exit 0 holds no NaN cell."""
@@ -987,3 +1020,60 @@ def test_every_config_ends_in_a_documented_exit_code(command, values, poison, ta
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in err.getvalue()
     assert [str(warning.message) for warning in caught] == []
+
+
+#: a positive float drawn log-uniformly over the whole range, 5e-324 to the
+#: largest float, both ends included
+ANY_POSITIVE = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+
+#: every float key over the whole range, every other key in range, at small grids
+WHOLE_RANGE = {
+    **dict.fromkeys(FLOAT_KEYS, ANY_POSITIVE),
+    "populations": st.floats(0.01, 0.99).map(lambda p: (p, 1.0 - p)),
+    "theta_steps": st.integers(2, 6),
+    "tau_steps": st.integers(2, 12),
+    "output_precision": st.integers(0, 17),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(COMMANDS),
+    values=st.fixed_dictionaries(WHOLE_RANGE),
+    tau=ANY_POSITIVE,
+)
+def test_the_contract_holds_over_the_whole_float_range(command, values, tau):
+    """Every run ends in exit 0/1/2/3 with no traceback and no warning, a
+    table written with exit 0 holds only finite cells, and a config that
+    ``ExperimentConfig`` refuses exits 3 with nothing on stdout."""
+    try:
+        ExperimentConfig(**values)
+        refused = False
+    except ValidationError:
+        refused = True
+    with tempfile.TemporaryDirectory() as workdir:
+        cfg = os.path.join(workdir, "run.cfg")
+        with open(cfg, "w", encoding="utf-8") as handle:
+            for key, value in values.items():
+                text = ", ".join(map(repr, value)) if key == "populations" else repr(value)
+                handle.write(f"{key} = {text}\n")
+        table = os.path.join(workdir, "table.csv")
+        argv = [command, "--config", cfg]
+        if command == "spectrum":
+            argv.append(f"--tau={tau!r}")
+        if command != "verify":
+            argv += ["--out", table]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        if code == 0 and os.path.exists(table):
+            with open(table, encoding="utf-8") as handle:
+                cells = {cell.strip().lower() for row in csv.reader(handle) for cell in row}
+            assert cells.isdisjoint({"nan", "inf", "-inf", "+inf"})
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert [str(warning.message) for warning in caught] == []
+    if refused:
+        assert (code, out.getvalue()) == (3, "")

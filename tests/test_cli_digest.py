@@ -28,6 +28,14 @@ def test_the_digest_runs_every_subcommand():
     assert commands >= {name for name, *_ in cli._SUBCOMMANDS}
 
 
+def test_verify_runs_every_refusal_and_a_missing_config():
+    # verify refuses a config as the table commands do, so the digest pins it
+    runs = [argv for _, argv, _ in cli_digest.runs()]
+    for name in (*cli_digest.REFUSALS, cli_digest.MISSING_CONFIG):
+        assert ["verify", "--config", name] in runs
+    assert cli_digest.MISSING_CONFIG not in {cli_digest.CONFIG_NAME, *cli_digest.REFUSALS}
+
+
 @pytest.mark.parametrize("name", sorted(cli_digest.REFUSALS))
 def test_every_refusal_config_is_refused(tmp_path, name):
     # a config the checks accept would digest as a run, not a refusal

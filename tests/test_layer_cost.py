@@ -5,6 +5,7 @@ import importlib.util
 import os
 import re
 import shutil
+import sys
 
 import pytest
 
@@ -110,3 +111,13 @@ def test_the_table_rows_are_the_table_commands_of_the_cli():
     computed = [name for name, _, _, compute, _ in cli._SUBCOMMANDS if compute is not None]
     assert list(layer_cost.TABLE_COMMANDS) == computed
     assert all(layer_cost.LAYERS[name] == "cli" for name in computed)
+    assert list(layer_cost.LAYERS)[-1] == "verify"
+
+
+def test_the_verify_row_runs_the_battery_in_process_with_its_stdout_discarded(capsys):
+    function, calls = layer_cost.load(SRC, "mpembasim_verify_row")["verify"]
+    # cli imports the battery only when verify runs
+    assert "mpembasim_verify_row.verify" not in sys.modules
+    function(*calls[0])
+    assert "mpembasim_verify_row.verify" in sys.modules
+    assert capsys.readouterr() == ("", "")

@@ -1,6 +1,7 @@
 """Names looked up across the package's edges still resolve: the ones the
 benchmark looks up in the package, and the ones the package looks up in the
-oldest numpy it declares."""
+oldest numpy it declares.  And ``verify`` prints what the benchmark
+accepts."""
 
 import ast
 import dataclasses
@@ -27,6 +28,34 @@ def load_tracer():
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     return tracer
+
+
+def load_workloads(monkeypatch):
+    monkeypatch.syspath_prepend(BENCHMARKS)  # workloads imports reference by name
+    spec = importlib.util.spec_from_file_location(
+        "workloads", os.path.join(BENCHMARKS, "workloads.py")
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2], ids=["defaults", "seed-1", "seed-2"])
+def test_verify_prints_what_the_cli_defaults_workload_accepts(
+    capsys, tmp_path, monkeypatch, seed
+):
+    # cli-defaults refuses a run whose verify prints fewer than 9 lines or any
+    # line but PASS; a reshaped battery would only fail a benchmark run
+    workloads = load_workloads(monkeypatch)
+    workload = workloads.CliDefaults(seed, str(tmp_path))
+    argv = ["verify"]
+    if seed is not None:
+        workload.setup()  # writes the seeded config the workload runs
+        argv += ["--config", workload.config]
+    code = cli.main(argv)
+    call = workloads.Call("verify", 0.0, code, capsys.readouterr().out)
+    assert workload.check(None, workloads.Outcome([call])) == []
 
 
 def test_traced_functions_and_public_names_resolve():

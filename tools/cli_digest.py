@@ -21,13 +21,15 @@ block of the table writer, in csv and json.  Last come
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
 empty config path ``--config ""``, a ``verify`` whose battery fails, the
-two runs of :data:`CAP_RUNS` at the grid cap, and one ``spectrum`` per
-physics refusal of :data:`REFUSALS`, each through its own config file.
+two runs of :data:`CAP_RUNS` at the grid cap, one ``spectrum`` and one
+``verify`` per physics refusal of :data:`REFUSALS`, each through its own
+config file, and a ``verify`` given a config path that does not exist
+(:data:`MISSING_CONFIG`).
 Every run gets its own temporary working directory, which holds every
 config file, and a fixed relative output name, so paths echoed to stdout
 match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
 usage text the same way in any terminal.  One SHA-256 line is printed per
-stdout, per table, and per stderr that is not empty: 110 lines in all (109
+stdout, per table, and per stderr that is not empty: 128 lines in all (127
 for a package that ignores an empty ``--config``, whose run then succeeds
 and writes no stderr).
 
@@ -86,6 +88,9 @@ REFUSALS = {
     "field-overflow.cfg": "nu1_khz = 1e308\n",
     "ramp-overflow.cfg": "nu1_khz = 1e300\ntau1_us = 1e308\n",
 }
+
+#: a config path that no run creates
+MISSING_CONFIG = "missing.cfg"
 
 #: ``spectrum`` delays besides its default of 1 ms
 SPECTRUM_DELAYS = ("0.3", "1e-9")
@@ -156,6 +161,8 @@ def runs():
         yield " ".join(argv), list(argv), "table.csv"
     for name in REFUSALS:
         yield f"spectrum --config {name}", ["spectrum", "--config", name], None
+    for name in (*REFUSALS, MISSING_CONFIG):
+        yield f"verify --config {name}", ["verify", "--config", name], None
 
 
 def sha256(data: bytes) -> str:

@@ -21,7 +21,9 @@ construction, or a cache kept on an input, reads in those rows as a gain.
 configs as ``CycleScan._draw`` does (by keyword, then ``replace``) and runs
 both cycles.  Last, each table command of :data:`TABLE_COMMANDS` is timed
 as ``ExperimentConfig()`` and its computation from ``cli._SUBCOMMANDS``, at
-the default grids, with no table written; these run once per sample.
+the default grids, with no table written, and ``verify`` as
+``cli.main(["verify"])`` with its stdout discarded; these run once per
+sample.
 
 Printed per directory: each layer's median sample in microseconds, or
 ``absent`` where the package lacks it; after the first directory, the median
@@ -35,7 +37,9 @@ layer raises, else 0.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import io
 import os
 import sys
 import timeit
@@ -73,9 +77,10 @@ LAYERS = {
     "config_and_cycles": None,
 }
 
-#: the table commands timed after the layers, each with a fresh default config
+#: the table commands timed after the layers, each with a fresh default
+#: config, and then the whole ``verify`` run in process
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
-LAYERS.update(dict.fromkeys(TABLE_COMMANDS, "cli"))
+LAYERS.update(dict.fromkeys((*TABLE_COMMANDS, "verify"), "cli"))
 
 #: resamples of the bootstrap interval of a median ratio
 RESAMPLES = 2000
@@ -145,8 +150,15 @@ def load(src: str, name: str) -> dict:
     def table(compute, args):
         compute(config_io.ExperimentConfig(), args)
 
+    def verify():
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["verify"])
+
     layers = {}
     for column, (layer, module) in enumerate(LAYERS.items()):
+        if layer == "verify":
+            layers[layer] = (verify, [()])
+            continue
         if module == "cli":
             args = cli._build_parser().parse_args([layer, "--out", "table.csv"])
             layers[layer] = (table, [(computations[layer], args)])
