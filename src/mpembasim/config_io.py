@@ -185,9 +185,13 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def _atomic_write(path: str, pieces) -> None:
-    """Write the strings of ``pieces`` one after another to ``path``, atomically.
+    """Write the bytes of ``pieces`` one after another to ``path``, atomically.
 
-    An ``OSError`` names ``path``, not the temporary file it was written to.
+    The file is opened in binary mode, so the pieces reach it as they are:
+    no encoding and no newline translation.  An ``OSError`` names ``path``,
+    not the temporary file it was written to.  On any error, such as one
+    raised while ``pieces`` is drawn, the temporary file is removed and
+    ``path`` is left as it was.
     """
     directory = os.path.dirname(os.path.abspath(path))
     # os.open with mode 0o666 lets the umask set the file's permissions, as
@@ -199,7 +203,7 @@ def _atomic_write(path: str, pieces) -> None:
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as handle:
+        with os.fdopen(fd, "wb") as handle:
             handle.writelines(pieces)
         os.replace(tmp_path, path)
     except BaseException as exc:
@@ -232,12 +236,13 @@ def write_table(
     n_cols)`` array or a sequence of row tuples, or is a :class:`GridRows`,
     whose two axes are the first two columns.  Each column is rendered by
     the type of its cell in the first row: floats with ``precision``
-    significant digits (``%.{precision}g``), ints and strings as they are.
-    JSON floats are spelled as ``json.dumps`` spells the rounded value.
-    '.' decimal separator and LF line endings; the cells are rendered and
-    written in blocks of at most :data:`BLOCK_ROWS` rows, the write is
-    atomic (temp file plus rename in the target directory) and the file's
-    mode follows the umask.
+    significant digits (``%.{precision}g``), other cells by their ``str``.
+    JSON floats are spelled as ``json.dumps`` spells the rounded value, and
+    JSON strings, bools and ``None`` as it spells them.  '.' decimal
+    separator, LF line endings and UTF-8; the table is built as bytes, its
+    cells rendered and written in blocks of at most :data:`BLOCK_ROWS` rows,
+    the write is atomic (temp file plus rename in the target directory) and
+    the file's mode follows the umask.
 
     A JSON row goes through the ``%.{precision}g`` slots that CSV uses
     unless one of its floats is spelled otherwise by ``json.dumps`` or may
@@ -264,55 +269,56 @@ def write_table(
 
     fmt = fmt.lower()
     if fmt == "csv":
-        as_json, separator = False, ""
+        as_json, separator = False, b""
 
         def layout(slots):
-            return ",".join(slots) + "\n"
+            return b",".join(slots) + b"\n"
 
     elif fmt == "json":
         import json  # loaded only for JSON tables
 
-        # the layout json.dumps(payload, indent=2) writes, filled per row
-        as_json, separator = True, ",\n"
-        members = [json.dumps(name).replace("%", "%%") for name in schema]
+        # the layout json.dumps(payload, indent=2) writes, filled per row;
+        # json.dumps spells the names in ASCII
+        as_json, separator = True, b",\n"
+        members = [json.dumps(name).replace("%", "%%").encode() for name in schema]
 
         def layout(slots):
-            lines = (f"    {key}: {slot}" for key, slot in zip(members, slots))
-            return "  {\n" + ",\n".join(lines) + "\n  }"
+            lines = (b"    %s: %s" % (key, slot) for key, slot in zip(members, slots))
+            return b"  {\n" + b",\n".join(lines) + b"\n  }"
 
     else:
         raise ValueError(f"unknown table format {fmt!r}")
     slots, cells = _columns(columns, precision, as_json)
     axis_texts = [_float_texts(axis, precision, as_json) for axis in axes]
     blocks = _filled(
-        [layout([_AXIS_CELL] * len(axes) + s) for s in (slots, ["%s"] * len(slots))],
+        [layout([_AXIS_CELL] * len(axes) + s) for s in (slots, [b"%s"] * len(slots))],
         separator, axis_texts, axes[1].size if grid else len(values), cells,
-        [k for k, slot in enumerate(slots) if as_json and slot != "%s"], precision,
+        [k for k, slot in enumerate(slots) if as_json and slot != b"%s"], precision,
     )
     if not as_json:
-        pieces = chain([",".join(schema) + "\n"], blocks)
+        pieces = chain([",".join(schema).encode() + b"\n"], blocks)
     elif len(rows):
-        pieces = chain(["[\n"], blocks, ["\n]\n"])
+        pieces = chain([b"[\n"], blocks, [b"\n]\n"])
     else:
-        pieces = ["[]\n"]
+        pieces = [b"[]\n"]
     _atomic_write(path, pieces)
 
 
 #: where an axis cell's text goes in a row template; json.dumps escapes it
 #: in the JSON member names, and a CSV row template holds only slots
-_AXIS_CELL = "\0"
+_AXIS_CELL = b"\0"
 
 
 def _filled(
     layouts: list,
-    separator: str,
+    separator: bytes,
     axis_texts: list,
     n_inner: int,
     cells: list,
     checked: list,
     precision: int,
 ):
-    """The table's rows joined by ``separator``, as text blocks of at most
+    """The table's rows joined by ``separator``, as bytes blocks of at most
     :data:`BLOCK_ROWS` rows; each block after the first starts with
     ``separator``.  Only one block's cells exist at a time.
 
@@ -324,13 +330,13 @@ def _filled(
     the rest with its inner text; so each axis text is placed once, and the
     rows of one outer value are the tails joined with its lead.  A block
     holds whole outer rows, or a slice of one longer than a block, and is
-    filled by one ``%`` on the value columns' cells (see :func:`_columns`)
-    interleaved into one row-major list.  A row in which a float of a
+    filled by one bytes ``%`` on the value columns' cells (see
+    :func:`_columns`) interleaved into one row-major list.  A row in which a float of a
     ``checked`` column fails :func:`_spelled_alike` at ``precision`` takes
     the fallback's tail, with those floats as their JSON spellings.
     """
     (*edges, tail), (*_, fallback) = (text.split(_AXIS_CELL) for text in layouts)
-    leads, tails = [""], None
+    leads, tails = [b""], None
     if axis_texts:
         (lead, between), (outer, inner) = edges, axis_texts
         leads = [lead + text for text in outer]
@@ -364,31 +370,30 @@ def _filled(
                     texts = _float_texts(column[rows], precision, as_json=True)
                     for cell, text in zip((rows * width + k).tolist(), texts):
                         flat[cell] = text
-            template = separator.join(
+            template = (separator if first else b"") + separator.join(
                 lead + (separator + lead).join(block_tails[o * size:(o + 1) * size])
                 for o, lead in enumerate(block_leads)
             )
-            yield (separator if first else "") + template % tuple(flat)
+            yield template % tuple(flat)
 
 
 def _columns(columns: list, precision: int, as_json: bool) -> tuple:
-    """Each column's ``%``-template slot and ``(render, data)`` pair, in
-    column order; the cells of the rows in a slice are ``render(data[slice])``.
+    """Each column's bytes ``%``-template slot and ``(render, data)`` pair,
+    in column order; the cells of the rows in a slice are
+    ``render(data[slice])``.
 
     Float cells stay numbers under the ``%.{precision}g`` slot, in CSV and
-    in JSON alike.  Ints and strings go under a ``%s`` slot, strings
-    JSON-quoted for ``as_json`` and ints as they are.
+    in JSON alike.  Other cells go under a ``%s`` slot as UTF-8 bytes of
+    their ``str``, except in JSON strings, bools and ``None``, which are
+    spelled as ``json.dumps`` spells them (``true``, ``false``, ``null``);
+    ints, Python or numpy, keep their ``str`` there too.
     """
     slots, cells = [], []
     for column in columns:
-        slot, render = "%s", list
+        slot, render = b"%s", _json_texts if as_json else _utf8_texts
         if isinstance(column[0], float):
             column = np.asarray(column, dtype=float)
-            slot, render = f"%.{precision}g", np.ndarray.tolist
-        elif as_json and isinstance(column[0], str):
-            import json
-
-            render = lambda part: list(map(json.dumps, part))
+            slot, render = b"%%.%dg" % precision, np.ndarray.tolist
         elif isinstance(column, np.ndarray):
             column = column.tolist()
         slots.append(slot)
@@ -420,18 +425,36 @@ def _spelled_alike(values: np.ndarray, precision: int) -> np.ndarray:
     return (magnitude >= 1e-300) & (fraction > 10.0 ** (1 - precision) * magnitude)
 
 
+def _utf8_texts(cells) -> list:
+    """The UTF-8 bytes of each cell's ``str``."""
+    return [str(cell).encode() for cell in cells]
+
+
+def _json_texts(cells) -> list:
+    """Each cell as JSON bytes: strings, bools and ``None`` as ``json.dumps``
+    spells them (numpy bools as Python ones), any other cell by its ``str``."""
+    import json
+
+    return [
+        json.dumps(bool(cell) if isinstance(cell, np.bool_) else cell).encode()
+        if cell is None or isinstance(cell, (str, bool, np.bool_))
+        else str(cell).encode()
+        for cell in cells
+    ]
+
+
 #: json.dumps spellings of the non-finite floats
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_JSON_NON_FINITE = {b"nan": b"NaN", b"inf": b"Infinity", b"-inf": b"-Infinity"}
 
 
 def _float_texts(values: np.ndarray, precision: int, as_json: bool) -> list:
-    """Floats as ``%.{precision}g`` text, or as ``json.dumps`` spells the rounded value.
+    """Floats as ``%.{precision}g`` bytes, or as ``json.dumps`` spells the rounded value.
 
-    The JSON spelling is ``repr(float(text))``, with the non-finite reprs
-    renamed after it, since at ``precision >= 16`` a finite value can round
-    to infinity.
+    The JSON spelling is ``repr(float(text))`` (bytes ``%a``), with the
+    non-finite reprs renamed after it, since at ``precision >= 16`` a finite
+    value can round to infinity.
     """
-    texts = list(map(f"%.{precision}g".__mod__, values.tolist()))
+    texts = list(map((b"%%.%dg" % precision).__mod__, values.tolist()))
     if not as_json:
         return texts
-    return [_JSON_NON_FINITE.get(text, text) for text in map(repr, map(float, texts))]
+    return [_JSON_NON_FINITE.get(text, text) for text in map(b"%a".__mod__, map(float, texts))]

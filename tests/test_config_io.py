@@ -24,6 +24,20 @@ from mpembasim.exceptions import ParseError, UnknownKeyError, ValidationError
 from mpembasim.otto import CycleConfig
 
 
+def assert_same_document(actual, expected):
+    """``actual == expected`` for two texts or two byte strings; a failure
+    names only the first line that differs, its index and both its texts,
+    since pytest's own diff of two long documents takes minutes."""
+    if actual == expected:
+        return
+    got, want = actual.splitlines(keepends=True), expected.splitlines(keepends=True)
+    index = next(
+        (k for k, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want))
+    )
+    got, want = (lines[index] if index < len(lines) else "<end>" for lines in (got, want))
+    pytest.fail(f"documents differ first at line {index}: {got!r} != {want!r}")
+
+
 def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -207,7 +221,7 @@ def test_empty_tables_still_write_a_csv_header(tmp_path):
     path = str(tmp_path / "empty.csv")
     write_table([], ["a", "b"], path)
     with open(path, encoding="utf-8") as handle:
-        assert handle.read() == "a,b\n"
+        assert_same_document(handle.read(), "a,b\n")
 
 
 def test_table_precision_is_significant_digits(tmp_path):
@@ -255,7 +269,7 @@ def test_array_and_row_tuples_write_the_same_bytes(tmp_path, fmt):
     array_path, rows_path = tmp_path / f"array.{fmt}", tmp_path / f"rows.{fmt}"
     write_table(table, ["a", "b", "c"], str(array_path), fmt=fmt)
     write_table(rows, ["a", "b", "c"], str(rows_path), fmt=fmt)
-    assert array_path.read_bytes() == rows_path.read_bytes()
+    assert_same_document(array_path.read_bytes(), rows_path.read_bytes())
 
 
 def test_mixed_columns_take_their_types_from_the_first_row(tmp_path):
@@ -270,6 +284,52 @@ def test_mixed_columns_take_their_types_from_the_first_row(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert '"index": 1,' in text and '"kind": "population"' in text
     assert json.loads(text) == [dict(zip(schema, row))]
+
+
+def test_json_spells_bools_and_none_as_json_does(tmp_path):
+    # numpy bools and ints come from row tuples as well; ints keep their text
+    rows = [(True, 1.5, None, np.int64(3), 7), (np.False_, 2.5, "x", np.int32(-4), 8)]
+    schema = ["flag", "x", "note", "count", "index"]
+    path = tmp_path / "t.json"
+    write_table(rows, schema, str(path), fmt="json")
+    plain = [
+        {"flag": True, "x": 1.5, "note": None, "count": 3, "index": 7},
+        {"flag": False, "x": 2.5, "note": "x", "count": -4, "index": 8},
+    ]
+    assert json.loads(path.read_bytes()) == plain
+    assert_same_document(path.read_bytes(), (json.dumps(plain, indent=2) + "\n").encode())
+    # csv writes each such cell by its str, as before
+    path = tmp_path / "t.csv"
+    write_table(rows, schema, str(path))
+    assert_same_document(
+        path.read_bytes(), b"flag,x,note,count,index\nTrue,1.5,None,3,7\nFalse,2.5,x,-4,8\n"
+    )
+
+
+def test_non_ascii_cells_and_names_are_written_as_utf8(tmp_path):
+    words = ["café", "Δf_neq", "100%", "%s", "a,b", 'say "hi"', "\U0001d6d1"]
+    rows = [(k, 0.1 * k + 1e-3, words[k % len(words)]) for k in range(2 * len(words))]
+    schema = ["n°", "τ_ms %", "label, \"é\""]
+    csv_text = ",".join(schema) + "\n" + "".join(
+        f"{k},{format(x, '.12g')},{word}\n" for k, x, word in rows
+    )
+    json_text = json.dumps(
+        [dict(zip(schema, (k, float(format(x, ".12g")), word))) for k, x, word in rows],
+        indent=2,
+    ) + "\n"
+    for fmt, expected in {"csv": csv_text, "json": json_text}.items():
+        path = tmp_path / f"t.{fmt}"
+        write_table(rows, schema, str(path), fmt=fmt)
+        assert_same_document(path.read_bytes(), expected.encode("utf-8"))
+
+
+def test_a_cell_utf8_cannot_encode_leaves_no_file(tmp_path):
+    # a lone surrogate has no UTF-8 bytes; the write fails whole, with no
+    # table and no temporary file left
+    rows = [(float(k), "ok") for k in range(BLOCK_ROWS + 1)] + [(0.5, "\ud800")]
+    with pytest.raises(UnicodeEncodeError):
+        write_table(rows, ["x", "label"], str(tmp_path / "t.csv"))
+    assert list(tmp_path.iterdir()) == []
 
 
 FLOAT_CELLS = st.floats(allow_subnormal=True) | st.sampled_from(
@@ -298,7 +358,7 @@ def assert_tables_match_reference(rows, schema, precision):
             path = os.path.join(workdir, f"table.{fmt}")
             write_table(table, schema, path, fmt=fmt, precision=precision)
             with open(path, encoding="utf-8") as handle:
-                assert handle.read() == expected
+                assert_same_document(handle.read(), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -394,8 +454,8 @@ def test_a_row_spelled_otherwise_keeps_its_place_in_the_blocks(row):
 
 
 def per_row_table(rows, schema, fmt, precision):
-    """The table with one ``%`` per row, on the slots and cells of
-    ``config_io._columns``: every float cell under a ``%g`` slot.
+    """The table's bytes with one bytes ``%`` per row, on the slots and
+    cells of ``config_io._columns``: every float cell under a ``%g`` slot.
 
     A JSON row whose ``%g`` cells all pass ``_spelled_alike`` fills the
     template with those slots; any other row fills an all-``%s`` template,
@@ -405,15 +465,16 @@ def per_row_table(rows, schema, fmt, precision):
     slots, cells = config_io._columns(list(zip(*rows)), precision, as_json)
     rendered = zip(*(render(data) for render, data in cells))
     if not as_json:
-        template = ",".join(slots) + "\n"
-        return ",".join(schema) + "\n" + "".join(map(template.__mod__, rendered))
-    members = [json.dumps(name).replace("%", "%%") for name in schema]
+        template = b",".join(slots) + b"\n"
+        header = ",".join(schema).encode() + b"\n"
+        return header + b"".join(map(template.__mod__, rendered))
+    members = [json.dumps(name).replace("%", "%%").encode() for name in schema]
 
     def layout(slots):
-        lines = (f"    {key}: {slot}" for key, slot in zip(members, slots))
-        return "  {\n" + ",\n".join(lines) + "\n  }"
+        lines = (b"    " + key + b": " + slot for key, slot in zip(members, slots))
+        return b"  {\n" + b",\n".join(lines) + b"\n  }"
 
-    checked = [k for k, slot in enumerate(slots) if slot != "%s"]
+    checked = [k for k, slot in enumerate(slots) if slot != b"%s"]
 
     def fill(row):
         floats = np.array([row[k] for k in checked], dtype=float)
@@ -421,10 +482,10 @@ def per_row_table(rows, schema, fmt, precision):
             return layout(slots) % row
         spelled = list(row)
         for k in checked:
-            spelled[k] = json.dumps(float(format(row[k], f".{precision}g")))
-        return layout(["%s"] * len(slots)) % tuple(spelled)
+            spelled[k] = json.dumps(float(format(row[k], f".{precision}g"))).encode()
+        return layout([b"%s"] * len(slots)) % tuple(spelled)
 
-    return "[\n" + ",\n".join(map(fill, rendered)) + "\n]\n" if rows else "[]\n"
+    return b"[\n" + b",\n".join(map(fill, rendered)) + b"\n]\n" if rows else b"[]\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -443,12 +504,13 @@ def test_block_filled_tables_match_one_row_at_a_time(tmp_path, fmt, n_rows):
     schema = ["axis", "load_%", "index", "%s label"]
     path = tmp_path / f"table.{fmt}"
     write_table(rows, schema, str(path), fmt=fmt, precision=12)
-    text = path.read_text(encoding="utf-8")
-    assert text == per_row_table(rows, schema, fmt, 12)
+    data = path.read_bytes()
+    assert_same_document(data, per_row_table(rows, schema, fmt, 12))
     if fmt == "json":
-        payload = json.loads(text)
+        payload = json.loads(data)
         assert len(payload) == n_rows
-        assert [row["%s label"] for row in payload] == [row[3] for row in rows]
+        labels = "\n".join(row["%s label"] for row in payload)
+        assert_same_document(labels, "\n".join(row[3] for row in rows))
 
 
 def test_signed_zeros_keep_their_own_text(tmp_path):
@@ -498,7 +560,7 @@ def test_grid_tables_match_their_rows_written_out(n_inner, n_outer, precision):
             path = os.path.join(workdir, f"grid.{fmt}")
             write_table(GridRows(outer, inner, values), schema, path, fmt, precision)
             with open(path, encoding="utf-8") as handle:
-                assert handle.read() == expected
+                assert_same_document(handle.read(), expected)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -517,7 +579,7 @@ def test_grid_tables_are_written_in_blocks_of_at_most_block_rows(
     )
     write_table(grid, ["a", "b", "c"], "unused", fmt)
     blocks = written[1:-1] if fmt == "json" else written[1:]
-    rows = [block.count("{") if fmt == "json" else block.count("\n") for block in blocks]
+    rows = [block.count(b"{") if fmt == "json" else block.count(b"\n") for block in blocks]
     assert sum(rows) == len(grid) and all(0 < n <= BLOCK_ROWS for n in rows)
     assert len(blocks) == n_blocks
 

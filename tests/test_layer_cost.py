@@ -93,18 +93,56 @@ def test_a_directory_without_the_package_is_refused(tmp_path, capsys):
     assert "no mpembasim package" in capsys.readouterr().err
 
 
-def test_the_ranges_are_those_of_the_cycle_scan_workload():
+def workload_constants(name):
+    """The literal class attributes of the workload class ``name`` in
+    ``benchmarks/workloads.py``, read without importing it."""
     with open(os.path.join(ROOT, "benchmarks", "workloads.py"), encoding="utf-8") as handle:
         tree = ast.parse(handle.read())
-    scan = next(
+    workload = next(
         node for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name == "CycleScan"
+        if isinstance(node, ast.ClassDef) and node.name == name
     )
-    ranges = next(
-        node.value for node in scan.body
-        if isinstance(node, ast.Assign) and node.targets[0].id == "RANGES"
-    )
-    assert ast.literal_eval(ranges) == layer_cost.RANGES
+    return {
+        node.targets[0].id: ast.literal_eval(node.value) for node in workload.body
+        if isinstance(node, ast.Assign) and node.targets[0].id.isupper()
+    }
+
+
+def test_the_ranges_are_those_of_the_cycle_scan_workload():
+    assert workload_constants("CycleScan")["RANGES"] == layer_cost.RANGES
+
+
+def test_the_write_rows_are_the_tables_of_the_sweep_large_workload(tmp_path):
+    sweep = workload_constants("SweepLarge")
+    assert layer_cost.WRITES == sweep["FORMATS"]
+    assert layer_cost.SWEEP_GRID == {
+        "theta_steps": sweep["THETA_STEPS"],
+        "surface_tau_steps": sweep["SURFACE_TAU_STEPS"],
+        "tau_steps": sweep["TAU_STEPS"],
+    }
+    layers = layer_cost.load(SRC, "mpembasim_write_rows", str(tmp_path))
+    config_io = sys.modules["mpembasim_write_rows.config_io"]
+    otto = sys.modules["mpembasim_write_rows.otto"]
+    # otto-ratio's rows are one report per pulse delay, over the 4096 delays
+    config = config_io.ExperimentConfig(tau_steps=sweep["TAU_STEPS"])
+    n_rows = {
+        "surface": sweep["THETA_STEPS"] * sweep["SURFACE_TAU_STEPS"],
+        "cooling": sweep["TAU_STEPS"],
+        "otto-distance": sweep["TAU_STEPS"],
+        "otto-ratio": len(otto.power_ratio(config.cycle, tau2_grid=config.delays)),
+    }
+    for command, fmt in sweep["FORMATS"].items():
+        function, [(rows, schema, path, table_fmt, precision)] = layers[f"write_{command}"]
+        assert function is config_io.write_table
+        assert (len(rows), table_fmt, precision) == (n_rows[command], fmt, 12)
+        assert os.path.dirname(path) == str(tmp_path) and path.endswith(f".{fmt}")
+        # only the write is timed: the rows exist before the first call
+        assert not os.path.exists(path)
+        function(rows, schema, path, table_fmt, precision)
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+        lines = text.count("\n") - 1 if fmt == "csv" else text.count("\n  {")
+        assert lines == n_rows[command]
 
 
 def test_the_table_rows_are_the_table_commands_of_the_cli():
@@ -114,8 +152,10 @@ def test_the_table_rows_are_the_table_commands_of_the_cli():
     assert list(layer_cost.LAYERS)[-1] == "verify"
 
 
-def test_the_verify_row_runs_the_battery_in_process_with_its_stdout_discarded(capsys):
-    function, calls = layer_cost.load(SRC, "mpembasim_verify_row")["verify"]
+def test_the_verify_row_runs_the_battery_in_process_with_its_stdout_discarded(
+    tmp_path, capsys
+):
+    function, calls = layer_cost.load(SRC, "mpembasim_verify_row", str(tmp_path))["verify"]
     # cli imports the battery only when verify runs
     assert "mpembasim_verify_row.verify" not in sys.modules
     function(*calls[0])

@@ -19,11 +19,15 @@ configs it builds in its untimed ``prepare``; so work moved into a config's
 construction, or a cache kept on an input, reads in those rows as a gain.
 ``config_and_cycles`` times that construction as well: it builds the two
 configs as ``CycleScan._draw`` does (by keyword, then ``replace``) and runs
-both cycles.  Last, each table command of :data:`TABLE_COMMANDS` is timed
-as ``ExperimentConfig()`` and its computation from ``cli._SUBCOMMANDS``, at
-the default grids, with no table written, and ``verify`` as
-``cli.main(["verify"])`` with its stdout discarded; these run once per
-sample.
+both cycles.  Then each table of :data:`WRITES` is written by
+``config_io.write_table`` alone, at the default physics and the grid
+(:data:`SWEEP_GRID`) and format of the ``sweep-large`` workload, into a
+temporary directory; its rows are computed once, when the package loads.
+Last, each table command of :data:`TABLE_COMMANDS` is timed as
+``ExperimentConfig()`` and its computation from ``cli._SUBCOMMANDS``, at the
+default grids, with no table written, and ``verify`` as
+``cli.main(["verify"])`` with its stdout discarded; these, and the writes,
+run once per sample.
 
 Printed per directory: each layer's median sample in microseconds, or
 ``absent`` where the package lacks it; after the first directory, the median
@@ -42,6 +46,7 @@ import dataclasses
 import io
 import os
 import sys
+import tempfile
 import timeit
 import traceback
 from importlib import import_module, util
@@ -77,6 +82,15 @@ LAYERS = {
     "config_and_cycles": None,
 }
 
+#: the tables of ``SweepLarge.FORMATS`` in ``benchmarks/workloads.py``, each
+#: written in its format
+WRITES = {"surface": "csv", "cooling": "json", "otto-distance": "csv", "otto-ratio": "json"}
+
+#: ``SweepLarge``'s grids: ``surface`` at ``theta_steps`` x
+#: ``surface_tau_steps``, the other tables at ``tau_steps`` delays
+SWEEP_GRID = {"theta_steps": 200, "surface_tau_steps": 200, "tau_steps": 4096}
+LAYERS.update({f"write_{command}": "config_io" for command in WRITES})
+
 #: the table commands timed after the layers, each with a fresh default
 #: config, and then the whole ``verify`` run in process
 TABLE_COMMANDS = ("spectrum", "surface", "cooling", "otto-distance", "otto-ratio")
@@ -86,9 +100,10 @@ LAYERS.update(dict.fromkeys((*TABLE_COMMANDS, "verify"), "cli"))
 RESAMPLES = 2000
 
 
-def load(src: str, name: str) -> dict:
+def load(src: str, name: str, workdir: str) -> dict:
     """Import ``src``'s ``mpembasim`` afresh as the package ``name``; map each
-    layer to its function and arguments, or to ``None`` where it is absent."""
+    layer to its function and arguments, or to ``None`` where it is absent.
+    The write rows write their tables into ``workdir``."""
     for key in [key for key in sys.modules if key.split(".")[0] == name]:
         del sys.modules[key]
     root = os.path.join(src, "mpembasim")
@@ -154,10 +169,23 @@ def load(src: str, name: str) -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(["verify"])
 
+    def written(command):
+        fmt = WRITES[command]
+        grid = SWEEP_GRID["surface_tau_steps" if command == "surface" else "tau_steps"]
+        config = config_io.ExperimentConfig(theta_steps=SWEEP_GRID["theta_steps"], tau_steps=grid)
+        args = cli._build_parser().parse_args([command, "--out", f"{command}.{fmt}"])
+        rows, schema, _ = computations[command](config, args)
+        path = os.path.join(workdir, f"{name}-{command}.{fmt}")
+        return rows, schema, path, fmt, config.output_precision
+
     layers = {}
     for column, (layer, module) in enumerate(LAYERS.items()):
         if layer == "verify":
             layers[layer] = (verify, [()])
+            continue
+        if module == "config_io":
+            command = layer.removeprefix("write_")
+            layers[layer] = (config_io.write_table, [written(command)])
             continue
         if module == "cli":
             args = cli._build_parser().parse_args([layer, "--out", "table.csv"])
@@ -200,19 +228,20 @@ def main(argv: list) -> int:
             return 2
     packages, samples = [], [{layer: [] for layer in LAYERS} for _ in sources]
     order = list(range(len(sources)))
-    try:
-        for index in order:
-            packages.append(load(sources[index], f"mpembasim_{index}"))
-        for _ in range(args.rounds):
-            for layer in LAYERS:
-                for index in order:
-                    if packages[index][layer]:
-                        samples[index][layer].append(per_call(*packages[index][layer]))
-            order.reverse()
-    except Exception:  # the code under test may raise anything
-        print(f"{sources[index]} failed:", file=sys.stderr)
-        traceback.print_exc()
-        return 1
+    with tempfile.TemporaryDirectory() as workdir:
+        try:
+            for index in order:
+                packages.append(load(sources[index], f"mpembasim_{index}", workdir))
+            for _ in range(args.rounds):
+                for layer in LAYERS:
+                    for index in order:
+                        if packages[index][layer]:
+                            samples[index][layer].append(per_call(*packages[index][layer]))
+                order.reverse()
+        except Exception:  # the code under test may raise anything
+            print(f"{sources[index]} failed:", file=sys.stderr)
+            traceback.print_exc()
+            return 1
 
     for src, times in zip(sources, samples):
         print(src)
