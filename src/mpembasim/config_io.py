@@ -238,7 +238,9 @@ def write_table(
     the type of its cell in the first row: floats with ``precision``
     significant digits (``%.{precision}g``), other cells by their ``str``.
     JSON floats are spelled as ``json.dumps`` spells the rounded value, and
-    JSON strings, bools and ``None`` as it spells them.  '.' decimal
+    JSON strings, bools and ``None`` as it spells them.  A CSV cell or schema
+    name that holds a comma, a double quote, CR or LF is quoted as RFC 4180
+    asks, other CSV text is written as it is.  '.' decimal
     separator, LF line endings and UTF-8; the table is built as bytes, its
     cells rendered and written in blocks of at most :data:`BLOCK_ROWS` rows,
     the write is atomic (temp file plus rename in the target directory) and
@@ -296,7 +298,7 @@ def write_table(
         [k for k, slot in enumerate(slots) if as_json and slot != b"%s"], precision,
     )
     if not as_json:
-        pieces = chain([",".join(schema).encode() + b"\n"], blocks)
+        pieces = chain([",".join(map(_csv_field, schema)).encode() + b"\n"], blocks)
     elif len(rows):
         pieces = chain([b"[\n"], blocks, [b"\n]\n"])
     else:
@@ -384,13 +386,14 @@ def _columns(columns: list, precision: int, as_json: bool) -> tuple:
 
     Float cells stay numbers under the ``%.{precision}g`` slot, in CSV and
     in JSON alike.  Other cells go under a ``%s`` slot as UTF-8 bytes of
-    their ``str``, except in JSON strings, bools and ``None``, which are
-    spelled as ``json.dumps`` spells them (``true``, ``false``, ``null``);
-    ints, Python or numpy, keep their ``str`` there too.
+    their ``str``, quoted in CSV as RFC 4180 asks (:func:`_csv_field`),
+    except in JSON strings, bools and ``None``, which are spelled as
+    ``json.dumps`` spells them (``true``, ``false``, ``null``); ints, Python
+    or numpy, keep their ``str`` there too.
     """
     slots, cells = [], []
     for column in columns:
-        slot, render = b"%s", _json_texts if as_json else _utf8_texts
+        slot, render = b"%s", _json_texts if as_json else _csv_texts
         if isinstance(column[0], float):
             column = np.asarray(column, dtype=float)
             slot, render = b"%%.%dg" % precision, np.ndarray.tolist
@@ -425,9 +428,17 @@ def _spelled_alike(values: np.ndarray, precision: int) -> np.ndarray:
     return (magnitude >= 1e-300) & (fraction > 10.0 ** (1 - precision) * magnitude)
 
 
-def _utf8_texts(cells) -> list:
-    """The UTF-8 bytes of each cell's ``str``."""
-    return [str(cell).encode() for cell in cells]
+def _csv_field(text: str) -> str:
+    """``text`` as an RFC 4180 field: in double quotes, with each inner quote
+    doubled, when it holds a comma, a double quote, CR or LF."""
+    if any(char in text for char in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _csv_texts(cells) -> list:
+    """The UTF-8 bytes of each cell's ``str`` as a csv field (:func:`_csv_field`)."""
+    return [_csv_field(str(cell)).encode() for cell in cells]
 
 
 def _json_texts(cells) -> list:

@@ -156,3 +156,12 @@ def test_timing_lines_give_the_parents_quartiles(tmp_path, capsys):
     code, out = run(tmp_path, capsys, report(seed=1), report(seed=1, op_p50_ms=80.0))
     line = next(line for line in out.splitlines() if "op_p50_ms" in line)
     assert line.endswith("won 1/1  parent q1/q3 100/100")
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["-h"], 0), (["--help"], 0), (["--verbose"], 2), (["old.json", "-x"], 2)]
+)
+def test_help_prints_the_usage_to_stdout_and_any_other_option_to_stderr(capsys, argv, code):
+    usage = bench_compare.__doc__.strip() + "\n"
+    assert bench_compare.main(argv) == code
+    assert capsys.readouterr() == ((usage, "") if code == 0 else ("", usage))

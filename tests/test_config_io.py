@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import io
 import json
 import os
 import tempfile
@@ -310,9 +311,12 @@ def test_non_ascii_cells_and_names_are_written_as_utf8(tmp_path):
     words = ["café", "Δf_neq", "100%", "%s", "a,b", 'say "hi"', "\U0001d6d1"]
     rows = [(k, 0.1 * k + 1e-3, words[k % len(words)]) for k in range(2 * len(words))]
     schema = ["n°", "τ_ms %", "label, \"é\""]
-    csv_text = ",".join(schema) + "\n" + "".join(
-        f"{k},{format(x, '.12g')},{word}\n" for k, x, word in rows
-    )
+    # csv quotes the cells and names that hold a comma or a quote
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(schema)
+    writer.writerows((k, format(x, ".12g"), word) for k, x, word in rows)
+    csv_text = buffer.getvalue()
     json_text = json.dumps(
         [dict(zip(schema, (k, float(format(x, ".12g")), word))) for k, x, word in rows],
         indent=2,
@@ -321,6 +325,18 @@ def test_non_ascii_cells_and_names_are_written_as_utf8(tmp_path):
         path = tmp_path / f"t.{fmt}"
         write_table(rows, schema, str(path), fmt=fmt)
         assert_same_document(path.read_bytes(), expected.encode("utf-8"))
+
+
+@pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+def test_csv_cells_and_names_holding_a_delimiter_read_back_exactly(tmp_path, char):
+    words = [f"a{char}b", char, f'"{char}"', f"{char}{char}x", "plain"]
+    rows = [(k, 0.5 * k + 0.1, word) for k, word in enumerate(words)]
+    schema = ["n", f"x{char}ms", f"{char}label"]
+    path = tmp_path / "t.csv"
+    write_table(rows, schema, str(path))
+    with open(path, encoding="utf-8", newline="") as handle:
+        table = list(csv.reader(handle))
+    assert table == [schema, *([str(k), format(x, ".12g"), word] for k, x, word in rows)]
 
 
 def test_a_cell_utf8_cannot_encode_leaves_no_file(tmp_path):

@@ -1,10 +1,10 @@
 """tools/layer_cost.py on this checkout and on edited copies of its package."""
 
-import ast
 import importlib.util
 import os
 import re
 import shutil
+import subprocess
 import sys
 
 import pytest
@@ -93,45 +93,22 @@ def test_a_directory_without_the_package_is_refused(tmp_path, capsys):
     assert "no mpembasim package" in capsys.readouterr().err
 
 
-def workload_constants(name):
-    """The literal class attributes of the workload class ``name`` in
-    ``benchmarks/workloads.py``, read without importing it."""
-    with open(os.path.join(ROOT, "benchmarks", "workloads.py"), encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    workload = next(
-        node for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name == name
-    )
-    return {
-        node.targets[0].id: ast.literal_eval(node.value) for node in workload.body
-        if isinstance(node, ast.Assign) and node.targets[0].id.isupper()
-    }
-
-
-def test_the_ranges_are_those_of_the_cycle_scan_workload():
-    assert workload_constants("CycleScan")["RANGES"] == layer_cost.RANGES
-
-
 def test_the_write_rows_are_the_tables_of_the_sweep_large_workload(tmp_path):
-    sweep = workload_constants("SweepLarge")
-    assert layer_cost.WRITES == sweep["FORMATS"]
-    assert layer_cost.SWEEP_GRID == {
-        "theta_steps": sweep["THETA_STEPS"],
-        "surface_tau_steps": sweep["SURFACE_TAU_STEPS"],
-        "tau_steps": sweep["TAU_STEPS"],
-    }
+    sweep = layer_cost.workloads.SweepLarge
     layers = layer_cost.load(SRC, "mpembasim_write_rows", str(tmp_path))
     config_io = sys.modules["mpembasim_write_rows.config_io"]
     otto = sys.modules["mpembasim_write_rows.otto"]
     # otto-ratio's rows are one report per pulse delay, over the 4096 delays
-    config = config_io.ExperimentConfig(tau_steps=sweep["TAU_STEPS"])
+    config = config_io.ExperimentConfig(tau_steps=sweep.TAU_STEPS)
     n_rows = {
-        "surface": sweep["THETA_STEPS"] * sweep["SURFACE_TAU_STEPS"],
-        "cooling": sweep["TAU_STEPS"],
-        "otto-distance": sweep["TAU_STEPS"],
+        "surface": sweep.THETA_STEPS * sweep.SURFACE_TAU_STEPS,
+        "cooling": sweep.TAU_STEPS,
+        "otto-distance": sweep.TAU_STEPS,
         "otto-ratio": len(otto.power_ratio(config.cycle, tau2_grid=config.delays)),
     }
-    for command, fmt in sweep["FORMATS"].items():
+    writes = [layer for layer in layer_cost.LAYERS if layer.startswith("write_")]
+    assert writes == [f"write_{command}" for command in sweep.FORMATS]
+    for command, fmt in sweep.FORMATS.items():
         function, [(rows, schema, path, table_fmt, precision)] = layers[f"write_{command}"]
         assert function is config_io.write_table
         assert (len(rows), table_fmt, precision) == (n_rows[command], fmt, 12)
@@ -143,6 +120,38 @@ def test_the_write_rows_are_the_tables_of_the_sweep_large_workload(tmp_path):
             text = handle.read()
         lines = text.count("\n") - 1 if fmt == "csv" else text.count("\n  {")
         assert lines == n_rows[command]
+
+
+def test_the_cycle_rows_run_the_cycle_scan_workload_on_the_loaded_package(tmp_path):
+    workloads = layer_cost.workloads
+    layers = layer_cost.load(SRC, "mpembasim_cycle_rows", str(tmp_path))
+    package = [sys.modules[f"mpembasim_cycle_rows.{m}"] for m in ("channels", "liouville", "otto")]
+    run, calls = layers["cycle_scan_op"]
+    assert run.__func__ is workloads.CycleScan.run
+    assert [run.__self__.channels, run.__self__.liouville, run.__self__.otto] == package
+    inputs = [op for (op,) in calls]
+    assert all(type(op) is workloads.ScanInput for op in inputs)
+    cycles = {type(cycle) for op in inputs for cycle in (op.cycle_off, op.cycle_on)}
+    assert cycles == {package[2].CycleConfig}
+    # the workload's own draws at seed 28, as the installed package makes them
+    scan = workloads.CycleScan(28, str(tmp_path))
+    scan.setup()
+    assert [repr(op) for op in inputs] == [repr(scan.prepare(k)) for k in range(16)]
+    assert layers["config_and_cycles"][1] == calls
+    assert layers["run_cycle"][1] == [
+        ((op.cycle_off, op.cycle_on)[k % 2], op.tau2) for k, op in enumerate(inputs)
+    ]
+
+
+def test_importing_the_tool_loads_no_package_module():
+    code = f"import runpy, sys; runpy.run_path({layer_cost.__file__!r}); print(*sys.modules)"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert "workloads" in done.stdout.split()
+    assert [key for key in done.stdout.split() if key.startswith("mpembasim")] == []
 
 
 def test_the_table_rows_are_the_table_commands_of_the_cli():

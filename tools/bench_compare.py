@@ -30,7 +30,9 @@ more operations reads a little higher for that alone.  The ``setup_s`` line
 also gives each side's median raw setup time (``raw``, the median over its
 reports of each report's ``speed.setup_runs_s`` median), since ``setup_s`` is
 scaled by a per-run machine-speed factor that swings widely.  The exit code
-is 1 when anything is flagged and 0 otherwise.  Nothing is written.
+is 1 when anything is flagged and 0 otherwise.  Nothing is written.  ``-h``
+and ``--help`` print this text; any other option prints it to stderr and
+exits 2.
 """
 
 from __future__ import annotations
@@ -136,6 +138,12 @@ def compare(old: dict, new: dict, end_to_end: list) -> tuple:
 
 
 def main(argv: list) -> int:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
+    if any(arg.startswith("-") for arg in argv):
+        print(__doc__.strip(), file=sys.stderr)
+        return 2
     if len(argv) == 1:
         old, new = load(argv[0], "parent"), load(argv[0], "change")
     elif len(argv) == 2:

@@ -9,25 +9,25 @@ checkouts.  Each package is imported into this one interpreter under its own
 name.  Every round times each layer of :data:`LAYERS` on each package in
 turn, in an order that reverses from round to round (ABBA), so a drift in
 the machine's speed falls on all alike.  A sample is the best over repeats of
-the time per call over 16 seeded ``cycle-scan`` inputs (:data:`RANGES`);
-``reference_pass`` builds, extracts and decomposes, as a ``cycle-scan``
-operation does before its two cycles, and ``cycle_scan_op`` is the whole
-operation as ``CycleScan.run`` in ``benchmarks/workloads.py`` runs it: the
-hot environment, the reference pass, and ``run_cycle`` without and with the
-pulse.  The inputs are reused across calls, as ``cycle-scan`` reuses the
-configs it builds in its untimed ``prepare``; so work moved into a config's
-construction, or a cache kept on an input, reads in those rows as a gain.
-``config_and_cycles`` times that construction as well: it builds the two
-configs as ``CycleScan._draw`` does (by keyword, then ``replace``) and runs
-both cycles.  Then each table of :data:`WRITES` is written by
-``config_io.write_table`` alone, at the default physics and the grid
-(:data:`SWEEP_GRID`) and format of the ``sweep-large`` workload, into a
-temporary directory; its rows are computed once, when the package loads.
-Last, each table command of :data:`TABLE_COMMANDS` is timed as
-``ExperimentConfig()`` and its computation from ``cli._SUBCOMMANDS``, at the
-default grids, with no table written, and ``verify`` as
+the time per call over 16 inputs.  No input is written here: each package
+gets its own ``CycleScan(28, ...)`` from ``benchmarks/workloads.py``, with
+the package's ``channels``, ``liouville`` and ``otto`` bound as
+``CycleScan.setup`` binds them, and ``prepare(0..15)`` gives the inputs,
+``ScanInput`` records.  The reference layers and ``reference_pass`` (build,
+extract, decompose) take each input's hot environment at ``spectrum_tau``;
+``run_cycle`` takes ``cycle_off`` and ``cycle_on`` in turn at ``tau2``; and
+``cycle_scan_op`` is that scan's ``CycleScan.run``.  The inputs are reused
+across calls, as ``cycle-scan`` builds its configs in its untimed
+``prepare``; so work moved into a config's construction reads there as a
+gain.  ``config_and_cycles`` also times that construction: it rebuilds
+``cycle_on`` and its plain twin with ``dataclasses.replace`` and runs both.
+Each table of ``SweepLarge.FORMATS`` is written by ``config_io.write_table``
+alone, at the default physics and ``SweepLarge``'s grids, into a temporary
+directory, from rows computed when the package loads.  Last, each table
+command of :data:`TABLE_COMMANDS` is timed as ``ExperimentConfig()`` and its
+computation at the default grids, with no table written, and ``verify`` as
 ``cli.main(["verify"])`` with its stdout discarded; these, and the writes,
-run once per sample.
+run once per sample.  Importing this module loads no ``mpembasim`` module.
 
 Printed per directory: each layer's median sample in microseconds, or
 ``absent`` where the package lacks it; after the first directory, the median
@@ -53,18 +53,10 @@ from importlib import import_module, util
 
 import numpy as np
 
-#: the ranges of ``CycleScan.RANGES`` in ``benchmarks/workloads.py`` (kHz, Hz, ms)
-RANGES = {
-    "nu0_khz": (0.5, 1.5),
-    "nu1_over_nu0": (1.5, 3.0),
-    "j_hz": (100.0, 400.0),
-    "t_hot_khz": (2.0, 8.0),
-    "t_cold_khz": (1.0, 4.0),
-    "tau1_ms": (0.02, 0.2),
-    "tau_bar_ms": (1.0, 10.0),
-    "spectrum_tau_over_window": (0.05, 0.8),
-    "tau2_over_window": (0.0, 1.0),
-}
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# workloads imports reference by name, as benchmarks/run.py does
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
+import workloads  # noqa: E402
 
 #: the functions timed, in the order printed, with their modules (None: a
 #: pass over several of them)
@@ -81,15 +73,8 @@ LAYERS = {
     "cycle_scan_op": None,
     "config_and_cycles": None,
 }
-
-#: the tables of ``SweepLarge.FORMATS`` in ``benchmarks/workloads.py``, each
-#: written in its format
-WRITES = {"surface": "csv", "cooling": "json", "otto-distance": "csv", "otto-ratio": "json"}
-
-#: ``SweepLarge``'s grids: ``surface`` at ``theta_steps`` x
-#: ``surface_tau_steps``, the other tables at ``tau_steps`` delays
-SWEEP_GRID = {"theta_steps": 200, "surface_tau_steps": 200, "tau_steps": 4096}
-LAYERS.update({f"write_{command}": "config_io" for command in WRITES})
+#: one write row per table of the ``sweep-large`` workload
+LAYERS.update({f"write_{command}": "config_io" for command in workloads.SweepLarge.FORMATS})
 
 #: the table commands timed after the layers, each with a fresh default
 #: config, and then the whole ``verify`` run in process
@@ -121,43 +106,31 @@ def load(src: str, name: str, workdir: str) -> dict:
         channel = channels.build_heat_exchange(env, j_hz, tau)
         return liouville.decompose(liouville.extract_generator(channel, tau))
 
-    def cycle_scan_op(t_hot, nu1, j_hz, tau, plain, pulsed, tau2):
-        env = channels.ThermalEnvironment(temperature=t_hot, gap_frequency=nu1)
-        reference_pass(env, j_hz, tau)
-        otto.run_cycle(plain, tau2)
-        otto.run_cycle(pulsed, tau2)
+    def config_and_cycles(op):
+        pulsed = dataclasses.replace(op.cycle_on)
+        otto.run_cycle(dataclasses.replace(pulsed, use_mpemba=False), op.tau2)
+        otto.run_cycle(pulsed, op.tau2)
 
-    def config_and_cycles(parameters, tau2):
-        pulsed = otto.CycleConfig(**parameters)
-        otto.run_cycle(dataclasses.replace(pulsed, use_mpemba=False), tau2)
-        otto.run_cycle(pulsed, tau2)
-
-    rng = np.random.default_rng(28)
+    scan = workloads.CycleScan(28, workdir)
+    # CycleScan.setup would import the installed package: bind this one
+    scan.channels, scan.liouville, scan.otto = channels, liouville, otto
     calls = []
     for k in range(16):
-        v = {key: float(rng.uniform(low, high)) for key, (low, high) in RANGES.items()}
-        nu0, nu1, j_hz = v["nu0_khz"], v["nu0_khz"] * v["nu1_over_nu0"], v["j_hz"]
-        window = 500.0 / j_hz
-        env = channels.ThermalEnvironment(temperature=v["t_hot_khz"], gap_frequency=nu1)
-        tau = v["spectrum_tau_over_window"] * window
+        op = scan.prepare(k)
+        j_hz, tau = op.model.j_hz, op.spectrum_tau
+        env = channels.ThermalEnvironment(op.model.t_hot, op.model.nu1)
         channel = channels.build_heat_exchange(env, j_hz, tau)
         generator = liouville.extract_generator(channel, tau)
-        parameters = dict(
-            nu0=nu0, nu1=nu1, j_hz=j_hz, t_hot=v["t_hot_khz"], t_cold=v["t_cold_khz"],
-            tau1=v["tau1_ms"], tau_bar=v["tau_bar_ms"],
-        )
-        cycles = [otto.CycleConfig(**parameters, use_mpemba=pulse) for pulse in (False, True)]
-        tau2 = v["tau2_over_window"] * window
         # the arguments of each layer, in the order of LAYERS
         calls.append((
             (env, j_hz, tau), (channel.operators,), (generator,),
             (liouville.transfer_matrix(channel.operators),), (tau * generator,),
-            (channel, tau), (generator,), (env, j_hz, tau), (cycles[k % 2], tau2),
-            (v["t_hot_khz"], nu1, j_hz, tau, *cycles, tau2), (parameters, tau2),
+            (channel, tau), (generator,), (env, j_hz, tau),
+            ((op.cycle_off, op.cycle_on)[k % 2], op.tau2), (op,), (op,),
         ))
     passes = {
         "reference_pass": reference_pass,
-        "cycle_scan_op": cycle_scan_op,
+        "cycle_scan_op": scan.run,
         "config_and_cycles": config_and_cycles,
     }
     computations = {command: compute for command, _, _, compute, _ in cli._SUBCOMMANDS}
@@ -170,9 +143,10 @@ def load(src: str, name: str, workdir: str) -> dict:
             cli.main(["verify"])
 
     def written(command):
-        fmt = WRITES[command]
-        grid = SWEEP_GRID["surface_tau_steps" if command == "surface" else "tau_steps"]
-        config = config_io.ExperimentConfig(theta_steps=SWEEP_GRID["theta_steps"], tau_steps=grid)
+        sweep = workloads.SweepLarge
+        fmt = sweep.FORMATS[command]
+        grid = sweep.SURFACE_TAU_STEPS if command == "surface" else sweep.TAU_STEPS
+        config = config_io.ExperimentConfig(theta_steps=sweep.THETA_STEPS, tau_steps=grid)
         args = cli._build_parser().parse_args([command, "--out", f"{command}.{fmt}"])
         rows, schema, _ = computations[command](config, args)
         path = os.path.join(workdir, f"{name}-{command}.{fmt}")
