@@ -16,10 +16,14 @@ auxiliary, rather than assuming it.  On Bloch vectors it is the affine map
 tau)`` and ``z_eq`` the partner's :attr:`~ThermalEnvironment.polarization`,
 written once, on Bloch components, in :func:`_exchange_components`, for
 numpy planes and for the refrigerator cycle's Python floats
-(:func:`otto.run_cycle`, with ``math.cos``).  :func:`_exchange_grid` checks
-the delays and the start and maps every (state, delay) pair, for the sweeps'
-planes.  The generator spectrum comes from :func:`exchange_spectrum`; the
-Kraus form stays the reference all of these are tested against.
+(:func:`otto.run_cycle`, with ``math.cos``).  The partner's Gibbs numbers
+are Python floats as well: :attr:`~ThermalEnvironment.excited_population`
+converts numpy's exponential, and :func:`build_heat_exchange` takes its
+cosine, sine and weights from ``math``, which gives numpy's bits for them.
+:func:`_exchange_grid` checks the delays and the start and maps every
+(state, delay) pair, for the sweeps' planes.  The generator spectrum comes
+from :func:`exchange_spectrum`; the Kraus form stays the reference all of
+these are tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from .operators import hermitize, validate_bloch_vectors, validate_density_matri
 
 #: max |sum K^dag K - I| tolerated for a channel to count as trace preserving
 COMPLETENESS_TOL = 1e-12
+
+#: rounding slack in ms allowed at both ends of the delay window
+_DELAY_SLACK = 1e-9
 
 #: exponent up to which ``np.exp`` stays finite (the edge is ln(max float),
 #: about 709.7827)
@@ -62,22 +69,28 @@ class ThermalEnvironment:
 
     @property
     def excited_population(self) -> float:
-        """Gibbs weight of the upper level, ``1 / (1 + exp(2 nu / T))``.
+        """Gibbs weight of the upper level, ``1 / (1 + exp(2 nu / T))``, as a
+        Python float.
 
-        At temperatures far below the gap the exponential overflows to
-        ``inf``, which gives the exact limit 0; that overflow is not reported.
-        Below the overflow edge no error state is set up, which saves its
-        cost on every call.
+        The exponential is numpy's (``math.exp`` rounds differently in the
+        last bit), converted to a Python float before the rest of the
+        formula, which rounds alike on both.  At temperatures far below the
+        gap it overflows to ``inf``, which gives the exact limit 0; that
+        overflow is not reported.  Below the overflow edge no error state is
+        set up, which saves its cost on every call.
         """
         x = 2.0 * self.gap_frequency / self.temperature
         if x <= _EXP_FINITE:
-            return 1.0 / (1.0 + np.exp(x))
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(x))
+            boltzmann = np.exp(x)
+        else:
+            with np.errstate(over="ignore"):
+                boltzmann = np.exp(x)
+        return 1.0 / (1.0 + float(boltzmann))
 
     @property
     def polarization(self) -> float:
-        """Gibbs-state Bloch component ``1 - 2 p`` along the partner's axis."""
+        """Gibbs-state Bloch component ``1 - 2 p`` along the partner's axis,
+        a Python float."""
         return 1.0 - 2.0 * self.excited_population
 
 
@@ -124,27 +137,31 @@ def _swap_angle(j_hz: float, taus):
 
 def _check_delays(j_hz: float, taus) -> np.ndarray:
     """The delays as a flat float array; TauOutOfRangeError unless each lies
-    in the window ``[0, (2J)^-1]`` ms, up to 1e-9 ms of rounding.  The grids
-    of the sweeps come through here; a caller with one delay uses
-    :func:`_check_delay`."""
+    in the window ``[0, (2J)^-1]`` ms, up to :data:`_DELAY_SLACK` of
+    rounding.  The grids of the sweeps come through here; a caller with one
+    delay uses :func:`_check_delay`."""
     window = swap_window(j_hz)
     taus = np.asarray(taus, dtype=float).reshape(-1)
-    inside = (taus >= -1e-9) & (taus <= window + 1e-9)
+    inside = (taus >= -_DELAY_SLACK) & (taus <= window + _DELAY_SLACK)
     if not inside.all():
-        raise TauOutOfRangeError(
-            f"tau={taus[~inside][0]} ms outside [0, {window:.6f}] ms for J={j_hz} Hz"
-        )
+        raise _delay_error(float(taus[~inside][0]), window, j_hz)
     return taus
 
 
-def _check_delay(j_hz: float, tau: float) -> None:
-    """TauOutOfRangeError unless the one delay ``tau`` passes
-    :func:`_check_delays`.  The comparisons are made first on a Python float,
-    which skips numpy's fixed cost per call; a delay that fails them goes on
-    to :func:`_check_delays`, which raises with its message."""
+def _check_delay(tau: float, window: float, j_hz: float) -> None:
+    """TauOutOfRangeError, as :func:`_check_delays` raises it, unless the one
+    delay ``tau`` lies in ``window``, the swap window of the coupling
+    ``j_hz``.  The comparisons are made on a Python float, which skips
+    numpy's fixed cost per call."""
+    tau = float(tau)
     # a NaN fails both comparisons, so it fails this too
-    if not -1e-9 <= float(tau) <= swap_window(j_hz) + 1e-9:
-        _check_delays(j_hz, tau)
+    if not -_DELAY_SLACK <= tau <= window + _DELAY_SLACK:
+        raise _delay_error(tau, window, j_hz)
+
+
+def _delay_error(tau: float, window: float, j_hz: float) -> TauOutOfRangeError:
+    """The refusal of the delay ``tau`` outside ``window``."""
+    return TauOutOfRangeError(f"tau={tau} ms outside [0, {window:.6f}] ms for J={j_hz} Hz")
 
 
 def build_heat_exchange(
@@ -167,13 +184,14 @@ def build_heat_exchange(
     TauOutOfRangeError
         If ``tau`` leaves the physical window.
     """
-    _check_delay(j_hz, tau_ms)
+    _check_delay(tau_ms, swap_window(j_hz), j_hz)
     angle = _swap_angle(j_hz, tau_ms)
-    c, s = np.cos(angle), np.sin(angle)
+    # math's cos, sin and sqrt on Python floats have the bits of numpy's
+    c, s = math.cos(angle), math.sin(angle)
     p = environment.excited_population
     # one array holding each weight times each nonzero entry; the products
     # are of real numbers, so they have the bits of the matrix-times-weight form
-    low, high = np.sqrt(1.0 - p), np.sqrt(p)
+    low, high = math.sqrt(1.0 - p), math.sqrt(p)
     ops = np.zeros((4, 2, 2), dtype=complex)
     ops[0, 0, 0], ops[0, 1, 1] = low, low * c
     ops[1, 0, 1] = low * s
@@ -230,7 +248,7 @@ def exchange_spectrum(
         If ``c^2`` falls below the threshold at which the matrix logarithm of
         :func:`liouville.extract_generator` refuses the channel.
     """
-    _check_delay(j_hz, tau_ms)
+    _check_delay(tau_ms, swap_window(j_hz), j_hz)
     if not tau_ms > 0.0:
         raise TauOutOfRangeError(f"channel delay {tau_ms} must be positive")
     angle = _swap_angle(j_hz, tau_ms)

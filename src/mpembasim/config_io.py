@@ -153,10 +153,14 @@ def load_config(path: str) -> ExperimentConfig:
     """Parse and validate a config file; missing keys take the defaults."""
     with open(path, "rb") as handle:
         data = handle.read()
+    # "utf-8-sig" drops a leading byte-order mark, as Windows editors write
+    # one; a decoding error then counts its bytes from after the mark, which
+    # exc.object starts at
     try:
-        raw_lines = data.decode("utf-8").splitlines()
+        raw_lines = data.decode("utf-8-sig").splitlines()
     except UnicodeDecodeError as exc:
-        raise ParseError(f"byte {exc.start}: not UTF-8 text ({exc.reason})") from None
+        offset = exc.start + len(data) - len(exc.object)
+        raise ParseError(f"byte {offset}: not UTF-8 text ({exc.reason})") from None
 
     values = {}
     for lineno, raw in enumerate(raw_lines, start=1):

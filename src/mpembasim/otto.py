@@ -12,7 +12,10 @@ excited population through the large gap), HOT_RESET the closing reset.
 
 Every stroke is an affine map of the Bloch vector r, and :func:`run_cycle`
 computes them as such, on the three components as Python floats, through
-the expressions the sweeps run on numpy planes.  The two gap ramps rotate r
+the expressions the sweeps run on numpy planes.  Every number the strokes
+read is a Python float too: the partners' polarizations convert numpy's
+Gibbs weight (:attr:`channels.ThermalEnvironment.excited_population`), so
+no stroke does numpy-scalar arithmetic.  The two gap ramps rotate r
 about x by the same angle, that of :func:`ramp_unitary`, whose cosine and
 sine the config derives once (:attr:`CycleConfig.ramp`, read by
 :func:`_ramp_bloch`).  The exchange is the generalized-amplitude-damping map
@@ -36,12 +39,16 @@ that it empties the exchange generator's slow modes is checked by ``verify``
 (``slow-mode-removal``) and the tests, not per cycle.  Boundary energies are
 evaluated so consecutive records share the same axis and state at each
 junction, which makes the closed-cycle energy balance telescope to zero at
-machine precision.  A cycle checks its tunable delay once (the reset's is
-the window itself) and its five resulting Bloch vectors together, once.
-Records hold those Bloch vectors; :attr:`StrokeRecord.state_after` builds
-the 2x2 density matrix each time it is read, so a cycle whose matrices
-nobody reads builds none.  The
-tests check every record against the stroke sequence on 2x2 density matrices
+machine precision.  A cycle checks its tunable delay once, against
+:attr:`CycleConfig.window` (the reset's delay is the window itself), and
+bounds its five resulting Bloch vectors on the floats: the largest length,
+summed in numpy's order, goes through
+:func:`operators._check_bloch_length`, the bound of
+:func:`operators.validate_bloch_vectors`, with its two refusals.  Records
+hold those Bloch vectors, as rows of one ``(5, 3)`` array built for them;
+:attr:`StrokeRecord.state_after` builds the 2x2 density matrix each time it
+is read, so a cycle whose matrices nobody reads builds none.  The tests
+check every record against the stroke sequence on 2x2 density matrices
 through Kraus channels.  :func:`power_ratio` forms all 40 ratios at once and
 refuses one below 1 there, so its :class:`PowerReport` rows, like the stroke
 records, are plain named tuples.  The distance curves it reads come from
@@ -63,8 +70,7 @@ from .channels import ThermalEnvironment, _check_delay, _exchange_components, \
     _swap_angle, swap_window
 from .exceptions import NoAdvantageError, ThresholdUnreachableError
 from .mpemba import _pulse_z, cooling_curves
-from .operators import IDENTITY, SIGMA_X, TWO_PI, density_from_bloch, \
-    validate_bloch_vectors
+from .operators import IDENTITY, SIGMA_X, TWO_PI, _check_bloch_length, density_from_bloch
 from .thermo import RelaxationTrajectory, _check_same_grid, detect_crossing
 
 #: slack for "curve reached the threshold" comparisons
@@ -207,11 +213,13 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     reset exchanges for the full window.  The strokes run on the Bloch
     components as Python floats, through the unchecked kernels the sweeps
     share, :func:`channels._exchange_components`, :func:`mpemba._pulse_z` and
-    :func:`_ramp_bloch`; their five results are then validated together, and
-    the records hold them as ``(3,)`` arrays.
+    :func:`_ramp_bloch`.  The largest length of their five results is then
+    bounded as :func:`operators.validate_bloch_vectors` bounds an array, with
+    its messages: ``ValueError`` for a non-finite component or a length past
+    ``1 + 2e-10``.  The records hold the results as ``(3,)`` arrays.
     """
     # the reset delay is the window itself, so only tau2 needs the check
-    _check_delay(cfg.j_hz, tau2)
+    _check_delay(tau2, cfg.window, cfg.j_hz)
     r0 = (cfg.z_cold, 0.0, 0.0)
     r1 = _ramp_bloch(r0, cfg.ramp)
     r2 = (0.0, 0.0, _pulse_z(*r1)) if cfg.use_mpemba else r1
@@ -222,7 +230,19 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
     # swaps x and z, and the map scales x and y alike, so y needs no sign flip
     c = math.cos(_swap_angle(cfg.j_hz, cfg.window))
     r5 = _exchange_components(cfg.z_cold, c, *r4[::-1])[::-1]
-    states = validate_bloch_vectors(np.array([r1, r2, r3, r4, r5]))
+    vectors = (r1, r2, r3, r4, r5)
+    # the checks of operators.validate_bloch_vectors, on the floats: each
+    # length summed in numpy's order over a length-3 axis, (x^2 + y^2) + z^2;
+    # a NaN or infinite component makes the sum of the squares non-finite,
+    # and only then are the components searched for one
+    squares = [(x * x + y * y) + z * z for x, y, z in vectors]
+    if not math.isfinite(sum(squares)) and not all(
+        math.isfinite(value) for vector in vectors for value in vector
+    ):
+        raise ValueError("Bloch vectors must be finite")
+    # no square is NaN now, so max is defined; sqrt is monotone, so the root
+    # of the largest square is the largest length
+    _check_bloch_length(math.sqrt(max(squares)))
 
     # energy -nu r_axis at each junction between strokes; neighbours share
     # it, so the MPEMBA record also bridges the frame from the drive axis (x)
@@ -235,6 +255,7 @@ def run_cycle(cfg: CycleConfig, tau2: float) -> list:
         )
     ]
     durations = (cfg.tau1, 0.0, tau2, cfg.tau1, cfg.window)
+    states = np.array(vectors)
     return list(
         map(StrokeRecord._make, zip(_STROKES, durations, junctions, junctions[1:], states))
     )

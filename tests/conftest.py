@@ -48,6 +48,24 @@ def random_density(rng):
     return lambda: draw_density(rng)
 
 
+def gibbs_weight(temperature: float, gap: float) -> np.float64:
+    """Excited Gibbs population ``1 / (1 + exp(2 nu / T))`` computed on numpy
+    scalars throughout, the expression that
+    ``ThermalEnvironment.excited_population`` converts to a Python float."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(np.float64(2.0 * gap / temperature)))
+
+
+def four_matrix_kraus(p, c, s):
+    """The heat-exchange Kraus operators as four weighted 2x2 matrices."""
+    return (
+        np.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, c]], dtype=complex),
+        np.sqrt(1.0 - p) * np.array([[0.0, s], [0.0, 0.0]], dtype=complex),
+        np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex),
+        np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex),
+    )
+
+
 def rotation_y(theta: float) -> np.ndarray:
     """``exp(-i theta sigma_y / 2)``, a real rotation of the Bloch sphere about y."""
     half = 0.5 * float(theta)

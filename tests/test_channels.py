@@ -34,7 +34,7 @@ from mpembasim.operators import (
 )
 from mpembasim.thermo import f_neq, gibbs_state, trace_distance
 
-from conftest import X_EIGENBASIS
+from conftest import X_EIGENBASIS, four_matrix_kraus, gibbs_weight
 
 COUPLING_HZ = 215.1
 COMPLETENESS_TOL = 1e-12
@@ -68,6 +68,18 @@ def test_polarization_is_the_gibbs_state_bloch_component(nu, temperature):
     env = ThermalEnvironment(temperature=temperature, gap_frequency=nu)
     gibbs = bloch_vector(gibbs_state(qubit_hamiltonian(nu, "z"), temperature))
     assert env.polarization == pytest.approx(gibbs[2], abs=1e-15)
+
+
+@pytest.mark.parametrize("temperature", [1e-3, 0.3, 4.77, 1e3])
+def test_gibbs_numbers_are_python_floats_with_numpys_bits(temperature):
+    # T = 1e-3 puts exp(2 nu / T) past overflow, where the weight is exactly 0
+    env = ThermalEnvironment(temperature=temperature, gap_frequency=2.0)
+    p, z = env.excited_population, env.polarization
+    assert type(p) is float and type(z) is float
+    expected = gibbs_weight(temperature, 2.0)
+    assert type(expected) is np.float64
+    assert np.float64(p).tobytes() == expected.tobytes()
+    assert np.float64(z).tobytes() == (1.0 - 2.0 * expected).tobytes()
 
 
 def test_environment_rejects_nonpositive_parameters():
@@ -124,16 +136,6 @@ def test_excited_population_near_the_overflow_edge_is_the_formula_bit_for_bit(x)
     assert (p > 0.0) == (x <= EXP_EDGE)
 
 
-def four_matrix_kraus(p, c, s):
-    """The heat-exchange Kraus operators as four weighted 2x2 matrices."""
-    return (
-        np.sqrt(1.0 - p) * np.array([[1.0, 0.0], [0.0, c]], dtype=complex),
-        np.sqrt(1.0 - p) * np.array([[0.0, s], [0.0, 0.0]], dtype=complex),
-        np.sqrt(p) * np.array([[c, 0.0], [0.0, 1.0]], dtype=complex),
-        np.sqrt(p) * np.array([[0.0, 0.0], [-s, 0.0]], dtype=complex),
-    )
-
-
 def test_one_array_kraus_build_equals_the_four_matrix_form():
     rng = np.random.default_rng(2718)
     draws = [
@@ -148,7 +150,10 @@ def test_one_array_kraus_build_equals_the_four_matrix_form():
         env = ThermalEnvironment(temperature=temperature, gap_frequency=gap)
         tau = fraction * swap_window(j_hz)
         angle = np.pi * (j_hz / 1000.0) * tau
-        expected = four_matrix_kraus(env.excited_population, np.cos(angle), np.sin(angle))
+        # every weight and entry a numpy scalar, so the build's Python floats
+        # are held to numpy's bits
+        p = gibbs_weight(temperature, gap)
+        expected = four_matrix_kraus(p, np.cos(angle), np.sin(angle))
         operators = build_heat_exchange(env, j_hz, tau).operators
         assert len(operators) == 4
         for got, want in zip(operators, expected):

@@ -672,6 +672,16 @@ def test_a_config_that_is_not_utf8_is_a_config_error(
     assert run(capsys, "verify", *config) == (code, out, err)
 
 
+def test_a_config_saved_with_a_byte_order_mark_runs_as_without(capsys, tmp_path):
+    text = b"nu0_khz = 0.8\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    expected = run(capsys, "spectrum", "--config", str(plain))
+    assert expected[0] == 0
+    assert run(capsys, "spectrum", "--config", str(marked)) == expected
+
+
 def test_unknown_config_key_is_a_config_error(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     for key in ("coupling_hz = 215.1", "use_mpemba = false"):

@@ -1,5 +1,6 @@
 """Config parsing, the cycle view of a config, and table serialization."""
 
+import codecs
 import csv
 import dataclasses
 import io
@@ -117,6 +118,24 @@ def test_a_file_that_is_not_utf8_is_a_parse_error_at_its_byte(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_bytes(b"tau_steps = 5\nj_hz = 2\xff0\n")
     with pytest.raises(ParseError, match=r"^byte 22: not UTF-8 text"):
+        load_config(str(path))
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # Windows Notepad saves UTF-8 text with the mark EF BB BF in front
+    text = "nu0_khz = 0.8\ntau_steps = 5\n"
+    expected = load_config(write(tmp_path, text))
+    assert expected != ExperimentConfig()
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert load_config(str(path)) == expected
+    # a bad byte after the mark is named by its offset in the file
+    path.write_bytes(codecs.BOM_UTF8 + b"tau_steps = 5\nj_hz = 2\xff0\n")
+    with pytest.raises(ParseError, match=r"^byte 25: not UTF-8 text"):
+        load_config(str(path))
+    # only a leading mark is dropped; one inside the text is part of a key
+    path.write_bytes(b"tau_steps = 5\n" + codecs.BOM_UTF8 + b"nu0_khz = 0.8\n")
+    with pytest.raises(UnknownKeyError, match=r"^line 2: unknown key '\\ufeffnu0_khz'$"):
         load_config(str(path))
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from mpembasim import otto
+from mpembasim import channels, otto
 from mpembasim.channels import (
     KrausChannel,
     ThermalEnvironment,
@@ -33,6 +33,7 @@ from mpembasim.operators import (
     bloch_vector,
     mean_energy,
     qubit_hamiltonian,
+    validate_bloch_vectors,
 )
 from mpembasim.otto import (
     CycleConfig,
@@ -53,7 +54,7 @@ from mpembasim.thermo import (
     trace_distance,
 )
 
-from conftest import X_EIGENBASIS, gad_bloch
+from conftest import X_EIGENBASIS, four_matrix_kraus, gibbs_weight
 
 CLOSURE_TOL = 1e-10
 BALANCE_TOL = 1e-8
@@ -314,27 +315,61 @@ def test_cycle_builds_density_matrices_only_when_read(monkeypatch):
 
 
 def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
+    # one bound per cycle, on the largest of the five lengths, with the bits
+    # the array validator takes from the records' (5, 3) array
     seen = []
-    real = otto.validate_bloch_vectors
+    real = otto._check_bloch_length
 
-    def recording(bloch):
-        seen.append(np.shape(bloch))
-        return real(bloch)
+    def recording(largest, *args):
+        seen.append(largest)
+        return real(largest, *args)
 
-    monkeypatch.setattr(otto, "validate_bloch_vectors", recording)
+    monkeypatch.setattr(otto, "_check_bloch_length", recording)
     for use_mpemba in (False, True):
-        run_cycle(CycleConfig(use_mpemba=use_mpemba), tau2=1.0)
-    assert seen == [(5, 3), (5, 3)]
+        records = run_cycle(CycleConfig(use_mpemba=use_mpemba), tau2=1.0)
+        states = np.array([r.bloch_after for r in records])
+        largest = math.sqrt(np.maximum.reduce(np.add.reduce(states * states, axis=-1)))
+        assert seen[-1] == largest
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1.0 + 3e-10, 1e200])
+def test_cycle_refuses_a_bad_vector_with_the_validators_message(monkeypatch, bad):
+    # both exchanges put |bad| on one axis, which the ramp about x keeps
+    monkeypatch.setattr(otto, "_exchange_components", lambda *_: (bad, 0.0, 0.0))
+    with pytest.raises(ValueError) as expected, np.errstate(over="ignore"):
+        validate_bloch_vectors(np.array([[bad, 0.0, 0.0]]))
+    with pytest.raises(ValueError) as refused:
+        run_cycle(CycleConfig(), tau2=1.0)
+    assert str(refused.value) == str(expected.value)
+
+
+def test_cycle_keeps_the_validators_rounding_slack(monkeypatch):
+    # a length up to 1 + 2e-10 passes, as it passes validate_bloch_vectors
+    monkeypatch.setattr(otto, "_exchange_components", lambda *_: (1.0 + 1e-10, 0.0, 0.0))
+    records = run_cycle(CycleConfig(), tau2=1.0)
+    assert records[2].bloch_after[0] == 1.0 + 1e-10
 
 
 def _composed_cycle(cfg: CycleConfig, tau2: float) -> tuple:
     """The junction energies and the five Bloch vectors of a cycle, from the
-    generalized-amplitude-damping formula of :func:`conftest.gad_bloch`, the
-    public pulse and the ramp on ``(3,)`` arrays, none of them read from the
-    config's derived fields."""
+    generalized-amplitude-damping formula, the public pulse and the ramp on
+    ``(3,)`` arrays, none of them read from the config's derived fields.  The
+    Gibbs numbers (:func:`conftest.gibbs_weight`) and the exchange's cosine
+    are numpy scalars, so the cycle's Python floats are held to numpy's
+    bits."""
     window = swap_window(cfg.j_hz)
-    cold = ThermalEnvironment(temperature=cfg.t_cold, gap_frequency=cfg.nu0)
-    hot = ThermalEnvironment(temperature=cfg.t_hot, gap_frequency=cfg.nu1)
+
+    def polarization(temperature, gap):
+        z_eq = 1.0 - 2.0 * gibbs_weight(temperature, gap)
+        assert type(z_eq) is np.float64
+        return z_eq
+
+    def exchange(z_eq, r, tau):
+        c = np.cos(np.pi * (cfg.j_hz / 1000.0) * np.float64(tau))
+        x, y, z = r
+        return np.array([x * c, y * c, z_eq + (z - z_eq) * (c * c)])
+
     def ramp(r, nu_start, nu_end):
         # a rotation about x by twice the ramp's phase
         phi = 2.0 * otto._ramp_phase(nu_start, nu_end, cfg.tau1)
@@ -342,12 +377,13 @@ def _composed_cycle(cfg: CycleConfig, tau2: float) -> tuple:
         x, y, z = r
         return np.array([x, c * y + s * z, c * z - s * y])
 
-    r0 = np.array([cold.polarization, 0.0, 0.0])
+    z_cold = polarization(cfg.t_cold, cfg.nu0)
+    r0 = np.array([z_cold, 0.0, 0.0])
     r1 = ramp(r0, cfg.nu0, cfg.nu1)
     r2 = mpemba_bloch(r1) if cfg.use_mpemba else r1
-    r3 = gad_bloch(hot, cfg.j_hz, r2, [tau2])[0]
+    r3 = exchange(polarization(cfg.t_hot, cfg.nu1), r2, tau2)
     r4 = ramp(r3, cfg.nu1, cfg.nu0)
-    r5 = gad_bloch(cold, cfg.j_hz, r4[::-1], [window])[0][::-1]
+    r5 = exchange(z_cold, r4[::-1], window)[::-1]
     energies = [
         float(e)
         for e in (
@@ -384,7 +420,15 @@ def test_cycle_has_the_bits_of_the_composed_stroke_maps():
             assert all(type(e) is float for r in records for e in (r.energy_in, r.energy_out))
             for record, state in zip(records, states):
                 assert record.bloch_after.shape == (3,)
-                assert np.array_equal(record.bloch_after, state)
+                assert record.bloch_after.tobytes() == state.tobytes()
+        assert type(base.z_cold) is float
+        # the tunable stroke's Kraus operators, with numpy-scalar weights and entries
+        angle = np.pi * (base.j_hz / 1000.0) * np.float64(tau2)
+        expected = four_matrix_kraus(
+            gibbs_weight(base.t_hot, base.nu1), np.cos(angle), np.sin(angle)
+        )
+        operators = build_heat_exchange(base.hot, base.j_hz, tau2).operators
+        assert operators.tobytes() == np.array(expected).tobytes()
 
 
 def test_cycle_rejects_a_vector_outside_the_bloch_ball(monkeypatch):
@@ -408,6 +452,24 @@ def test_a_cycle_builds_no_thermal_partner(monkeypatch):
     for cfg in configs:
         run_cycle(cfg, 1.0)
     assert built == []
+
+
+def test_a_cycle_checks_its_delay_against_the_configs_window(monkeypatch):
+    # the window is derived once, with the config; a cycle derives it again
+    # nowhere, and still refuses a delay past it with the channel's text
+    cfg = CycleConfig()
+
+    def refused(j_hz):
+        raise AssertionError("the swap window was derived again")
+
+    monkeypatch.setattr(channels, "swap_window", refused)
+    monkeypatch.setattr(otto, "swap_window", refused)
+    run_cycle(cfg, cfg.window)
+    with pytest.raises(TauOutOfRangeError) as outside:
+        run_cycle(cfg, cfg.window + 2e-9)
+    assert str(outside.value) == (
+        f"tau={cfg.window + 2e-9} ms outside [0, {cfg.window:.6f}] ms for J={cfg.j_hz} Hz"
+    )
 
 
 def test_bridge_stroke_changes_frame_even_when_disabled():
