@@ -111,8 +111,7 @@ def surface_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
 
 def cooling_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
     base, env, grid = config.base_bloch, config.cycle.hot, config.delays
-    plain = cooling_curves(base, env, config.j_hz, grid, with_mpemba=False)
-    accelerated = cooling_curves(base, env, config.j_hz, grid, with_mpemba=True)
+    plain, accelerated = cooling_curves(base, env, config.j_hz, grid)
     # before the rows exist, so the crossing's temporaries do not add to them
     crossing = detect_crossing(accelerated, plain, observable="f_neq")
     if crossing.exists:

@@ -388,17 +388,17 @@ def _columns(columns: list, precision: int, as_json: bool) -> tuple:
     in column order; the cells of the rows in a slice are
     ``render(data[slice])``.
 
-    Float cells stay numbers under the ``%.{precision}g`` slot, in CSV and
-    in JSON alike.  Other cells go under a ``%s`` slot as UTF-8 bytes of
-    their ``str``, quoted in CSV as RFC 4180 asks (:func:`_csv_field`),
-    except in JSON strings, bools and ``None``, which are spelled as
-    ``json.dumps`` spells them (``true``, ``false``, ``null``); ints, Python
-    or numpy, keep their ``str`` there too.
+    Float cells, Python or numpy of any width, stay numbers under the
+    ``%.{precision}g`` slot, in CSV and in JSON alike.  Other cells go under
+    a ``%s`` slot as UTF-8 bytes of their ``str``, quoted in CSV as RFC 4180
+    asks (:func:`_csv_field`), except in JSON strings, bools and ``None``,
+    which are spelled as ``json.dumps`` spells them (``true``, ``false``,
+    ``null``); ints, Python or numpy, keep their ``str`` there too.
     """
     slots, cells = [], []
     for column in columns:
         slot, render = b"%s", _json_texts if as_json else _csv_texts
-        if isinstance(column[0], float):
+        if isinstance(column[0], (float, np.floating)):
             column = np.asarray(column, dtype=float)
             slot, render = b"%%.%dg" % precision, np.ndarray.tolist
         elif isinstance(column, np.ndarray):

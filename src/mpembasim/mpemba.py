@@ -9,10 +9,11 @@ fast.  On the Bloch vector it is the closed form :func:`mpemba_bloch`; the
 ``eigh`` pairing :func:`mpemba_unitary` is its matrix reference.  The
 slow-mode weights it removes are measured by ``verify`` (``slow-mode-removal``)
 and the tests with :func:`liouville.mode_overlap`.  The sweep helpers generate
-the theta-rotated family of initial states and the free-energy /
-trace-distance curves over the exchange-delay grid.  The sweeps run the heat
-exchange on Bloch-component planes, one value per (state, delay) point, with
-no ``(..., n, 3)`` stack: :func:`_exchange_planes` squares and bounds the
+the theta-rotated family of initial states and the paired free-energy /
+trace-distance curves over the exchange-delay grid, without and with the
+pulse.  The sweeps run the heat exchange on Bloch-component planes, one
+value per (state, delay) point, with no ``(..., n, 3)`` stack:
+:func:`_exchange_planes` squares and bounds the
 checked grid of :func:`channels._exchange_grid`, and the free energy, from
 the partner's gap with no matrix, and the trace distance come from its
 ``x^2 + y^2``, ``z`` and ``|r|`` planes.  ``verify``
@@ -250,21 +251,17 @@ def cooling_curves(
     env: ThermalEnvironment,
     j_hz: float,
     tau_grid: Sequence[float],
-    with_mpemba: bool,
-) -> RelaxationTrajectory:
-    """Relaxation observables of the Bloch vector ``r0`` along the exchange.
+) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
+    """Relaxation of the Bloch vector ``r0`` along the exchange, as the pair
+    ``(plain, pulsed)``, labelled ``"plain"`` and ``"mpemba"``; the pulsed
+    one starts from :func:`mpemba_bloch` of ``r0``, after the plain pass.
 
-    With ``with_mpemba`` the accelerating pulse :func:`mpemba_bloch` is
-    applied first.  The trajectory records the free-energy excess over
-    equilibrium (kHz) and the trace distance to the thermal target for every
-    delay in the grid.
+    Each records the free-energy excess over equilibrium (kHz) and the trace
+    distance to the thermal target for every delay in the grid.
     """
     taus = np.asarray(tau_grid, dtype=float)
-    start = mpemba_bloch(r0) if with_mpemba else r0
-    f_neq, trace_dist = _relaxation(start, env, j_hz, taus)
-    return RelaxationTrajectory(
-        times=taus,
-        f_neq=f_neq,
-        trace_dist=trace_dist,
-        label="mpemba" if with_mpemba else "plain",
+    plain = RelaxationTrajectory(taus, *_relaxation(r0, env, j_hz, taus), "plain")
+    pulsed = RelaxationTrajectory(
+        taus, *_relaxation(mpemba_bloch(r0), env, j_hz, taus), "mpemba"
     )
+    return plain, pulsed

@@ -167,8 +167,11 @@ def validate_bloch_vectors(bloch: np.ndarray, *, psd_tol: float = 1e-10) -> np.n
         raise ValueError(f"Bloch vectors need a last axis of length 3, got shape {r.shape}")
     # the sum of squares numpy.linalg.norm forms, without its dispatch; a NaN
     # or infinite component makes its square non-finite, and max carries that
-    # through, so only then is the array searched for one
-    largest = float(np.maximum.reduce(np.add.reduce(r * r, axis=-1), axis=None, initial=0.0))
+    # through, so only then is the array searched for one; a finite square
+    # past the float range is inf, unreported, as on Python floats
+    with np.errstate(over="ignore"):
+        squares = np.add.reduce(r * r, axis=-1)
+    largest = float(np.maximum.reduce(squares, axis=None, initial=0.0))
     if not math.isfinite(largest) and not np.isfinite(r).all():
         raise ValueError("Bloch vectors must be finite")
     # sqrt is monotone, so the root of the largest square is the largest root

@@ -51,10 +51,10 @@ is read, so a cycle whose matrices nobody reads builds none.  The tests
 check every record against the stroke sequence on 2x2 density matrices
 through Kraus channels.  :func:`power_ratio` forms all 40 ratios at once and
 refuses one below 1 there, so its :class:`PowerReport` rows, like the stroke
-records, are plain named tuples.  The distance curves it reads come from
-:func:`distance_curves`, that is from :func:`mpemba.cooling_curves`, so they
-run on the sweeps' component planes, with no cycle per delay.  Energies are
-in h*kHz, times in ms.
+records, are plain named tuples.  The pair of distance curves it reads,
+plain and pulsed, comes from :func:`distance_curves`, that is from one
+:func:`mpemba.cooling_curves` call, so both run on the sweeps' component
+planes, with no cycle per delay.  Energies are in h*kHz, times in ms.
 """
 
 from __future__ import annotations
@@ -270,22 +270,21 @@ def distance_curves(
     cfg: CycleConfig, tau2_grid: Sequence[float]
 ) -> tuple[RelaxationTrajectory, RelaxationTrajectory]:
     """Exchange-stroke trace distance to the hot target, without and with
-    the accelerating unitary, over a grid of tau2 delays."""
+    the accelerating unitary, over a grid of tau2 delays: the pair
+    ``(plain, pulsed)`` of :func:`mpemba.cooling_curves` from the expanded
+    cold Gibbs state."""
     r_plain = _ramp_bloch((cfg.z_cold, 0.0, 0.0), cfg.ramp)
-    return tuple(
-        cooling_curves(r_plain, cfg.hot, cfg.j_hz, tau2_grid, flag)
-        for flag in (False, True)
-    )
+    return cooling_curves(r_plain, cfg.hot, cfg.j_hz, tau2_grid)
 
 
 def threshold_times(
     curves: tuple[RelaxationTrajectory, RelaxationTrajectory],
-    delta: float | np.ndarray,
-) -> tuple:
-    """Earliest delays at which each curve first comes down to ``delta``.
+    delta: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Earliest delays at which each curve first comes down to each
+    threshold of the array ``delta``.
 
-    ``delta`` is one threshold or an array of them.  One threshold gives two
-    floats; an array gives two arrays of its shape, from one grid check and
+    The result is two arrays of ``delta``'s shape, from one grid check and
     one pass over each curve.  Times are linearly interpolated between grid
     points.  A threshold the curve never reaches raises
     ThresholdUnreachableError naming the first such threshold; one already
@@ -315,10 +314,7 @@ def threshold_times(
         t = t0 + (t1 - t0) * (v0 - flat) / np.where(steep, v0 - v1, 1.0)
         return np.where(steep, np.minimum(t, t1), t1).reshape(levels.shape)
 
-    tau_plain, tau_mb = first_reach(plain), first_reach(mb)
-    if levels.ndim == 0:
-        return float(tau_plain), float(tau_mb)
-    return tau_plain, tau_mb
+    return first_reach(plain), first_reach(mb)
 
 
 def default_delta_grid(

@@ -103,9 +103,8 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray):
 class RelaxationTrajectory:
     """Observables of one relaxation experiment sampled on a time grid.
 
-    ``f_neq`` stores the free-energy observable chosen by the producer (the
-    sweep functions in this package store the excess over equilibrium, which
-    must stay above ``-1e-9``); ``trace_dist`` is the distance to the target
+    ``f_neq`` stores the free-energy excess over equilibrium, which must
+    stay above ``-1e-9``; ``trace_dist`` is the distance to the target
     state.
     """
 

@@ -209,6 +209,14 @@ def test_cooling_with_balanced_weights_has_nothing_to_accelerate(capsys, tmp_pat
     assert "cooling: no crossing on this grid" in out
 
 
+def test_otto_distance_on_a_grid_too_short_to_cross(capsys, tmp_path):
+    path = str(tmp_path / "short.csv")
+    code, out, _ = run(capsys, "otto-distance", "--out", path, "--tau-steps", "2")
+    assert code == 0
+    assert out == "otto-distance: no crossing on this grid\n"
+    assert len(read_csv(path)) == 2
+
+
 def test_a_very_cold_environment_runs_with_a_clean_stderr(tmp_path):
     # exp(2 nu / T) in the hot partner's Gibbs weight overflows at 1e-3 kHz;
     # numpy would report that on stderr, which must stay empty here
@@ -888,10 +896,12 @@ def test_the_table_commands_call_no_matrix_reference(capsys, tmp_path):
 
 
 def test_malformed_populations_flag_is_a_usage_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["cooling", "--out", "x.csv", "--populations", "0.5"])
-    assert excinfo.value.code == 2
-    capsys.readouterr()
+    # one weight, then two that are not numbers
+    for weights, reason in (("0.5", "expected two"), ("a,b", "non-numeric weight")):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cooling", "--out", "x.csv", "--populations", weights])
+        assert excinfo.value.code == 2
+        assert f"argument --populations: {reason}" in capsys.readouterr().err
 
 
 def outcome(capsys, argv, path=None):

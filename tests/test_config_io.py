@@ -246,9 +246,11 @@ def test_empty_tables_still_write_a_csv_header(tmp_path):
 
 def test_table_precision_is_significant_digits(tmp_path):
     path = str(tmp_path / "prec.csv")
-    write_table([(0.123456789,)], ["x"], path, precision=3)
-    with open(path, encoding="utf-8") as handle:
-        assert handle.read().splitlines()[1] == "0.123"
+    # a float32 array's cells are numpy floats that are not Python floats
+    for rows in ([(0.123456789,)], np.array([[0.123456789]], dtype=np.float32)):
+        write_table(rows, ["x"], path, precision=3)
+        with open(path, encoding="utf-8") as handle:
+            assert handle.read().splitlines()[1] == "0.123"
 
 
 def test_table_rejects_schema_mismatches(tmp_path):

@@ -267,8 +267,7 @@ def test_surface_requires_delays(rho0, hot_env, h_hot):
 def test_cooling_curves_record_the_excess_over_equilibrium(rho0, hot_env):
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 16)
     r0 = bloch_vector(rho0)
-    plain = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
-    boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
+    plain, boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus)
     assert plain.label == "plain" and boosted.label == "mpemba"
 
     # scalar bookkeeping for the starting excess: zero mean energy, binary
@@ -287,8 +286,7 @@ def test_cooling_curves_record_the_excess_over_equilibrium(rho0, hot_env):
 def test_cooling_curves_cross_persistently(rho0, hot_env):
     taus = np.linspace(0.0, swap_window(COUPLING_HZ), 64)
     r0 = bloch_vector(rho0)
-    plain = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=False)
-    boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus, with_mpemba=True)
+    plain, boosted = cooling_curves(r0, hot_env, COUPLING_HZ, taus)
     report = detect_crossing(boosted, plain, observable="f_neq")
     assert report.exists and report.persistent
     assert 0.0 < report.t_cross < swap_window(COUPLING_HZ)
@@ -297,9 +295,9 @@ def test_cooling_curves_cross_persistently(rho0, hot_env):
 def test_cooling_an_equilibrium_state_is_flat(hot_env, h_hot):
     target = bloch_vector(gibbs_state(h_hot, hot_env.temperature))
     taus = np.linspace(0.0, 2.0, 8)
-    curve = cooling_curves(target, hot_env, COUPLING_HZ, taus, with_mpemba=False)
-    assert curve.f_neq.max() <= 1e-12
-    assert curve.trace_dist.max() <= 1e-12
+    plain, _ = cooling_curves(target, hot_env, COUPLING_HZ, taus)
+    assert plain.f_neq.max() <= 1e-12
+    assert plain.trace_dist.max() <= 1e-12
 
 
 # ------------------------------------------- planar kernel vs the stacked route
@@ -373,12 +371,13 @@ def test_surface_of_an_empty_stack_is_empty():
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("with_mpemba", [False, True])
-def test_cooling_curves_have_the_bits_of_the_stacked_route(seed, with_mpemba):
+@pytest.mark.parametrize("pulsed", [False, True])
+def test_cooling_curves_have_the_bits_of_the_stacked_route(seed, pulsed):
+    # pulsed picks the curve of the pair: 0 the plain one, 1 the pulsed one
     env, j_hz, starts, taus = _seeded_sweep(seed)
     for r0 in starts:
-        curve = cooling_curves(r0, env, j_hz, taus, with_mpemba)
-        start = mpemba_bloch(r0) if with_mpemba else r0
+        curve = cooling_curves(r0, env, j_hz, taus)[pulsed]
+        start = mpemba_bloch(r0) if pulsed else r0
         excess, distance = _stacked_route(start, env, j_hz, taus)
         assert np.array_equal(curve.f_neq, excess)
         assert np.array_equal(curve.trace_dist, distance)
@@ -406,14 +405,15 @@ def test_the_planar_kernel_raises_as_the_stacked_route(hot_env, bloch, taus, j_h
     bloch = np.array(bloch)
     stacked = _error_of(lambda: _stacked_route(bloch, hot_env, j_hz, taus))
     assert _error_of(lambda: free_energy_surface(bloch, hot_env, j_hz, taus)) == stacked
-    for with_mpemba in (False, True):
-        assert _error_of(
-            lambda: cooling_curves(bloch[-1], hot_env, j_hz, taus, with_mpemba)
-        ) == _error_of(
-            lambda: _stacked_route(
-                mpemba_bloch(bloch[-1]) if with_mpemba else bloch[-1], hot_env, j_hz, taus
-            )
-        )
+
+    def stacked_pair():
+        # the pair's two passes in their order
+        _stacked_route(bloch[-1], hot_env, j_hz, taus)
+        _stacked_route(mpemba_bloch(bloch[-1]), hot_env, j_hz, taus)
+
+    assert _error_of(lambda: cooling_curves(bloch[-1], hot_env, j_hz, taus)) == _error_of(
+        stacked_pair
+    )
 
 
 def test_the_planar_kernel_bounds_its_output_as_the_stacked_route(hot_env, monkeypatch):

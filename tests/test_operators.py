@@ -1,5 +1,7 @@
 """Unit conventions, Pauli constructors, and Bloch-vector helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -246,7 +248,11 @@ def test_only_qubit_states_are_validated():
 
 
 def test_a_huge_finite_bloch_vector_is_refused_for_its_length():
-    # its square overflows to inf; it is finite, so the length bound refuses it
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        with pytest.raises(ValueError, match="negative eigenvalue -inf"):
-            validate_bloch_vectors([[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]])
+    # its square overflows to inf; it is finite, so the length bound refuses
+    # it, with no overflow warning on the way
+    huge = [[0.0, 0.0, 0.5], [1e200, 0.0, 0.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for refuse in (validate_bloch_vectors, density_from_bloch):
+            with pytest.raises(ValueError, match="negative eigenvalue -inf"):
+                refuse(huge)

@@ -337,7 +337,7 @@ def test_cycle_validates_its_vectors_in_one_call(monkeypatch):
 def test_cycle_refuses_a_bad_vector_with_the_validators_message(monkeypatch, bad):
     # both exchanges put |bad| on one axis, which the ramp about x keeps
     monkeypatch.setattr(otto, "_exchange_components", lambda *_: (bad, 0.0, 0.0))
-    with pytest.raises(ValueError) as expected, np.errstate(over="ignore"):
+    with pytest.raises(ValueError) as expected:
         validate_bloch_vectors(np.array([[bad, 0.0, 0.0]]))
     with pytest.raises(ValueError) as refused:
         run_cycle(CycleConfig(), tau2=1.0)
@@ -615,14 +615,6 @@ def test_an_unreachable_threshold_in_an_array_is_named():
     curves = make_distance_pair([0.0, 1.0], [0.4, 0.2], [0.3, 0.1])
     with pytest.raises(ThresholdUnreachableError, match=r"delta=0\.0123 below"):
         threshold_times(curves, np.array([0.3, 0.25, 0.0123, 0.001]))
-
-
-def test_a_zero_dimensional_threshold_gives_python_floats():
-    curves = make_distance_pair([0.0, 1.0, 2.0], [0.4, 0.2, 0.0], [0.3, 0.1, 0.0])
-    for delta in (0.3, np.float64(0.3), np.array(0.3)):
-        tp, tm = threshold_times(curves, delta)
-        assert type(tp) is float and type(tm) is float
-        assert (tp, tm) == tuple(reference_threshold_time(c, 0.3) for c in curves)
 
 
 def test_default_delta_grid_spans_the_advantage_window():

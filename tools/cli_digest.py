@@ -21,15 +21,16 @@ block of the table writer, in csv and json.  Last come
 :data:`ERROR_RUNS`: a numerical error, a config error, and a ``cooling`` and
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
 empty config path ``--config ""``, a ``verify`` whose battery fails, the
-two runs of :data:`CAP_RUNS` at the grid cap, one ``spectrum`` and one
-``verify`` per physics refusal of :data:`REFUSALS`, each through its own
+two runs of :data:`CAP_RUNS` at the grid cap, the two runs of
+:data:`NO_CROSSING_RUNS` on a grid too short to cross, one ``spectrum`` and
+one ``verify`` per physics refusal of :data:`REFUSALS`, each through its own
 config file, and a ``verify`` given a config path that does not exist
 (:data:`MISSING_CONFIG`).
 Every run gets its own temporary working directory, which holds every
 config file, and a fixed relative output name, so paths echoed to stdout
 match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
 usage text the same way in any terminal.  One SHA-256 line is printed per
-stdout, per table, and per stderr that is not empty: 128 lines in all (127
+stdout, per table, and per stderr that is not empty: 132 lines in all (131
 for a package that ignores an empty ``--config``, whose run then succeeds
 and writes no stderr).
 
@@ -119,6 +120,13 @@ CAP_RUNS = (
     ("surface", "--theta-steps", "2049", "--tau-steps", "2049", "--out", "table.csv"),
 )
 
+#: runs on a two-point delay grid, where the curves do not cross: each table
+#: command that reports a crossing prints its no-crossing summary instead
+NO_CROSSING_RUNS = (
+    ("cooling", "--tau-steps", "2", "--out", "table.csv"),
+    ("otto-distance", "--tau-steps", "2", "--out", "table.csv"),
+)
+
 
 def grid_args(command: str, grid: dict) -> list:
     """The flags of ``grid`` that ``command`` takes, with their values."""
@@ -157,7 +165,7 @@ def runs():
         yield f"{command} --help", [command, "--help"], None
     for argv in ERROR_RUNS:
         yield " ".join(argv), list(argv), None
-    for argv in CAP_RUNS:
+    for argv in (*CAP_RUNS, *NO_CROSSING_RUNS):
         yield " ".join(argv), list(argv), "table.csv"
     for name in REFUSALS:
         yield f"spectrum --config {name}", ["spectrum", "--config", name], None
