@@ -125,8 +125,8 @@ class KrausChannel:
 
 def swap_window(j_hz: float) -> float:
     """Full-exchange delay ``(2J)^-1`` in ms for a coupling in Hz."""
-    if j_hz <= 0.0:
-        raise ValueError(f"coupling {j_hz} Hz must be positive")
+    if not 0.0 < j_hz < math.inf:
+        raise ValueError(f"coupling {j_hz} Hz must be positive and finite")
     return 500.0 / j_hz
 
 

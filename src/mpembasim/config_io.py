@@ -9,6 +9,7 @@ A config holds its physics record, :class:`~mpembasim.otto.CycleConfig`.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields
 from itertools import chain
@@ -53,7 +54,7 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
         for key, parse in _PARSERS.items():
-            if parse is _parse_float and not np.isfinite(getattr(self, key)):
+            if parse is _parse_float and not math.isfinite(getattr(self, key)):
                 raise ValidationError(f"{key} must be finite, got {getattr(self, key)!r}")
         if not 0.0 < self.nu0_khz < self.nu1_khz:
             raise ValidationError(

@@ -298,13 +298,13 @@ def extract_generator(channel, t: float) -> Generator:
 
     ``channel`` is anything with an ``operators`` attribute, such as a
     :class:`channels.KrausChannel`.  The principal logarithm is verified by
-    re-exponentiating: ``expm(t L)`` must reproduce the transfer matrix to
+    re-exponentiating: ``expm(log M)`` must reproduce the transfer matrix to
     1e-8 or the extraction is rejected.
 
     The transfer matrix is diagonalized once, by
-    :func:`numerics.log_eigensystem`; the generator is
-    ``((right * log(lambda)) @ left) / t``, the bits of
-    ``logm_principal(M) / t``, returned as a read-only :class:`Generator`
+    :func:`numerics.log_eigensystem`; ``log M`` is
+    ``(right * log(lambda)) @ left`` and the generator ``log M / t``, the bits
+    of ``logm_principal(M) / t``, returned as a read-only :class:`Generator`
     that carries ``log(lambda) / t`` with the same vectors, for
     :func:`decompose` to use.
 
@@ -321,11 +321,12 @@ def extract_generator(channel, t: float) -> Generator:
     matrix = transfer_matrix(channel.operators)
     with np.errstate(over="ignore", invalid="ignore"):
         logs = numerics.log_eigensystem(matrix)
-        generator = ((logs.right * logs.eigenvalues) @ logs.left) / t
+        log_matrix = (logs.right * logs.eigenvalues) @ logs.left
+        generator = log_matrix / t
         rates = logs.eigenvalues / t
     if not np.isfinite(generator).all():
         raise TauOutOfRangeError(f"channel delay {t} too short for a finite generator")
-    roundtrip = float(np.abs(numerics.expm(t * generator) - matrix).max())
+    roundtrip = float(np.abs(numerics.expm(log_matrix) - matrix).max())
     if roundtrip > 1e-8:
         raise SingularInputError(
             f"generator round trip error {roundtrip:.3e}; branch selection failed"

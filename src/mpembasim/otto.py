@@ -98,9 +98,14 @@ class CycleConfig:
     ``tau_bar`` is the fixed per-cycle overhead used in the power ratio; it is
     deliberately a free knob rather than being derived from the stroke times.
 
-    Construction checks the parameters and derives, once, the values the
-    strokes read: ``window``, the swap window ``(2J)^-1`` in ms; ``hot``, the
-    hot partner ``ThermalEnvironment(t_hot, nu1)``; ``z_cold``, the x
+    Construction checks the config's own rules, ``0 < nu0 < nu1``, a
+    positive finite ``tau_bar`` and the float-range edges of the swap
+    window, the hot field and the ramp angle; the partners refuse, naming
+    the value, the coupling (:func:`channels.swap_window`), ``tau1``
+    (:func:`_ramp_phase`) and the temperatures
+    (:class:`channels.ThermalEnvironment`).  It derives, once, the values
+    the strokes read: ``window``, the swap window ``(2J)^-1`` in ms; ``hot``,
+    the hot partner ``ThermalEnvironment(t_hot, nu1)``; ``z_cold``, the x
     component of the cold Gibbs state; and ``ramp``, the cosine and sine of
     the Bloch rotation that both gap ramps share.  They are not parameters,
     and :func:`dataclasses.replace` derives them afresh.
@@ -120,18 +125,11 @@ class CycleConfig:
     ramp: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        numbers = (
-            self.nu0, self.nu1, self.j_hz, self.t_hot, self.t_cold, self.tau1,
-            self.tau_bar,
-        )
-        if not np.all(np.isfinite(numbers)):
-            raise ValueError(f"cycle parameters must be finite, got {numbers}")
+        # a NaN fails every comparison, so it fails these too
         if not 0.0 < self.nu0 < self.nu1:
             raise ValueError(f"need nu1 > nu0 > 0, got {self.nu0}, {self.nu1}")
-        if self.t_hot <= 0.0 or self.t_cold <= 0.0:
-            raise ValueError("temperatures must be positive")
-        if min(self.j_hz, self.tau1, self.tau_bar) <= 0.0:
-            raise ValueError("coupling and stroke times must be positive")
+        if not 0.0 < self.tau_bar < math.inf:
+            raise ValueError(f"tau_bar {self.tau_bar} ms must be positive and finite")
         # the swap window, the hot field and the ramp angle must be finite at
         # the edges of the float range
         window = swap_window(self.j_hz)
@@ -180,8 +178,8 @@ class PowerReport(NamedTuple):
 
 def _ramp_phase(nu_start: float, nu_end: float, duration: float) -> float:
     """Phase ``2 pi * (nu_start + nu_end)/2 * duration`` of a linear gap ramp."""
-    if duration <= 0.0:
-        raise ValueError(f"ramp duration {duration} must be positive")
+    if not 0.0 < duration < math.inf:
+        raise ValueError(f"ramp duration {duration} ms must be positive and finite")
     return TWO_PI * 0.5 * (nu_start + nu_end) * duration
 
 

@@ -26,10 +26,10 @@ from .liouville import decompose, devectorize, extract_generator, mode_overlap, 
     propagate_spectral, slow_pair_indices, transfer_matrix, vectorize
 from .mpemba import _relaxation, mpemba_bloch
 from .numerics import expm
-from .operators import SIGMA_X, SIGMA_Y, bloch_vector, density_from_bloch, \
+from .operators import SIGMA_X, SIGMA_Y, TWO_PI, bloch_vector, density_from_bloch, \
     qubit_hamiltonian, random_density
 from .otto import energy_balance, power_ratio, run_cycle
-from .thermo import f_neq, gibbs_state, kl_divergence, trace_distance
+from .thermo import f_neq, gibbs_state, trace_distance, von_neumann_entropy
 
 
 def dilation_deviation(environment, j_hz: float, taus) -> float:
@@ -113,9 +113,23 @@ def cmd_verify(config: ExperimentConfig) -> int:
         return residual <= 1e-10, f"residual {residual:.3e}"
 
     def free_energy_identity():
-        state, f_eq = equilibrium()
-        excess = f_neq(identity_states, h, config.t_hot_khz) - f_eq
-        identity = config.t_hot_khz * kl_divergence(identity_states, state)
+        # T S(rho || rho_eq) = -T S(rho) + <H - E_min>/(2 pi) + T ln Z with
+        # ln rho_eq = -(H - E_min)/(2 pi T) - ln Z, which needs no rank test:
+        # a Gibbs weight that underflows to 0 leaves the ground term of Z
+        temperature = config.t_hot_khz
+        energies, vectors = np.linalg.eigh(h)
+        gaps = (energies - energies.min()) / TWO_PI  # in h*kHz
+        with np.errstate(over="ignore"):
+            log_z = np.log(np.exp(-gaps / temperature).sum())
+        populations = np.einsum(
+            "ji,njk,ki->ni", vectors.conj(), identity_states, vectors
+        ).real
+        identity = (
+            -temperature * von_neumann_entropy(identity_states)
+            + populations @ gaps
+            + temperature * log_z
+        )
+        excess = f_neq(identity_states, h, temperature) - equilibrium()[1]
         worst = float(np.abs(excess - identity).max())
         return worst <= 1e-10 * free_energy_scale, f"max defect {worst:.3e}"
 

@@ -164,8 +164,10 @@ def test_one_array_kraus_build_equals_the_four_matrix_form():
 def test_swap_window_value():
     assert swap_window(COUPLING_HZ) == pytest.approx(2.3245002, abs=1e-6)
     assert swap_window(500.0) == pytest.approx(1.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        swap_window(0.0)
+    # a NaN coupling gave a NaN window, and an infinite one a window of 0
+    for j_hz in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"coupling {j_hz} Hz must be positive and finite"):
+            swap_window(j_hz)
 
 
 def test_channel_is_trace_preserving_across_the_window(hot_env):

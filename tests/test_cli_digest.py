@@ -33,7 +33,9 @@ def test_verify_runs_every_refusal_and_a_missing_config():
     runs = [argv for _, argv, _ in cli_digest.runs()]
     for name in (*cli_digest.REFUSALS, cli_digest.MISSING_CONFIG):
         assert ["verify", "--config", name] in runs
-    assert cli_digest.MISSING_CONFIG not in {cli_digest.CONFIG_NAME, *cli_digest.REFUSALS}
+    assert cli_digest.MISSING_CONFIG not in {
+        cli_digest.CONFIG_NAME, *cli_digest.REFUSALS, *cli_digest.EDGE_CONFIGS
+    }
 
 
 @pytest.mark.parametrize("name", sorted(cli_digest.REFUSALS))
@@ -43,3 +45,12 @@ def test_every_refusal_config_is_refused(tmp_path, name):
     path.write_text(cli_digest.REFUSALS[name], encoding="utf-8")
     with pytest.raises(ValidationError):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("name", sorted(cli_digest.EDGE_CONFIGS))
+def test_every_edge_config_is_accepted_and_verified(tmp_path, name):
+    # a refused edge config would digest as one more refusal, not a battery
+    path = tmp_path / name
+    path.write_text(cli_digest.EDGE_CONFIGS[name], encoding="utf-8")
+    load_config(str(path))
+    assert ["verify", "--config", name] in [argv for _, argv, _ in cli_digest.runs()]

@@ -16,6 +16,7 @@ from mpembasim.exceptions import (
     MpembaSimError,
     NoStationaryModeError,
     SingularInputError,
+    TauOutOfRangeError,
 )
 from mpembasim.liouville import (
     HERMITICITY_TOL,
@@ -57,6 +58,11 @@ def test_devectorize_round_trip():
     rng = np.random.default_rng(5)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     assert_allclose(devectorize(vectorize(a)), a)
+
+
+def test_vectorize_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        vectorize(np.zeros((2, 3)))
 
 
 def test_devectorize_rejects_non_square_length():
@@ -155,6 +161,14 @@ def test_decompose_refuses_a_generator_whose_slowest_modes_all_oscillate():
 def test_decompose_rejects_traceless_stationary_mode():
     with pytest.raises(NoStationaryModeError, match="traceless"):
         decompose(np.diag([-1.0, 0.0, -1.0, -1.0]))
+
+
+def test_decompose_refuses_a_stationary_mode_that_is_not_a_state():
+    # L rho = -rho + Tr(rho) diag(2, -1) keeps only diag(2, -1), which has
+    # unit trace and a negative eigenvalue
+    generator = -np.eye(4) + np.outer(vectorize(np.diag([2.0, -1.0])), vectorize(np.eye(2)))
+    with pytest.raises(NoStationaryModeError, match="not a valid state"):
+        decompose(generator)
 
 
 def test_decompose_picks_a_normalizable_null_mode():
@@ -266,6 +280,23 @@ def test_extract_generator_needs_positive_delay(hot_env):
     channel = build_heat_exchange(hot_env, 215.1, 0.5)
     with pytest.raises(ValueError):
         extract_generator(channel, 0.0)
+
+
+def test_extract_generator_refuses_a_delay_too_short_for_a_finite_generator(hot_env):
+    # log M is finite, but log M / t overflows
+    channel = build_heat_exchange(hot_env, 215.1, 1.0)
+    with pytest.raises(TauOutOfRangeError, match="too short for a finite generator"):
+        extract_generator(channel, 1e-320)
+
+
+def test_extract_generator_refuses_a_logarithm_that_does_not_round_trip(
+    hot_env, monkeypatch
+):
+    channel = build_heat_exchange(hot_env, 215.1, 1.0)
+    original = numerics.expm
+    monkeypatch.setattr(numerics, "expm", lambda a: original(a) + 1e-7)
+    with pytest.raises(SingularInputError, match="round trip error 1.000e-07"):
+        extract_generator(channel, 1.0)
 
 
 def cycle_scan_exchanges(count: int, seed: int = 30):

@@ -202,9 +202,9 @@ def test_cycle_config_defaults():
 def test_cycle_config_validation():
     with pytest.raises(ValueError, match="nu1 > nu0"):
         CycleConfig(nu0=2.0, nu1=1.0)
-    with pytest.raises(ValueError, match="temperatures"):
+    with pytest.raises(ValueError, match="temperature -1.0 must be positive"):
         CycleConfig(t_hot=-1.0)
-    with pytest.raises(ValueError, match="stroke times"):
+    with pytest.raises(ValueError, match="ramp duration 0.0 ms must be positive"):
         CycleConfig(tau1=0.0)
     with pytest.raises(ValueError, match="finite"):
         CycleConfig(j_hz=float("nan"))
@@ -220,6 +220,26 @@ def test_cycle_config_validation():
         ValueError, match=re.escape("nu1 1e+300 kHz and tau1 1e+308 ms are too large")
     ):
         CycleConfig(nu1=1e300, tau1=1e308)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.5])
+@pytest.mark.parametrize(
+    "name", ["nu0", "nu1", "j_hz", "t_hot", "t_cold", "tau1", "tau_bar"]
+)
+def test_cycle_config_refuses_each_bad_input_by_its_value(name, value):
+    # the config, swap_window, _ramp_phase or ThermalEnvironment refuses it,
+    # whichever owns the rule, and the message names the value it was given
+    with pytest.raises(ValueError) as caught:
+        CycleConfig(**{name: value})
+    assert str(value) in re.findall(r"[-+\w.]+", str(caught.value))
+
+
+def test_ramp_phase_refuses_a_duration_that_is_not_positive_and_finite():
+    for duration in (math.nan, math.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match=f"ramp duration {duration} ms"):
+            otto._ramp_phase(1.0, 2.0, duration)
+        with pytest.raises(ValueError, match=f"ramp duration {duration} ms"):
+            ramp_unitary(1.0, 2.0, duration)
 
 
 def test_cycle_config_derives_its_record_afresh_on_replace():

@@ -24,13 +24,14 @@ empty config path ``--config ""``, a ``verify`` whose battery fails, the
 two runs of :data:`CAP_RUNS` at the grid cap, the two runs of
 :data:`NO_CROSSING_RUNS` on a grid too short to cross, one ``spectrum`` and
 one ``verify`` per physics refusal of :data:`REFUSALS`, each through its own
-config file, and a ``verify`` given a config path that does not exist
-(:data:`MISSING_CONFIG`).
+config file, a ``verify`` given a config path that does not exist
+(:data:`MISSING_CONFIG`), and a ``verify`` per accepted edge config of
+:data:`EDGE_CONFIGS`.
 Every run gets its own temporary working directory, which holds every
 config file, and a fixed relative output name, so paths echoed to stdout
 match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
 usage text the same way in any terminal.  One SHA-256 line is printed per
-stdout, per table, and per stderr that is not empty: 132 lines in all (131
+stdout, per table, and per stderr that is not empty: 134 lines in all (133
 for a package that ignores an empty ``--config``, whose run then succeeds
 and writes no stderr).
 
@@ -88,6 +89,13 @@ REFUSALS = {
     "window-overflow.cfg": "j_hz = 5e-324\n",
     "field-overflow.cfg": "nu1_khz = 1e308\n",
     "ramp-overflow.cfg": "nu1_khz = 1e300\ntau1_us = 1e308\n",
+}
+
+#: accepted configs at the edge of the domain, each run by ``verify``: hot
+#: temperatures at which the excited Gibbs weight underflows to 0
+EDGE_CONFIGS = {
+    "gibbs-underflow.cfg": "t_hot_khz = 1e-3\n",
+    "smallest-temperature.cfg": "t_hot_khz = 5e-324\n",
 }
 
 #: a config path that no run creates
@@ -169,7 +177,7 @@ def runs():
         yield " ".join(argv), list(argv), "table.csv"
     for name in REFUSALS:
         yield f"spectrum --config {name}", ["spectrum", "--config", name], None
-    for name in (*REFUSALS, MISSING_CONFIG):
+    for name in (*REFUSALS, MISSING_CONFIG, *EDGE_CONFIGS):
         yield f"verify --config {name}", ["verify", "--config", name], None
 
 
@@ -190,7 +198,7 @@ def main(argv: list) -> int:
     env["COLUMNS"] = "80"
     for label, args, table in runs():
         with tempfile.TemporaryDirectory() as workdir:
-            for name, text in {CONFIG_NAME: CONFIG, **REFUSALS}.items():
+            for name, text in {CONFIG_NAME: CONFIG, **REFUSALS, **EDGE_CONFIGS}.items():
                 with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
                     handle.write(text)
             done = subprocess.run(
