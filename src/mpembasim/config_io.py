@@ -23,6 +23,15 @@ from .otto import CycleConfig
 #: caps each grid size, and surface the angle x delay product it builds
 MAX_GRID_POINTS = 2**22
 
+#: each int key's inclusive ``(low, high)`` domain; 17 significant digits
+#: spell every float64 so that it reads back exactly, and ``%`` refuses
+#: precisions past 2**31 - 1
+INT_RANGES = {
+    "theta_steps": (2, MAX_GRID_POINTS),
+    "tau_steps": (2, MAX_GRID_POINTS),
+    "output_precision": (1, 17),
+}
+
 #: table rows rendered and written per block, so no table is held as one text
 BLOCK_ROWS = 4096
 
@@ -35,16 +44,22 @@ class ExperimentConfig:
     microseconds, ``tau_bar_ms`` in ms; ``populations`` are the weights of
     the two x eigenstates in the base state.  Construction keeps the physics
     record, ``cycle``, a :class:`~mpembasim.otto.CycleConfig` in its units
-    (``tau1`` in ms); it is not a config key.
+    (``tau1`` in ms); it is not a config key, and the physics defaults are
+    its own.  The config refuses, as ``{key} must ..., got {value!r}``, the
+    first key in field order outside its domain, ``(0, inf)`` or its row of
+    :data:`INT_RANGES`; then ``nu1_khz <= nu0_khz``, a ``tau1_us`` that
+    underflows to 0 ms and ``populations`` not two weights in ``(0, 1)``
+    that sum to 1.  The record's float-range refusals pass through as they
+    read.
     """
 
-    nu0_khz: float = 1.0
-    nu1_khz: float = 2.0
-    j_hz: float = 215.1
-    t_hot_khz: float = 4.77
-    t_cold_khz: float = 2.38
-    tau1_us: float = 100.0
-    tau_bar_ms: float = 4.65
+    nu0_khz: float = CycleConfig.nu0
+    nu1_khz: float = CycleConfig.nu1
+    j_hz: float = CycleConfig.j_hz
+    t_hot_khz: float = CycleConfig.t_hot
+    t_cold_khz: float = CycleConfig.t_cold
+    tau1_us: float = CycleConfig.tau1 * 1000.0
+    tau_bar_ms: float = CycleConfig.tau_bar
     populations: tuple = (0.3, 0.7)
     theta_steps: int = 73
     tau_steps: int = 64
@@ -53,20 +68,21 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "populations", tuple(self.populations))
+        # a NaN fails every comparison, so it fails these too
         for key, parse in _PARSERS.items():
-            if parse is _parse_float and not math.isfinite(getattr(self, key)):
-                raise ValidationError(f"{key} must be finite, got {getattr(self, key)!r}")
-        if not 0.0 < self.nu0_khz < self.nu1_khz:
+            value = getattr(self, key)
+            if parse is _parse_float and not 0.0 < value < math.inf:
+                raise ValidationError(f"{key} must be positive and finite, got {value!r}")
+            if parse is _parse_int:
+                low, high = INT_RANGES[key]
+                if not low <= value <= high:
+                    raise ValidationError(f"{key} must be from {low} to {high}, got {value!r}")
+        if not self.nu0_khz < self.nu1_khz:
             raise ValidationError(
-                f"nu1_khz must exceed nu0_khz > 0, got {self.nu0_khz}, {self.nu1_khz}"
+                f"nu1_khz must exceed nu0_khz ({self.nu0_khz!r}), got {self.nu1_khz!r}"
             )
-        if self.t_hot_khz <= 0.0 or self.t_cold_khz <= 0.0:
-            raise ValidationError("t_hot_khz and t_cold_khz must be positive")
-        if min(self.j_hz, self.tau1_us, self.tau_bar_ms) <= 0.0:
-            raise ValidationError("j_hz, tau1_us and tau_bar_ms must be positive")
         if self.tau1_us / 1000.0 == 0.0:
             raise ValidationError(f"tau1_us {self.tau1_us!r} underflows to 0 ms")
-        # the cycle refuses the float-range edges of its own parameters
         try:
             cycle = CycleConfig(
                 nu0=self.nu0_khz, nu1=self.nu1_khz, j_hz=self.j_hz, t_hot=self.t_hot_khz,
@@ -75,30 +91,11 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ValidationError(str(exc)) from None
         object.__setattr__(self, "cycle", cycle)
-        if len(self.populations) != 2 or not all(
-            0.0 < p < 1.0 for p in self.populations
-        ):
-            raise ValidationError("populations must be two weights inside (0, 1)")
-        if abs(sum(self.populations) - 1.0) > 1e-12:
+        weights = self.populations
+        inside = len(weights) == 2 and all(0.0 < p < 1.0 for p in weights)
+        if not inside or abs(sum(weights) - 1.0) > 1e-12:
             raise ValidationError(
-                f"populations sum to {sum(self.populations)!r}, expected 1"
-            )
-        if self.theta_steps < 2 or self.tau_steps < 2:
-            raise ValidationError("theta_steps and tau_steps must be at least 2")
-        for key in ("theta_steps", "tau_steps"):
-            if getattr(self, key) > MAX_GRID_POINTS:
-                raise ValidationError(
-                    f"{key} must be at most {MAX_GRID_POINTS}, got {getattr(self, key)}"
-                )
-        if self.epsilon_equilibrium_khz <= 0.0:
-            raise ValidationError("epsilon_equilibrium_khz must be positive")
-        if self.output_precision < 1:
-            raise ValidationError("output_precision must be at least 1")
-        # 17 significant digits spell every float64 so that it reads back
-        # exactly; % refuses precisions past 2**31 - 1
-        if self.output_precision > 17:
-            raise ValidationError(
-                f"output_precision must be at most 17, got {self.output_precision}"
+                f"populations must be two weights inside (0, 1) that sum to 1, got {weights!r}"
             )
 
     @property

@@ -626,15 +626,22 @@ def test_each_swept_array_is_checked_once(capsys, monkeypatch, tmp_path, command
     assert count[0] == calls
 
 
-@pytest.mark.parametrize("line", ["j_hz = nan\n", "t_hot_khz = inf\n"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "j_hz = nan\n", "t_hot_khz = inf\n", "nu0_khz = -inf\n", "tau_bar_ms = nan\n",
+        "epsilon_equilibrium_khz = inf\n",
+    ],
+)
 def test_non_finite_config_values_are_config_errors(capsys, tmp_path, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line, encoding="utf-8")
-    code, _, err = run(
+    code, out, err = run(
         capsys, "cooling", "--config", str(cfg), "--out", str(tmp_path / "t.csv")
     )
-    assert code == 3
-    assert "must be finite" in err
+    key, value = (part.strip() for part in line.split("="))
+    assert (code, out) == (3, "")
+    assert err == f"config error: {key} must be positive and finite, got {float(value)!r}\n"
 
 
 #: config files every subcommand refuses alike (None: the file is absent):
@@ -720,7 +727,7 @@ def test_oversized_grid_is_refused_before_any_numerics(capsys, tmp_path):
     code, out, err = run(capsys, "spectrum", "--config", str(cfg))
     assert code == 3
     assert out == ""
-    assert err == "config error: tau_steps must be at most 4194304, got 1000000000\n"
+    assert err == "config error: tau_steps must be from 2 to 4194304, got 1000000000\n"
 
 
 def test_surface_refuses_an_angle_x_delay_grid_over_the_cap(capsys, tmp_path):

@@ -54,3 +54,13 @@ def test_every_edge_config_is_accepted_and_verified(tmp_path, name):
     path.write_text(cli_digest.EDGE_CONFIGS[name], encoding="utf-8")
     load_config(str(path))
     assert ["verify", "--config", name] in [argv for _, argv, _ in cli_digest.runs()]
+
+
+@pytest.mark.parametrize(
+    "argv, code", [(["-h"], 0), (["--help"], 0), (["--verbose"], 2), (["src", "-x"], 2)]
+)
+def test_help_prints_the_usage_to_stdout_and_any_other_option_to_stderr(capsys, argv, code):
+    # an option is never taken for the source directory
+    usage = cli_digest.__doc__.strip() + "\n"
+    assert cli_digest.main(argv) == code
+    assert capsys.readouterr() == ((usage, "") if code == 0 else ("", usage))

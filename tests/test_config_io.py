@@ -139,42 +139,81 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
         load_config(str(path))
 
 
+#: each float key; the config takes each in (0, inf)
+FLOAT_KEYS = [
+    key for key, parse in config_io._PARSERS.items() if parse is config_io._parse_float
+]
+
+
 def test_validation_messages_name_the_offending_key(tmp_path):
-    with pytest.raises(ValidationError, match="nu1_khz"):
+    message = r"^nu1_khz must exceed nu0_khz \(1\.0\), got 0\.5$"
+    with pytest.raises(ValidationError, match=message):
         load_config(write(tmp_path, "nu1_khz = 0.5\n"))
-    with pytest.raises(ValidationError, match="populations"):
-        load_config(write(tmp_path, "populations = 0.5, 0.6\n"))
-    with pytest.raises(ValidationError, match="theta_steps"):
-        load_config(write(tmp_path, "theta_steps = 1\n"))
-    with pytest.raises(ValidationError, match="epsilon"):
-        load_config(write(tmp_path, "epsilon_equilibrium_khz = 0\n"))
-    with pytest.raises(ValidationError, match="j_hz must be finite"):
-        load_config(write(tmp_path, "j_hz = nan\n"))
-    with pytest.raises(ValidationError, match="t_hot_khz must be finite"):
-        load_config(write(tmp_path, "t_hot_khz = inf\n"))
-    with pytest.raises(ValidationError, match="tau_steps must be at most"):
-        load_config(write(tmp_path, "tau_steps = 1000000000\n"))
-    with pytest.raises(ValidationError, match="^output_precision must be at most 17, got 18$"):
-        load_config(write(tmp_path, "output_precision = 18\n"))
-    with pytest.raises(ValidationError, match="output_precision must be at most 17"):
-        load_config(write(tmp_path, "output_precision = 3000000000\n"))
+    # every key outside its domain reads "{key} must ..., got {value!r}"
+    cases = {
+        f"{key} = {text}": f"{key} must be positive and finite, got {float(text)!r}"
+        for key in FLOAT_KEYS
+        for text in ("0.0", "-1.5", "nan", "inf", "-inf")
+    }
+    for key, (low, high) in config_io.INT_RANGES.items():
+        for value in (low - 1, high + 1):
+            cases[f"{key} = {value}"] = f"{key} must be from {low} to {high}, got {value}"
+    cases["tau_steps = 1000000000"] = "tau_steps must be from 2 to 4194304, got 1000000000"
+    cases["output_precision = 3000000000"] = (
+        "output_precision must be from 1 to 17, got 3000000000"
+    )
+    cases["populations = 0.5, 0.6"] = (
+        "populations must be two weights inside (0, 1) that sum to 1, got (0.5, 0.6)"
+    )
+    assert len(FLOAT_KEYS) == 8 and len(cases) == 5 * 8 + 2 * 3 + 3
+    for line, message in cases.items():
+        with pytest.raises(ValidationError) as caught:
+            load_config(write(tmp_path, line + "\n"))
+        assert str(caught.value) == message, line
+    # of several keys outside their domains, the first in field order is named
+    with pytest.raises(ValidationError, match="^j_hz must"):
+        ExperimentConfig(output_precision=0, j_hz=-1.0, tau_steps=1)
+    with pytest.raises(ValidationError, match="^tau_steps must"):
+        ExperimentConfig(output_precision=0, populations=(0.5, 0.6), tau_steps=1)
 
 
 def test_grid_sizes_are_capped():
     # validation only: no grid of this size is ever built; the config caps
     # each size alone, since only surface builds the angle x delay product
     ExperimentConfig(theta_steps=MAX_GRID_POINTS, tau_steps=MAX_GRID_POINTS)
+    ExperimentConfig(theta_steps=2, tau_steps=2)
+    ints = {key for key, parse in config_io._PARSERS.items() if parse is config_io._parse_int}
+    assert set(config_io.INT_RANGES) == ints
     for key in ("theta_steps", "tau_steps"):
-        message = f"^{key} must be at most {MAX_GRID_POINTS}, got {MAX_GRID_POINTS + 1}$"
-        with pytest.raises(ValidationError, match=message):
-            ExperimentConfig(**{key: MAX_GRID_POINTS + 1})
+        assert config_io.INT_RANGES[key] == (2, MAX_GRID_POINTS)
+        for value in (1, MAX_GRID_POINTS + 1):
+            message = f"^{key} must be from 2 to {MAX_GRID_POINTS}, got {value}$"
+            with pytest.raises(ValidationError, match=message):
+                ExperimentConfig(**{key: value})
 
 
 def test_validation_rejects_out_of_range_weights():
-    with pytest.raises(ValidationError):
-        ExperimentConfig(populations=(0.0, 1.0))
-    with pytest.raises(ValidationError):
-        ExperimentConfig(populations=(0.3, 0.7, 0.0))
+    message = r"^populations must be two weights inside \(0, 1\) that sum to 1, got "
+    for weights in ((0.0, 1.0), (0.3, 0.7, 0.0), (0.3, 0.7 + 1e-11), (float("nan"), 0.7)):
+        with pytest.raises(ValidationError, match=message):
+            ExperimentConfig(populations=weights)
+    ExperimentConfig(populations=(0.3, 0.7 + 1e-13))
+
+
+def test_readme_config_block_is_the_default_config(tmp_path):
+    # the model's defaults live in CycleConfig alone; README lists every key
+    # with its default, so this catches drift on either side
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    assert block.splitlines()[0] == "[experiment]"
+    assert len(block.splitlines()) == 1 + len(config_io._PARSERS)
+    assert load_config(write(tmp_path, block)) == ExperimentConfig()
+    cycle, record = ExperimentConfig().cycle, CycleConfig()
+    assert cycle == record
+    for name in ("window", "hot", "z_cold", "ramp"):
+        assert getattr(cycle, name) == getattr(record, name)
 
 
 def test_cycle_config_view_converts_units():

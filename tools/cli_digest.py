@@ -31,9 +31,10 @@ Every run gets its own temporary working directory, which holds every
 config file, and a fixed relative output name, so paths echoed to stdout
 match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
 usage text the same way in any terminal.  One SHA-256 line is printed per
-stdout, per table, and per stderr that is not empty: 134 lines in all (133
+stdout, per table, and per stderr that is not empty: 158 lines in all (157
 for a package that ignores an empty ``--config``, whose run then succeeds
-and writes no stderr).
+and writes no stderr).  ``-h`` and ``--help`` print this text; any other
+option prints it to stderr and exits 2.
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -79,7 +80,8 @@ output_precision = 10
 CONFIG_NAME = "run.cfg"
 
 #: config files the physics checks refuse (exit 3, the message on stderr):
-#: the domain of the parameters, then the edges of the float range
+#: the domain of the parameters, the edges of the float range, then one
+#: per message family of the config's own key domains
 REFUSALS = {
     "nu1-below-nu0.cfg": "nu1_khz = 0.5\n",
     "cold-temperature.cfg": "t_cold_khz = 0\n",
@@ -89,6 +91,12 @@ REFUSALS = {
     "window-overflow.cfg": "j_hz = 5e-324\n",
     "field-overflow.cfg": "nu1_khz = 1e308\n",
     "ramp-overflow.cfg": "nu1_khz = 1e300\ntau1_us = 1e308\n",
+    "overhead.cfg": "tau_bar_ms = 0\n",
+    "hot-temperature-inf.cfg": "t_hot_khz = inf\n",
+    "epsilon.cfg": "epsilon_equilibrium_khz = -1\n",
+    "delay-grid.cfg": "tau_steps = 1\n",
+    "precision.cfg": "output_precision = 18\n",
+    "populations.cfg": "populations = 0.5, 0.6\n",
 }
 
 #: accepted configs at the edge of the domain, each run by ``verify``: hot
@@ -186,7 +194,10 @@ def sha256(data: bytes) -> str:
 
 
 def main(argv: list) -> int:
-    if len(argv) != 1:
+    if "-h" in argv or "--help" in argv:
+        print(__doc__.strip())
+        return 0
+    if len(argv) != 1 or argv[0].startswith("-"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
     src = os.path.abspath(argv[0])
