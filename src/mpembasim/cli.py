@@ -10,14 +10,15 @@ each subcommand's help, handler, computation and flags; the computations
 read the physics from the config's record, ``config.cycle``.  Exit codes:
 0 success, 1 self-check failure or a stdout closed by its reader before
 the output ended, 2 numerical failure or an argparse usage error, 3 config
-or IO failure, in every subcommand.  The ``verify`` battery lives in
-:mod:`mpembasim.verify`.
+or IO failure, a malformed override flag's value included, in every
+subcommand.  The override flags' values, each parsed as a file's value of
+its key, replace the file's before the config's one validation.  The
+``verify`` battery lives in :mod:`mpembasim.verify`.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import os
 import sys
@@ -35,33 +36,19 @@ from .otto import distance_curves, power_ratio
 from .thermo import detect_crossing
 
 
-def _populations_arg(text: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(
-            f"expected two comma-separated weights, got {text!r}"
-        )
-    try:
-        return tuple(float(piece) for piece in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric weight in {text!r}") from None
-
-
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     path = args.config
     if path is None:  # an empty --config is a path, an empty $MPEMBA_CONFIG is unset
         path = os.environ.get("MPEMBA_CONFIG") or None
-    config = load_config(path) if path is not None else ExperimentConfig()
-    # override flags are the namespace's config keys; one not given is None
-    keys = {field.name for field in dataclasses.fields(ExperimentConfig)}
-    overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key in keys and value is not None
-    }
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    return config
+    # an override flag's dest is its config key; one not given, or not taken
+    # by the subcommand, is None
+    given = vars(args)
+    flags = [
+        (f"--{key.replace('_', '-')}", key, given[key])
+        for key in ("populations", "tau_steps", "theta_steps")
+        if given.get(key) is not None
+    ]
+    return load_config(path, flags)
 
 
 def spectrum_table(config: ExperimentConfig, args: argparse.Namespace) -> tuple:
@@ -185,12 +172,10 @@ _CONFIG = ("--config", dict(
     metavar="PATH", help="config file (default: $MPEMBA_CONFIG, else built-in defaults)"
 ))
 _POPULATIONS = ("--populations", dict(
-    type=_populations_arg,
-    metavar="A,B",
-    help="weights of the two x eigenstates in the base state",
+    metavar="A,B", help="weights of the two x eigenstates in the base state"
 ))
-_TAU_STEPS = ("--tau-steps", dict(type=int, metavar="N", help="delay-grid size"))
-_THETA_STEPS = ("--theta-steps", dict(type=int, metavar="N", help="angle-grid size"))
+_TAU_STEPS = ("--tau-steps", dict(metavar="N", help="delay-grid size"))
+_THETA_STEPS = ("--theta-steps", dict(metavar="N", help="angle-grid size"))
 _OUT = ("--out", dict(required=True, metavar="PATH", help="output table path"))
 _FORMAT = ("--format", dict(choices=("csv", "json"), default="csv"))
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .exceptions import ParseError, UnknownKeyError, ValidationError
+from .exceptions import ParseError, ValidationError
 from .otto import CycleConfig
 
 #: largest grid a config may ask for, 5x the 200 x 4096 surface; the config
@@ -111,34 +111,29 @@ class ExperimentConfig:
         return np.array([p0 - p1, 0.0, 0.0])
 
 
-def _parse_float(key: str, text: str, lineno: int) -> float:
+def _parse_float(key: str, text: str, where: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ParseError(
-            f"line {lineno}: value {text!r} for {key} is not a number"
-        ) from None
+        raise ParseError(f"{where}: value {text!r} for {key} is not a number") from None
 
 
-def _parse_int(key: str, text: str, lineno: int) -> int:
+def _parse_int(key: str, text: str, where: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
-        raise ParseError(
-            f"line {lineno}: value {text!r} for {key} is not an integer"
-        ) from None
+        raise ParseError(f"{where}: value {text!r} for {key} is not an integer") from None
 
 
-def _parse_pair(key: str, text: str, lineno: int) -> tuple:
+def _parse_pair(key: str, text: str, where: str) -> tuple:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != 2:
-        raise ParseError(
-            f"line {lineno}: {key} needs two comma-separated values, got {text!r}"
-        )
-    return tuple(_parse_float(key, piece, lineno) for piece in parts)
+        raise ParseError(f"{where}: {key} needs two comma-separated values, got {text!r}")
+    return tuple(_parse_float(key, piece, where) for piece in parts)
 
 
-#: each config key's parser, chosen by the type of its default
+#: each config key's parser, chosen by the type of its default; it takes the
+#: key, the text and where the text came from, ``line N`` or a flag's name
 _PARSERS = {
     field.name: {float: _parse_float, int: _parse_int, tuple: _parse_pair}[
         type(field.default)
@@ -147,8 +142,25 @@ _PARSERS = {
 }
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Parse and validate a config file; missing keys take the defaults."""
+def load_config(path: str | None, flags=()) -> ExperimentConfig:
+    """Parse a config file, let the override ``flags`` replace its values and
+    validate the result once; missing keys take the defaults.
+
+    ``path`` None reads no file.  ``flags`` holds ``(flag, key, text)``
+    triples, such as ``("--tau-steps", "tau_steps", "64")``: each text goes
+    through its key's parser, as the file's values do, and a malformed one
+    is a :class:`ParseError` that names the flag where a file's names its
+    line.  So a file value the config refuses is no error when a flag
+    replaces it.
+    """
+    values = _read_values(path) if path is not None else {}
+    for flag, key, text in flags:
+        values[key] = _PARSERS[key](key, text, flag)
+    return ExperimentConfig(**values)
+
+
+def _read_values(path: str) -> dict:
+    """The parsed values of the config file at ``path``, by key."""
     with open(path, "rb") as handle:
         data = handle.read()
     # "utf-8-sig" drops a leading byte-order mark, as Windows editors write
@@ -179,11 +191,11 @@ def load_config(path: str) -> ExperimentConfig:
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _PARSERS:
-            raise UnknownKeyError(f"line {lineno}: unknown key {key!r}")
+            raise ParseError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ParseError(f"line {lineno}: duplicate key {key!r}")
-        values[key] = _PARSERS[key](key, value, lineno)
-    return ExperimentConfig(**values)
+        values[key] = _PARSERS[key](key, value, f"line {lineno}")
+    return values
 
 
 def _atomic_write(path: str, pieces) -> None:

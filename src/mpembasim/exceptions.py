@@ -67,11 +67,8 @@ class ConfigError(MpembaSimError):
 
 
 class ParseError(ConfigError):
-    """A configuration line could not be parsed."""
-
-
-class UnknownKeyError(ConfigError):
-    """A configuration key is not part of the schema."""
+    """A configuration line or override flag could not be parsed, or a line
+    names a key that is not part of the schema."""
 
 
 class ValidationError(ConfigError):

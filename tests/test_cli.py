@@ -916,13 +916,96 @@ def test_the_table_commands_call_no_matrix_reference(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_malformed_populations_flag_is_a_usage_error(capsys):
-    # one weight, then two that are not numbers
-    for weights, reason in (("0.5", "expected two"), ("a,b", "non-numeric weight")):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["cooling", "--out", "x.csv", "--populations", weights])
-        assert excinfo.value.code == 2
-        assert f"argument --populations: {reason}" in capsys.readouterr().err
+def test_malformed_populations_flag_is_a_config_error(capsys, tmp_path):
+    # one weight, then two that are not numbers: the file's parser refuses
+    # them, naming the flag where a file's value names its line
+    path = tmp_path / "x.csv"
+    for weights, reason in (
+        ("0.5", "populations needs two comma-separated values, got '0.5'"),
+        ("a,b", "value 'a' for populations is not a number"),
+    ):
+        code, out, err = run(capsys, "cooling", "--out", str(path), "--populations", weights)
+        assert (code, out) == (3, "")
+        assert err == f"config error: --populations: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("via_environment", [False, True])
+def test_a_flag_replaces_a_file_value_the_config_refuses(
+    capsys, tmp_path, monkeypatch, via_environment
+):
+    # the flags replace the file's values before the one validation, so the
+    # refused value is never validated
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tau_steps = 1\npopulations = 0.5, 0.6\n", encoding="utf-8")
+    if via_environment:
+        monkeypatch.setenv("MPEMBA_CONFIG", str(cfg))
+        config = []
+    else:
+        config = ["--config", str(cfg)]
+    path = str(tmp_path / "cooling.csv")
+    code, out, err = run(
+        capsys, "cooling", *config, "--tau-steps", "6", "--populations", "0.4,0.6",
+        "--out", path,
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("cooling: ")
+    assert len(read_csv(path)) == 6
+    # without the flag the file's value is refused as before
+    code, out, err = run(capsys, "cooling", *config, "--populations", "0.4,0.6", "--out", path)
+    assert (code, out) == (3, "")
+    assert err == "config error: tau_steps must be from 2 to 4194304, got 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["--tau-steps", "6"],
+        ["--tau-steps", "6", "--theta-steps", "3", "--populations", "0.4,0.6"],
+        ["--config", "run.cfg"],
+        ["--config", "run.cfg", "--tau-steps", "6"],
+    ],
+)
+def test_main_builds_the_config_once(capsys, tmp_path, monkeypatch, argv):
+    (tmp_path / "run.cfg").write_text("tau_steps = 5\nj_hz = 230.0\n", encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    built = []
+    original = ExperimentConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        original(self)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    code, _, _ = run(capsys, "cooling", *argv, "--out", "t.csv")
+    assert code == 0
+    assert len(built) == 1
+
+
+#: a malformed value of each override key, as its config line and its flag
+MALFORMED_OVERRIDES = {
+    "tau_steps": "abc",
+    "theta_steps": "7.5",
+    "populations": "0.4;0.6",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED_OVERRIDES))
+def test_a_malformed_value_reads_alike_in_a_file_and_as_a_flag(capsys, tmp_path, key):
+    # one parser per key: the two messages differ only in where the text was
+    text = MALFORMED_OVERRIDES[key]
+    flag = "--" + key.replace("_", "-")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {text}\n", encoding="utf-8")
+    path = str(tmp_path / "t.csv")
+    code, out, from_file = run(capsys, "surface", "--config", str(cfg), "--out", path)
+    assert (code, out) == (3, "")
+    code, out, from_flag = run(capsys, "surface", flag, text, "--out", path)
+    assert (code, out) == (3, "")
+    assert from_file.startswith("config error: line 1: ")
+    assert from_flag == from_file.replace("line 1: ", f"{flag}: ", 1)
+    assert key in from_flag
 
 
 def outcome(capsys, argv, path=None):

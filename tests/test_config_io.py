@@ -22,7 +22,7 @@ from mpembasim.config_io import (
     load_config,
     write_table,
 )
-from mpembasim.exceptions import ParseError, UnknownKeyError, ValidationError
+from mpembasim.exceptions import ParseError, ValidationError
 from mpembasim.otto import CycleConfig
 
 
@@ -84,11 +84,24 @@ def test_populations_parse_as_a_pair(tmp_path):
     assert cfg.populations == (0.4, 0.6)
 
 
+def test_flags_replace_the_file_values_before_the_validation(tmp_path):
+    path = write(tmp_path, "tau_steps = 1\nj_hz = 230.0\n")
+    cfg = load_config(path, [("--tau-steps", "tau_steps", "6")])
+    assert cfg == ExperimentConfig(tau_steps=6, j_hz=230.0)
+    assert load_config(None, [("--populations", "populations", "0.4, 0.6")]) == (
+        ExperimentConfig(populations=(0.4, 0.6))
+    )
+    assert load_config(None) == ExperimentConfig()
+    # a malformed flag value is named by its flag, as a file's by its line
+    with pytest.raises(ParseError, match=r"^--tau-steps: value 'abc' for tau_steps is not"):
+        load_config(path, [("--tau-steps", "tau_steps", "abc")])
+
+
 def test_unknown_key_is_rejected_with_its_line(tmp_path):
-    with pytest.raises(UnknownKeyError, match="line 2"):
+    with pytest.raises(ParseError, match="line 2"):
         load_config(write(tmp_path, "nu1_khz = 2.0\ncoupling = 3\n"))
     # the retired pulse switch is refused, not silently ignored
-    with pytest.raises(UnknownKeyError, match="line 1: unknown key 'use_mpemba'"):
+    with pytest.raises(ParseError, match="line 1: unknown key 'use_mpemba'"):
         load_config(write(tmp_path, "use_mpemba = false\n"))
 
 
@@ -135,7 +148,7 @@ def test_a_leading_byte_order_mark_is_dropped(tmp_path):
         load_config(str(path))
     # only a leading mark is dropped; one inside the text is part of a key
     path.write_bytes(b"tau_steps = 5\n" + codecs.BOM_UTF8 + b"nu0_khz = 0.8\n")
-    with pytest.raises(UnknownKeyError, match=r"^line 2: unknown key '\\ufeffnu0_khz'$"):
+    with pytest.raises(ParseError, match=r"^line 2: unknown key '\\ufeffnu0_khz'$"):
         load_config(str(path))
 
 

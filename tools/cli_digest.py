@@ -22,8 +22,9 @@ block of the table writer, in csv and json.  Last come
 a ``spectrum`` whose table cannot be written, a ``spectrum`` given the
 empty config path ``--config ""``, a ``verify`` whose battery fails, the
 two runs of :data:`CAP_RUNS` at the grid cap, the two runs of
-:data:`NO_CROSSING_RUNS` on a grid too short to cross, one ``spectrum`` and
-one ``verify`` per physics refusal of :data:`REFUSALS`, each through its own
+:data:`NO_CROSSING_RUNS` on a grid too short to cross, the four runs of
+:data:`FLAG_RUNS` through the override flags, one ``spectrum`` and one
+``verify`` per physics refusal of :data:`REFUSALS`, each through its own
 config file, a ``verify`` given a config path that does not exist
 (:data:`MISSING_CONFIG`), and a ``verify`` per accepted edge config of
 :data:`EDGE_CONFIGS`.
@@ -31,10 +32,17 @@ Every run gets its own temporary working directory, which holds every
 config file, and a fixed relative output name, so paths echoed to stdout
 match between checkouts, and ``COLUMNS=80``, so argparse wraps help and
 usage text the same way in any terminal.  One SHA-256 line is printed per
-stdout, per table, and per stderr that is not empty: 158 lines in all (157
-for a package that ignores an empty ``--config``, whose run then succeeds
-and writes no stderr).  ``-h`` and ``--help`` print this text; any other
-option prints it to stderr and exits 2.
+stdout, per table, and per stderr that is not empty: 169 lines in all (one
+fewer for a package that ignores an empty ``--config``, whose run then
+succeeds and writes no stderr; one more for one that refuses a file's value
+before a flag replaces it, whose run then fails).  ``-h`` and ``--help``
+print this text; any other option prints it to stderr and exits 2.
+
+:func:`in_process_digest` returns the same lines from ``cli.main`` calls
+in the calling interpreter; ``tests/golden/cli_digest.txt`` holds them for
+the committed package, and a tier-1 test compares the two.
+The fresh processes stay the way to compare two checkouts, and run the
+package as ``python -m mpembasim.cli`` does.
 
 Two checkouts are byte-identical when the printouts of both are::
 
@@ -47,11 +55,14 @@ The large ``surface`` run writes 819,200 rows; the runs go one at a time.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 GRIDS = (
     ("default", {}),
@@ -143,6 +154,15 @@ NO_CROSSING_RUNS = (
     ("otto-distance", "--tau-steps", "2", "--out", "table.csv"),
 )
 
+#: runs through the override flags: a flag that replaces a config file's
+#: value the config refuses, then a malformed value of each override key
+FLAG_RUNS = (
+    ("cooling", "--config", "delay-grid.cfg", "--tau-steps", "64", "--out", "table.csv"),
+    ("cooling", "--tau-steps", "abc", "--out", "table.csv"),
+    ("cooling", "--populations", "0.5", "--out", "table.csv"),
+    ("surface", "--populations", "a,b", "--out", "table.csv"),
+)
+
 
 def grid_args(command: str, grid: dict) -> list:
     """The flags of ``grid`` that ``command`` takes, with their values."""
@@ -181,7 +201,7 @@ def runs():
         yield f"{command} --help", [command, "--help"], None
     for argv in ERROR_RUNS:
         yield " ".join(argv), list(argv), None
-    for argv in (*CAP_RUNS, *NO_CROSSING_RUNS):
+    for argv in (*CAP_RUNS, *NO_CROSSING_RUNS, *FLAG_RUNS):
         yield " ".join(argv), list(argv), "table.csv"
     for name in REFUSALS:
         yield f"spectrum --config {name}", ["spectrum", "--config", name], None
@@ -191,6 +211,57 @@ def runs():
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def digest(run):
+    """The digest lines of every run, each made by ``run(argv, workdir) ->
+    (exit code, stdout bytes, stderr bytes)`` in a fresh working directory
+    that holds every config file."""
+    for label, args, table in runs():
+        with tempfile.TemporaryDirectory() as workdir:
+            for name, text in {CONFIG_NAME: CONFIG, **REFUSALS, **EDGE_CONFIGS}.items():
+                with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
+                    handle.write(text)
+            code, out, err = run(args, workdir)
+            yield f"{sha256(out)}  {label} stdout (exit {code})"
+            if err:
+                yield f"{sha256(err)}  {label} stderr"
+            if table is not None:
+                path = os.path.join(workdir, table)
+                if os.path.exists(path):
+                    with open(path, "rb") as handle:
+                        yield f"{sha256(handle.read())}  {label} table"
+                else:
+                    yield f"{'-' * 64}  {label} table (missing)"
+
+
+def _call_main(args: list, workdir: str) -> tuple:
+    """One ``cli.main(args)`` call in ``workdir``, its streams captured as bytes."""
+    from mpembasim import cli
+
+    streams = [io.TextIOWrapper(io.BytesIO(), encoding="utf-8") for _ in range(2)]
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with contextlib.redirect_stdout(streams[0]), contextlib.redirect_stderr(streams[1]):
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:  # --help and argparse's usage errors
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    for stream in streams:
+        stream.flush()
+    return (code, *(stream.buffer.getvalue() for stream in streams))
+
+
+def in_process_digest() -> list:
+    """The digest lines with every run a ``cli.main`` call of the
+    ``mpembasim`` this interpreter imports, as the fresh processes print
+    them: ``COLUMNS=80`` and no ``MPEMBA_CONFIG`` while the runs last."""
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        os.environ.pop("MPEMBA_CONFIG", None)
+        return list(digest(_call_main))
 
 
 def main(argv: list) -> int:
@@ -207,29 +278,19 @@ def main(argv: list) -> int:
     env = {key: value for key, value in os.environ.items() if key != "MPEMBA_CONFIG"}
     env["PYTHONPATH"] = src
     env["COLUMNS"] = "80"
-    for label, args, table in runs():
-        with tempfile.TemporaryDirectory() as workdir:
-            for name, text in {CONFIG_NAME: CONFIG, **REFUSALS, **EDGE_CONFIGS}.items():
-                with open(os.path.join(workdir, name), "w", encoding="utf-8") as handle:
-                    handle.write(text)
-            done = subprocess.run(
-                [sys.executable, "-m", "mpembasim.cli", *args],
-                cwd=workdir,
-                env=env,
-                capture_output=True,
-                check=False,
-            )
-            print(f"{sha256(done.stdout)}  {label} stdout (exit {done.returncode})")
-            if done.stderr:
-                print(f"{sha256(done.stderr)}  {label} stderr")
-            if table is not None:
-                path = os.path.join(workdir, table)
-                if os.path.exists(path):
-                    with open(path, "rb") as handle:
-                        print(f"{sha256(handle.read())}  {label} table")
-                else:
-                    print(f"{'-' * 64}  {label} table (missing)")
-        sys.stdout.flush()
+
+    def run(args, workdir):
+        done = subprocess.run(
+            [sys.executable, "-m", "mpembasim.cli", *args],
+            cwd=workdir,
+            env=env,
+            capture_output=True,
+            check=False,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    for line in digest(run):
+        print(line, flush=True)
     return 0
 
 
